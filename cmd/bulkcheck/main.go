@@ -44,7 +44,6 @@ func main() {
 		schedules = flag.Int("schedules", 0, "override max schedules per target (0 = budget default)")
 		depth     = flag.Int("depth", 0, "override decision depth (0 = budget default)")
 		workers   = flag.Int("workers", 0, "explorer worker goroutines (0 = GOMAXPROCS); the report is identical at every count")
-		snapmem   = flag.Int("snapmem", -1, "fork-point snapshot cache budget in MiB (0 = full replay from the root, -1 = budget default); the report is identical at every budget")
 		seed      = flag.Uint64("seed", 2006, "random-walk seed")
 		deviate   = flag.Float64("deviate", 0.3, "random-walk per-decision deviation probability")
 		mutations = flag.String("mutations", "", "mutation audit: 'all' or comma-separated names (empty = sweep the unmutated tree)")
@@ -56,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*workers, *schedules, *depth, *snapmem, *deviate, *budget); err != nil {
+	if err := validateFlags(*workers, *schedules, *depth, *deviate, *budget); err != nil {
 		fmt.Fprintf(os.Stderr, "bulkcheck: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -67,9 +66,6 @@ func main() {
 	}
 	if *depth > 0 {
 		b.Depth = *depth
-	}
-	if *snapmem >= 0 {
-		b.SnapMem = int64(*snapmem) << 20
 	}
 
 	if *replay != "" {
@@ -91,7 +87,7 @@ func main() {
 		return
 	}
 	if *mutations != "" {
-		runMutations(*mutations, *workers, *snapmem, *verbose)
+		runMutations(*mutations, *workers, *verbose)
 		return
 	}
 	runSweep(*protocol, *mode, b, *workers, *seed, *deviate, *target, *verbose)
@@ -198,7 +194,7 @@ func runSweep(protocol, mode string, b check.Budget, workers int, seed uint64, d
 // runMutations proves the checker's teeth: every requested seeded mutation
 // must be killed — the explorer must find an oracle-rejected schedule —
 // within its catalog budget.
-func runMutations(names string, workers, snapmem int, verbose bool) {
+func runMutations(names string, workers int, verbose bool) {
 	catalog := check.Catalog()
 	if names != "all" {
 		want := map[mutate.ID]bool{}
@@ -219,11 +215,7 @@ func runMutations(names string, workers, snapmem int, verbose bool) {
 	}
 	survived := 0
 	for _, m := range catalog {
-		mb := m.Budget
-		if snapmem >= 0 {
-			mb.SnapMem = int64(snapmem) << 20
-		}
-		rep := check.ExploreParallel(m.Target, mutate.Of(m.ID), mb, workers)
+		rep := check.ExploreParallel(m.Target, mutate.Of(m.ID), m.Budget, workers)
 		if rep.Failure == nil {
 			survived++
 			fmt.Printf("SURVIVED %-26s %d schedules found no violation\n", m.ID, rep.Schedules)
@@ -275,7 +267,7 @@ func targetByName(name string) (check.Target, bool) {
 			return t, true
 		}
 	}
-	return nil, false
+	return check.Target{}, false
 }
 
 func targetNames() string {
@@ -297,7 +289,7 @@ func allTargets() []check.Target {
 // validateFlags rejects out-of-domain flag values before any exploration
 // starts, so a typo'd invocation dies with usage (exit 2, like the flag
 // package's own parse errors) instead of misbehaving mid-sweep.
-func validateFlags(workers, schedules, depth, snapmem int, deviate float64, budget string) error {
+func validateFlags(workers, schedules, depth int, deviate float64, budget string) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", workers)
 	}
@@ -306,9 +298,6 @@ func validateFlags(workers, schedules, depth, snapmem int, deviate float64, budg
 	}
 	if depth < 0 {
 		return fmt.Errorf("-depth %d is negative (0 means the budget default)", depth)
-	}
-	if snapmem < -1 {
-		return fmt.Errorf("-snapmem %d is out of domain (-1 = budget default, 0 = full replay, >0 = MiB)", snapmem)
 	}
 	if deviate < 0 || deviate > 1 {
 		return fmt.Errorf("-deviate %v is not a probability in [0, 1]", deviate)

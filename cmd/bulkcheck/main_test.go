@@ -10,11 +10,11 @@ import (
 
 func TestValidateFlags(t *testing.T) {
 	type args struct {
-		workers, schedules, depth, snapmem int
-		deviate                            float64
-		budget                             string
+		workers, schedules, depth int
+		deviate                   float64
+		budget                    string
 	}
-	ok := args{workers: 0, schedules: 0, depth: 0, snapmem: -1, deviate: 0.3, budget: "medium"}
+	ok := args{workers: 0, schedules: 0, depth: 0, deviate: 0.3, budget: "medium"}
 	cases := []struct {
 		name    string
 		mut     func(*args)
@@ -22,12 +22,11 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{name: "defaults", mut: func(*args) {}},
 		{name: "explicit values", mut: func(a *args) {
-			a.workers, a.schedules, a.depth, a.snapmem, a.deviate = 8, 5000, 12, 0, 1
+			a.workers, a.schedules, a.depth, a.deviate = 8, 5000, 12, 1
 		}},
 		{name: "negative workers", mut: func(a *args) { a.workers = -1 }, wantErr: "-workers"},
 		{name: "negative schedules", mut: func(a *args) { a.schedules = -5 }, wantErr: "-schedules"},
 		{name: "negative depth", mut: func(a *args) { a.depth = -2 }, wantErr: "-depth"},
-		{name: "snapmem below sentinel", mut: func(a *args) { a.snapmem = -2 }, wantErr: "-snapmem"},
 		{name: "deviate above one", mut: func(a *args) { a.deviate = 1.5 }, wantErr: "-deviate"},
 		{name: "deviate negative", mut: func(a *args) { a.deviate = -0.1 }, wantErr: "-deviate"},
 		{name: "unknown budget", mut: func(a *args) { a.budget = "tiny" }, wantErr: "budget"},
@@ -36,7 +35,7 @@ func TestValidateFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mut(&a)
-			err := validateFlags(a.workers, a.schedules, a.depth, a.snapmem, a.deviate, a.budget)
+			err := validateFlags(a.workers, a.schedules, a.depth, a.deviate, a.budget)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateFlags: unexpected error %v", err)
@@ -54,9 +53,10 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestCLIRejectsBadFlags re-executes the test binary as bulkcheck's main and
-// pins the CLI contract: an out-of-domain flag exits 2 (the flag package's
-// usage-error code, distinct from exit 1 = oracle failure) and prints the
-// usage text.
+// pins the CLI contract: an out-of-domain or unknown flag exits 2 (the flag
+// package's usage-error code, distinct from exit 1 = oracle failure) and
+// prints the usage text. -snapmem no longer exists (every sweep runs on the
+// snapshot engine), so old invocations must be refused, not ignored.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if os.Getenv("BULKCHECK_BE_MAIN") == "1" {
 		os.Args = append([]string{"bulkcheck"}, strings.Fields(os.Getenv("BULKCHECK_ARGS"))...)

@@ -62,7 +62,7 @@ func buildLoop(iters int) *workload.TLSWorkload {
 
 func main() {
 	w := buildLoop(120)
-	seq, err := tls.RunSequential(w, tls.NewOptions(tls.Bulk).Params, 0, 0, 0)
+	seq, err := tls.RunSequential(w)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -30,7 +30,9 @@
 // tied for minimum length) executes on a work-stealing worker pool and is
 // reduced serially in canonical order, so reports are byte-identical at
 // every worker count, and a clean budget stop emits a resumable frontier
-// checkpoint. A random-walk fuzzer covers depths the systematic budget
+// checkpoint. Each worker drives one pooled system of the target's
+// runtime through the core machine's driver contract, resuming schedules
+// from cached fork-point snapshots instead of replaying shared prefixes. A random-walk fuzzer covers depths the systematic budget
 // cannot reach. Seeded protocol mutations (internal/mutate) give
 // the checker teeth: each mutation disables one load-bearing protocol
 // decision, and the catalog in mutations.go pairs each with a directed
@@ -42,10 +44,6 @@ import (
 
 	"bulk/internal/sim"
 )
-
-// Scheduler is the pluggable scheduling hook (defined in sim so the
-// runtimes can depend on it without importing this package).
-type Scheduler = sim.Scheduler
 
 // Outcome is the judged result of one schedule's execution.
 //

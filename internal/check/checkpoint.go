@@ -3,6 +3,7 @@ package check
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Checkpoint is a resumable snapshot of an exploration taken at a clean
@@ -71,13 +72,18 @@ func (c *Checkpoint) Encode() []byte {
 			uv(uint64(ch))
 		}
 	}
+	u64(checksum(buf))
+	return buf
+}
+
+// checksum is the FNV-1a hash Encode appends after the payload.
+func checksum(b []byte) uint64 {
 	sum := uint64(fnvOffset)
-	for _, b := range buf {
-		sum ^= uint64(b)
+	for _, c := range b {
+		sum ^= uint64(c)
 		sum *= fnvPrime
 	}
-	u64(sum)
-	return buf
+	return sum
 }
 
 // DecodeCheckpoint parses an Encode'd snapshot, verifying the magic and
@@ -89,12 +95,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("check: not a checkpoint file (bad magic)")
 	}
 	body, tail := data[:len(data)-8], data[len(data)-8:]
-	sum := uint64(fnvOffset)
-	for _, b := range body {
-		sum ^= uint64(b)
-		sum *= fnvPrime
-	}
-	if got := binary.LittleEndian.Uint64(tail); got != sum {
+	if binary.LittleEndian.Uint64(tail) != checksum(body) {
 		return nil, fmt.Errorf("check: checkpoint checksum mismatch (file corrupted or truncated)")
 	}
 	r := body[len(checkpointMagic):]
@@ -110,7 +111,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return v, true
 	}
 	u64s := func(n uint64) ([]uint64, bool) {
-		if uint64(len(r)) < 8*n {
+		if n > uint64(len(r))/8 { // not len(r) < 8*n, which wraps for n >= 2^61
 			return nil, false
 		}
 		out := make([]uint64, n)
@@ -136,6 +137,9 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	sched, ok := uv()
 	if !ok {
 		return fail()
+	}
+	if sched > math.MaxInt {
+		return nil, fmt.Errorf("check: checkpoint schedule count %d is out of range", sched)
 	}
 	c.Schedules = int(sched)
 	nf, ok := uv()

@@ -15,33 +15,22 @@ import (
 type Budget struct {
 	MaxSchedules int
 	Depth        int
-	// SnapMem is the byte budget for the fork-point snapshot cache of the
-	// incremental execution engine. Positive values enable pooled runners
-	// with snapshot/resume for targets that support them (SnapTarget);
-	// zero or negative falls back to full replay via Target.Run. The
-	// explored set and report are byte-identical either way — the budget
-	// trades memory for speed only.
-	SnapMem int64
 }
 
-// defaultSnapMem comfortably holds every fork point of the deepest stock
-// sweep while still bounding a pathological blow-up.
-const defaultSnapMem = 256 << 20
+// snapCacheBytes bounds an exploration's fork-point snapshot cache. It
+// comfortably holds every fork point of the deepest stock sweep while
+// still bounding a pathological blow-up; the report is identical at any
+// bound, which trades memory for speed only.
+const snapCacheBytes = 256 << 20
 
 // SmallBudget is a smoke-test budget (sub-second per target).
-func SmallBudget() Budget {
-	return Budget{MaxSchedules: 1_000, Depth: 10, SnapMem: defaultSnapMem}
-}
+func SmallBudget() Budget { return Budget{MaxSchedules: 1_000, Depth: 10} }
 
 // MediumBudget is the default bulkcheck budget.
-func MediumBudget() Budget {
-	return Budget{MaxSchedules: 20_000, Depth: 14, SnapMem: defaultSnapMem}
-}
+func MediumBudget() Budget { return Budget{MaxSchedules: 20_000, Depth: 14} }
 
 // LargeBudget is the thorough sweep budget.
-func LargeBudget() Budget {
-	return Budget{MaxSchedules: 120_000, Depth: 18, SnapMem: defaultSnapMem}
-}
+func LargeBudget() Budget { return Budget{MaxSchedules: 120_000, Depth: 18} }
 
 // BudgetByName resolves small/medium/large.
 func BudgetByName(name string) (Budget, bool) {
@@ -105,7 +94,7 @@ const seenShards = 64
 // Explore is the serial form of ExploreParallel: the explored set, the
 // report, and the failing schedule are identical at every worker count.
 func Explore(t Target, muts mutate.Set, b Budget) *Report {
-	rep, _, _ := explore(t, muts, b, 1, nil, false)
+	rep, _, _ := explore(t, muts, b, 1, nil, false, snapCacheBytes)
 	return rep
 }
 
@@ -117,7 +106,7 @@ func Explore(t Target, muts mutate.Set, b Budget) *Report {
 // byte-identical to the serial explorer's no matter the worker count or
 // steal schedule.
 func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
-	rep, _, _ := explore(t, muts, b, workers, nil, false)
+	rep, _, _ := explore(t, muts, b, workers, nil, false, snapCacheBytes)
 	return rep
 }
 
@@ -130,14 +119,16 @@ func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
 // identical to an uninterrupted one, because best-first order makes the
 // executed sequence independent of where budget boundaries fall.
 func ExploreFrom(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint) (*Report, *Checkpoint, error) {
-	return explore(t, muts, b, workers, from, true)
+	return explore(t, muts, b, workers, from, true, snapCacheBytes)
 }
 
-// explore is the shared implementation. Materializing the resumable
+// explore is the shared implementation. Every schedule runs on a pooled
+// per-worker system restored between runs, sharing fork-point snapshots
+// through a cache bounded to cacheBytes. Materializing the resumable
 // checkpoint costs real allocation (sorted fingerprints, the dedup set,
 // the whole frontier), so the non-resumable entry points pass
 // wantCP=false and skip it.
-func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool) (*Report, *Checkpoint, error) {
+func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool, cacheBytes int64) (*Report, *Checkpoint, error) {
 	rep := &Report{Target: t.Name()}
 	seen := flatmap.NewSharded(seenShards)
 	var fps flatmap.Set
@@ -167,17 +158,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		fr.add(nil)
 	}
 
-	// Incremental engine: targets that expose pooled runners execute each
-	// schedule on a long-lived per-worker System restored between runs,
-	// sharing fork-point snapshots through a bounded cache, instead of
-	// rebuilding the world per schedule. Outcomes are byte-identical to the
-	// full-replay path, so this is purely a speed switch.
-	snapT, snapOK := t.(SnapTarget)
-	useSnap := snapOK && b.SnapMem > 0
-	var cache *snapCache
-	if useSnap {
-		cache = newSnapCache(b.SnapMem)
-	}
+	cache := newSnapCache(cacheBytes)
 	var results []waveResult
 	var scratch []workerScratch
 
@@ -213,21 +194,15 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		par.StealForEach(n, workers, func(w, i int) {
 			sc := &scratch[w]
 			sc.prefix = decodeRow(rows, length, i, sc.prefix)
-			if useSnap {
-				if sc.runner == nil && sc.runnerErr == nil {
-					sc.runner, sc.runnerErr = snapT.NewRunner(muts)
-					sc.sched = NewReplay(nil, 0)
-				}
-				if sc.runnerErr != nil {
-					results[i] = waveResult{out: Outcome{Err: sc.runnerErr}}
-					return
-				}
-				results[i].entry = sc.runner.RunSchedule(&results[i].out, sc.sched, sc.prefix, b.Depth, cache, capture)
-				results[i].kids = expandChildren(sc.sched.Trace(), length, seen, sc)
+			if sc.runner == nil && sc.runnerErr == nil {
+				sc.runner, sc.runnerErr = t.newRunner(muts)
+			}
+			if sc.runnerErr != nil {
+				results[i] = waveResult{out: Outcome{Err: sc.runnerErr}}
 				return
 			}
-			sched := NewReplay(sc.prefix, b.Depth)
-			results[i] = waveResult{out: *t.Run(sched, muts), kids: expandChildren(sched.Trace(), length, seen, sc)}
+			results[i].entry = sc.runner.RunSchedule(&results[i].out, sc.prefix, b.Depth, cache, capture)
+			results[i].kids = expandChildren(sc.runner.sched.Trace(), length, seen, sc)
 		})
 		// Reduce in canonical order. Everything order-sensitive — the
 		// schedule count, the Distinct tally, and the first failure —
@@ -267,9 +242,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		}
 	}
 
-	if cache != nil {
-		lastSnapStats = cache.Stats()
-	}
+	lastSnapStats = cache.Stats()
 	rep.Schedules, rep.Distinct = counted, distinct
 	if !wantCP {
 		return rep, nil, nil
@@ -309,15 +282,13 @@ func countEligibleRows(kids []byte, count int) int {
 
 // workerScratch is the per-worker reusable state of an exploration: the
 // decoded prefix, the rolling prefix hashes, the choice bytes of the
-// current trace, and — on the incremental path — the worker's pooled
-// runner and replay scheduler. Indexed by the stealing pool's worker id,
-// so no synchronization.
+// current trace, and the worker's pooled runner. Indexed by the stealing
+// pool's worker id, so no synchronization.
 type workerScratch struct {
 	prefix    []int
 	hashes    []uint64
 	choices   []byte
-	runner    Runner
-	sched     *ReplayScheduler
+	runner    *runner
 	runnerErr error
 }
 

@@ -15,8 +15,8 @@ type Mutation struct {
 // Each entry is a claim the tests enforce: Explore(Target, Of(ID), Budget)
 // finds an oracle violation, while the unmutated target explores clean.
 func Catalog() []Mutation {
-	b := Budget{MaxSchedules: 4_000, Depth: 12, SnapMem: defaultSnapMem}
-	deep := Budget{MaxSchedules: 8_000, Depth: 16, SnapMem: defaultSnapMem}
+	b := Budget{MaxSchedules: 4_000, Depth: 12}
+	deep := Budget{MaxSchedules: 8_000, Depth: 16}
 	return []Mutation{
 		{ID: mutate.DropWRTerm, Target: wrTermTarget(), Budget: b},
 		{ID: mutate.DropWWTerm, Target: wwTermTarget(), Budget: b},

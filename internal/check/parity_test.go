@@ -4,95 +4,54 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"bulk/internal/ckpt"
-	"bulk/internal/tls"
-	"bulk/internal/tm"
 )
 
 // TestSnapshotFieldParity is the reflection-based backstop behind the
-// snapstate analyzer: for every runtime, capture a mid-run snapshot, keep
-// executing so the system state diverges, restore, and re-capture. The two
-// captures are compared field by field with reflect — through every nested
-// struct, slice, pointer, and map — so a field that Snapshot or Restore
-// silently drops shows up as a named path (e.g. ".procs[1].sections[0].wbuf"),
-// not just a fingerprint mismatch. The walk reads unexported fields, which
-// is exactly the point: the snapshot structs are the closed set of captured
-// state, and no field may escape the round trip.
+// snapstate analyzer: for every runtime, capture a mid-run snapshot — the
+// core machine's envelope (memory, engine, bus counters, caches, BDM
+// tables) with the runtime's policy state inside it — keep executing so
+// the system state diverges, restore, and re-capture. The two captures are
+// compared field by field with reflect — through every nested struct,
+// slice, pointer, interface, and map — so a field that Snapshot or Restore
+// silently drops shows up as a named path (e.g.
+// ".policy.procs[1].sections[0].wbuf"), not just a fingerprint mismatch.
+// The walk reads unexported fields, which is exactly the point: the
+// snapshot structs are the closed set of captured state, and no field may
+// escape the round trip.
 func TestSnapshotFieldParity(t *testing.T) {
-	type runtimeCase struct {
-		name string
-		// setup builds a system from the stock sweep workload and returns
-		// its drive/capture/restore hooks; snapshots are captured fresh
-		// (nil dst) so buffer reuse cannot mask a dropped copy.
-		setup func(t *testing.T) (run func(pause func() bool) (bool, error), snap func() any, restore func(any))
-	}
-	cases := []runtimeCase{
-		{name: "tm", setup: func(t *testing.T) (func(func() bool) (bool, error), func() any, func(any)) {
-			tgt := SweepTargets()[0].(*TMTarget)
-			sys, err := tm.NewSystem(tgt.Workload, tgt.Options)
+	for i, name := range []string{"tm", "tls", "ckpt"} {
+		tgt := SweepTargets()[i]
+		t.Run(name, func(t *testing.T) {
+			// Snapshots are captured fresh (nil dst) so buffer reuse cannot
+			// mask a dropped copy.
+			sched := NewReplay(nil, 0)
+			sched.Reset(nil, 12)
+			sys, err := tgt.build(sched, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sched := NewReplay(nil, 0)
-			sched.Reset(nil, 12)
-			sys.SetScheduler(sched)
-			return sys.RunUntil,
-				func() any { return sys.Snapshot(nil) },
-				func(s any) { sys.Restore(s.(*tm.Snapshot)) }
-		}},
-		{name: "tls", setup: func(t *testing.T) (func(func() bool) (bool, error), func() any, func(any)) {
-			tgt := SweepTargets()[1].(*TLSTarget)
-			sys, err := tls.NewSystem(tgt.Workload, tgt.Options)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched := NewReplay(nil, 0)
-			sched.Reset(nil, 12)
-			sys.SetScheduler(sched)
-			return sys.RunUntil,
-				func() any { return sys.Snapshot(nil) },
-				func(s any) { sys.Restore(s.(*tls.Snapshot)) }
-		}},
-		{name: "ckpt", setup: func(t *testing.T) (func(func() bool) (bool, error), func() any, func(any)) {
-			tgt := SweepTargets()[2].(*CkptTarget)
-			sys, err := ckpt.NewSystem(tgt.Workload, tgt.Options)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched := NewReplay(nil, 0)
-			sched.Reset(nil, 12)
-			sys.SetScheduler(sched)
-			return sys.RunUntil,
-				func() any { return sys.Snapshot(nil) },
-				func(s any) { sys.Restore(s.(*ckpt.Snapshot)) }
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run, snap, restore := tc.setup(t)
 			// Advance past the first few quanta so the mid-run capture holds
 			// live speculative state, not the base image.
 			paused := 0
-			done, err := run(func() bool { paused++; return paused > 3 })
+			done, err := sys.RunUntil(func() bool { paused++; return paused > 3 })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if done {
 				t.Fatal("sweep workload finished before the mid-run capture; deepen it")
 			}
-			mid := snap()
+			mid := sys.Snapshot(nil)
 			// Mutate: run to completion, so every live field moves on.
-			if _, err := run(nil); err != nil {
+			if _, err := sys.RunUntil(nil); err != nil {
 				t.Fatal(err)
 			}
-			end := snap()
+			end := sys.Snapshot(nil)
 			if diff := deepDiff("", reflect.ValueOf(mid).Elem(), reflect.ValueOf(end).Elem()); diff == "" {
 				t.Fatal("completion snapshot is bit-identical to the mid-run capture; the parity check has no teeth")
 			}
 			// Restore and re-capture: every field must round-trip exactly.
-			restore(mid)
-			again := snap()
+			sys.Restore(mid)
+			again := sys.Snapshot(nil)
 			if diff := deepDiff("", reflect.ValueOf(mid).Elem(), reflect.ValueOf(again).Elem()); diff != "" {
 				t.Errorf("snapshot round trip dropped state at %s", diff)
 			}

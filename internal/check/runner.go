@@ -1,94 +1,86 @@
 package check
 
-// Pooled incremental runners. The legacy Target.Run path builds a fresh
-// System, scheduler, and Outcome for every schedule; a Runner owns one
-// long-lived System per worker and drives it through many schedules by
-// restoring a base snapshot (or a cached fork-point snapshot) between
-// runs. The two paths produce byte-identical Outcomes — the differential
-// tests pin that — so the explorer switches on Budget.SnapMem freely.
+import (
+	"bulk/internal/core"
+	"bulk/internal/mutate"
+)
 
-// Runner executes schedules against a pooled system. Implementations are
-// not safe for concurrent use; the explorer gives each worker its own.
-type Runner interface {
-	// RunSchedule executes the schedule prefix at the given recording
-	// depth, filling out (which is reset first). With a non-nil cache the
-	// run may resume from a cached fork-point snapshot and, when capture
-	// is set, deposits its own fork-point capture for child schedules; the
-	// deposited entry is returned (nil when no capture happened) so the
-	// explorer can retire it once its children are all accounted for. The
-	// explorer clears capture for runs whose children can never execute —
-	// a budget-truncated final wave — where a deposit would be pure waste.
-	RunSchedule(out *Outcome, sched *ReplayScheduler, prefix []int, depth int, cache *snapCache, capture bool) *snapEntry
-}
-
-// runnerCore is the target-independent harness: the target-specific
-// NewRunner constructors fill the closures over a pooled System.
+// runner drives one pooled system through many schedules: instead of
+// rebuilding the world per schedule as Target.Run does, it restores a base
+// snapshot (or a cached fork-point snapshot) between runs. The two paths
+// produce byte-identical Outcomes; the differential tests pin that. A
+// runner is not safe for concurrent use; the explorer gives each worker
+// its own.
 //
 //bulklint:snapstate
-type runnerCore struct {
-	// run executes scheduling quanta until completion or pause
-	// (System.RunUntil).
-	run func(pause func() bool) (done bool, err error)
-	// restore rewinds the pooled system to a snapshot.
-	restore func(SnapState)
-	// snapshot captures the pooled system, reusing reuse when non-nil.
-	snapshot func(reuse SnapState) SnapState
-	// install points the pooled system at a replay scheduler.
-	install func(*ReplayScheduler)
-	// judge finishes a completed run: oracles plus fingerprint into out.
-	judge func(out *Outcome)
-
-	base SnapState // the system's state before any quantum
-	viol []string  // soundness-probe sink, reset per schedule
-	//bulklint:snapstate-ignore addrs fingerprint scratch touched only inside the judge closures
-	addrs []uint64 // fingerprint scratch for mixMemInto
+type runner struct {
+	sys   system
+	sched *ReplayScheduler // reset or resumed per schedule
+	base  *core.Snapshot   // the system's state before any quantum
+	viol  []string         // soundness-probe sink, reset per schedule
 }
 
-// RunSchedule implements Runner.
+// newRunner builds the pooled system one worker drives.
+func (t Target) newRunner(muts mutate.Set) (*runner, error) {
+	r := &runner{sched: NewReplay(nil, 0)}
+	sys, err := t.build(nil, soundnessProbe(&r.viol), muts)
+	if err != nil {
+		return nil, err
+	}
+	r.sys, r.base = sys, sys.Snapshot(nil)
+	return r, nil
+}
+
+// RunSchedule executes the schedule prefix at the given recording depth,
+// filling out (which is reset first); the runner's scheduler then holds
+// the executed trace. The run resumes from the longest
+// cached fork point its prefix matches and, when capture is set, deposits
+// its own fork-point capture for child schedules; the deposited entry is
+// returned (nil when no capture happened) so the explorer can retire it
+// once its children are all accounted for. The explorer clears capture for
+// runs whose children can never execute — a budget-truncated final wave —
+// where a deposit would be pure waste.
 //
 //bulklint:captures reset
-func (r *runnerCore) RunSchedule(out *Outcome, sched *ReplayScheduler, prefix []int, depth int, cache *snapCache, capture bool) *snapEntry {
+func (r *runner) RunSchedule(out *Outcome, prefix []int, depth int, cache *snapCache, capture bool) *snapEntry {
 	out.reset()
+	sched := r.sched
 	r.viol = r.viol[:0]
-	var entry *snapEntry
-	if cache != nil {
-		entry = cache.lookup(prefix)
-	}
-	if entry != nil {
+	if entry := cache.lookup(prefix); entry != nil {
 		sched.Resume(prefix, depth, entry.count, entry.steps)
-		r.restore(entry.state)
+		r.sys.Restore(entry.state)
 		cache.release(entry)
 	} else {
 		sched.Reset(prefix, depth)
-		r.restore(r.base)
+		r.sys.Restore(r.base)
 	}
-	r.install(sched)
+	r.sys.SetScheduler(sched)
 	done := false
 	var err error
 	var captured *snapEntry
-	if cache != nil && capture && len(prefix) > 0 && len(prefix) < depth {
+	if capture && len(prefix) > 0 && len(prefix) < depth {
 		// Fork-point capture: pause at the first tick boundary past the
 		// forced prefix — the state every child row of this prefix shares.
 		captureAt := len(prefix)
-		done, err = r.run(func() bool { return sched.Count() >= captureAt })
+		done, err = r.sys.RunUntil(func() bool { return sched.Count() >= captureAt })
 		if err == nil && !done {
-			st := r.snapshot(cache.takeSpare())
+			st := r.sys.Snapshot(cache.takeSpare())
 			captured = cache.insert(prefix, sched.Count(), sched.Trace(), st)
 		}
 	}
 	if err == nil && !done {
-		_, err = r.run(nil)
+		_, err = r.sys.RunUntil(nil)
 	}
 	// Soundness violations land in the outcome whether or not the run
-	// errored, matching the legacy path.
+	// errored, matching Target.Run.
 	if len(r.viol) > 0 {
 		out.Soundness = append(out.Soundness, r.viol...)
 	}
 	if err != nil {
-		out.Err = err // fingerprint stays 0, as in the legacy path
+		out.Err = err // fingerprint stays 0, as in Target.Run
 		return captured
 	}
-	r.judge(out)
+	out.judge(r.sys)
 	return captured
 }
 

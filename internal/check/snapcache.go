@@ -1,6 +1,10 @@
 package check
 
-import "sync"
+import (
+	"sync"
+
+	"bulk/internal/core"
+)
 
 // Fork-point snapshot cache. The best-first explorer's wave structure
 // means every wave row of length L shares its first L choices with the
@@ -20,12 +24,6 @@ import "sync"
 // memory budget — can change only speed, never a single outcome byte.
 // That is the property the snapshot-vs-replay differential tests pin.
 
-// SnapState is a target-specific deep-copy snapshot (tm.Snapshot,
-// tls.Snapshot, ckpt.Snapshot) as the cache stores it. The cache treats it
-// as an opaque sized blob; only the runner that created it knows the
-// concrete type.
-type SnapState interface{ SizeBytes() int }
-
 // snapEntry is one cached fork point: the first count executed choices
 // (the capture's identity), the recorded scheduler steps to reseed a
 // resumed ReplayScheduler, and the captured machine state.
@@ -36,7 +34,7 @@ type snapEntry struct {
 	count   int
 	choices []byte
 	steps   []Step
-	state   SnapState
+	state   *core.Snapshot
 	size    int64
 	refs    int
 	// hits counts successful lookups; expected, once set by the explorer's
@@ -56,8 +54,8 @@ type snapCacheStats struct {
 }
 
 // lastSnapStats records the final cache counters of the most recent
-// snapshot-enabled ExploreFrom on this goroutine's package instance — a
-// diagnostics hook for tests and benchmarks, not part of the report.
+// exploration — a diagnostics hook for tests and benchmarks, not part of
+// the report.
 var lastSnapStats snapCacheStats
 
 // snapCache is a bounded, mutex-guarded LRU of fork-point snapshots shared
@@ -72,7 +70,7 @@ type snapCache struct {
 	entries map[uint64]*snapEntry
 	head    *snapEntry
 	tail    *snapEntry
-	spareSt []SnapState
+	spareSt []*core.Snapshot
 	spareEn []*snapEntry
 	hashes  []uint64 // lookup scratch, guarded by mu
 	stats   snapCacheStats
@@ -152,7 +150,7 @@ func (c *snapCache) maybeRetire(e *snapEntry) {
 
 // takeSpare returns an evicted snapshot state for reuse, or nil when the
 // pool is empty and the caller must allocate a fresh one.
-func (c *snapCache) takeSpare() SnapState {
+func (c *snapCache) takeSpare() *core.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := len(c.spareSt); n > 0 {
@@ -172,7 +170,7 @@ func (c *snapCache) takeSpare() SnapState {
 // bounce) so the explorer can later tell it how many children to expect.
 //
 //bulklint:captures copyfrom snapEntry
-func (c *snapCache) insert(prefix []int, count int, steps []Step, st SnapState) *snapEntry {
+func (c *snapCache) insert(prefix []int, count int, steps []Step, st *core.Snapshot) *snapEntry {
 	size := int64(st.SizeBytes()) + int64(len(steps))*48 + int64(count) + 128
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,42 +5,114 @@ import (
 	"fmt"
 	"testing"
 
+	"bulk/internal/flatmap"
 	"bulk/internal/mutate"
 )
 
-// The incremental engine's contract is byte-identity: for any target,
-// mutation set, worker count, and snapshot-cache budget — including zero,
-// which disables the engine entirely — the explorer's report, fingerprint
-// set, dedup set, and frontier are exactly the full-replay explorer's.
-// These tests pin that contract across every stock target, every catalog
-// mutation, and cache budgets small enough to force eviction and misses.
+// The explorer runs every schedule on a pooled system restored from
+// snapshots. Its contract is byte-identity with the reference: for any
+// target, mutation set, worker count, and snapshot-cache bound, the
+// report, fingerprint set, dedup set, and frontier are exactly those of a
+// serial best-first loop that executes every schedule with Target.Run on a
+// freshly built system. These tests pin that contract across every stock
+// target, every catalog mutation, and cache bounds small enough to force
+// eviction and misses, and compare outcomes schedule by schedule.
 
-// snapMemSweep covers the interesting cache regimes: a budget too small to
-// hold any snapshot (every lookup misses, every insert bounces), one that
-// thrashes (constant eviction), and the default (everything fits).
-var snapMemSweep = []int64{1, 64 << 10, defaultSnapMem}
+// cacheSweep covers the interesting cache regimes: a bound too small to
+// hold any snapshot (every lookup misses, every insert bounces, so every
+// run restores from the base state), one that thrashes (constant
+// eviction), and the default (everything fits).
+var cacheSweep = []int64{1, 64 << 10, snapCacheBytes}
 
-// TestSnapshotMatchesReplayClean: on failure-free targets the incremental
-// engine reproduces the full-replay report at every worker count and cache
-// budget, and the final checkpoints are byte-identical — same fingerprint
-// set, same dedup set, same frontier — not merely the same counts.
-func TestSnapshotMatchesReplayClean(t *testing.T) {
-	base := Budget{MaxSchedules: 1_500, Depth: 12}
-	for _, tgt := range SweepTargets() {
-		want, wantCP, err := ExploreFrom(tgt, 0, base, 1, nil)
-		if err != nil {
-			t.Fatal(err)
+// replayExplore is the reference explorer: explore's best-first loop,
+// serial, with every schedule executed by Target.Run on a fresh system —
+// no pooling, no snapshots.
+func replayExplore(tgt Target, muts mutate.Set, b Budget) (*Report, *Checkpoint) {
+	rep := &Report{Target: tgt.Name()}
+	seen := flatmap.NewSharded(seenShards)
+	seen.Add(hashSchedule(nil))
+	var fps flatmap.Set
+	fr := newFrontier(b.Depth)
+	fr.add(nil)
+	var sc workerScratch
+	for rep.Schedules < b.MaxSchedules && !fr.empty() {
+		length, rows, total := fr.takeMin()
+		n := min(total, b.MaxSchedules-rep.Schedules)
+		for i := 0; i < n; i++ {
+			prefix := decodeRow(rows, length, i, nil)
+			sched := NewReplay(prefix, b.Depth)
+			out := tgt.Run(sched, muts)
+			rep.Schedules++
+			if !fps.Has(out.Fingerprint) {
+				fps.Add(out.Fingerprint)
+				rep.Distinct++
+			}
+			if out.Failed() {
+				rep.Failure = minimize(tgt, muts, b, prefix, out)
+				return rep, nil
+			}
+			fr.addRows(expandChildren(sched.Trace(), length, seen, &sc))
 		}
+		if n < total {
+			fr.putBack(rows, length, n, total)
+		}
+	}
+	return rep, &Checkpoint{
+		Target:       tgt.Name(),
+		Depth:        b.Depth,
+		Schedules:    rep.Schedules,
+		Fingerprints: fps.SortedKeys(nil),
+		Seen:         seen.AppendAll(nil),
+		Frontier:     fr.appendAll(nil),
+	}
+}
+
+// runnerMatchesRun drives one pooled runner through schedules back to back,
+// with fork-point capture on so later schedules resume from earlier
+// captures, and checks each outcome against a fresh Target.Run:
+// fingerprint, failure reason, and soundness log.
+func runnerMatchesRun(t *testing.T, tgt Target, muts mutate.Set, schedules [][]int, depth int) *snapCache {
+	t.Helper()
+	r, err := tgt.newRunner(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newSnapCache(snapCacheBytes)
+	var out Outcome
+	for i, s := range schedules {
+		want := tgt.Run(NewReplay(s, depth), muts)
+		r.RunSchedule(&out, s, depth, cache, true)
+		if out.Fingerprint != want.Fingerprint {
+			t.Errorf("%s: schedule %d %v: fingerprint %#x, want %#x",
+				tgt.Name(), i, s, out.Fingerprint, want.Fingerprint)
+		}
+		if out.Failure() != want.Failure() {
+			t.Errorf("%s: schedule %d %v: judgment %q, want %q", tgt.Name(), i, s, out.Failure(), want.Failure())
+		}
+		if len(out.Soundness) != len(want.Soundness) {
+			t.Errorf("%s: schedule %d %v: %d soundness entries, want %d",
+				tgt.Name(), i, s, len(out.Soundness), len(want.Soundness))
+		}
+	}
+	return cache
+}
+
+// TestSnapshotMatchesReplayClean: on failure-free targets the explorer
+// reproduces the reference report at every worker count and cache bound,
+// and the final checkpoints are byte-identical — same fingerprint set,
+// same dedup set, same frontier — not merely the same counts.
+func TestSnapshotMatchesReplayClean(t *testing.T) {
+	b := Budget{MaxSchedules: 1_500, Depth: 12}
+	for _, tgt := range SweepTargets() {
+		want, wantCP := replayExplore(tgt, 0, b)
 		if want.Failure != nil {
 			t.Fatalf("%s: unmutated target failed: %s", tgt.Name(), want.Failure.Reason)
 		}
 		wantBytes := wantCP.Encode()
-		for _, sm := range snapMemSweep {
-			b := base
-			b.SnapMem = sm
+		for _, cb := range cacheSweep {
 			for _, w := range []int{1, 2, 4, 8} {
-				label := fmt.Sprintf("%s/snapmem=%d/w=%d", tgt.Name(), sm, w)
-				got, gotCP, err := ExploreFrom(tgt, 0, b, w, nil)
+				label := fmt.Sprintf("%s/cache=%d/w=%d", tgt.Name(), cb, w)
+				got, gotCP, err := explore(tgt, 0, b, w, nil, true, cb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,7 +121,7 @@ func TestSnapshotMatchesReplayClean(t *testing.T) {
 					t.Fatalf("%s: clean stop returned no checkpoint", label)
 				}
 				if !bytes.Equal(gotCP.Encode(), wantBytes) {
-					t.Errorf("%s: checkpoint bytes diverge from full-replay explorer's", label)
+					t.Errorf("%s: checkpoint bytes diverge from the reference explorer's", label)
 				}
 			}
 		}
@@ -57,39 +129,46 @@ func TestSnapshotMatchesReplayClean(t *testing.T) {
 }
 
 // TestSnapshotMatchesReplayOnMutations: for every seeded mutation the
-// incremental engine finds the same first failure — same minimized
-// schedule, same reason, after the same number of schedules — as the
-// full-replay explorer.
+// explorer finds the same first failure — same minimized schedule, same
+// reason, after the same number of schedules — as the reference, and a
+// pooled runner judges the killing schedule, and each of its prefixes,
+// exactly as a fresh Target.Run does.
 func TestSnapshotMatchesReplayOnMutations(t *testing.T) {
 	for _, m := range Catalog() {
 		m := m
 		t.Run(m.ID.String(), func(t *testing.T) {
-			legacy := m.Budget
-			legacy.SnapMem = 0
-			want := Explore(m.Target, mutate.Of(m.ID), legacy)
+			muts := mutate.Of(m.ID)
+			want, _ := replayExplore(m.Target, muts, m.Budget)
 			if want.Failure == nil {
-				t.Fatalf("mutation survived %d schedules under full replay", want.Schedules)
+				t.Fatalf("mutation survived %d schedules under the reference explorer", want.Schedules)
 			}
-			for _, sm := range snapMemSweep {
-				b := m.Budget
-				b.SnapMem = sm
+			kill := want.Failure.Schedule
+			var schedules [][]int
+			for k := 0; k <= len(kill); k++ {
+				schedules = append(schedules, kill[:k])
+			}
+			runnerMatchesRun(t, m.Target, muts, schedules, m.Budget.Depth)
+			for _, cb := range cacheSweep {
 				for _, w := range []int{1, 4} {
-					label := fmt.Sprintf("snapmem=%d/w=%d", sm, w)
-					reportsEqual(t, label, ExploreParallel(m.Target, mutate.Of(m.ID), b, w), want)
+					label := fmt.Sprintf("cache=%d/w=%d", cb, w)
+					got, _, err := explore(m.Target, muts, m.Budget, w, nil, false, cb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reportsEqual(t, label, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestSnapshotCheckpointCutIdentical: interrupting an incremental sweep at
-// an arbitrary budget boundary and resuming — even with the engine
-// disabled for the resume leg, or enabled only for it — reproduces the
-// uninterrupted run exactly. Snapshot state is per-call and never leaks
-// into the checkpoint.
+// TestSnapshotCheckpointCutIdentical: interrupting a sweep at an arbitrary
+// budget boundary and resuming — with a starved cache on either leg or
+// the default — reproduces the uninterrupted run exactly. Snapshot state
+// is per-call and never leaks into the checkpoint.
 func TestSnapshotCheckpointCutIdentical(t *testing.T) {
 	tgt := SweepTargets()[0]
-	full := Budget{MaxSchedules: 1_500, Depth: 12, SnapMem: defaultSnapMem}
+	full := Budget{MaxSchedules: 1_500, Depth: 12}
 	whole, wholeCP, err := ExploreFrom(tgt, 0, full, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -97,20 +176,18 @@ func TestSnapshotCheckpointCutIdentical(t *testing.T) {
 	if whole.Failure != nil {
 		t.Fatalf("unmutated target failed: %s", whole.Failure.Reason)
 	}
+	legs := [][2]int64{{snapCacheBytes, 1}, {1, snapCacheBytes}}
 	for _, cut := range []int{1, 137, 1_000} {
-		for _, resumeSnap := range []int64{0, defaultSnapMem} {
-			label := fmt.Sprintf("cut=%d/resumeSnapmem=%d", cut, resumeSnap)
-			partBudget := Budget{MaxSchedules: cut, Depth: full.Depth, SnapMem: full.SnapMem}
-			_, cp, err := ExploreFrom(tgt, 0, partBudget, 4, nil)
+		for _, leg := range legs {
+			label := fmt.Sprintf("cut=%d/cache=%d,%d", cut, leg[0], leg[1])
+			_, cp, err := explore(tgt, 0, Budget{MaxSchedules: cut, Depth: full.Depth}, 4, nil, true, leg[0])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cp == nil {
 				t.Fatalf("%s: partial run returned no checkpoint", label)
 			}
-			resumeBudget := full
-			resumeBudget.SnapMem = resumeSnap
-			resumed, resumedCP, err := ExploreFrom(tgt, 0, resumeBudget, 1, cp)
+			resumed, resumedCP, err := explore(tgt, 0, full, 1, cp, true, leg[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,42 +201,15 @@ func TestSnapshotCheckpointCutIdentical(t *testing.T) {
 
 // TestRunnerMatchesTargetRun: the pooled runner, driven schedule by
 // schedule with fork-point capture enabled, judges every outcome exactly
-// as a fresh Target.Run does — fingerprint, oracle error, soundness log —
-// including when the same runner replays schedules back to back and
+// as a fresh Target.Run does — fingerprint, oracle verdict, soundness log
+// — including when the same runner replays schedules back to back and
 // resumes siblings from its own captures.
 func TestRunnerMatchesTargetRun(t *testing.T) {
 	schedules := [][]int{
 		nil, {1}, {2}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 1}, {1}, nil, {2, 1},
 	}
-	const depth = 10
 	for _, tgt := range SweepTargets() {
-		st, ok := tgt.(SnapTarget)
-		if !ok {
-			t.Fatalf("%s: stock target does not implement SnapTarget", tgt.Name())
-		}
-		r, err := st.NewRunner(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cache := newSnapCache(defaultSnapMem)
-		sched := NewReplay(nil, 0)
-		var out Outcome
-		for i, s := range schedules {
-			want := tgt.Run(NewReplay(s, depth), 0)
-			r.RunSchedule(&out, sched, s, depth, cache, true)
-			if out.Fingerprint != want.Fingerprint {
-				t.Errorf("%s: schedule %d %v: fingerprint %#x, want %#x",
-					tgt.Name(), i, s, out.Fingerprint, want.Fingerprint)
-			}
-			if (out.OracleErr == nil) != (want.OracleErr == nil) || out.Failed() != want.Failed() {
-				t.Errorf("%s: schedule %d %v: judgment (oracle=%v failed=%v), want (oracle=%v failed=%v)",
-					tgt.Name(), i, s, out.OracleErr, out.Failed(), want.OracleErr, want.Failed())
-			}
-			if len(out.Soundness) != len(want.Soundness) {
-				t.Errorf("%s: schedule %d %v: %d soundness entries, want %d",
-					tgt.Name(), i, s, len(out.Soundness), len(want.Soundness))
-			}
-		}
+		cache := runnerMatchesRun(t, tgt, 0, schedules, 10)
 		if st := cache.Stats(); st.Inserts == 0 {
 			t.Errorf("%s: fork-point cache saw no inserts; capture path never ran", tgt.Name())
 		}
@@ -170,23 +220,21 @@ func TestRunnerMatchesTargetRun(t *testing.T) {
 // snapshots keeps total within bounds by evicting and recycling older
 // entries, and lookups after eviction are clean misses, not stale hits.
 func TestSnapCacheEvictsUnderPressure(t *testing.T) {
-	tgt := SweepTargets()[0].(SnapTarget)
-	r, err := tgt.NewRunner(0)
+	r, err := SweepTargets()[0].newRunner(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Learn one snapshot's size, then rebuild the cache sized for two.
-	probe := newSnapCache(defaultSnapMem)
-	sched := NewReplay(nil, 0)
+	probe := newSnapCache(snapCacheBytes)
 	var out Outcome
-	r.RunSchedule(&out, sched, []int{1}, 10, probe, true)
+	r.RunSchedule(&out, []int{1}, 10, probe, true)
 	if probe.head == nil {
 		t.Fatal("probe run deposited no fork-point snapshot")
 	}
 	cache := newSnapCache(2*probe.head.size + probe.head.size/2)
 	for c := 1; c <= 2; c++ {
 		for i := 0; i < 4; i++ {
-			r.RunSchedule(&out, sched, []int{c, i%3 + 1}, 10, cache, true)
+			r.RunSchedule(&out, []int{c, i%3 + 1}, 10, cache, true)
 			if out.Failed() {
 				t.Fatalf("schedule [%d %d] failed: %s", c, i%3+1, out.Failure())
 			}

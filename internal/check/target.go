@@ -1,286 +1,58 @@
 package check
 
 import (
-	"bulk/internal/ckpt"
-	"bulk/internal/mem"
+	"bulk/internal/core"
 	"bulk/internal/mutate"
 	"bulk/internal/sim"
-	"bulk/internal/tls"
-	"bulk/internal/tm"
-	"bulk/internal/workload"
 )
 
-// Target is one system the checker can drive: a fixed workload plus
-// options, executed under a caller-supplied schedule and mutation set,
-// judged by the target's oracles.
-type Target interface {
-	Name() string
-	Run(sched sim.Scheduler, muts mutate.Set) *Outcome
+// Target is one runtime on a fixed workload, judged by the runtime's
+// serializability oracle and the signature-soundness probe. The three
+// runtimes meet the checker through one contract (system), so one Target
+// serves them all.
+type Target struct {
+	name string
+	// build constructs a fresh system with the checker's hooks installed:
+	// the scheduler (nil for a pooled system, which gets one per
+	// schedule), the soundness probe, and the mutation set.
+	build func(sched sim.Scheduler, probe *sim.Probe, muts mutate.Set) (system, error)
 }
 
-// SnapTarget is a Target whose runtime supports pooled snapshot/resume
-// execution. NewRunner builds a long-lived runner the explorer drives
-// through many schedules without reconstructing the system.
-type SnapTarget interface {
-	Target
-	NewRunner(muts mutate.Set) (Runner, error)
+// system is a runtime's System as the checker drives it: the core
+// machine's driver contract (RunUntil, SetScheduler, Snapshot, Restore)
+// plus the runtime's Judge of a completed run.
+type system interface {
+	RunUntil(pause func() bool) (done bool, err error)
+	SetScheduler(sim.Scheduler)
+	Snapshot(dst *core.Snapshot) *core.Snapshot
+	Restore(src *core.Snapshot)
+	Judge(d *core.Digest) error
 }
 
-// TMTarget checks a TM workload.
-type TMTarget struct {
-	TargetName string
-	Workload   *workload.TMWorkload
-	Options    tm.Options
-	// Check, when non-nil, is an extra oracle applied after Verify.
-	Check func(*tm.Result) error
-}
+// Name returns the target's name, as reports and -target print it.
+func (t Target) Name() string { return t.name }
 
-// Name implements Target.
-func (t *TMTarget) Name() string { return t.TargetName }
-
-// Run implements Target.
-func (t *TMTarget) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
-	opts := t.Options
-	opts.Scheduler = sched
-	opts.Mutate = muts
+// Run executes one schedule on a freshly built system. It is the
+// reference the pooled runners are tested against, and the path Walk,
+// minimize and Replay take.
+func (t Target) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
 	out := &Outcome{}
-	opts.Probe = soundnessProbe(&out.Soundness)
-	r, err := tm.Run(t.Workload, opts)
+	sys, err := t.build(sched, soundnessProbe(&out.Soundness), muts)
+	if err == nil {
+		_, err = sys.RunUntil(nil)
+	}
 	if err != nil {
-		out.Err = err
+		out.Err = err // fingerprint stays 0
 		return out
 	}
-	if err := tm.Verify(t.Workload, r); err != nil {
-		out.OracleErr = err
-	} else if t.Check != nil {
-		out.OracleErr = t.Check(r)
-	}
-	h := newFP()
-	var addrs []uint64
-	for _, u := range r.Log {
-		h.mix(uint64(u.Thread), uint64(u.Segment), uint64(u.OpLo), uint64(u.OpHi))
-	}
-	h.mixMemInto(r.Memory, &addrs)
-	h.mix(r.Stats.Commits, r.Stats.Squashes, uint64(r.Stats.Cycles))
-	out.Fingerprint = h.sum()
+	out.judge(sys)
 	return out
 }
 
-// NewRunner implements SnapTarget: a pooled System restored between
-// schedules instead of rebuilt, with fork-point snapshot support.
-func (t *TMTarget) NewRunner(muts mutate.Set) (Runner, error) {
-	opts := t.Options
-	opts.Mutate = muts
-	r := &runnerCore{}
-	opts.Probe = soundnessProbe(&r.viol)
-	sys, err := tm.NewSystem(t.Workload, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.base = sys.Snapshot(nil)
-	r.run = sys.RunUntil
-	r.restore = func(st SnapState) { sys.Restore(st.(*tm.Snapshot)) }
-	r.snapshot = func(reuse SnapState) SnapState {
-		dst, _ := reuse.(*tm.Snapshot)
-		return sys.Snapshot(dst)
-	}
-	r.install = func(s *ReplayScheduler) { sys.SetScheduler(s) }
-	var resBuf tm.Result // reused across runs; oracles read it transiently
-	r.judge = func(out *Outcome) {
-		res := sys.FinishInto(&resBuf)
-		if err := tm.Verify(t.Workload, res); err != nil {
-			out.OracleErr = err
-		} else if t.Check != nil {
-			out.OracleErr = t.Check(res)
-		}
-		h := newFP()
-		for _, u := range res.Log {
-			h.mix(uint64(u.Thread), uint64(u.Segment), uint64(u.OpLo), uint64(u.OpHi))
-		}
-		h.mixMemInto(res.Memory, &r.addrs)
-		h.mix(res.Stats.Commits, res.Stats.Squashes, uint64(res.Stats.Cycles))
-		out.Fingerprint = h.sum()
-	}
-	return r, nil
+// judge finishes a completed run: the runtime's oracle verdict plus the
+// digest of its observable outcome as the fingerprint.
+func (o *Outcome) judge(sys system) {
+	d := core.NewDigest()
+	o.OracleErr = sys.Judge(&d)
+	o.Fingerprint = uint64(d)
 }
-
-// TLSTarget checks a TLS workload.
-type TLSTarget struct {
-	TargetName string
-	Workload   *workload.TLSWorkload
-	Options    tls.Options
-	Check      func(*tls.Result) error
-}
-
-// Name implements Target.
-func (t *TLSTarget) Name() string { return t.TargetName }
-
-// Run implements Target.
-func (t *TLSTarget) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
-	opts := t.Options
-	opts.Scheduler = sched
-	opts.Mutate = muts
-	out := &Outcome{}
-	opts.Probe = soundnessProbe(&out.Soundness)
-	r, err := tls.Run(t.Workload, opts)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if err := tls.Verify(t.Workload, r); err != nil {
-		out.OracleErr = err
-	} else if t.Check != nil {
-		out.OracleErr = t.Check(r)
-	}
-	h := newFP()
-	var addrs []uint64
-	h.mixMemInto(r.Memory, &addrs)
-	h.mix(r.Stats.Commits, r.Stats.Squashes, r.Stats.CascadeSquashes,
-		uint64(r.Stats.Cycles))
-	out.Fingerprint = h.sum()
-	return out
-}
-
-// NewRunner implements SnapTarget.
-func (t *TLSTarget) NewRunner(muts mutate.Set) (Runner, error) {
-	opts := t.Options
-	opts.Mutate = muts
-	r := &runnerCore{}
-	opts.Probe = soundnessProbe(&r.viol)
-	sys, err := tls.NewSystem(t.Workload, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.base = sys.Snapshot(nil)
-	r.run = sys.RunUntil
-	r.restore = func(st SnapState) { sys.Restore(st.(*tls.Snapshot)) }
-	r.snapshot = func(reuse SnapState) SnapState {
-		dst, _ := reuse.(*tls.Snapshot)
-		return sys.Snapshot(dst)
-	}
-	r.install = func(s *ReplayScheduler) { sys.SetScheduler(s) }
-	var resBuf tls.Result // reused across runs; oracles read it transiently
-	r.judge = func(out *Outcome) {
-		res := sys.FinishInto(&resBuf)
-		if err := tls.Verify(t.Workload, res); err != nil {
-			out.OracleErr = err
-		} else if t.Check != nil {
-			out.OracleErr = t.Check(res)
-		}
-		h := newFP()
-		h.mixMemInto(res.Memory, &r.addrs)
-		h.mix(res.Stats.Commits, res.Stats.Squashes, res.Stats.CascadeSquashes,
-			uint64(res.Stats.Cycles))
-		out.Fingerprint = h.sum()
-	}
-	return r, nil
-}
-
-// CkptTarget checks a checkpointed-multiprocessor workload.
-type CkptTarget struct {
-	TargetName string
-	Workload   *ckpt.Workload
-	Options    ckpt.Options
-	Check      func(*ckpt.Result) error
-}
-
-// Name implements Target.
-func (t *CkptTarget) Name() string { return t.TargetName }
-
-// Run implements Target.
-func (t *CkptTarget) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
-	opts := t.Options
-	opts.Scheduler = sched
-	opts.Mutate = muts
-	out := &Outcome{}
-	opts.Probe = soundnessProbe(&out.Soundness)
-	r, err := ckpt.Run(t.Workload, opts)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if err := ckpt.Verify(t.Workload, r); err != nil {
-		out.OracleErr = err
-	} else if t.Check != nil {
-		out.OracleErr = t.Check(r)
-	}
-	h := newFP()
-	var addrs []uint64
-	for _, u := range r.Log {
-		h.mix(uint64(u.Proc), uint64(u.Unit), uint64(int64(u.Op)))
-	}
-	h.mixMemInto(r.Memory, &addrs)
-	h.mix(r.Stats.Episodes, r.Stats.Rollbacks, uint64(r.Stats.Cycles))
-	out.Fingerprint = h.sum()
-	return out
-}
-
-// NewRunner implements SnapTarget.
-func (t *CkptTarget) NewRunner(muts mutate.Set) (Runner, error) {
-	opts := t.Options
-	opts.Mutate = muts
-	r := &runnerCore{}
-	opts.Probe = soundnessProbe(&r.viol)
-	sys, err := ckpt.NewSystem(t.Workload, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.base = sys.Snapshot(nil)
-	r.run = sys.RunUntil
-	r.restore = func(st SnapState) { sys.Restore(st.(*ckpt.Snapshot)) }
-	r.snapshot = func(reuse SnapState) SnapState {
-		dst, _ := reuse.(*ckpt.Snapshot)
-		return sys.Snapshot(dst)
-	}
-	r.install = func(s *ReplayScheduler) { sys.SetScheduler(s) }
-	var resBuf ckpt.Result // reused across runs; oracles read it transiently
-	r.judge = func(out *Outcome) {
-		res := sys.FinishInto(&resBuf)
-		if err := ckpt.Verify(t.Workload, res); err != nil {
-			out.OracleErr = err
-		} else if t.Check != nil {
-			out.OracleErr = t.Check(res)
-		}
-		h := newFP()
-		for _, u := range res.Log {
-			h.mix(uint64(u.Proc), uint64(u.Unit), uint64(int64(u.Op)))
-		}
-		h.mixMemInto(res.Memory, &r.addrs)
-		h.mix(res.Stats.Episodes, res.Stats.Rollbacks, uint64(res.Stats.Cycles))
-		out.Fingerprint = h.sum()
-	}
-	return r, nil
-}
-
-// fp is an FNV-1a outcome fingerprint accumulator.
-type fp uint64
-
-func newFP() *fp {
-	f := fp(14695981039346656037)
-	return &f
-}
-
-func (f *fp) mix(vs ...uint64) {
-	x := uint64(*f)
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			x ^= v & 0xff
-			x *= 1099511628211
-			v >>= 8
-		}
-	}
-	*f = fp(x)
-}
-
-// mixMemInto folds the committed memory image into the fingerprint in
-// ascending address order, reusing *scratch for the sorted address list —
-// the pooled runners' replacement for the old Snapshot-map walk, mixing
-// exactly the same (addr, value) byte sequence.
-func (f *fp) mixMemInto(m *mem.Memory, scratch *[]uint64) {
-	*scratch = m.AppendSortedAddrs((*scratch)[:0])
-	for _, a := range *scratch {
-		f.mix(a, uint64(m.Read(a)))
-	}
-}
-
-func (f *fp) sum() uint64 { return uint64(*f) }

@@ -10,7 +10,9 @@ import (
 	"fmt"
 
 	"bulk/internal/ckpt"
+	"bulk/internal/mutate"
 	"bulk/internal/sig"
+	"bulk/internal/sim"
 	"bulk/internal/tls"
 	"bulk/internal/tm"
 	"bulk/internal/trace"
@@ -32,9 +34,9 @@ func wordOf(line uint64, w int) uint64 {
 	return line*workload.WordsPerLine + uint64(w)
 }
 
-func rd(a uint64) trace.Op  { return trace.Op{Kind: trace.Read, Addr: a} }
-func wr(a uint64) trace.Op  { return trace.Op{Kind: trace.Write, Addr: a} }
-func wd(a uint64) trace.Op  { return trace.Op{Kind: trace.WriteDep, Addr: a} }
+func rd(a uint64) trace.Op { return trace.Op{Kind: trace.Read, Addr: a} }
+func wr(a uint64) trace.Op { return trace.Op{Kind: trace.Write, Addr: a} }
+func wd(a uint64) trace.Op { return trace.Op{Kind: trace.WriteDep, Addr: a} }
 func think(op trace.Op, t int) trace.Op {
 	op.Think = uint16(t)
 	return op
@@ -56,12 +58,17 @@ func tmWorkload(name string, threads ...[]workload.TMSegment) *workload.TMWorklo
 	return w
 }
 
-func tmTarget(name string, w *workload.TMWorkload, mod func(*tm.Options)) *TMTarget {
+// tmTarget checks a TM workload under Bulk, with options adjusted by mod.
+func tmTarget(name string, w *workload.TMWorkload, mod func(*tm.Options)) Target {
 	opts := tm.NewOptions(tm.Bulk)
 	if mod != nil {
 		mod(&opts)
 	}
-	return &TMTarget{TargetName: name, Workload: w, Options: opts}
+	return Target{name: name, build: func(sched sim.Scheduler, probe *sim.Probe, muts mutate.Set) (system, error) {
+		o := opts
+		o.Scheduler, o.Probe, o.Mutate = sched, probe, muts
+		return tm.NewSystem(w, o)
+	}}
 }
 
 // --- Directed TM targets ---
@@ -174,10 +181,15 @@ func spillTarget() Target {
 
 // --- Directed TLS targets ---
 
-func tlsTarget(name string, w *workload.TLSWorkload, procs int) *TLSTarget {
+// tlsTarget checks a TLS workload under Bulk on procs processors.
+func tlsTarget(name string, w *workload.TLSWorkload, procs int) Target {
 	opts := tls.NewOptions(tls.Bulk)
 	opts.Procs = procs
-	return &TLSTarget{TargetName: name, Workload: w, Options: opts}
+	return Target{name: name, build: func(sched sim.Scheduler, probe *sim.Probe, muts mutate.Set) (system, error) {
+		o := opts
+		o.Scheduler, o.Probe, o.Mutate = sched, probe, muts
+		return tls.NewSystem(w, o)
+	}}
 }
 
 // shadowTarget kills DropShadowWrite: task0 writes A after spawning task1,
@@ -211,6 +223,16 @@ func cascadeTarget() Target {
 	}, 3)
 }
 
+// ckptTarget checks a checkpointed-multiprocessor workload in one mode.
+func ckptTarget(name string, w *ckpt.Workload, mode ckpt.Mode) Target {
+	opts := ckpt.NewOptions(mode)
+	return Target{name: name, build: func(sched sim.Scheduler, probe *sim.Probe, muts mutate.Set) (system, error) {
+		o := opts
+		o.Scheduler, o.Probe, o.Mutate = sched, probe, muts
+		return ckpt.NewSystem(w, o)
+	}}
+}
+
 // --- Directed ckpt target ---
 
 // stalledTarget kills SkipStalledRestart. proc0 runs a stalled episode
@@ -219,25 +241,20 @@ func cascadeTarget() Target {
 // between the episode's reads and its commit, where only the stalled-
 // restart check preserves atomicity.
 func stalledTarget() Target {
-	opts := ckpt.NewOptions(ckpt.Stall)
-	return &CkptTarget{
-		TargetName: "ckpt-stalled",
-		Workload: &ckpt.Workload{
-			Name: "stalled",
-			Procs: []ckpt.ProcStream{
-				{Units: []ckpt.Unit{{Episode: &ckpt.Episode{
-					MissAddr:  wordOf(lineS, 0),
-					PredictOK: true,
-					Ops:       []trace.Op{wd(wordOf(lineB, 0))},
-				}}}},
-				{Units: []ckpt.Unit{{Plain: []trace.Op{
-					think(rd(wordOf(lineP1, 0)), 450),
-					wr(wordOf(lineS, 0)),
-				}}}},
-			},
+	return ckptTarget("ckpt-stalled", &ckpt.Workload{
+		Name: "stalled",
+		Procs: []ckpt.ProcStream{
+			{Units: []ckpt.Unit{{Episode: &ckpt.Episode{
+				MissAddr:  wordOf(lineS, 0),
+				PredictOK: true,
+				Ops:       []trace.Op{wd(wordOf(lineB, 0))},
+			}}}},
+			{Units: []ckpt.Unit{{Plain: []trace.Op{
+				think(rd(wordOf(lineP1, 0)), 450),
+				wr(wordOf(lineS, 0)),
+			}}}},
 		},
-		Options: opts,
-	}
+	}, ckpt.Stall)
 }
 
 // --- Sweep targets (unmutated exhaustive exploration) ---
@@ -267,34 +284,27 @@ func SweepTargets() []Target {
 				{Ops: []trace.Op{rd(wordOf(lineB, 0)), wd(wordOf(lineS, 0))}, SpawnIndex: 1},
 			},
 		}, 3),
-		func() Target {
-			opts := ckpt.NewOptions(ckpt.Bulk)
-			return &CkptTarget{
-				TargetName: "ckpt-sweep",
-				Workload: &ckpt.Workload{
-					Name: "sweep",
-					Procs: []ckpt.ProcStream{
-						{Units: []ckpt.Unit{
-							{Plain: []trace.Op{wr(wordOf(lineS, 0))}},
-							{Episode: &ckpt.Episode{
-								MissAddr:  wordOf(lineS, 0),
-								PredictOK: true,
-								Ops:       []trace.Op{rd(wordOf(lineA, 0)), wd(wordOf(lineB, 0))},
-							}},
-						}},
-						{Units: []ckpt.Unit{
-							{Episode: &ckpt.Episode{
-								MissAddr:  wordOf(lineA, 0),
-								PredictOK: true,
-								Ops:       []trace.Op{wd(wordOf(lineS, 0))},
-							}},
-							{Plain: []trace.Op{wr(wordOf(lineA, 0))}},
-						}},
-					},
-				},
-				Options: opts,
-			}
-		}(),
+		ckptTarget("ckpt-sweep", &ckpt.Workload{
+			Name: "sweep",
+			Procs: []ckpt.ProcStream{
+				{Units: []ckpt.Unit{
+					{Plain: []trace.Op{wr(wordOf(lineS, 0))}},
+					{Episode: &ckpt.Episode{
+						MissAddr:  wordOf(lineS, 0),
+						PredictOK: true,
+						Ops:       []trace.Op{rd(wordOf(lineA, 0)), wd(wordOf(lineB, 0))},
+					}},
+				}},
+				{Units: []ckpt.Unit{
+					{Episode: &ckpt.Episode{
+						MissAddr:  wordOf(lineA, 0),
+						PredictOK: true,
+						Ops:       []trace.Op{wd(wordOf(lineS, 0))},
+					}},
+					{Plain: []trace.Op{wr(wordOf(lineA, 0))}},
+				}},
+			},
+		}, ckpt.Bulk),
 	}
 }
 

@@ -29,9 +29,9 @@ import (
 	"bulk/internal/bdm"
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
 	"bulk/internal/mem"
-	"bulk/internal/mutate"
 	"bulk/internal/rng"
 	"bulk/internal/sig"
 	"bulk/internal/sim"
@@ -67,7 +67,7 @@ func (m Mode) String() string {
 // Episode is one checkpointed stretch: a long-latency load followed by ops
 // the processor may execute under a predicted value.
 type Episode struct {
-	// MissAddr is the word whose load misses for MissLatency cycles.
+	// MissAddr is the word whose long-latency load misses.
 	MissAddr uint64
 	// PredictOK tells whether the value prediction will validate.
 	PredictOK bool
@@ -102,36 +102,24 @@ type Unit struct {
 	Plain   []trace.Op
 }
 
-// Options configures a run.
+// Options configures a run: the shared machine options plus the mode.
 type Options struct {
+	core.Config
 	Mode Mode
-	// MissLatency is the long-latency load cost in cycles (default 400).
-	MissLatency int
-	// SigConfig is the signature configuration for Bulk mode.
-	SigConfig *sig.Config
-	// Params are the timing parameters (sim.DefaultTM() if zero).
-	Params sim.Params
-	// CacheBytes/CacheWays/LineBytes describe the L1 (TM defaults).
-	CacheBytes, CacheWays, LineBytes int
-	// RetryLimit bounds episode re-executions (defensive).
-	RetryLimit int
-	// CacheMeter, when non-nil, receives every processor cache's final
-	// event counters when the run finishes. Shareable across goroutines.
-	CacheMeter *cache.Meter
-	// Scheduler, when non-nil, drives every scheduling decision. Nil keeps
-	// the default order byte-identically.
-	Scheduler sim.Scheduler
-	// Probe, when non-nil, receives conflict-decision events
-	// (model-checker oracles). Bulk mode only.
-	Probe *sim.Probe
-	// Mutate enables seeded protocol mutations (model-checker teeth).
-	Mutate mutate.Set
 }
 
 // NewOptions returns defaults for a mode.
 func NewOptions(m Mode) Options {
-	return Options{Mode: m, MissLatency: 400, Params: sim.DefaultTM()}
+	return Options{Mode: m, Config: core.Config{Params: sim.DefaultTM()}}
 }
+
+// defaults is the machine the options fall back on: the TM machine (32 KB
+// 4-way L1s, sim.DefaultTM timing) with a tighter bound on episode
+// restarts.
+var defaults = core.Config{Params: sim.DefaultTM(), CacheBytes: 32 << 10, CacheWays: 4, RestartLimit: 100}
+
+// missLatency is the long-latency load's cost in cycles.
+const missLatency = 400
 
 // Stats aggregates a run's measurements.
 type Stats struct {
@@ -166,7 +154,8 @@ type Result struct {
 //bulklint:snapstate
 type proc struct {
 	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
-	id     int
+	id int
+	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
 	cache  *cache.Cache
 	module *bdm.Module
 	exec   trace.Executor
@@ -190,21 +179,21 @@ type proc struct {
 	stalled   bool   // the non-speculative path has paid its miss
 }
 
-// System is a checkpointed-multiprocessor run in progress.
+// System is a checkpointed-multiprocessor run in progress: the policy on
+// an embedded core.Machine.
 //
 //bulklint:snapstate
 type System struct {
+	core.Machine[Result]
 	//bulklint:snapstate-ignore opts immutable run configuration
 	opts Options
 	//bulklint:snapstate-ignore w immutable workload shared across schedules
-	w      *Workload
-	mem    *mem.Memory
-	engine *sim.Engine
-	procs  []*proc
-	stats  Stats
-	log    []CommitUnit
-	//bulklint:snapstate-ignore wpl immutable line geometry
-	wpl int // words per line
+	w     *Workload
+	procs []*proc
+	stats Stats
+	log   []CommitUnit
+	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
+	res Result
 
 	// keyScratch is the reusable sorted-key buffer for write-buffer
 	// iteration on the commit paths; lineScratch/lineKeys build the
@@ -223,52 +212,22 @@ func NewSystem(w *Workload, opts Options) (*System, error) {
 	if len(w.Procs) == 0 {
 		return nil, errors.New("ckpt: empty workload")
 	}
-	if opts.MissLatency <= 0 {
-		opts.MissLatency = 400
-	}
-	if opts.Params == (sim.Params{}) {
-		opts.Params = sim.DefaultTM()
-	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 32 << 10
-	}
-	if opts.CacheWays == 0 {
-		opts.CacheWays = 4
-	}
-	if opts.LineBytes == 0 {
-		opts.LineBytes = 64
-	}
-	if opts.RetryLimit == 0 {
-		opts.RetryLimit = 100
-	}
+	opts.SetDefaults(defaults)
 	if opts.SigConfig == nil {
 		opts.SigConfig = sig.DefaultTM()
 	}
-	s := &System{
-		opts:   opts,
-		w:      w,
-		mem:    mem.NewMemory(),
-		engine: sim.NewEngine(len(w.Procs)),
-		wpl:    opts.LineBytes / 4,
+	s := &System{opts: opts, w: w}
+	var bulk *core.BDM
+	if opts.Mode == Bulk {
+		bulk = &core.BDM{Versions: 1}
 	}
-	s.engine.SetScheduler(opts.Scheduler)
+	if err := s.Init(&s.opts.Config, len(w.Procs), bulk, s); err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
 	for i := range w.Procs {
-		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		p := &proc{id: i, cache: c, exec: trace.Executor{ThreadID: i}}
-		if opts.Mode == Bulk {
-			m, err := bdm.New(bdm.Config{
-				Sig:         opts.SigConfig,
-				Index:       sig.IndexSpec{LowBit: 0, Bits: c.IndexBits()},
-				MaxVersions: 1,
-				Mutate:      opts.Mutate,
-			}, c)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: proc %d: %w", i, err)
-			}
-			p.module = m
+		p := &proc{id: i, cache: s.Caches[i], exec: trace.Executor{ThreadID: i}}
+		if bulk != nil {
+			p.module = s.Modules[i]
 		}
 		s.procs = append(s.procs, p)
 	}
@@ -281,20 +240,14 @@ func Run(w *Workload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	return s.Machine.Run()
 }
 
-func (s *System) run() (*Result, error) {
-	if _, err := s.RunUntil(nil); err != nil {
-		return nil, err
-	}
-	return s.Finish(), nil
-}
-
-// tick performs one scheduling quantum. Returns running=false when every
-// processor finished, and an error on deadlock or a protocol failure.
-func (s *System) tick() (running bool, err error) {
-	p := s.engine.Next()
+// Tick implements core.Policy: one scheduling quantum. It reports
+// running=false when every processor finished, and an error on deadlock
+// or a protocol failure.
+func (s *System) Tick() (running bool, err error) {
+	p := s.Engine.Next()
 	if p < 0 {
 		return false, errors.New("ckpt: all processors parked")
 	}
@@ -309,7 +262,7 @@ func (s *System) tick() (running bool, err error) {
 		if alldone {
 			return false, nil
 		}
-		s.engine.Park(p)
+		s.Engine.Park(p)
 		return true, nil
 	}
 	if err := s.step(s.procs[p]); err != nil {
@@ -318,55 +271,26 @@ func (s *System) tick() (running bool, err error) {
 	return true, nil
 }
 
-// RunUntil executes scheduling quanta until the workload completes or the
-// pause hook returns true at a tick boundary (the state is then between
-// quanta — a safe point to Snapshot). done reports completion; a paused
-// run continues with another RunUntil call.
-func (s *System) RunUntil(pause func() bool) (done bool, err error) {
-	for {
-		if pause != nil && pause() {
-			return false, nil
-		}
-		running, err := s.tick()
-		if err != nil {
-			return false, err
-		}
-		if !running {
-			return true, nil
-		}
-	}
-}
-
-// Finish assembles the result of a completed run. Call exactly once, after
-// RunUntil reported done.
-func (s *System) Finish() *Result {
-	return s.FinishInto(&Result{})
-}
-
-// FinishInto is Finish writing into a caller-owned Result, so a pooled
-// system driven through many runs finishes each without allocating.
-func (s *System) FinishInto(res *Result) *Result {
-	s.stats.Cycles = s.engine.Now()
-	if s.opts.CacheMeter != nil {
-		for _, p := range s.procs {
-			s.opts.CacheMeter.Merge(p.cache.Stats())
-		}
-		s.opts.CacheMeter.AddRun()
-	}
-	*res = Result{Stats: s.stats, Memory: s.mem, Log: s.log}
-	return res
-}
-
-// SetScheduler swaps the scheduling hook — the explorer drives one pooled
-// System through many schedules, installing a fresh replay scheduler per
+// Collect implements core.Policy: it assembles the result of a completed
 // run.
-func (s *System) SetScheduler(sched sim.Scheduler) {
-	s.opts.Scheduler = sched
-	s.engine.SetScheduler(sched)
+func (s *System) Collect(res *Result, t core.Totals) {
+	*res = Result{Stats: s.stats, Memory: s.Mem, Log: s.log}
+	res.Stats.Cycles = t.Cycles
+	res.Stats.Bandwidth = t.Bandwidth
 }
 
-// SetProbe swaps the oracle probe alongside SetScheduler.
-func (s *System) SetProbe(p *sim.Probe) { s.opts.Probe = p }
+// Judge finishes a completed run, digests its observable outcome — the
+// commit log, committed memory and headline counters — into d, and checks
+// it against the serial-replay oracle.
+func (s *System) Judge(d *core.Digest) error {
+	r := s.FinishInto(&s.res)
+	for _, u := range r.Log {
+		d.Mix(uint64(u.Proc), uint64(u.Unit), uint64(int64(u.Op)))
+	}
+	s.DigestMemory(d)
+	d.Mix(r.Stats.Episodes, r.Stats.Rollbacks, uint64(r.Stats.Cycles))
+	return Verify(s.w, r)
+}
 
 // GenerateWorkload builds a deterministic workload: each processor runs
 // episodes of speculative work over private lines plus occasional shared

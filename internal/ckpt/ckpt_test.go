@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"strings"
 	"testing"
 
 	"bulk/internal/sig"
@@ -147,5 +148,21 @@ func TestFuzzSeeds(t *testing.T) {
 				t.Fatalf("seed %d %v: %v", seed, m, err)
 			}
 		}
+	}
+}
+
+// TestRestartLimitBoundsEpisodes: an episode that restarts RestartLimit
+// times stops the run with an error instead of retrying forever. Every
+// prediction fails here, so each episode restarts once.
+func TestRestartLimitBoundsEpisodes(t *testing.T) {
+	w := GenerateWorkload(2, 3, 0, 5)
+	opts := NewOptions(Bulk)
+	opts.RestartLimit = 1
+	if _, err := Run(w, opts); err == nil || !strings.Contains(err.Error(), "restarted an episode") {
+		t.Fatalf("Run with RestartLimit 1 and no correct predictions: err = %v", err)
+	}
+	opts.RestartLimit = 2
+	if _, err := Run(w, opts); err != nil {
+		t.Fatalf("Run with room for one restart per episode: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/mem"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
@@ -23,15 +24,12 @@ type CommitUnit struct {
 // opIndexFor derives the deterministic value-index of an op.
 func opIndexFor(unit, i int) int { return unit*4096 + i }
 
-//bulklint:noalloc
-func (s *System) lineOf(word uint64) uint64 { return word / uint64(s.wpl) }
-
 // step advances one processor by one action.
 func (s *System) step(p *proc) error {
 	units := s.w.Procs[p.id].Units
 	if p.unit >= len(units) {
 		p.done = true
-		s.engine.Advance(p.id, 0)
+		s.Engine.Advance(p.id, 0)
 		return nil
 	}
 	u := units[p.unit]
@@ -41,26 +39,26 @@ func (s *System) step(p *proc) error {
 	if p.opIdx >= len(u.Plain) {
 		p.unit++
 		p.opIdx = 0
-		s.engine.Advance(p.id, 1)
+		s.Engine.Advance(p.id, 1)
 		return nil
 	}
 	op := u.Plain[p.opIdx]
 	cost := s.plainOp(p, op)
 	p.opIdx++
-	s.engine.Advance(p.id, int(op.Think)+cost)
+	s.Engine.Advance(p.id, int(op.Think)+cost)
 	return nil
 }
 
 // plainOp executes one non-speculative op with immediate visibility.
 func (s *System) plainOp(p *proc, op trace.Op) int {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 	cost := s.access(p, line, op.Kind != trace.Read)
 	if op.Kind == trace.Read {
-		p.exec.SetLastRead(uint64(s.mem.Read(op.Addr)))
+		p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 		return cost
 	}
 	v := trace.Value(p.id, opIndexFor(p.unit, p.opIdx), op.Addr)
-	s.mem.Write(op.Addr, mem.Word(v))
+	s.Mem.Write(op.Addr, mem.Word(v))
 	s.log = append(s.log, CommitUnit{Proc: p.id, Unit: p.unit, Op: p.opIdx})
 	s.invalidateRemote(p, line)
 	return cost
@@ -69,7 +67,7 @@ func (s *System) plainOp(p *proc, op trace.Op) int {
 // invalidateRemote broadcasts an invalidation for a line and disambiguates
 // it against every speculative episode (the membership path of §4.2).
 func (s *System) invalidateRemote(p *proc, line uint64) {
-	s.stats.Bandwidth.Record(bus.Inv, bus.InvalidationBytes)
+	s.Bus.Record(bus.Inv, bus.InvalidationBytes)
 	s.applyRemoteInvalidation(p, line)
 }
 
@@ -86,8 +84,8 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				continue
 			}
-			base := line * uint64(s.wpl)
-			for w := 0; w < s.wpl; w++ {
+			base := line * core.WordsPerLine
+			for w := 0; w < core.WordsPerLine; w++ {
 				if q.readW.Has(base + uint64(w)) {
 					s.restartStalled(q)
 					break
@@ -100,8 +98,8 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 		}
 		hit := false
 		exact := false
-		base := line * uint64(s.wpl)
-		for w := 0; w < s.wpl; w++ {
+		base := line * core.WordsPerLine
+		for w := 0; w < core.WordsPerLine; w++ {
 			if q.readW.Has(base+uint64(w)) || q.writeW.Has(base+uint64(w)) {
 				exact = true
 				break
@@ -139,9 +137,9 @@ func (s *System) access(p *proc, line uint64, write bool) int {
 	}
 	_, ev := p.cache.Insert(cache.LineAddr(line), st)
 	if ev != nil && ev.State == cache.Dirty {
-		s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+		s.Bus.Record(bus.WB, bus.WritebackBytes)
 	}
-	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes)
+	s.Bus.Record(bus.Fill, bus.FillBytes)
 	return par.MemLatency
 }
 
@@ -149,6 +147,9 @@ func (s *System) access(p *proc, line uint64, write bool) int {
 // encode the phase: p.spec (speculating), p.attempts (0 = speculative
 // attempt; >0 = non-speculative retry), p.opIdx (next op).
 func (s *System) stepEpisode(p *proc, e *Episode) error {
+	if p.attempts >= s.opts.RestartLimit {
+		return fmt.Errorf("ckpt: proc %d restarted an episode %d times", p.id, p.attempts)
+	}
 	par := s.opts.Params
 	switch {
 	case s.opts.Mode == Stall || p.attempts > 0:
@@ -159,7 +160,7 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 		// Take the checkpoint and issue the long load under a predicted
 		// value.
 		p.spec = true
-		p.specStart = s.engine.Now()
+		p.specStart = s.Engine.Now()
 		p.wbuf.Reset()
 		p.readW.Reset()
 		p.writeW.Reset()
@@ -173,14 +174,14 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 			p.version = v
 			p.module.SetRunning(v)
 		}
-		real := uint64(s.mem.Read(e.MissAddr))
+		real := uint64(s.Mem.Read(e.MissAddr))
 		pred := real
 		if !e.PredictOK {
 			pred = real ^ 1 // the prediction will fail validation
 		}
 		p.exec.SetLastRead(pred)
 		s.recordRead(p, e.MissAddr)
-		s.engine.Advance(p.id, par.HitLatency)
+		s.Engine.Advance(p.id, par.HitLatency)
 		return nil
 	case p.opIdx < len(e.Ops):
 		op := e.Ops[p.opIdx]
@@ -190,14 +191,14 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 			return nil
 		}
 		p.opIdx++
-		s.engine.Advance(p.id, int(op.Think)+cost)
+		s.Engine.Advance(p.id, int(op.Think)+cost)
 		return nil
 	default:
 		// Validation point: the long load has resolved by
-		// specStart+MissLatency; commit cannot precede it.
-		ready := p.specStart + int64(s.opts.MissLatency)
-		if s.engine.Now() < ready {
-			s.engine.AdvanceTo(p.id, ready)
+		// specStart+missLatency; commit cannot precede it.
+		ready := p.specStart + missLatency
+		if s.Engine.Now() < ready {
+			s.Engine.AdvanceTo(p.id, ready)
 			return nil
 		}
 		if !e.PredictOK {
@@ -207,8 +208,8 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 		}
 		// Commit-token decision: an explorer may defer the commit one
 		// quantum, letting other processors' traffic land first.
-		if s.engine.Branch(sim.BranchCommit, 2, 1) == 0 {
-			s.engine.Advance(p.id, 1)
+		if s.Engine.Branch(sim.BranchCommit, 2, 1) == 0 {
+			s.Engine.Advance(p.id, 1)
 			return nil
 		}
 		s.commitEpisode(p, e)
@@ -222,13 +223,13 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 func (s *System) recordRead(p *proc, word uint64) {
 	p.readW.Add(word)
 	if p.module != nil {
-		p.module.OnRead(p.version, sig.Addr(s.lineOf(word)))
+		p.module.OnRead(p.version, sig.Addr(core.LineOf(word)))
 	}
 }
 
 // specOp executes one speculative episode op.
 func (s *System) specOp(p *proc, op trace.Op) int {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 	cost := 0
 	switch op.Kind {
 	case trace.Read:
@@ -237,7 +238,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 			cost = s.opts.Params.HitLatency
 		} else {
 			cost = s.access(p, line, false)
-			p.exec.SetLastRead(uint64(s.mem.Read(op.Addr)))
+			p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 		}
 		s.recordRead(p, op.Addr)
 	default:
@@ -251,7 +252,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 			}
 			for _, wb := range d.SafeWritebacks {
 				p.cache.MarkClean(wb.Addr)
-				s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+				s.Bus.Record(bus.WB, bus.WritebackBytes)
 			}
 		}
 		cost = s.access(p, line, true)
@@ -286,19 +287,19 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 		// keys drive the per-receiver invalidations below.
 		s.lineScratch.Reset()
 		p.writeW.Range(func(wAddr uint64) bool { // building a set; order cannot escape
-			s.lineScratch.Add(s.lineOf(wAddr))
+			s.lineScratch.Add(core.LineOf(wAddr))
 			return true
 		})
 		s.lineKeys = s.lineScratch.SortedKeys(s.lineKeys[:0])
 		packet = bus.AddressListCommitBytes(len(s.lineKeys))
 	}
-	s.stats.Bandwidth.RecordCommit(packet)
-	busDone := s.engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packet))
+	s.Bus.RecordCommit(packet)
+	busDone := s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packet))
 
 	s.keyScratch = p.wbuf.SortedKeys(s.keyScratch[:0])
 	for _, a := range s.keyScratch {
 		v, _ := p.wbuf.Get(a)
-		s.mem.Write(a, mem.Word(v))
+		s.Mem.Write(a, mem.Word(v))
 	}
 	s.log = append(s.log, CommitUnit{Proc: p.id, Unit: p.unit, Op: -1})
 	s.stats.Episodes++
@@ -355,7 +356,7 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 	}
 
 	s.finishEpisode(p)
-	s.engine.AdvanceTo(p.id, busDone)
+	s.Engine.AdvanceTo(p.id, busDone)
 }
 
 // finishEpisode releases speculative state after a commit.
@@ -394,7 +395,7 @@ func (s *System) rollbackInternal(q *proc) {
 	} else {
 		s.keyScratch = q.writeW.SortedKeys(s.keyScratch[:0])
 		for _, wAddr := range s.keyScratch {
-			l := s.lineOf(wAddr)
+			l := core.LineOf(wAddr)
 			if cl := q.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Dirty {
 				q.cache.Invalidate(cache.LineAddr(l))
 			}
@@ -407,16 +408,12 @@ func (s *System) rollbackInternal(q *proc) {
 	q.opIdx = 0
 	q.attempts++
 	// The retry waits for the real load value plus the restart overhead.
-	at := q.specStart + int64(s.opts.MissLatency)
-	if now := s.engine.Now(); now > at {
+	at := q.specStart + missLatency
+	if now := s.Engine.Now(); now > at {
 		at = now
 	}
 	at += int64(s.opts.Params.SquashOverhead)
-	if s.engine.Parked(q.id) {
-		s.engine.Unpark(q.id, at)
-	} else {
-		s.engine.AdvanceTo(q.id, at)
-	}
+	s.Engine.Unpark(q.id, at)
 }
 
 // runEpisodeStalled executes an episode non-speculatively: wait for the
@@ -433,25 +430,25 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 		if p.attempts == 0 {
 			// Stall mode pays the full miss latency; a retry after a
 			// rollback already waited for the value.
-			s.stats.StallCycles += int64(s.opts.MissLatency)
-			s.engine.Advance(p.id, s.opts.MissLatency)
+			s.stats.StallCycles += missLatency
+			s.Engine.Advance(p.id, missLatency)
 			return nil
 		}
 	}
 	if p.opIdx == 0 {
-		p.exec.SetLastRead(uint64(s.mem.Read(e.MissAddr)))
+		p.exec.SetLastRead(uint64(s.Mem.Read(e.MissAddr)))
 		p.readW.Add(e.MissAddr)
 	}
 	if p.opIdx < len(e.Ops) {
 		op := e.Ops[p.opIdx]
-		line := s.lineOf(op.Addr)
+		line := core.LineOf(op.Addr)
 		cost := s.access(p, line, op.Kind != trace.Read)
 		if op.Kind == trace.Read {
 			p.readW.Add(op.Addr)
 			if v, ok := p.wbuf.Get(op.Addr); ok {
 				p.exec.SetLastRead(v)
 			} else {
-				p.exec.SetLastRead(uint64(s.mem.Read(op.Addr)))
+				p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 			}
 		} else {
 			var v uint64
@@ -463,13 +460,13 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 			p.wbuf.Put(op.Addr, v)
 		}
 		p.opIdx++
-		s.engine.Advance(p.id, int(op.Think)+cost)
+		s.Engine.Advance(p.id, int(op.Think)+cost)
 		return nil
 	}
 	// Commit-token decision mirroring the speculative path: an explorer may
 	// hold the atomic apply back one quantum.
-	if s.engine.Branch(sim.BranchCommit, 2, 1) == 0 {
-		s.engine.Advance(p.id, 1)
+	if s.Engine.Branch(sim.BranchCommit, 2, 1) == 0 {
+		s.Engine.Advance(p.id, 1)
 		return nil
 	}
 	// Apply atomically, invalidate, and log one unit. The invalidation
@@ -478,11 +475,11 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	s.keyScratch = p.wbuf.SortedKeys(s.keyScratch[:0])
 	for _, a := range s.keyScratch {
 		v, _ := p.wbuf.Get(a)
-		s.mem.Write(a, mem.Word(v))
-		s.lineScratch.Add(s.lineOf(a))
+		s.Mem.Write(a, mem.Word(v))
+		s.lineScratch.Add(core.LineOf(a))
 	}
 	s.lineKeys = s.lineScratch.SortedKeys(s.lineKeys[:0])
-	s.stats.Bandwidth.RecordN(bus.Inv, bus.InvalidationBytes, len(s.lineKeys))
+	s.Bus.RecordN(bus.Inv, bus.InvalidationBytes, len(s.lineKeys))
 	for _, l := range s.lineKeys {
 		s.applyRemoteInvalidation(p, l)
 	}
@@ -494,7 +491,7 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	p.attempts = 0
 	p.unit++
 	p.opIdx = 0
-	s.engine.Advance(p.id, par.HitLatency)
+	s.Engine.Advance(p.id, par.HitLatency)
 	return nil
 }
 
@@ -509,10 +506,6 @@ func (s *System) restartStalled(q *proc) {
 	q.exec.SetLastRead(q.ckptReg)
 	q.opIdx = 0
 	q.attempts++
-	at := s.engine.Now() + int64(s.opts.Params.SquashOverhead)
-	if s.engine.Parked(q.id) {
-		s.engine.Unpark(q.id, at)
-	} else {
-		s.engine.AdvanceTo(q.id, at)
-	}
+	at := s.Engine.Now() + int64(s.opts.Params.SquashOverhead)
+	s.Engine.Unpark(q.id, at)
 }

@@ -75,7 +75,7 @@ func TestFuzzAllModesSerializable(t *testing.T) {
 		w := randomCkptWorkload(seed)
 		for _, m := range []Mode{Stall, Exact, Bulk} {
 			opts := NewOptions(m)
-			opts.RetryLimit = 10000
+			opts.RestartLimit = 10000
 			r, err := Run(w, opts)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, m, err)
@@ -100,7 +100,7 @@ func TestFuzzBulkTinySignatures(t *testing.T) {
 		w := randomCkptWorkload(seed)
 		opts := NewOptions(Bulk)
 		opts.SigConfig = tiny
-		opts.RetryLimit = 10000
+		opts.RestartLimit = 10000
 		r, err := Run(w, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -124,7 +124,7 @@ func TestFuzzSmallCaches(t *testing.T) {
 		for _, m := range []Mode{Stall, Exact, Bulk} {
 			opts := NewOptions(m)
 			opts.CacheBytes = 4 << 10 // 64 lines
-			opts.RetryLimit = 10000
+			opts.RestartLimit = 10000
 			r, err := Run(w, opts)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, m, err)
@@ -146,7 +146,7 @@ func FuzzCkptModes(f *testing.F) {
 		w := randomCkptWorkload(seed)
 		for _, m := range []Mode{Stall, Exact, Bulk} {
 			opts := NewOptions(m)
-			opts.RetryLimit = 10000
+			opts.RestartLimit = 10000
 			r, err := Run(w, opts)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, m, err)

@@ -1,28 +1,20 @@
 package ckpt
 
 import (
-	"bulk/internal/bdm"
-	"bulk/internal/cache"
 	"bulk/internal/flatmap"
-	"bulk/internal/mem"
-	"bulk/internal/sim"
 )
 
-// Fork-point snapshots, mirroring the tm and tls packages: the model
-// checker captures a run between scheduling quanta and resumes sibling
-// schedules from the capture instead of replaying the shared prefix. All
-// schedule-dependent state is deep-copied; the keyScratch/lineScratch
-// buffers are dead at tick boundaries and are not captured.
+// The machine's snapshot envelope (core.Machine.Snapshot/Restore) captures
+// memory, engine, bus counters, caches and BDM tables; SavePolicy and
+// LoadPolicy add the episode state. The keyScratch/lineScratch buffers are
+// dead at tick boundaries and are not captured.
 
 // procSnap is the deep-copied state of one processor. The BDM version is
-// recorded as a module-table index (-1 when nil) so Restore can re-resolve
-// it after LoadState.
+// recorded as a module-table index (-1 when nil) so LoadPolicy can
+// re-resolve it in the reloaded module.
 //
 //bulklint:snapstate
 type procSnap struct {
-	cache      cache.Snapshot
-	module     bdm.ModuleState
-	hasModule  bool
 	lastRead   uint64
 	unit       int
 	opIdx      int
@@ -39,99 +31,73 @@ type procSnap struct {
 	stalled    bool
 }
 
-// Snapshot is a deep copy of a System's mutable run state. The zero value
-// grows on first capture; re-capturing into the same Snapshot reuses its
-// storage.
+// policySnap is the episode state of a snapshot. The zero value grows on
+// first capture; re-capturing into it reuses its storage.
 //
 //bulklint:snapstate
-type Snapshot struct {
-	mem    mem.Memory
-	engine sim.EngineState
-	stats  Stats
-	log    []CommitUnit
-	procs  []procSnap
-	//bulklint:snapstate-ignore size cache-budget estimate recomputed at every capture, never restored
-	size int
+type policySnap struct {
+	stats Stats
+	log   []CommitUnit
+	procs []procSnap
 }
 
-// SizeBytes estimates the retained size of the snapshot for the explorer's
-// snapshot-cache budget.
-func (sn *Snapshot) SizeBytes() int { return sn.size }
-
-// Snapshot captures the system's state into dst (allocating one if nil)
-// and returns it. Must be called at a RunUntil pause point.
+// SavePolicy implements core.Policy: it captures the episode state into
+// dst (a *policySnap, or nil to allocate one).
 //
 //bulklint:captures snapshot
-//bulklint:captures snapshot Snapshot procSnap proc
-func (s *System) Snapshot(dst *Snapshot) *Snapshot {
-	if dst == nil {
-		dst = &Snapshot{}
+//bulklint:captures snapshot policySnap procSnap proc
+func (s *System) SavePolicy(dst any) (any, int) {
+	ps, _ := dst.(*policySnap)
+	if ps == nil {
+		ps = &policySnap{}
 	}
-	dst.mem.CopyFrom(s.mem)
-	s.engine.SaveState(&dst.engine)
-	dst.stats = s.stats
-	dst.log = append(dst.log[:0], s.log...)
-	for len(dst.procs) < len(s.procs) {
-		dst.procs = append(dst.procs, procSnap{})
+	ps.stats = s.stats
+	ps.log = append(ps.log[:0], s.log...)
+	for len(ps.procs) < len(s.procs) {
+		ps.procs = append(ps.procs, procSnap{})
 	}
-	size := 256 + dst.engine.SizeBytes() + s.mem.SizeBytes() + 24*cap(dst.log)
+	size := 24 * cap(ps.log)
 	for i, p := range s.procs {
-		ps := &dst.procs[i]
-		p.cache.SaveState(&ps.cache)
-		ps.hasModule = p.module != nil
-		if ps.hasModule {
-			p.module.SaveState(&ps.module)
-		}
-		ps.lastRead = p.exec.LastRead()
-		ps.unit, ps.opIdx, ps.done = p.unit, p.opIdx, p.done
-		ps.spec = p.spec
-		ps.versionIdx = -1
+		sn := &ps.procs[i]
+		sn.lastRead = p.exec.LastRead()
+		sn.unit, sn.opIdx, sn.done = p.unit, p.opIdx, p.done
+		sn.spec = p.spec
+		sn.versionIdx = -1
 		if p.version != nil {
-			ps.versionIdx = p.module.IndexOfVersion(p.version)
+			sn.versionIdx = p.module.IndexOfVersion(p.version)
 		}
-		ps.wbuf.CopyFrom(&p.wbuf)
-		ps.readW.CopyFrom(&p.readW)
-		ps.writeW.CopyFrom(&p.writeW)
-		ps.tracking, ps.attempts = p.tracking, p.attempts
-		ps.specStart, ps.ckptReg, ps.stalled = p.specStart, p.ckptReg, p.stalled
-		size += 128 + ps.cache.SizeBytes() + 17*ps.wbuf.Cap() +
-			9*(ps.readW.Cap()+ps.writeW.Cap())
-		if ps.hasModule {
-			size += ps.module.SizeBytes()
-		}
+		sn.wbuf.CopyFrom(&p.wbuf)
+		sn.readW.CopyFrom(&p.readW)
+		sn.writeW.CopyFrom(&p.writeW)
+		sn.tracking, sn.attempts = p.tracking, p.attempts
+		sn.specStart, sn.ckptReg, sn.stalled = p.specStart, p.ckptReg, p.stalled
+		size += 64 + 17*sn.wbuf.Cap() + 9*(sn.readW.Cap()+sn.writeW.Cap())
 	}
-	dst.size = size
-	return dst
+	return ps, size
 }
 
-// Restore rewinds the system to a previously captured state. The scheduler
-// and probe are not part of the state — reinstall them with SetScheduler /
-// SetProbe before resuming.
+// LoadPolicy implements core.Policy: it rewinds the episode state to a
+// SavePolicy capture.
 //
 //bulklint:captures restore
-//bulklint:captures restore Snapshot procSnap proc
-func (s *System) Restore(src *Snapshot) {
-	s.mem.CopyFrom(&src.mem)
-	s.engine.LoadState(&src.engine)
-	s.stats = src.stats
-	s.log = append(s.log[:0], src.log...)
+//bulklint:captures restore policySnap procSnap proc
+func (s *System) LoadPolicy(src any) {
+	ps := src.(*policySnap)
+	s.stats = ps.stats
+	s.log = append(s.log[:0], ps.log...)
 	for i, p := range s.procs {
-		ps := &src.procs[i]
-		p.cache.LoadState(&ps.cache)
-		if ps.hasModule {
-			p.module.LoadState(&ps.module)
-		}
-		p.exec.SetLastRead(ps.lastRead)
-		p.unit, p.opIdx, p.done = ps.unit, ps.opIdx, ps.done
-		p.spec = ps.spec
+		sn := &ps.procs[i]
+		p.exec.SetLastRead(sn.lastRead)
+		p.unit, p.opIdx, p.done = sn.unit, sn.opIdx, sn.done
+		p.spec = sn.spec
 		p.version = nil
-		if ps.versionIdx >= 0 {
-			p.version = p.module.VersionAt(ps.versionIdx)
+		if sn.versionIdx >= 0 {
+			p.version = p.module.VersionAt(sn.versionIdx)
 		}
-		p.wbuf.CopyFrom(&ps.wbuf)
-		p.readW.CopyFrom(&ps.readW)
-		p.writeW.CopyFrom(&ps.writeW)
-		p.tracking, p.attempts = ps.tracking, ps.attempts
-		p.specStart, p.ckptReg, p.stalled = ps.specStart, ps.ckptReg, ps.stalled
+		p.wbuf.CopyFrom(&sn.wbuf)
+		p.readW.CopyFrom(&sn.readW)
+		p.writeW.CopyFrom(&sn.writeW)
+		p.tracking, p.attempts = sn.tracking, sn.attempts
+		p.specStart, p.ckptReg, p.stalled = sn.specStart, sn.ckptReg, sn.stalled
 	}
 }

@@ -66,7 +66,7 @@ func scalingRow(c Config, procs int, tlsApps, tmApps []string) (ScalingRow, erro
 	for _, app := range tlsApps {
 		p, _ := workload.TLSProfileByName(app)
 		w := c.tlsWorkload(p)
-		seq, err := tls.RunSequential(w, tls.NewOptions(tls.Bulk).Params, 0, 0, 0)
+		seq, err := tls.RunSequential(w)
 		if err != nil {
 			return row, err
 		}

@@ -37,7 +37,7 @@ func Figure10(c Config) (*Figure10Result, error) {
 	err := par.ForEach(len(profiles), func(i int) error {
 		p := profiles[i]
 		w := c.tlsWorkload(p)
-		seq, err := tls.RunSequential(w, tls.NewOptions(tls.Bulk).Params, 0, 0, 0)
+		seq, err := tls.RunSequential(w)
 		if err != nil {
 			return err
 		}
@@ -193,7 +193,7 @@ func AblationGranularity(c Config) (*GranularityResult, error) {
 	err := par.ForEach(len(profiles), func(i int) error {
 		p := profiles[i]
 		w := c.tlsWorkload(p)
-		seq, err := tls.RunSequential(w, tls.NewOptions(tls.Bulk).Params, 0, 0, 0)
+		seq, err := tls.RunSequential(w)
 		if err != nil {
 			return err
 		}

@@ -42,8 +42,8 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/check.choicesMatch exported=false",
 		"bulk/internal/check.hashSchedule exported=false",
 		"bulk/internal/check.hashStep exported=false",
-		"bulk/internal/ckpt.System.lineOf exported=false",
 		"bulk/internal/ckpt.System.recordRead exported=false",
+		"bulk/internal/core.LineOf exported=true",
 		"bulk/internal/flatmap.Map.CopyFrom exported=true",
 		"bulk/internal/flatmap.Map.Delete exported=true",
 		"bulk/internal/flatmap.Map.Get exported=true",
@@ -86,9 +86,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/sig.Signature.UnionWith exported=true",
 		"bulk/internal/sig.Signature.Zero exported=true",
 		"bulk/internal/sig.WordMaskPlan.Mask exported=true",
-		"bulk/internal/tls.System.lineOf exported=false",
 		"bulk/internal/tls.System.mergeLine exported=false",
-		"bulk/internal/tm.System.lineOf exported=false",
 		"bulk/internal/tm.System.mergeLine exported=false",
 		"bulk/internal/tm.proc.bufLookup exported=false",
 		"bulk/internal/tm.proc.inReadSet exported=false",

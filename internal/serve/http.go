@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -51,23 +52,35 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	_, _ = fmt.Fprintf(w, `{"error":%q}`+"\n", msg)
 }
 
-// decodeRequest parses a submission body.
-func decodeRequest(r *http.Request) (Request, error) {
+// maxRequestBytes bounds a submission body. Real requests are under 200
+// bytes; the bound keeps one request from making the daemon buffer an
+// arbitrarily large JSON value.
+const maxRequestBytes = 4 << 10
+
+// decodeRequest parses a submission body, returning the HTTP status to
+// answer with when it is unacceptable: 413 past maxRequestBytes, 400 for
+// anything else that does not parse.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, int, error) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return Request{}, fmt.Errorf("invalid request body: %w", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return Request{}, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", maxRequestBytes)
+		}
+		return Request{}, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
 	}
-	return req, nil
+	return req, 0, nil
 }
 
 // submitOrReject runs Submit and translates its failure modes to HTTP
 // status codes. Returns nil after writing the error response.
 func (s *Server) submitOrReject(w http.ResponseWriter, r *http.Request) *Job {
-	req, err := decodeRequest(r)
+	req, status, err := decodeRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, status, err.Error())
 		return nil
 	}
 	j, err := s.Submit(req)

@@ -368,6 +368,20 @@ func TestInvalidRequestsRejected(t *testing.T) {
 	}
 }
 
+// TestOversizeRequestRejected: a submission body past maxRequestBytes is
+// refused with 413 before the daemon buffers it, and nothing is accepted.
+func TestOversizeRequestRejected(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1})
+	body := `{"kind":"exhibit","exhibit":"` + strings.Repeat("x", 1<<20) + `"}`
+	code, resp := postJSON(t, ts.URL+"/jobs", body)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB body: status %d (want 413), resp %.200s", code, resp)
+	}
+	if c := s.metrics.counters.view(); c.Accepted != 0 {
+		t.Errorf("an oversize request was accepted: %+v", c)
+	}
+}
+
 func TestResultNotReadyConflict(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1})
 	release := make(chan struct{})

@@ -322,7 +322,8 @@ func (e *Engine) AdvanceTo(i int, at int64) {
 // Park removes processor i from scheduling until Unpark.
 func (e *Engine) Park(i int) { e.parked[i] = true }
 
-// Unpark makes processor i runnable at cycle at (or now, if earlier).
+// Unpark makes processor i runnable at cycle at (or now, if earlier). On a
+// processor that is not parked it is AdvanceTo.
 func (e *Engine) Unpark(i int, at int64) {
 	e.parked[i] = false
 	if at < e.now {

@@ -3,6 +3,7 @@ package tls
 import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/mem"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
@@ -15,7 +16,7 @@ func (s *System) tryCommitChain() {
 	for s.commitNext < len(s.tasks) && s.tasks[s.commitNext].state == tsFinished {
 		// Commit-token decision: an explorer may defer the grant, leaving
 		// the finished task at the head; step retries it next quantum.
-		if s.engine.Branch(sim.BranchCommit, 2, 1) == 0 {
+		if s.Engine.Branch(sim.BranchCommit, 2, 1) == 0 {
 			return
 		}
 		s.commitTask(s.tasks[s.commitNext])
@@ -34,10 +35,10 @@ func (s *System) commitTask(t *task) {
 	switch s.opts.Scheme {
 	case Eager:
 		packetBytes = bus.HeaderBytes
-		s.stats.Bandwidth.Record(bus.Coh, packetBytes)
+		s.Bus.Record(bus.Coh, packetBytes)
 	case Lazy:
 		packetBytes = bus.AddressListCommitBytes(t.writeW.Len())
-		s.stats.Bandwidth.RecordCommit(packetBytes)
+		s.Bus.RecordCommit(packetBytes)
 	case Bulk:
 		bits := sig.RLEncodedBits(t.version.W)
 		if t.version.Wsh != nil {
@@ -45,15 +46,15 @@ func (s *System) commitTask(t *task) {
 			bits += sig.RLEncodedBits(t.version.Wsh)
 		}
 		packetBytes = bus.SignatureCommitBytes(bits)
-		s.stats.Bandwidth.RecordCommit(packetBytes)
+		s.Bus.RecordCommit(packetBytes)
 	}
-	s.engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
+	s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
 
 	// Commit the values.
 	s.keyScratch = t.wbuf.SortedKeys(s.keyScratch[:0])
 	for _, a := range s.keyScratch {
 		v, _ := t.wbuf.Get(a)
-		s.mem.Write(a, mem.Word(v))
+		s.Mem.Write(a, mem.Word(v))
 	}
 	s.stats.Commits++
 	s.stats.ReadSetWords += uint64(t.readW.Len())
@@ -116,7 +117,7 @@ func (s *System) disambiguateCommit(t *task) {
 		realOverlap := exactDep > 0
 		if s.opts.LineGranularity && !realOverlap {
 			exactW.Range(func(a uint64) bool { // order-independent boolean reduction
-				l := s.lineOf(a)
+				l := core.LineOf(a)
 				if v.readL.Has(l) || v.writeL.Has(l) {
 					realOverlap = true
 					return false
@@ -239,14 +240,14 @@ func (s *System) mergeLine(q *proc, ownerIdx int, line uint64) {
 		return
 	}
 	s.stats.Merges++
-	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes) // committed line read from the network
-	base := line * uint64(s.wordsPerLine)
-	for w := 0; w < s.wordsPerLine; w++ {
+	s.Bus.Record(bus.Fill, bus.FillBytes) // committed line read from the network
+	base := line * core.WordsPerLine
+	for w := 0; w < core.WordsPerLine; w++ {
 		a := base + uint64(w)
 		if v, ok := owner.wbuf.Get(a); ok {
 			cl.Data[w] = v
 		} else {
-			cl.Data[w] = uint64(s.mem.Read(a))
+			cl.Data[w] = uint64(s.Mem.Read(a))
 		}
 	}
 }
@@ -312,13 +313,13 @@ func (s *System) squashOne(t *task) {
 	}
 	t.resetSpec()
 	t.state = tsReady
-	t.restartAt = s.engine.Now() + int64(s.opts.Params.SquashOverhead)
+	t.restartAt = s.Engine.Now() + int64(s.opts.Params.SquashOverhead)
 	t.attempts++
 	if t.attempts >= s.opts.RestartLimit {
 		s.stats.LivelockDetected = true
 	}
-	if s.engine.Parked(p.id) {
-		s.stats.StallCycles += s.engine.Now() - p.parkedAt
-		s.engine.Unpark(p.id, s.engine.Now())
+	if s.Engine.Parked(p.id) {
+		s.stats.StallCycles += s.Engine.Now() - p.parkedAt
+		s.Engine.Unpark(p.id, s.Engine.Now())
 	}
 }

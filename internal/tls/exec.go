@@ -3,17 +3,15 @@ package tls
 import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/sig"
 	"bulk/internal/trace"
 )
 
-//bulklint:noalloc
-func (s *System) lineOf(word uint64) uint64 { return word / uint64(s.wordsPerLine) }
-
 // sigAddr maps a word address to the granularity the signatures encode.
 func (s *System) sigAddr(word uint64) sig.Addr {
 	if s.opts.LineGranularity {
-		return sig.Addr(s.lineOf(word))
+		return sig.Addr(core.LineOf(word))
 	}
 	return sig.Addr(word)
 }
@@ -53,11 +51,11 @@ func (s *System) forwardedValue(t *task, word uint64) uint64 {
 			return v
 		}
 	}
-	return uint64(s.mem.Read(word))
+	return uint64(s.Mem.Read(word))
 }
 
 func (s *System) taskRead(p *proc, t *task, op trace.Op) int {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 	cost := s.opts.Params.HitLatency
 	value, buffered := t.wbuf.Get(op.Addr)
 	if !buffered {
@@ -76,7 +74,7 @@ func (s *System) taskRead(p *proc, t *task, op trace.Op) int {
 }
 
 func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 	cost := 0
 
 	// Eager: the write is propagated immediately; any more-speculative
@@ -95,13 +93,7 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 		}
 		if !t.writeL.Has(line) {
 			// First write to the line: broadcast the invalidation.
-			s.stats.Bandwidth.Record(bus.Inv, bus.InvalidationBytes)
-			cost += s.opts.Params.TransferCycles(bus.InvalidationBytes)
-			for _, q := range s.procs {
-				if q != p {
-					q.cache.Invalidate(cache.LineAddr(line))
-				}
-			}
+			cost += s.InvalidateOthers(p.id, line)
 		}
 	}
 
@@ -125,7 +117,7 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 			// Non-speculative dirty data is already reflected in
 			// committed memory; the writeback is traffic only.
 			p.cache.MarkClean(wb.Addr)
-			s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+			s.Bus.Record(bus.WB, bus.WritebackBytes)
 			cost += s.opts.Params.TransferCycles(bus.WritebackBytes)
 		}
 	}
@@ -151,7 +143,7 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 	if t.spawned {
 		t.postSpawnW.Add(op.Addr)
 	}
-	l.Data[int(op.Addr)%s.wordsPerLine] = value
+	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	if t.version != nil {
 		p.module.CommitWrite(t.version, s.sigAddr(op.Addr))
 	}
@@ -169,7 +161,7 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 	// the order readValue resolves — t itself, then active predecessors
 	// newest first, stopping at committed state. taskWrite records the word
 	// in wbuf and the line in writeL together, so writeL.Has(line) is exact.
-	base := line * uint64(s.wordsPerLine)
+	base := line * core.WordsPerLine
 	sup := s.supScratch[:0]
 	if t.writeL.Has(line) {
 		sup = append(sup, t)
@@ -193,32 +185,16 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 		latency = par.NeighborLatency
 	}
 	if latency == par.MemLatency {
-		// A neighbor cache with a non-speculative copy can supply.
-		for _, q := range s.procs {
-			if q == p {
-				continue
-			}
-			l := q.cache.Lookup(cache.LineAddr(line))
-			if l == nil {
-				continue
-			}
-			if l.State == cache.Dirty {
-				if s.specDirtyOwner(q, line) != nil {
-					continue // speculative data of another task: nacked
-				}
-				q.cache.MarkClean(cache.LineAddr(line))
-				s.stats.Bandwidth.Record(bus.Coh, bus.UpgradeBytes)
-			}
-			latency = par.NeighborLatency
-			break
-		}
+		// A neighbor cache with a non-speculative copy can supply; another
+		// task's speculative data is nacked.
+		latency = s.SupplyLatency(p.id, line, func(q int) bool { return s.specDirtyOwner(s.procs[q], line) != nil })
 	}
-	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes)
+	s.Bus.Record(bus.Fill, bus.FillBytes)
 	l, ev := p.cache.Insert(cache.LineAddr(line), cache.Clean)
 	if l.Data == nil {
-		l.Data = make([]uint64, s.wordsPerLine)
+		l.Data = make([]uint64, core.WordsPerLine)
 	}
-	for w := 0; w < s.wordsPerLine; w++ {
+	for w := 0; w < core.WordsPerLine; w++ {
 		word := base + uint64(w)
 		v, ok := uint64(0), false
 		for _, u := range sup {
@@ -227,14 +203,14 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 			}
 		}
 		if !ok {
-			v = uint64(s.mem.Read(word))
+			v = uint64(s.Mem.Read(word))
 		}
 		l.Data[w] = v
 	}
 	if ev != nil && ev.State == cache.Dirty {
 		// Speculative or not, the eviction is traffic; speculative values
 		// survive in the owning task's write buffer.
-		s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+		s.Bus.Record(bus.WB, bus.WritebackBytes)
 	}
 	return latency
 }

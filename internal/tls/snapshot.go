@@ -1,24 +1,18 @@
 package tls
 
 import (
-	"bulk/internal/bdm"
-	"bulk/internal/cache"
 	"bulk/internal/flatmap"
-	"bulk/internal/mem"
-	"bulk/internal/sim"
 )
 
-// Fork-point snapshots, mirroring the tm package: the model checker
-// captures a run between scheduling quanta and resumes sibling schedules
-// from the capture instead of replaying the shared prefix. Everything a
-// schedule can influence is deep-copied — task speculative state, BDM
-// version tables, caches, the committed image, the engine clock, stats
-// with bandwidth counters. The keyScratch/supScratch buffers are dead at
-// tick boundaries and are not captured.
+// The machine's snapshot envelope (core.Machine.Snapshot/Restore) captures
+// memory, engine, bus counters, caches and BDM tables; SavePolicy and
+// LoadPolicy add the task state. The keyScratch/supScratch buffers are
+// dead at tick boundaries and are not captured.
 
 // taskSnap is the deep-copied state of one speculative task. The BDM
 // version is recorded as an index into the owning processor's module
-// table (-1 when nil) so Restore can re-resolve it after LoadState.
+// table (-1 when nil) so LoadPolicy can re-resolve it in the reloaded
+// module.
 //
 //bulklint:snapstate
 type taskSnap struct {
@@ -39,73 +33,52 @@ type taskSnap struct {
 	restartAt  int64
 }
 
-// procSnap is the deep-copied state of one processor.
+// procSnap is the policy state of one processor.
 //
 //bulklint:snapstate
 type procSnap struct {
-	cache     cache.Snapshot
-	module    bdm.ModuleState
-	hasModule bool
-	tasks     []int
-	parkedAt  int64
+	tasks    []int
+	parkedAt int64
 }
 
-// Snapshot is a deep copy of a System's mutable run state. The zero value
-// grows on first capture; re-capturing into the same Snapshot reuses its
-// storage.
+// policySnap is the task state of a snapshot. The zero value grows on
+// first capture; re-capturing into it reuses its storage.
 //
 //bulklint:snapstate
-type Snapshot struct {
-	mem        mem.Memory
-	engine     sim.EngineState
+type policySnap struct {
 	stats      Stats
 	commitNext int
 	procs      []procSnap
 	tasks      []taskSnap
-	//bulklint:snapstate-ignore size cache-budget estimate recomputed at every capture, never restored
-	size int
 }
 
-// SizeBytes estimates the retained size of the snapshot for the explorer's
-// snapshot-cache budget.
-func (sn *Snapshot) SizeBytes() int { return sn.size }
-
-// Snapshot captures the system's state into dst (allocating one if nil)
-// and returns it. Must be called at a RunUntil pause point.
+// SavePolicy implements core.Policy: it captures the task state into dst
+// (a *policySnap, or nil to allocate one).
 //
 //bulklint:captures snapshot
-//bulklint:captures snapshot Snapshot procSnap taskSnap proc task
-func (s *System) Snapshot(dst *Snapshot) *Snapshot {
-	if dst == nil {
-		dst = &Snapshot{}
+//bulklint:captures snapshot policySnap procSnap taskSnap proc task
+func (s *System) SavePolicy(dst any) (any, int) {
+	ps, _ := dst.(*policySnap)
+	if ps == nil {
+		ps = &policySnap{}
 	}
-	dst.mem.CopyFrom(s.mem)
-	s.engine.SaveState(&dst.engine)
-	dst.stats = s.stats
-	dst.commitNext = s.commitNext
-	for len(dst.procs) < len(s.procs) {
-		dst.procs = append(dst.procs, procSnap{})
+	ps.stats = s.stats
+	ps.commitNext = s.commitNext
+	for len(ps.procs) < len(s.procs) {
+		ps.procs = append(ps.procs, procSnap{})
 	}
-	size := 256 + dst.engine.SizeBytes() + s.mem.SizeBytes()
+	size := 0
 	for i, p := range s.procs {
-		ps := &dst.procs[i]
-		p.cache.SaveState(&ps.cache)
-		ps.hasModule = p.module != nil
-		if ps.hasModule {
-			p.module.SaveState(&ps.module)
-		}
-		ps.tasks = append(ps.tasks[:0], p.tasks...)
-		ps.parkedAt = p.parkedAt
-		size += 64 + ps.cache.SizeBytes() + 8*cap(ps.tasks)
-		if ps.hasModule {
-			size += ps.module.SizeBytes()
-		}
+		sn := &ps.procs[i]
+		sn.tasks = append(sn.tasks[:0], p.tasks...)
+		sn.parkedAt = p.parkedAt
+		size += 32 + 8*cap(sn.tasks)
 	}
-	for len(dst.tasks) < len(s.tasks) {
-		dst.tasks = append(dst.tasks, taskSnap{})
+	for len(ps.tasks) < len(s.tasks) {
+		ps.tasks = append(ps.tasks, taskSnap{})
 	}
 	for i, t := range s.tasks {
-		ts := &dst.tasks[i]
+		ts := &ps.tasks[i]
 		ts.state, ts.proc = t.state, t.proc
 		ts.opIdx, ts.attempts = t.opIdx, t.attempts
 		ts.lastRead = t.exec.LastRead()
@@ -124,33 +97,25 @@ func (s *System) Snapshot(dst *Snapshot) *Snapshot {
 		size += 96 + 17*ts.wbuf.Cap() +
 			9*(ts.readW.Cap()+ts.writeW.Cap()+ts.readL.Cap()+ts.writeL.Cap()+ts.postSpawnW.Cap())
 	}
-	dst.size = size
-	return dst
+	return ps, size
 }
 
-// Restore rewinds the system to a previously captured state. The scheduler
-// and probe are not part of the state — reinstall them with SetScheduler /
-// SetProbe before resuming. Modules are reloaded before task versions are
-// re-resolved, so version pointers always land in the reloaded tables.
+// LoadPolicy implements core.Policy: it rewinds the task state to a
+// SavePolicy capture.
 //
 //bulklint:captures restore
-//bulklint:captures restore Snapshot procSnap taskSnap proc task
-func (s *System) Restore(src *Snapshot) {
-	s.mem.CopyFrom(&src.mem)
-	s.engine.LoadState(&src.engine)
-	s.stats = src.stats
-	s.commitNext = src.commitNext
+//bulklint:captures restore policySnap procSnap taskSnap proc task
+func (s *System) LoadPolicy(src any) {
+	ps := src.(*policySnap)
+	s.stats = ps.stats
+	s.commitNext = ps.commitNext
 	for i, p := range s.procs {
-		ps := &src.procs[i]
-		p.cache.LoadState(&ps.cache)
-		if ps.hasModule {
-			p.module.LoadState(&ps.module)
-		}
-		p.tasks = append(p.tasks[:0], ps.tasks...)
-		p.parkedAt = ps.parkedAt
+		sn := &ps.procs[i]
+		p.tasks = append(p.tasks[:0], sn.tasks...)
+		p.parkedAt = sn.parkedAt
 	}
 	for i, t := range s.tasks {
-		ts := &src.tasks[i]
+		ts := &ps.tasks[i]
 		t.state, t.proc = ts.state, ts.proc
 		t.opIdx, t.attempts = ts.opIdx, ts.attempts
 		t.exec.SetLastRead(ts.lastRead)

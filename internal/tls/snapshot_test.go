@@ -1,6 +1,7 @@
 package tls
 
 import (
+	"bulk/internal/core"
 	"reflect"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSystem: %v", err)
 			}
-			var snaps []*Snapshot
+			var snaps []*core.Snapshot
 			ticks := 0
 			for {
 				done, err := sys.RunUntil(func() bool { ticks++; return ticks%5 == 0 })

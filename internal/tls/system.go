@@ -6,10 +6,9 @@ import (
 
 	"bulk/internal/bdm"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
-	"bulk/internal/mem"
 	"bulk/internal/sig"
-	"bulk/internal/sim"
 	"bulk/internal/trace"
 	"bulk/internal/workload"
 )
@@ -82,32 +81,31 @@ func (t *task) resetSpec() {
 //bulklint:snapstate
 type proc struct {
 	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
-	id       int
+	id int
+	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
 	cache    *cache.Cache
 	module   *bdm.Module // Bulk only
 	tasks    []int       // assigned uncommitted task indices, ascending
 	parkedAt int64
 }
 
-// System is a TLS run in progress.
+// System is a TLS run in progress: the policy on an embedded
+// core.Machine.
 //
 //bulklint:snapstate
 type System struct {
+	core.Machine[Result]
 	//bulklint:snapstate-ignore opts immutable run configuration
 	opts Options
 	//bulklint:snapstate-ignore w immutable workload shared across schedules
-	w      *workload.TLSWorkload
-	mem    *mem.Memory
-	engine *sim.Engine
-	procs  []*proc
-	tasks  []*task
-	//bulklint:snapstate-ignore sigCfg immutable signature configuration
-	sigCfg *sig.Config
+	w     *workload.TLSWorkload
+	procs []*proc
+	tasks []*task
 
 	commitNext int
 	stats      Stats
-	//bulklint:snapstate-ignore wordsPerLine immutable line geometry
-	wordsPerLine int
+	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
+	res Result
 
 	// keyScratch is the reusable sorted-key buffer for write-buffer
 	// iteration on the commit path; supScratch is the fill path's
@@ -127,63 +125,25 @@ func NewSystem(w *workload.TLSWorkload, opts Options) (*System, error) {
 	if opts.Procs <= 0 {
 		opts.Procs = 4
 	}
-	if opts.Params == (sim.Params{}) {
-		opts.Params = sim.DefaultTLS()
-	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 16 << 10
-	}
-	if opts.CacheWays == 0 {
-		opts.CacheWays = 4
-	}
-	if opts.LineBytes == 0 {
-		opts.LineBytes = 64
-	}
 	if opts.MaxVersions <= 0 {
 		opts.MaxVersions = 2
 	}
-	if opts.RestartLimit == 0 {
-		opts.RestartLimit = 1000
-	}
+	opts.SetDefaults(defaults)
 	if opts.SigConfig == nil {
 		opts.SigConfig = sig.DefaultTLS()
 	}
-	s := &System{
-		opts:         opts,
-		w:            w,
-		mem:          mem.NewMemory(),
-		engine:       sim.NewEngine(opts.Procs),
-		sigCfg:       opts.SigConfig,
-		wordsPerLine: opts.LineBytes / 4,
+	s := &System{opts: opts, w: w}
+	var bulk *core.BDM
+	if opts.Scheme == Bulk {
+		bulk = &core.BDM{Versions: opts.MaxVersions, Words: !opts.LineGranularity}
 	}
-	s.engine.SetScheduler(opts.Scheduler)
+	if err := s.Init(&s.opts.Config, opts.Procs, bulk, s); err != nil {
+		return nil, fmt.Errorf("tls: %w", err)
+	}
 	for i := 0; i < opts.Procs; i++ {
-		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		p := &proc{id: i, cache: c}
-		if opts.Scheme == Bulk {
-			cfg := bdm.Config{
-				Sig:         opts.SigConfig,
-				MaxVersions: opts.MaxVersions,
-				Mutate:      opts.Mutate,
-			}
-			if opts.LineGranularity {
-				cfg.Index = sig.IndexSpec{LowBit: 0, Bits: c.IndexBits()}
-			} else {
-				wordBits := 0
-				for wl := s.wordsPerLine; wl > 1; wl >>= 1 {
-					wordBits++
-				}
-				cfg.Index = sig.IndexSpec{LowBit: wordBits, Bits: c.IndexBits()}
-				cfg.WordsPerLine = s.wordsPerLine
-			}
-			m, err := bdm.New(cfg, c)
-			if err != nil {
-				return nil, fmt.Errorf("tls: proc %d: %w", i, err)
-			}
-			p.module = m
+		p := &proc{id: i, cache: s.Caches[i]}
+		if bulk != nil {
+			p.module = s.Modules[i]
 		}
 		s.procs = append(s.procs, p)
 	}
@@ -203,23 +163,17 @@ func Run(w *workload.TLSWorkload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	return s.Machine.Run()
 }
 
-func (s *System) run() (*Result, error) {
-	if _, err := s.RunUntil(nil); err != nil {
-		return nil, err
-	}
-	return s.Finish(), nil
-}
-
-// tick performs one scheduling quantum. Returns running=false when every
-// task has committed (or livelock tripped), and an error on deadlock.
-func (s *System) tick() (running bool, err error) {
+// Tick implements core.Policy: one scheduling quantum. It reports
+// running=false when every task has committed (or livelock tripped), and
+// an error on deadlock.
+func (s *System) Tick() (running bool, err error) {
 	if s.commitNext >= len(s.tasks) || s.stats.LivelockDetected {
 		return false, nil
 	}
-	p := s.engine.Next()
+	p := s.Engine.Next()
 	if p < 0 {
 		// All processors parked. With a scheduler deferring commits,
 		// the only legitimate way here is a finished head task whose
@@ -233,61 +187,24 @@ func (s *System) tick() (running bool, err error) {
 	return true, nil
 }
 
-// RunUntil executes scheduling quanta until the workload completes or the
-// pause hook returns true at a tick boundary (the state is then between
-// quanta — a safe point to Snapshot). done reports completion; a paused
-// run continues with another RunUntil call.
-func (s *System) RunUntil(pause func() bool) (done bool, err error) {
-	for {
-		if pause != nil && pause() {
-			return false, nil
-		}
-		running, err := s.tick()
-		if err != nil {
-			return false, err
-		}
-		if !running {
-			return true, nil
-		}
-	}
-}
-
-// Finish assembles the result of a completed run. Call exactly once, after
-// RunUntil reported done.
-func (s *System) Finish() *Result {
-	return s.FinishInto(&Result{})
-}
-
-// FinishInto is Finish writing into a caller-owned Result, so a pooled
-// system driven through many runs finishes each without allocating.
-func (s *System) FinishInto(res *Result) *Result {
-	s.stats.Cycles = s.engine.Now()
-	if s.opts.Scheme == Bulk {
-		for _, p := range s.procs {
-			s.stats.SafeWritebacks += p.module.Stats().SafeWritebacks
-		}
-	}
-	s.opts.Meter.Merge(&s.stats.Bandwidth)
-	if s.opts.CacheMeter != nil {
-		for _, p := range s.procs {
-			s.opts.CacheMeter.Merge(p.cache.Stats())
-		}
-		s.opts.CacheMeter.AddRun()
-	}
-	*res = Result{Stats: s.stats, Memory: s.mem}
-	return res
-}
-
-// SetScheduler swaps the scheduling hook — the explorer drives one pooled
-// System through many schedules, installing a fresh replay scheduler per
+// Collect implements core.Policy: it assembles the result of a completed
 // run.
-func (s *System) SetScheduler(sched sim.Scheduler) {
-	s.opts.Scheduler = sched
-	s.engine.SetScheduler(sched)
+func (s *System) Collect(res *Result, t core.Totals) {
+	*res = Result{Stats: s.stats, Memory: s.Mem}
+	res.Stats.Cycles = t.Cycles
+	res.Stats.Bandwidth = t.Bandwidth
+	res.Stats.SafeWritebacks += t.SafeWritebacks
 }
 
-// SetProbe swaps the oracle probe alongside SetScheduler.
-func (s *System) SetProbe(p *sim.Probe) { s.opts.Probe = p }
+// Judge finishes a completed run, digests its observable outcome — the
+// committed memory and headline counters — into d, and checks it against
+// the sequential reference.
+func (s *System) Judge(d *core.Digest) error {
+	r := s.FinishInto(&s.res)
+	s.DigestMemory(d)
+	d.Mix(r.Stats.Commits, r.Stats.Squashes, r.Stats.CascadeSquashes, uint64(r.Stats.Cycles))
+	return Verify(s.w, r)
+}
 
 // currentTask returns the oldest runnable task on p. blocked reports that
 // the oldest pending task is gated on its parent's re-spawn — the
@@ -340,17 +257,17 @@ func (s *System) step(p *proc) {
 		t = s.claim(p)
 	}
 	if t == nil {
-		p.parkedAt = s.engine.Now()
-		s.engine.Park(p.id)
+		p.parkedAt = s.Engine.Now()
+		s.Engine.Park(p.id)
 		return
 	}
 	if t.state == tsReady {
-		if t.restartAt > s.engine.Now() {
-			s.engine.AdvanceTo(p.id, t.restartAt)
+		if t.restartAt > s.Engine.Now() {
+			s.Engine.AdvanceTo(p.id, t.restartAt)
 			return
 		}
 		s.startTask(p, t)
-		s.engine.Advance(p.id, 1)
+		s.Engine.Advance(p.id, 1)
 		return
 	}
 	// Running: execute one op.
@@ -371,7 +288,7 @@ func (s *System) step(p *proc) {
 	if t.opIdx-1 == s.w.Tasks[t.idx].SpawnIndex {
 		cost += s.spawn(p, t)
 	}
-	s.engine.Advance(p.id, int(op.Think)+cost)
+	s.Engine.Advance(p.id, int(op.Think)+cost)
 }
 
 // claim assigns the lowest spawnable task to p if a version slot is free.
@@ -471,16 +388,16 @@ func (s *System) finishTask(p *proc, t *task) {
 	}
 	s.tryCommitChain()
 	// The processor looks for more work next quantum.
-	s.engine.Advance(p.id, 1)
+	s.Engine.Advance(p.id, 1)
 }
 
 // unparkAll wakes every parked processor to re-evaluate scheduling.
 func (s *System) unparkAll() {
-	now := s.engine.Now()
+	now := s.Engine.Now()
 	for _, p := range s.procs {
-		if s.engine.Parked(p.id) {
+		if s.Engine.Parked(p.id) {
 			s.stats.StallCycles += now - p.parkedAt
-			s.engine.Unpark(p.id, now)
+			s.Engine.Unpark(p.id, now)
 		}
 	}
 }

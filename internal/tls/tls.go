@@ -22,10 +22,8 @@ package tls
 
 import (
 	"bulk/internal/bus"
-	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/mem"
-	"bulk/internal/mutate"
-	"bulk/internal/sig"
 	"bulk/internal/sim"
 )
 
@@ -57,19 +55,14 @@ func (s Scheme) String() string {
 	}
 }
 
-// Options configures a TLS run.
+// Options configures a TLS run: the shared machine options (Table 5 TLS
+// defaults: 16 KB 4-way L1s, sim.DefaultTLS timing, the word-granularity
+// sig.DefaultTLS signature) plus the speculation policy.
 type Options struct {
+	core.Config
 	Scheme Scheme
 	// Procs is the number of processors (Table 5: 4).
 	Procs int
-	// Params are the timing parameters (sim.DefaultTLS() if zero).
-	Params sim.Params
-	// SigConfig is the word-granularity signature configuration for Bulk.
-	// Defaults to sig.DefaultTLS().
-	SigConfig *sig.Config
-	// CacheBytes/CacheWays/LineBytes describe the L1 (Table 5 TLS
-	// defaults: 16KB, 4-way, 64B).
-	CacheBytes, CacheWays, LineBytes int
 	// PartialOverlap enables the shadow-signature optimization for Bulk
 	// (Section 6.3). Lazy always uses its exact equivalent; the flag is
 	// ignored for Eager.
@@ -82,35 +75,22 @@ type Options struct {
 	// MaxVersions is the number of task versions a processor can hold
 	// (>= 1; 2 lets a processor run ahead of an uncommitted task).
 	MaxVersions int
-	// RestartLimit aborts the run when one task restarts this many times.
-	RestartLimit int
-	// Meter, when non-nil, receives this run's final bus.Bandwidth.
-	// It is safe to share one Meter across runs on separate goroutines.
-	Meter *bus.Meter
-	// CacheMeter, when non-nil, receives every processor cache's final
-	// event counters when the run finishes. Shareable across goroutines.
-	CacheMeter *cache.Meter
-	// Scheduler, when non-nil, drives every scheduling decision. Nil keeps
-	// the default order byte-identically.
-	Scheduler sim.Scheduler
-	// Probe, when non-nil, receives conflict-decision events
-	// (model-checker oracles). Bulk scheme only.
-	Probe *sim.Probe
-	// Mutate enables seeded protocol mutations (model-checker teeth).
-	Mutate mutate.Set
 }
 
 // NewOptions returns the paper's defaults for a scheme (Partial Overlap on
 // for Bulk, since the paper's baseline Bulk includes it).
 func NewOptions(s Scheme) Options {
 	return Options{
+		Config:         core.Config{Params: sim.DefaultTLS()},
 		Scheme:         s,
 		Procs:          4,
-		Params:         sim.DefaultTLS(),
 		PartialOverlap: s != Eager,
 		MaxVersions:    2,
 	}
 }
+
+// defaults is the Table 5 TLS machine the options fall back on.
+var defaults = core.Config{Params: sim.DefaultTLS(), CacheBytes: 16 << 10, CacheWays: 4, RestartLimit: 1000}
 
 // Stats aggregates a TLS run's measurements (Table 6).
 type Stats struct {

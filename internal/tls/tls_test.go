@@ -83,7 +83,7 @@ func TestEagerFewerOrEqualSquashCyclesThanLazy(t *testing.T) {
 
 func TestSpeedupOverSequential(t *testing.T) {
 	w := workload.GenerateTLS(smallTLSProfile("twolf"), 5)
-	seq, err := RunSequential(w, NewOptions(Bulk).Params, 0, 0, 0)
+	seq, err := RunSequential(w)
 	if err != nil {
 		t.Fatal(err)
 	}

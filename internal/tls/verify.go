@@ -3,9 +3,10 @@ package tls
 import (
 	"fmt"
 
+	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/mem"
-	"bulk/internal/sim"
 	"bulk/internal/trace"
 	"bulk/internal/workload"
 )
@@ -47,31 +48,19 @@ func Verify(w *workload.TLSWorkload, r *Result) error {
 }
 
 // RunSequential measures the baseline: the whole task list executed on one
-// processor with the same cache and latency parameters, no speculation.
-// Speedups in Figure 10 are schemes' cycle counts against this.
-func RunSequential(w *workload.TLSWorkload, params sim.Params, cacheBytes, ways, lineBytes int) (int64, error) {
-	if params == (sim.Params{}) {
-		params = sim.DefaultTLS()
-	}
-	if cacheBytes == 0 {
-		cacheBytes = 16 << 10
-	}
-	if ways == 0 {
-		ways = 4
-	}
-	if lineBytes == 0 {
-		lineBytes = 64
-	}
-	c, err := cache.New(cacheBytes, ways, lineBytes)
+// processor of the default TLS machine, no speculation. Speedups in
+// Figure 10 are schemes' cycle counts against this.
+func RunSequential(w *workload.TLSWorkload) (int64, error) {
+	c, err := cache.New(defaults.CacheBytes, defaults.CacheWays, bus.LineBytes)
 	if err != nil {
 		return 0, err
 	}
-	wordsPerLine := lineBytes / 4
+	params := defaults.Params
 	var cycles int64
 	for _, tk := range w.Tasks {
 		for _, op := range tk.Ops {
 			cycles += int64(op.Think)
-			line := cache.LineAddr(op.Addr / uint64(wordsPerLine))
+			line := cache.LineAddr(core.LineOf(op.Addr))
 			if c.Access(line) != nil {
 				cycles += int64(params.HitLatency)
 				if op.Kind != trace.Read {

@@ -3,6 +3,7 @@ package tm
 import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
 	"bulk/internal/mem"
 	"bulk/internal/sig"
@@ -28,10 +29,10 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		// Ownership was acquired during execution; commit is a cheap
 		// coherence action.
 		packetBytes = bus.HeaderBytes
-		s.stats.Bandwidth.Record(bus.Coh, packetBytes)
+		s.Bus.Record(bus.Coh, packetBytes)
 	case Lazy:
 		packetBytes = bus.AddressListCommitBytes(writeLines.Len())
-		s.stats.Bandwidth.RecordCommit(packetBytes)
+		s.Bus.RecordCommit(packetBytes)
 	case Bulk:
 		// The broadcast signature is the union of the section write
 		// signatures (Section 6.2.1). A single-section transaction — the
@@ -42,7 +43,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 			wc = p.sections[0].version.W
 		} else {
 			if s.commitWC == nil {
-				s.commitWC = s.sigCfg.NewSignature()
+				s.commitWC = s.opts.SigConfig.NewSignature()
 			} else {
 				s.commitWC.Clear()
 			}
@@ -56,9 +57,9 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 			rleBits = sig.RLEncodedBits(wc)
 		}
 		packetBytes = bus.SignatureCommitBytes(rleBits)
-		s.stats.Bandwidth.RecordCommit(packetBytes)
+		s.Bus.RecordCommit(packetBytes)
 	}
-	busDone := s.engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
+	busDone := s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
 
 	// Apply the speculative values to committed memory, section order
 	// (outer first) so inner overwrites win, matching bufLookup.
@@ -66,7 +67,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		s.keyScratch = sec.wbuf.SortedKeys(s.keyScratch[:0])
 		for _, a := range s.keyScratch {
 			v, _ := sec.wbuf.Get(a)
-			s.mem.Write(a, mem.Word(v))
+			s.Mem.Write(a, mem.Word(v))
 		}
 	}
 	// Commit propagates the transaction's dirty data: the written lines
@@ -84,7 +85,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		}
 	}
 	if wbLines > 0 {
-		s.stats.Bandwidth.RecordN(bus.WB, bus.WritebackBytes, wbLines)
+		s.Bus.RecordN(bus.WB, bus.WritebackBytes, wbLines)
 	}
 	s.log = append(s.log, CommitUnit{Thread: p.id, Segment: p.segIdx, OpLo: 0, OpHi: len(seg.Ops)})
 	s.stats.Commits++
@@ -132,7 +133,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 
 	p.segIdx++
 	p.opIdx = 0
-	s.engine.AdvanceTo(p.id, busDone)
+	s.Engine.AdvanceTo(p.id, busDone)
 }
 
 // disambiguateAtCommit applies the committer's write set/signature to a
@@ -173,7 +174,7 @@ func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, writeLines 
 			for i := 0; i < writeLines.Len(); i++ {
 				q.over.DisambiguationScan(0)
 			}
-			s.stats.Bandwidth.Record(bus.UB, writeLines.Len()*bus.AddrBytes+bus.HeaderBytes)
+			s.Bus.Record(bus.UB, writeLines.Len()*bus.AddrBytes+bus.HeaderBytes)
 		}
 		if dep > 0 {
 			s.squash(q, 0, dep)
@@ -250,14 +251,14 @@ func (s *System) mergeLine(q *proc, line uint64) {
 		return
 	}
 	s.stats.Merges++
-	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes) // committed line fetched
-	base := line * uint64(s.wordsPerLine)
-	for w := 0; w < s.wordsPerLine; w++ {
+	s.Bus.Record(bus.Fill, bus.FillBytes) // committed line fetched
+	base := line * core.WordsPerLine
+	for w := 0; w < core.WordsPerLine; w++ {
 		a := base + uint64(w)
 		if v, ok := q.bufLookup(a); ok {
 			cl.Data[w] = v
 		} else {
-			cl.Data[w] = uint64(s.mem.Read(a))
+			cl.Data[w] = uint64(s.Mem.Read(a))
 		}
 	}
 }
@@ -282,7 +283,19 @@ func (s *System) squash(q *proc, fromSection int, dep uint64) {
 		return
 	}
 
-	// Full restart: discard every section.
+	s.discardTxn(q)
+	restartAt := s.Engine.Now() + int64(s.opts.Params.SquashOverhead)
+	if s.opts.Scheme == Eager && s.opts.Params.BackoffBase > 0 {
+		restartAt += int64(q.attempts * s.opts.Params.BackoffBase)
+	}
+	s.wake(q, restartAt)
+	s.releaseWaiters(q)
+}
+
+// discardTxn drops q's whole transaction — every section's buffered state
+// and BDM version, its overflow area — and rewinds it to the start of its
+// segment, counting the restart against RestartLimit.
+func (s *System) discardTxn(q *proc) {
 	if q.module != nil {
 		for _, sec := range q.sections {
 			if sec.version == nil {
@@ -324,13 +337,6 @@ func (s *System) squash(q *proc, fromSection int, dep uint64) {
 	if q.attempts >= s.opts.RestartLimit {
 		s.stats.LivelockDetected = true
 	}
-
-	restartAt := s.engine.Now() + int64(s.opts.Params.SquashOverhead)
-	if s.opts.Scheme == Eager && s.opts.Params.BackoffBase > 0 {
-		restartAt += int64(q.attempts * s.opts.Params.BackoffBase)
-	}
-	s.wake(q, restartAt)
-	s.releaseWaiters(q)
 }
 
 // partialRollback discards sections fromSection.. and resumes execution at
@@ -350,7 +356,7 @@ func (s *System) partialRollback(q *proc, fromSection int) {
 	q.opIdx = resume
 	// Reopen the violated section fresh.
 	s.pushSection(q, resume)
-	s.wake(q, s.engine.Now()+int64(s.opts.Params.SquashOverhead))
+	s.wake(q, s.Engine.Now()+int64(s.opts.Params.SquashOverhead))
 }
 
 // wake reschedules q at the given time, unparking it if it was stalled.
@@ -366,11 +372,7 @@ func (s *System) wake(q *proc, at int64) {
 		}
 		q.stalledOn = -1
 	}
-	if s.engine.Parked(q.id) {
-		s.engine.Unpark(q.id, at)
-	} else {
-		s.engine.AdvanceTo(q.id, at)
-	}
+	s.Engine.Unpark(q.id, at)
 }
 
 // releaseWaiters unparks every processor stalled on p's transaction.
@@ -378,7 +380,7 @@ func (s *System) releaseWaiters(p *proc) {
 	for _, w := range p.waiters {
 		q := s.procs[w]
 		q.stalledOn = -1
-		s.engine.Unpark(q.id, s.engine.Now())
+		s.Engine.Unpark(q.id, s.Engine.Now())
 	}
 	p.waiters = p.waiters[:0]
 }

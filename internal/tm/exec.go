@@ -3,6 +3,7 @@ package tm
 import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/mem"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
@@ -11,15 +12,12 @@ import (
 	"bulk/internal/workload"
 )
 
-//bulklint:noalloc
-func (s *System) lineOf(word uint64) uint64 { return word / uint64(s.wordsPerLine) }
-
 // sigAddrOf maps a word address to the granularity the signatures encode.
 func (s *System) sigAddrOf(word uint64) sig.Addr {
 	if s.opts.WordGranularity {
 		return sig.Addr(word)
 	}
-	return sig.Addr(s.lineOf(word))
+	return sig.Addr(core.LineOf(word))
 }
 
 // executeOp runs one memory operation for p. It returns the access cost in
@@ -45,7 +43,7 @@ func (s *System) executeOp(p *proc, seg *workload.TMSegment, op trace.Op) (int, 
 // ---- speculative (transactional) accesses ----
 
 func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 
 	// Eager: a read conflicts with any other transaction's write to the
 	// line; detected when the coherence request reaches the writer.
@@ -68,13 +66,13 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 		value = v
 		cost = s.opts.Params.HitLatency
 	} else if l := p.cache.Access(cache.LineAddr(line)); l != nil {
-		value = l.Data[int(op.Addr)%s.wordsPerLine]
+		value = l.Data[int(op.Addr)%core.WordsPerLine]
 		cost = s.opts.Params.HitLatency
 	} else {
 		hit = false
 		var l *cache.Line
 		l, cost = s.fill(p, line, true)
-		value = l.Data[int(op.Addr)%s.wordsPerLine]
+		value = l.Data[int(op.Addr)%core.WordsPerLine]
 	}
 
 	sec := p.top()
@@ -88,7 +86,7 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 }
 
 func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 
 	if s.opts.Scheme == Eager {
 		// A write conflicts with any other transaction that read or wrote
@@ -108,13 +106,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 
 	if s.opts.Scheme == Eager && firstWrite {
 		// Eager writes acquire ownership: broadcast an invalidation.
-		s.stats.Bandwidth.Record(bus.Inv, bus.InvalidationBytes)
-		cost += s.opts.Params.TransferCycles(bus.InvalidationBytes)
-		for _, q := range s.procs {
-			if q != p {
-				q.cache.Invalidate(cache.LineAddr(line))
-			}
-		}
+		cost += s.InvalidateOthers(p.id, line)
 	}
 
 	sec := p.top()
@@ -123,7 +115,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 		if d.OK {
 			for _, wb := range d.SafeWritebacks {
 				p.cache.MarkClean(wb.Addr)
-				s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+				s.Bus.Record(bus.WB, bus.WritebackBytes)
 				cost += s.opts.Params.TransferCycles(bus.WritebackBytes)
 			}
 		}
@@ -153,7 +145,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 	}
 	sec.wbuf.Put(op.Addr, value)
 	sec.writeL.Add(line)
-	l.Data[int(op.Addr)%s.wordsPerLine] = value
+	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	if p.module != nil {
 		p.module.CommitWrite(sec.version, s.sigAddrOf(op.Addr))
 	}
@@ -171,7 +163,7 @@ func (s *System) resolveEagerConflict(p, q *proc) bool {
 		olderTxn(q, p) {
 		p.stalledOn = q.id
 		q.waiters = append(q.waiters, p.id)
-		s.engine.Park(p.id)
+		s.Engine.Park(p.id)
 		s.stats.Stalls++
 		return false
 	}
@@ -192,31 +184,31 @@ func olderTxn(a, b *proc) bool {
 // ---- non-transactional accesses ----
 
 func (s *System) plainRead(p *proc, op trace.Op) int {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 	cost := 0
 	var value uint64
 	if l := p.cache.Access(cache.LineAddr(line)); l != nil {
-		value = l.Data[int(op.Addr)%s.wordsPerLine]
+		value = l.Data[int(op.Addr)%core.WordsPerLine]
 		cost = s.opts.Params.HitLatency
 	} else {
 		var l *cache.Line
 		l, cost = s.fill(p, line, false)
-		value = l.Data[int(op.Addr)%s.wordsPerLine]
+		value = l.Data[int(op.Addr)%core.WordsPerLine]
 	}
 	p.exec.SetLastRead(value)
 	return cost
 }
 
 func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
-	line := s.lineOf(op.Addr)
+	line := core.LineOf(op.Addr)
 	value := trace.Value(p.id, p.opIdx, op.Addr)
 
 	// Non-speculative writes are globally visible immediately: they send
 	// an invalidation and update committed memory.
-	s.mem.Write(op.Addr, mem.Word(value))
+	s.Mem.Write(op.Addr, mem.Word(value))
 	s.log = append(s.log, CommitUnit{Thread: p.id, Segment: p.segIdx, OpLo: p.opIdx, OpHi: p.opIdx + 1})
 
-	s.stats.Bandwidth.Record(bus.Inv, bus.InvalidationBytes)
+	s.Bus.Record(bus.Inv, bus.InvalidationBytes)
 	cost := s.opts.Params.TransferCycles(bus.InvalidationBytes)
 
 	for _, q := range s.procs {
@@ -312,7 +304,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 		cost += s.opts.Params.HitLatency
 	}
 	p.cache.MarkDirty(l)
-	l.Data[int(op.Addr)%s.wordsPerLine] = value
+	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	return cost
 }
 
@@ -338,7 +330,7 @@ func (s *System) fill(p *proc, line uint64, spec bool) (*cache.Line, int) {
 	if spec && p.inTxn {
 		if s.overflowLookup(p, line) {
 			if mask, words, ok := p.over.Fetch(line); ok {
-				s.stats.Bandwidth.Record(bus.UB, bus.FillBytes)
+				s.Bus.Record(bus.UB, bus.FillBytes)
 				l := s.insertLine(p, line, cache.Dirty)
 				for w := range words {
 					if mask&(1<<uint(w)) != 0 {
@@ -348,36 +340,14 @@ func (s *System) fill(p *proc, line uint64, spec bool) (*cache.Line, int) {
 				return l, par.MemLatency
 			}
 			// Filter false positive (aliasing): fall through to memory.
-			s.stats.Bandwidth.Record(bus.UB, bus.AddrBytes+bus.HeaderBytes)
+			s.Bus.Record(bus.UB, bus.AddrBytes+bus.HeaderBytes)
 		}
 	}
 
-	// Find a supplier. A remote dirty line is either speculative (nacked —
-	// memory supplies the committed version) or non-speculative (the
-	// neighbor supplies and downgrades to clean).
-	latency := par.MemLatency
-	for _, q := range s.procs {
-		if q == p {
-			continue
-		}
-		l := q.cache.Lookup(cache.LineAddr(line))
-		if l == nil {
-			continue
-		}
-		if l.State == cache.Dirty {
-			if s.isSpecDirty(q, line) {
-				continue // nacked; keep memory as supplier
-			}
-			q.cache.MarkClean(cache.LineAddr(line))
-			s.stats.Bandwidth.Record(bus.Coh, bus.UpgradeBytes)
-			latency = par.NeighborLatency
-			break
-		}
-		// A clean neighbor copy can be shared cache-to-cache.
-		latency = par.NeighborLatency
-		break
-	}
-	s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes)
+	// Find a supplier: a neighbor's copy, or memory when every remote
+	// dirty copy is speculative.
+	latency := s.SupplyLatency(p.id, line, func(q int) bool { return s.isSpecDirty(s.procs[q], line) })
+	s.Bus.Record(bus.Fill, bus.FillBytes)
 	l := s.insertLine(p, line, cache.Clean)
 	return l, latency
 }
@@ -400,11 +370,11 @@ func (s *System) isSpecDirty(q *proc, line uint64) bool {
 func (s *System) insertLine(p *proc, line uint64, st cache.State) *cache.Line {
 	l, ev := p.cache.Insert(cache.LineAddr(line), st)
 	if l.Data == nil {
-		l.Data = make([]uint64, s.wordsPerLine)
+		l.Data = make([]uint64, core.WordsPerLine)
 	}
-	base := line * uint64(s.wordsPerLine)
-	for w := 0; w < s.wordsPerLine; w++ {
-		l.Data[w] = uint64(s.mem.Read(base + uint64(w)))
+	base := line * core.WordsPerLine
+	for w := 0; w < core.WordsPerLine; w++ {
+		l.Data[w] = uint64(s.Mem.Read(base + uint64(w)))
 	}
 	if ev != nil && ev.State == cache.Dirty {
 		s.handleDirtyEviction(p, uint64(ev.Addr))
@@ -416,13 +386,10 @@ func (s *System) insertLine(p *proc, line uint64, st cache.State) *cache.Line {
 // spill buffer, returning the validity mask and the buffer. The buffer is
 // only valid until the next call; Spill copies it.
 func (s *System) gatherSpill(p *proc, line uint64) (uint64, []mem.Word) {
-	if cap(s.spillWords) < s.wordsPerLine {
-		s.spillWords = make([]mem.Word, s.wordsPerLine)
-	}
-	words := s.spillWords[:s.wordsPerLine]
+	words := s.spillWords[:]
 	var mask uint64
-	base := line * uint64(s.wordsPerLine)
-	for w := 0; w < s.wordsPerLine; w++ {
+	base := line * core.WordsPerLine
+	for w := 0; w < core.WordsPerLine; w++ {
 		if v, ok := p.bufLookup(base + uint64(w)); ok {
 			words[w] = mem.Word(v)
 			mask |= 1 << uint(w)
@@ -444,12 +411,12 @@ func (s *System) handleDirtyEviction(p *proc, line uint64) {
 				}
 			}
 		}
-		s.stats.Bandwidth.Record(bus.UB, bus.WritebackBytes)
+		s.Bus.Record(bus.UB, bus.WritebackBytes)
 		return
 	}
 	// Non-speculative dirty data is already reflected in committed memory
 	// (plain writes update it immediately); the writeback is traffic only.
-	s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+	s.Bus.Record(bus.WB, bus.WritebackBytes)
 }
 
 // overflowLookup decides whether the overflow area must be consulted on a

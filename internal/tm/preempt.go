@@ -3,6 +3,7 @@ package tm
 import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
@@ -59,7 +60,7 @@ func (s *System) maybePreempt(p *proc) bool {
 	if p.opIdx%o.PreemptEvery == 0 {
 		def = 1
 	}
-	if s.engine.Branch(sim.BranchPreempt, 2, def) == 0 {
+	if s.Engine.Branch(sim.BranchPreempt, 2, def) == 0 {
 		if def == 1 {
 			// A suppressed policy boundary must not fire on a later pass
 			// over the same op (e.g. after a stall retry).
@@ -72,7 +73,7 @@ func (s *System) maybePreempt(p *proc) bool {
 	if pause <= 0 {
 		pause = 500
 	}
-	ps := &preemptState{resumeAt: s.engine.Now() + int64(pause)}
+	ps := &preemptState{resumeAt: s.Engine.Now() + int64(pause)}
 
 	if p.module != nil {
 		p.module.SetRunning(nil)
@@ -108,7 +109,7 @@ func (s *System) spillDirtyLines(p *proc, sec *section) {
 		mask, words := s.gatherSpill(p, line)
 		p.over.Spill(line, mask, words)
 		p.cache.Invalidate(cache.LineAddr(line))
-		s.stats.Bandwidth.Record(bus.UB, bus.WritebackBytes)
+		s.Bus.Record(bus.UB, bus.WritebackBytes)
 	}
 }
 
@@ -122,7 +123,7 @@ func (s *System) runInterloper(p *proc) {
 	base := uint64(1<<25) + uint64(p.id)<<12
 	for i := 0; i < accesses; i++ {
 		word := base + uint64((p.opIdx*31+i*7)%(1<<10))
-		line := s.lineOf(word)
+		line := core.LineOf(word)
 		set := p.cache.SetIndex(cache.LineAddr(line))
 		write := i%3 == 0
 		if write && p.module != nil && p.module.OwnsDirtySet(set) {
@@ -131,13 +132,13 @@ func (s *System) runInterloper(p *proc) {
 			// verified workload — its stream is private — so only the
 			// traffic and the cache perturbation are modeled.)
 			s.stats.InterloperWriteThroughs++
-			s.stats.Bandwidth.Record(bus.WB, bus.WritebackBytes)
+			s.Bus.Record(bus.WB, bus.WritebackBytes)
 			continue
 		}
 		l := p.cache.Lookup(cache.LineAddr(line))
 		if l == nil {
 			l = s.insertLine(p, line, cache.Clean)
-			s.stats.Bandwidth.Record(bus.Fill, bus.FillBytes)
+			s.Bus.Record(bus.Fill, bus.FillBytes)
 		}
 		if write {
 			p.cache.MarkDirty(l)
@@ -152,7 +153,7 @@ func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *
 	if p.preempt == nil || len(p.preempt.spilled) == 0 || p.preempt.doomed {
 		return
 	}
-	s.stats.Bandwidth.Record(bus.UB, bus.HeaderBytes+len(p.preempt.spilled)*bus.AddrBytes)
+	s.Bus.Record(bus.UB, bus.HeaderBytes+len(p.preempt.spilled)*bus.AddrBytes)
 	hitIdx := -1
 	for i, sp := range p.preempt.spilled {
 		if wc.Intersects(sp.sv.R) || wc.Intersects(sp.sv.W) {
@@ -284,22 +285,6 @@ func (s *System) resumePreempted(p *proc) {
 // descheduled: its buffered state is discarded and execution resumes at
 // the transaction's start.
 func (s *System) restartDoomed(p *proc) {
-	if p.module != nil {
-		for _, sec := range p.sections {
-			if sec.version != nil {
-				p.module.SquashInvalidate(sec.version, false)
-				p.module.FreeVersion(sec.version)
-			}
-		}
-	}
-	p.exec.SetLastRead(p.sections[0].lastRead)
-	p.sections = p.sections[:0] // keep the backing array for recycling
-	p.inTxn = false
-	p.opIdx = 0
-	p.over.Dealloc()
-	p.attempts++
-	if p.attempts >= s.opts.RestartLimit {
-		s.stats.LivelockDetected = true
-	}
-	s.engine.Advance(p.id, s.opts.Params.SquashOverhead)
+	s.discardTxn(p)
+	s.Engine.Advance(p.id, s.opts.Params.SquashOverhead)
 }

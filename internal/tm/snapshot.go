@@ -3,28 +3,21 @@ package tm
 import (
 	"sort"
 
-	"bulk/internal/bdm"
-	"bulk/internal/cache"
 	"bulk/internal/flatmap"
 	"bulk/internal/mem"
 	"bulk/internal/sig"
-	"bulk/internal/sim"
 )
 
-// Fork-point snapshots. The model checker executes thousands of schedules
-// that share long prefixes; Snapshot/Restore let it capture a system
-// between scheduling quanta (a RunUntil pause point) and resume siblings
-// from the captured state instead of replaying from the root. A Snapshot
-// deep-copies every piece of run state the schedule can influence — caches,
-// BDM version tables, write buffers, exact sets, overflow areas, the
-// committed memory image, the engine clock, the stats including bandwidth
-// counters — so a restored run is byte-identical to one that executed the
-// prefix from scratch. Scratch buffers (commit unions, spill staging) are
-// dead between quanta and are deliberately not captured.
+// The machine's snapshot envelope (core.Machine.Snapshot/Restore) captures
+// memory, engine, bus counters, caches and BDM version tables; SavePolicy
+// and LoadPolicy add the transactional state — write buffers, exact sets,
+// section stacks, overflow areas, preemption, stats and the commit log.
+// Scratch buffers (commit unions, spill staging) are dead between quanta
+// and are deliberately not captured.
 
 // secState is the deep-copied state of one transaction section. The BDM
 // version is recorded by module table index, not pointer, so Restore can
-// re-resolve it after ModuleState reload; flattened sections (nesting
+// re-resolve it in the reloaded module; flattened sections (nesting
 // overflow) share an index exactly as they shared a version.
 //
 //bulklint:snapstate
@@ -61,9 +54,6 @@ type preemptSnap struct {
 //
 //bulklint:snapstate
 type procState struct {
-	cache         cache.Snapshot
-	module        bdm.ModuleState
-	hasModule     bool
 	over          *mem.OverflowArea
 	lastRead      uint64
 	segIdx        int
@@ -82,52 +72,36 @@ type procState struct {
 	preempt       preemptSnap
 }
 
-// Snapshot is a deep copy of a System's mutable run state. The zero value
-// grows on first capture; re-capturing into the same Snapshot reuses its
-// storage, so the steady state of a snapshot pool is pure memcopy.
+// policyState is the transactional state of a snapshot. The zero value
+// grows on first capture; re-capturing into it reuses its storage.
 //
 //bulklint:snapstate
-type Snapshot struct {
-	mem    mem.Memory
-	engine sim.EngineState
-	stats  Stats
-	log    []CommitUnit
-	real   uint64
-	procs  []procState
-	//bulklint:snapstate-ignore size cache-budget estimate recomputed at every capture, never restored
-	size int
+type policyState struct {
+	stats Stats
+	log   []CommitUnit
+	real  uint64
+	procs []procState
 }
 
-// SizeBytes estimates the retained size of the snapshot, recomputed at
-// every capture, for the explorer's snapshot-cache budget.
-func (sn *Snapshot) SizeBytes() int { return sn.size }
-
-// Snapshot captures the system's state into dst (allocating one if nil)
-// and returns it. Must be called at a RunUntil pause point — between
-// scheduling quanta — where all scratch state is dead.
+// SavePolicy implements core.Policy: it captures the transactional state
+// into dst (a *policyState, or nil to allocate one).
 //
 //bulklint:captures snapshot
-//bulklint:captures snapshot Snapshot procState secState spillState preemptSnap proc section
-func (s *System) Snapshot(dst *Snapshot) *Snapshot {
-	if dst == nil {
-		dst = &Snapshot{}
+//bulklint:captures snapshot policyState procState secState spillState preemptSnap proc section
+func (s *System) SavePolicy(dst any) (any, int) {
+	st, _ := dst.(*policyState)
+	if st == nil {
+		st = &policyState{}
 	}
-	dst.mem.CopyFrom(s.mem)
-	s.engine.SaveState(&dst.engine)
-	dst.stats = s.stats
-	dst.log = append(dst.log[:0], s.log...)
-	dst.real = s.real
-	for len(dst.procs) < len(s.procs) {
-		dst.procs = append(dst.procs, procState{})
+	st.stats = s.stats
+	st.log = append(st.log[:0], s.log...)
+	st.real = s.real
+	for len(st.procs) < len(s.procs) {
+		st.procs = append(st.procs, procState{})
 	}
-	size := 256 + dst.engine.SizeBytes() + s.mem.SizeBytes() + 32*cap(dst.log)
+	size := 32 * cap(st.log)
 	for i, p := range s.procs {
-		ps := &dst.procs[i]
-		p.cache.SaveState(&ps.cache)
-		ps.hasModule = p.module != nil
-		if ps.hasModule {
-			p.module.SaveState(&ps.module)
-		}
+		ps := &st.procs[i]
 		if ps.over == nil {
 			ps.over = mem.NewOverflowArea()
 		}
@@ -182,34 +156,23 @@ func (s *System) Snapshot(dst *Snapshot) *Snapshot {
 				})
 			}
 		}
-		size += 128 + ps.cache.SizeBytes() + ps.over.SizeBytes() +
-			8*(cap(ps.waiters)+2*cap(ps.pairKeys))
-		if ps.hasModule {
-			size += ps.module.SizeBytes()
-		}
+		size += 64 + ps.over.SizeBytes() + 8*(cap(ps.waiters)+2*cap(ps.pairKeys))
 	}
-	dst.size = size
-	return dst
+	return st, size
 }
 
-// Restore rewinds the system to a previously captured state. The scheduler
-// and probe are not part of the state — reinstall them with SetScheduler /
-// SetProbe before resuming.
+// LoadPolicy implements core.Policy: it rewinds the transactional state
+// to a SavePolicy capture.
 //
 //bulklint:captures restore
-//bulklint:captures restore Snapshot procState secState spillState preemptSnap proc section
-func (s *System) Restore(src *Snapshot) {
-	s.mem.CopyFrom(&src.mem)
-	s.engine.LoadState(&src.engine)
-	s.stats = src.stats
-	s.log = append(s.log[:0], src.log...)
-	s.real = src.real
+//bulklint:captures restore policyState procState secState spillState preemptSnap proc section
+func (s *System) LoadPolicy(src any) {
+	st := src.(*policyState)
+	s.stats = st.stats
+	s.log = append(s.log[:0], st.log...)
+	s.real = st.real
 	for i, p := range s.procs {
-		ps := &src.procs[i]
-		p.cache.LoadState(&ps.cache)
-		if ps.hasModule {
-			p.module.LoadState(&ps.module)
-		}
+		ps := &st.procs[i]
 		p.over.CopyFrom(ps.over)
 		p.exec.SetLastRead(ps.lastRead)
 		p.segIdx, p.opIdx, p.done = ps.segIdx, ps.opIdx, ps.done
@@ -225,20 +188,11 @@ func (s *System) Restore(src *Snapshot) {
 		for k, key := range ps.pairKeys {
 			p.pairSquash[key] = ps.pairVals[k]
 		}
-		// Rebuild the section stack through the same backing-array
-		// recycling pushSection uses, so capacity survives restores.
+		// Rebuild the section stack through growSections, the recycling
+		// pushSection uses, so capacity survives restores.
 		p.sections = p.sections[:0]
 		for j := 0; j < ps.nSections; j++ {
-			n := len(p.sections)
-			var sec *section
-			if n < cap(p.sections) {
-				p.sections = p.sections[:n+1]
-				sec = p.sections[n]
-			}
-			if sec == nil {
-				sec = &section{}
-				p.sections = append(p.sections[:n], sec)
-			}
+			sec := p.growSections()
 			ss := &ps.sections[j]
 			sec.startOp = ss.startOp
 			sec.wbuf.CopyFrom(&ss.wbuf)

@@ -6,6 +6,7 @@ import (
 
 	"bulk/internal/bdm"
 	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
 	"bulk/internal/mem"
 	"bulk/internal/sig"
@@ -34,7 +35,8 @@ type section struct {
 //bulklint:snapstate
 type proc struct {
 	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
-	id     int
+	id int
+	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
 	cache  *cache.Cache
 	module *bdm.Module // Bulk only
 	over   *mem.OverflowArea
@@ -61,23 +63,22 @@ type proc struct {
 	pairSquash map[int]int
 }
 
-// System is a TM run in progress.
+// System is a TM run in progress: the policy on an embedded core.Machine.
 //
 //bulklint:snapstate
 type System struct {
+	core.Machine[Result]
 	//bulklint:snapstate-ignore opts immutable run configuration
 	opts Options
 	//bulklint:snapstate-ignore w immutable workload shared across schedules
-	w      *workload.TMWorkload
-	mem    *mem.Memory
-	engine *sim.Engine
-	procs  []*proc
-	//bulklint:snapstate-ignore sigCfg immutable signature configuration
-	sigCfg *sig.Config
+	w     *workload.TMWorkload
+	procs []*proc
 
 	stats Stats
 	log   []CommitUnit
 	real  uint64 // real (non-false) squashes
+	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
+	res Result
 
 	// commitWC is the reusable broadcast signature for multi-section Bulk
 	// commits (single-section commits broadcast the section's W directly).
@@ -85,14 +86,11 @@ type System struct {
 	//bulklint:snapstate-ignore commitWC commit-path scratch dead between quanta
 	commitWC *sig.Signature
 
-	//bulklint:snapstate-ignore wordsPerLine immutable line geometry
-	wordsPerLine int
-
 	// spillWords is the reusable word buffer for overflow-area spills
 	// (accesses are serialized, so one buffer serves every proc).
 	//
 	//bulklint:snapstate-ignore spillWords spill scratch dead between quanta
-	spillWords []mem.Word
+	spillWords [core.WordsPerLine]mem.Word
 	// keyScratch is the reusable sorted-key buffer for write-buffer
 	// iteration on the commit path.
 	//
@@ -116,24 +114,6 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 	if len(w.Threads) == 0 {
 		return nil, errors.New("tm: empty workload")
 	}
-	if opts.Params == (sim.Params{}) {
-		opts.Params = sim.DefaultTM()
-	}
-	if opts.CacheBytes == 0 {
-		opts.CacheBytes = 32 << 10
-	}
-	if opts.CacheWays == 0 {
-		opts.CacheWays = 4
-	}
-	if opts.LineBytes == 0 {
-		opts.LineBytes = 64
-	}
-	if opts.RestartLimit == 0 {
-		opts.RestartLimit = 1000
-	}
-	if opts.SigConfig == nil && !opts.WordGranularity {
-		opts.SigConfig = sig.DefaultTM()
-	}
 	if opts.PartialRollback && opts.Scheme != Bulk {
 		return nil, errors.New("tm: partial rollback requires the Bulk scheme")
 	}
@@ -143,65 +123,45 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 	if opts.WordGranularity && opts.Scheme != Bulk {
 		return nil, errors.New("tm: word granularity requires the Bulk scheme")
 	}
-	if opts.WordGranularity && opts.SigConfig == nil {
+	opts.SetDefaults(defaults)
+	switch {
+	case opts.SigConfig != nil:
+	case opts.WordGranularity:
 		// Word addresses over the TM cache: the 128-set index lives in
 		// word-address bits 4..10, so the permutation brings those bits
 		// (plus some offset bits) into the first S14 chunk, keeping the δ
 		// decode exact.
 		perm := []int{4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19}
 		opts.SigConfig = sig.MustConfig("S14w", []int{10, 10}, perm, 30)
+	default:
+		opts.SigConfig = sig.DefaultTM()
 	}
-	s := &System{
-		opts:         opts,
-		w:            w,
-		mem:          mem.NewMemory(),
-		engine:       sim.NewEngine(len(w.Threads)),
-		wordsPerLine: opts.LineBytes / 4,
+	s := &System{opts: opts, w: w}
+	var bulk *core.BDM
+	if opts.Scheme == Bulk {
+		// One version per nesting depth; 4 slots covers the 2–3 section
+		// nests the workloads generate.
+		bulk = &core.BDM{Versions: 4, Words: opts.WordGranularity}
 	}
-	s.engine.SetScheduler(opts.Scheduler)
-	s.sigCfg = opts.SigConfig
+	if err := s.Init(&s.opts.Config, len(w.Threads), bulk, s); err != nil {
+		return nil, fmt.Errorf("tm: %w", err)
+	}
 	for i := range w.Threads {
-		c, err := cache.New(opts.CacheBytes, opts.CacheWays, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
 		p := &proc{
 			id:         i,
-			cache:      c,
+			cache:      s.Caches[i],
 			over:       mem.NewOverflowArea(),
 			exec:       trace.Executor{ThreadID: i},
 			stalledOn:  -1,
 			pairSquash: map[int]int{},
 		}
-		if opts.Scheme == Bulk {
-			// One version per nesting depth; 4 slots covers the 2–3
-			// section nests the workloads generate.
-			cfg := bdm.Config{
-				Sig:         opts.SigConfig,
-				Index:       sig.IndexSpec{LowBit: 0, Bits: indexBits(c)},
-				MaxVersions: 4,
-				Mutate:      opts.Mutate,
-			}
-			if opts.WordGranularity {
-				wordBits := 0
-				for wl := s.wordsPerLine; wl > 1; wl >>= 1 {
-					wordBits++
-				}
-				cfg.Index = sig.IndexSpec{LowBit: wordBits, Bits: indexBits(c)}
-				cfg.WordsPerLine = s.wordsPerLine
-			}
-			m, err := bdm.New(cfg, c)
-			if err != nil {
-				return nil, fmt.Errorf("tm: proc %d: %w", i, err)
-			}
-			p.module = m
+		if bulk != nil {
+			p.module = s.Modules[i]
 		}
 		s.procs = append(s.procs, p)
 	}
 	return s, nil
 }
-
-func indexBits(c *cache.Cache) int { return c.IndexBits() }
 
 // Run executes the workload to completion and returns the result.
 func Run(w *workload.TMWorkload, opts Options) (*Result, error) {
@@ -209,24 +169,17 @@ func Run(w *workload.TMWorkload, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	return s.Machine.Run()
 }
 
-func (s *System) run() (*Result, error) {
-	if _, err := s.RunUntil(nil); err != nil {
-		return nil, err
-	}
-	return s.Finish(), nil
-}
-
-// tick performs one scheduling quantum: pick a processor and step it.
-// Returns running=false when the workload completed (or livelock tripped),
-// and an error on deadlock.
-func (s *System) tick() (running bool, err error) {
+// Tick implements core.Policy: one scheduling quantum, picking a
+// processor and stepping it. It reports running=false when the workload
+// completed (or livelock tripped), and an error on deadlock.
+func (s *System) Tick() (running bool, err error) {
 	if s.stats.LivelockDetected {
 		return false, nil
 	}
-	p := s.engine.Next()
+	p := s.Engine.Next()
 	if p < 0 {
 		// Everyone parked: done if all finished; otherwise deadlock.
 		alldone := true
@@ -241,81 +194,39 @@ func (s *System) tick() (running bool, err error) {
 		return false, errors.New("tm: deadlock — all processors parked with work remaining")
 	}
 	if s.procs[p].done {
-		s.engine.Park(p)
+		s.Engine.Park(p)
 		return true, nil
 	}
 	s.step(s.procs[p])
 	return true, nil
 }
 
-// RunUntil executes scheduling quanta until the workload completes or the
-// pause hook returns true at a tick boundary (the state is then between
-// quanta — a safe point to Snapshot). done reports completion; a paused
-// run continues with another RunUntil call.
-func (s *System) RunUntil(pause func() bool) (done bool, err error) {
-	for {
-		if pause != nil && pause() {
-			return false, nil
-		}
-		running, err := s.tick()
-		if err != nil {
-			return false, err
-		}
-		if !running {
-			return true, nil
-		}
-	}
-}
-
-// Finish assembles the result of a completed run. Call exactly once, after
-// RunUntil reported done.
-func (s *System) Finish() *Result {
-	return s.FinishInto(&Result{})
-}
-
-// FinishInto is Finish writing into a caller-owned Result, so a pooled
-// system driven through many runs finishes each without allocating.
-func (s *System) FinishInto(res *Result) *Result {
-	s.stats.Cycles = s.engine.Now()
-	s.collectModuleStats()
-	s.collectOverflowStats()
-	s.opts.Meter.Merge(&s.stats.Bandwidth)
-	if s.opts.CacheMeter != nil {
-		for _, p := range s.procs {
-			s.opts.CacheMeter.Merge(p.cache.Stats())
-		}
-		s.opts.CacheMeter.AddRun()
-	}
-	*res = Result{Stats: s.stats, Memory: s.mem, Log: s.log, RealSquashes: s.real}
-	return res
-}
-
-// SetScheduler swaps the scheduling hook — the explorer drives one pooled
-// System through many schedules, installing a fresh replay scheduler per
-// run.
-func (s *System) SetScheduler(sched sim.Scheduler) {
-	s.opts.Scheduler = sched
-	s.engine.SetScheduler(sched)
-}
-
-// SetProbe swaps the oracle probe alongside SetScheduler.
-func (s *System) SetProbe(p *sim.Probe) { s.opts.Probe = p }
-
-func (s *System) collectModuleStats() {
-	for _, p := range s.procs {
-		if p.module != nil {
-			ms := p.module.Stats()
-			s.stats.SafeWritebacks += ms.SafeWritebacks
-			s.stats.SetConflicts += ms.SetConflicts
-		}
-	}
-}
-
-func (s *System) collectOverflowStats() {
+// Collect implements core.Policy: it assembles the result of a completed
+// run, adding the Set Restriction and overflow-area totals.
+func (s *System) Collect(res *Result, t core.Totals) {
+	st := s.stats
+	st.Cycles = t.Cycles
+	st.Bandwidth = t.Bandwidth
+	st.SafeWritebacks += t.SafeWritebacks
+	st.SetConflicts += t.SetConflicts
 	for _, p := range s.procs {
 		os := p.over.Stats()
-		s.stats.OverflowAccesses += os.Spills + os.Fetches + os.DisambiguationAccesses + os.Deallocs
+		st.OverflowAccesses += os.Spills + os.Fetches + os.DisambiguationAccesses + os.Deallocs
 	}
+	*res = Result{Stats: st, Memory: s.Mem, Log: s.log, RealSquashes: s.real}
+}
+
+// Judge finishes a completed run, digests its observable outcome — the
+// commit log, committed memory and headline counters — into d, and checks
+// it against the serial replay in commit order.
+func (s *System) Judge(d *core.Digest) error {
+	r := s.FinishInto(&s.res)
+	for _, u := range r.Log {
+		d.Mix(uint64(u.Thread), uint64(u.Segment), uint64(u.OpLo), uint64(u.OpHi))
+	}
+	s.DigestMemory(d)
+	d.Mix(r.Stats.Commits, r.Stats.Squashes, uint64(r.Stats.Cycles))
+	return Verify(s.w, r)
 }
 
 // step performs one scheduling quantum for p: begin a transaction, execute
@@ -324,7 +235,7 @@ func (s *System) step(p *proc) {
 	segs := s.w.Threads[p.id].Segments
 	if p.segIdx >= len(segs) {
 		p.done = true
-		s.engine.Park(p.id)
+		s.Engine.Park(p.id)
 		return
 	}
 	seg := &segs[p.segIdx]
@@ -332,7 +243,7 @@ func (s *System) step(p *proc) {
 	if seg.Txn && !p.inTxn {
 		s.beginTxn(p, seg)
 		// Beginning costs a cycle; the first op runs next quantum.
-		s.engine.Advance(p.id, 1)
+		s.Engine.Advance(p.id, 1)
 		return
 	}
 
@@ -340,32 +251,32 @@ func (s *System) step(p *proc) {
 		if seg.Txn {
 			// Commit-token decision: an explorer may defer the commit one
 			// quantum, reordering it against other processors' actions.
-			if s.engine.Branch(sim.BranchCommit, 2, 1) == 0 {
-				s.engine.Advance(p.id, 1)
+			if s.Engine.Branch(sim.BranchCommit, 2, 1) == 0 {
+				s.Engine.Advance(p.id, 1)
 				return
 			}
 			s.commit(p, seg)
 		} else {
 			p.segIdx++
 			p.opIdx = 0
-			s.engine.Advance(p.id, 1)
+			s.Engine.Advance(p.id, 1)
 		}
 		return
 	}
 
 	// Context switches: pause, wait out the pause, then resume.
 	if p.preempt != nil {
-		if s.engine.Now() < p.preempt.resumeAt {
-			s.engine.AdvanceTo(p.id, p.preempt.resumeAt)
+		if s.Engine.Now() < p.preempt.resumeAt {
+			s.Engine.AdvanceTo(p.id, p.preempt.resumeAt)
 			return
 		}
 		s.resumePreempted(p)
-		s.engine.Advance(p.id, 1)
+		s.Engine.Advance(p.id, 1)
 		return
 	}
 	if seg.Txn && s.maybePreempt(p) {
 		s.stats.Preemptions++
-		s.engine.AdvanceTo(p.id, p.preempt.resumeAt)
+		s.Engine.AdvanceTo(p.id, p.preempt.resumeAt)
 		return
 	}
 
@@ -381,7 +292,7 @@ func (s *System) step(p *proc) {
 		return
 	}
 	p.opIdx++
-	s.engine.Advance(p.id, int(op.Think)+cost)
+	s.Engine.Advance(p.id, int(op.Think)+cost)
 }
 
 // beginTxn starts the transaction at p's current segment. The executor's
@@ -389,7 +300,7 @@ func (s *System) step(p *proc) {
 // reads made inside it — this makes the serial replay of Verify exact.
 func (s *System) beginTxn(p *proc, seg *workload.TMSegment) {
 	p.inTxn = true
-	p.txnStart = s.engine.Now()
+	p.txnStart = s.Engine.Now()
 	p.opIdx = 0
 	p.lastPreemptOp = -1
 	p.exec.Reset()
@@ -404,15 +315,7 @@ func (s *System) beginTxn(p *proc, seg *workload.TMSegment) {
 // next.
 func (s *System) pushSection(p *proc, startOp int) {
 	n := len(p.sections)
-	var sec *section
-	if n < cap(p.sections) {
-		p.sections = p.sections[:n+1]
-		sec = p.sections[n]
-	}
-	if sec == nil {
-		sec = &section{}
-		p.sections = append(p.sections[:n], sec)
-	}
+	sec := p.growSections()
 	sec.startOp = startOp
 	sec.wbuf.Reset()
 	sec.readL.Reset()
@@ -431,6 +334,22 @@ func (s *System) pushSection(p *proc, startOp int) {
 			p.module.SetRunning(v)
 		}
 	}
+}
+
+// growSections extends the section stack by one, reusing the section
+// struct left in the backing array past the current length when there is
+// one.
+func (p *proc) growSections() *section {
+	n := len(p.sections)
+	if n < cap(p.sections) {
+		p.sections = p.sections[:n+1]
+		if sec := p.sections[n]; sec != nil {
+			return sec
+		}
+	}
+	sec := &section{}
+	p.sections = append(p.sections[:n], sec)
+	return sec
 }
 
 // maybeEnterSection opens the next nested section when execution crosses

@@ -18,10 +18,8 @@ package tm
 
 import (
 	"bulk/internal/bus"
-	"bulk/internal/cache"
+	"bulk/internal/core"
 	"bulk/internal/mem"
-	"bulk/internal/mutate"
-	"bulk/internal/sig"
 	"bulk/internal/sim"
 )
 
@@ -51,17 +49,13 @@ func (s Scheme) String() string {
 	}
 }
 
-// Options configures a TM run.
+// Options configures a TM run: the shared machine options (Table 5 TM
+// defaults: 32 KB 4-way L1s, sim.DefaultTM timing, the line-granularity
+// sig.DefaultTM signature, RestartLimit 1000) plus the transactional
+// policy.
 type Options struct {
+	core.Config
 	Scheme Scheme
-	// Params are the timing parameters (sim.DefaultTM() if zero).
-	Params sim.Params
-	// SigConfig is the signature configuration for Bulk (line
-	// granularity). Defaults to sig.DefaultTM().
-	SigConfig *sig.Config
-	// CacheBytes/CacheWays/LineBytes describe the L1 (Table 5 TM defaults
-	// if zero: 32KB, 4-way, 64B).
-	CacheBytes, CacheWays, LineBytes int
 	// PartialRollback enables per-section rollback of closed nested
 	// transactions (Section 6.2.1). Bulk only.
 	PartialRollback bool
@@ -70,9 +64,6 @@ type Options struct {
 	// squashing the older. Defaults to on via NewOptions; Figure 12(a)
 	// turns it off.
 	LivelockFix bool
-	// RestartLimit aborts the run (LivelockDetected) when one transaction
-	// restarts this many times. 0 means a large default.
-	RestartLimit int
 	// NoRLE disables run-length encoding of Bulk commit packets (ablation).
 	NoRLE bool
 	// PreemptEvery > 0 preempts a running transaction at every such op
@@ -90,31 +81,19 @@ type Options struct {
 	// of a line no longer conflict, and partially updated lines merge via
 	// the Updated Word Bitmask machinery. Bulk only.
 	WordGranularity bool
-	// Meter, when non-nil, receives this run's final bus.Bandwidth.
-	// It is safe to share one Meter across runs on separate goroutines.
-	Meter *bus.Meter
-	// CacheMeter, when non-nil, receives every processor cache's final
-	// event counters when the run finishes. Shareable across goroutines.
-	CacheMeter *cache.Meter
-	// Scheduler, when non-nil, drives every scheduling decision (which
-	// processor steps, commit-token grants, preemption firing). Nil keeps
-	// the default order byte-identically.
-	Scheduler sim.Scheduler
-	// Probe, when non-nil, receives conflict-decision and squash-hygiene
-	// events (model-checker oracles). Bulk scheme only.
-	Probe *sim.Probe
-	// Mutate enables seeded protocol mutations (model-checker teeth).
-	Mutate mutate.Set
 }
 
 // NewOptions returns Options with the paper's defaults for a scheme.
 func NewOptions(s Scheme) Options {
 	return Options{
+		Config:      core.Config{Params: sim.DefaultTM()},
 		Scheme:      s,
-		Params:      sim.DefaultTM(),
 		LivelockFix: true,
 	}
 }
+
+// defaults is the Table 5 TM machine the options fall back on.
+var defaults = core.Config{Params: sim.DefaultTM(), CacheBytes: 32 << 10, CacheWays: 4, RestartLimit: 1000}
 
 // Stats aggregates a run's measurements.
 type Stats struct {

@@ -12,6 +12,7 @@ import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/check"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
 	"bulk/internal/lint"
 	"bulk/internal/mem"
@@ -98,7 +99,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	muts := mutate.Of(mutate.DropWRTerm, mutate.SkipWordMerge)
 
 	return map[string]func(){
-		"bulk/internal/mutate.Set.Has": func() { _ = muts.Has(mutate.DropWRTerm) },
+		"bulk/internal/mutate.Set.Has":              func() { _ = muts.Has(mutate.DropWRTerm) },
 		"bulk/internal/sig.Signature.Add":           func() { s1.Add(1234) },
 		"bulk/internal/sig.Signature.Contains":      func() { _ = s1.Contains(1234) },
 		"bulk/internal/sig.Signature.Empty":         func() { _ = s1.Empty() },
@@ -156,10 +157,10 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/cache.Cache.AndDirtySets": func() { c.AndDirtySets(setMaskBuf) },
 		"bulk/internal/cache.Cache.CopyFrom":     func() { c2.CopyFrom(c) },
 
-		"bulk/internal/mem.Memory.Read":              func() { _ = m.Read(100) },
-		"bulk/internal/mem.Memory.Write":             func() { m.Write(100, 7) },
-		"bulk/internal/mem.Memory.CopyFrom":          func() { m2.CopyFrom(m) },
-		"bulk/internal/mem.Memory.AppendSortedAddrs": func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
+		"bulk/internal/mem.Memory.Read":                     func() { _ = m.Read(100) },
+		"bulk/internal/mem.Memory.Write":                    func() { m.Write(100, 7) },
+		"bulk/internal/mem.Memory.CopyFrom":                 func() { m2.CopyFrom(m) },
+		"bulk/internal/mem.Memory.AppendSortedAddrs":        func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
 		"bulk/internal/mem.OverflowArea.Fetch":              func() { _, _, _ = ov.Fetch(5) },
 		"bulk/internal/mem.OverflowArea.DisambiguationScan": func() { _ = ov.DisambiguationScan(5) },
 
@@ -169,6 +170,8 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/bus.Bandwidth.Record":       func() { bw.Record(bus.Inv, 12) },
 		"bulk/internal/bus.Bandwidth.RecordN":      func() { bw.RecordN(bus.WB, 76, 3) },
 		"bulk/internal/bus.Bandwidth.RecordCommit": func() { bw.RecordCommit(40) },
+
+		"bulk/internal/core.LineOf": func() { _ = core.LineOf(0x12345) },
 	}
 }
 

@@ -85,42 +85,4 @@ emit_json "$tmp/lint.txt" bench/baseline/lint.txt \
   BENCH_lint.json
 
 echo
-echo "== serving-layer load benchmark (bulkd + bulkload) =="
-# A live daemon under a seeded concurrent request mix: throughput plus
-# p50/p95/p99 request latency. bulkload itself warns when clients exceed
-# cores (client and daemon then share CPUs, so quantiles include
-# scheduling delay), and benchjson stamps gomaxprocs/numcpu into the JSON
-# so every capture says what hardware it means.
-SERVE_CLIENTS="${SERVE_CLIENTS:-4}"
-SERVE_REQUESTS="${SERVE_REQUESTS:-48}"
-go build -o "$tmp/bulkd" ./cmd/bulkd
-go build -o "$tmp/bulkload" ./cmd/bulkload
-"$tmp/bulkd" -addr 127.0.0.1:0 -workers 2 > "$tmp/bulkd.log" 2>&1 &
-bulkd_pid=$!
-trap 'kill "$bulkd_pid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's/^bulkd: listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$tmp/bulkd.log")
-  [ -n "$port" ] && break
-  sleep 0.1
-done
-if [ -z "$port" ]; then
-  echo "bench.sh: bulkd never reported its listen address" >&2
-  cat "$tmp/bulkd.log" >&2
-  exit 1
-fi
-"$tmp/bulkload" -addr "http://127.0.0.1:$port" \
-  -clients "$SERVE_CLIENTS" -requests "$SERVE_REQUESTS" -seed 1 | tee "$tmp/serve.txt"
-kill -TERM "$bulkd_pid"
-if ! wait "$bulkd_pid"; then
-  echo "bench.sh: bulkd exited nonzero after the load run" >&2
-  cat "$tmp/bulkd.log" >&2
-  exit 1
-fi
-trap 'rm -rf "$tmp"' EXIT
-emit_json "$tmp/serve.txt" bench/baseline/serve.txt \
-  "bulkload seeded mix (4 clients, 48 requests) against a live 2-worker bulkd; baseline = capture at the daemon's introduction" \
-  BENCH_serve.json
-
-echo
-echo "bench.sh: wrote BENCH_sig.json, BENCH_exhibits.json, BENCH_core.json, BENCH_check.json, BENCH_lint.json and BENCH_serve.json"
+echo "bench.sh: wrote BENCH_sig.json, BENCH_exhibits.json, BENCH_core.json, BENCH_check.json and BENCH_lint.json"

@@ -107,8 +107,8 @@ fi
 echo "lint ratchet: ${lint_now_ns} ns/op vs ${lint_base_ns} ns/op baseline (2x ceiling)"
 
 echo "== coverage gate =="
-# Per-package statement-coverage floors for the runtimes and the model
-# checker, set just under their measured values so coverage can only
+# Per-package statement-coverage floors for the core, the runtimes and the
+# model checker, set just under their measured values so coverage can only
 # ratchet up. Raise a floor when you raise the coverage.
 check_cover() {
   local pkg="$1" floor="$2"
@@ -125,6 +125,7 @@ check_cover() {
   fi
   echo "coverage $pkg: ${pct}% (floor ${floor}%)"
 }
+check_cover core 97
 check_cover tm 89
 check_cover tls 89
 check_cover ckpt 91
@@ -146,23 +147,6 @@ if ! cmp -s "$bc_tmp/serial.out" "$bc_tmp/parallel.out"; then
   exit 1
 fi
 "$bc_tmp/bulkcheck" -mutations all -workers 4
-
-echo "== bulkcheck snapshot-vs-replay identity =="
-# The fork-point snapshot engine is an execution shortcut, never a report
-# change: sweeps with the cache disabled (-snapmem 0, full replay from the
-# root), with a tiny cache that must evict constantly, and with the default
-# allowance must emit byte-identical reports, and the mutation audit must
-# kill every mutation without the cache too.
-for snapmem in 0 1; do
-  "$bc_tmp/bulkcheck" -budget small -v -snapmem "$snapmem" -workers 4 \
-    > "$bc_tmp/snap$snapmem.out"
-  if ! cmp -s "$bc_tmp/serial.out" "$bc_tmp/snap$snapmem.out"; then
-    echo "bulkcheck: -snapmem $snapmem sweep report differs from the default" >&2
-    diff "$bc_tmp/serial.out" "$bc_tmp/snap$snapmem.out" >&2 || true
-    exit 1
-  fi
-done
-"$bc_tmp/bulkcheck" -mutations all -snapmem 0 -workers 2
 
 echo "== bulkcheck checkpoint/resume round-trip =="
 # An interrupted-and-resumed sweep (across different worker counts) must
@@ -274,12 +258,13 @@ if ! grep -q 'drained cleanly' "$bc_tmp/bulkd.log"; then
 fi
 
 echo "== native fuzz smoke (5s per target) =="
-# The three runtimes, plus the trace codec round-trip and the workload
-# layout determinism targets the daemon's result cache leans on: cache
-# keys assume identical (seed, config) inputs regenerate identical bytes.
+# The three runtimes; the workload layout determinism target the daemon's
+# result cache leans on (cache keys assume identical (seed, config) inputs
+# regenerate identical bytes); and the checkpoint decoder bulkcheck -resume
+# feeds files to, which must reject hostile input without panicking.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
-    internal/ckpt:FuzzCkptModes internal/trace:FuzzTraceRoundTrip \
-    internal/workload:FuzzWorkloadLayout; do
+    internal/ckpt:FuzzCkptModes internal/workload:FuzzWorkloadLayout \
+    internal/check:FuzzDecodeCheckpoint; do
   pkg="${target%%:*}"
   fz="${target##*:}"
   go test "./$pkg/" -run '^$' -fuzz "^${fz}\$" -fuzztime 5s
