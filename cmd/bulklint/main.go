@@ -2,36 +2,25 @@
 //
 // Usage:
 //
-//	bulklint [-json] [-rules rule1,rule2] [-disable rule1,rule2] [-list] [-effects] [patterns]
+//	bulklint [-list] [patterns]
 //
 // Patterns follow the usual Go tool shape: "./..." (the default) lints the
 // whole module; "./internal/sig" or "bulk/internal/sig" lints one package;
 // a trailing "/..." matches a subtree. The whole module is always loaded
-// (type-checking needs the full import graph); patterns only select which
-// packages' findings are reported.
+// (type-checking needs the full import graph) and every rule always runs;
+// patterns only select which packages' findings are reported.
 //
-// -rules runs only the named rules; -disable runs everything except the
-// named rules. The two are mutually exclusive. The stalewaiver audit only
-// fires for waivers of rules that actually ran, so filtered runs never
-// report false stale waivers. Naming an unknown rule is a usage error:
-// exit status 2 with the sorted list of known rules.
-//
-// -effects prints the per-function effect report instead of findings, one
-// `pkg<TAB>func<TAB>effects` line per declared function (a JSON array with
-// -json). The report is deterministic: identical sources produce
-// byte-identical output.
+// -list prints the rules and what each flags.
 //
 // Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
 // load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"bulk/internal/lint"
@@ -42,13 +31,9 @@ func main() {
 }
 
 func run() int {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	rules := flag.String("rules", "", "comma-separated rule names to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated rule names to skip")
 	list := flag.Bool("list", false, "list rules and exit")
-	effects := flag.Bool("effects", false, "print the per-function effect report instead of findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bulklint [-json] [-rules rule1,rule2] [-disable rule1,rule2] [-list] [-effects] [patterns]\n")
+		fmt.Fprintf(os.Stderr, "usage: bulklint [-list] [patterns]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -58,40 +43,6 @@ func run() int {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	if *rules != "" && *disable != "" {
-		fmt.Fprintln(os.Stderr, "bulklint: -rules and -disable are mutually exclusive")
-		return 2
-	}
-	known := map[string]bool{}
-	for _, n := range lint.AnalyzerNames() {
-		known[n] = true
-	}
-	disabled := map[string]bool{}
-	if *disable != "" {
-		for _, n := range strings.Split(*disable, ",") {
-			n = strings.TrimSpace(n)
-			if !known[n] {
-				return unknownRule(n)
-			}
-			disabled[n] = true
-		}
-	}
-	if *rules != "" {
-		enabled := map[string]bool{}
-		for _, n := range strings.Split(*rules, ",") {
-			n = strings.TrimSpace(n)
-			if !known[n] {
-				return unknownRule(n)
-			}
-			enabled[n] = true
-		}
-		for n := range known {
-			if !enabled[n] {
-				disabled[n] = true
-			}
-		}
 	}
 
 	root, err := moduleRoot()
@@ -117,74 +68,14 @@ func run() int {
 		}
 	}
 
-	if *effects {
-		report := lint.InferEffects(pkgs)
-		report = filterEffects(report, root, patterns)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if report == nil {
-				report = []lint.FuncEffect{}
-			}
-			if err := enc.Encode(report); err != nil {
-				fmt.Fprintf(os.Stderr, "bulklint: %v\n", err)
-				return 2
-			}
-			return 0
-		}
-		for _, fe := range report {
-			fmt.Printf("%s\t%s\t%s\n", fe.Pkg, fe.Func, fe.Effects)
-		}
-		return 0
-	}
-
-	findings := lint.RunAnalyzers(pkgs, fset, disabled)
-	findings = filterByPatterns(findings, root, patterns)
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "bulklint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	findings := filterByPatterns(lint.RunAnalyzers(pkgs, fset), root, patterns)
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// unknownRule rejects a -rules/-disable name the suite does not know,
-// listing the known rules so the fix is obvious.
-func unknownRule(name string) int {
-	names := lint.AnalyzerNames()
-	sort.Strings(names)
-	fmt.Fprintf(os.Stderr, "bulklint: unknown rule %q (known rules: %s)\n", name, strings.Join(names, ", "))
-	return 2
-}
-
-// filterEffects keeps effect-report rows whose file falls under one of the
-// package patterns, resolved relative to the module root.
-func filterEffects(report []lint.FuncEffect, root string, patterns []string) []lint.FuncEffect {
-	var out []lint.FuncEffect
-	for _, fe := range report {
-		dir := relDir(filepath.Dir(fe.File), root)
-		for _, pat := range patterns {
-			if matchPattern(dir, pat) {
-				out = append(out, fe)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

@@ -20,7 +20,7 @@ import (
 // relative to the simulation work around it.
 func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	keys := make([]K, 0, len(m))
-	for k := range m {
+	for k := range m { //bulklint:ordered keys are sorted before they are returned
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)

@@ -14,7 +14,7 @@ func BenchmarkLintModule(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		findings := RunAnalyzers(pkgs, fset, nil)
+		findings := RunAnalyzers(pkgs, fset)
 		if len(findings) != 0 {
 			b.Fatalf("module is not lint-clean: %v", findings[0])
 		}
@@ -28,8 +28,8 @@ func BenchmarkInferEffects(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(InferEffects(pkgs)) == 0 {
-			b.Fatal("empty effect report")
+		if len(inferEffects(pkgs, buildCallGraph(pkgs)).order) == 0 {
+			b.Fatal("no function summaries")
 		}
 	}
 }

@@ -19,9 +19,12 @@ import (
 //   - lock-guarded: the write happens while a mutex is held; the rule runs
 //     the guardedby flow walk over the closure body, so Lock/Unlock
 //     ordering is respected (a write before the Lock is still a finding).
-//   - sharded or atomic: flatmap.Sharded and sync/atomic traffic are
-//     method/function calls, not assignments, so they are clean by
-//     construction (and atomicmix separately polices mixed access).
+//   - sharded or atomic: flatmap.Sharded and typed-atomic traffic are
+//     method calls, not assignments, so they are clean by construction.
+//     Pointer-style sync/atomic calls (atomic.AddInt64(&x, 1)) are
+//     findings anywhere in the module: a location reached through them
+//     can also be read or written plainly, and only a typed atomic
+//     (atomic.Int64 and friends) rules that out.
 //   - closure-local: a variable declared inside the closure belongs to the
 //     worker; writes to it are invisible to siblings.
 //
@@ -45,7 +48,7 @@ var parWorkerFuncs = map[string]bool{
 func analyzerCaptureSafe() *Analyzer {
 	return &Analyzer{
 		Name: "capturesafe",
-		Doc:  "captured variable written in a worker closure without an index, lock, shard or atomic landing",
+		Doc:  "captured worker-closure write without an index, lock, shard or atomic landing; pointer-style sync/atomic call",
 		Run: func(pkgs []*Package, r *Reporter) {
 			for _, pkg := range pkgs {
 				for _, f := range pkg.Files {
@@ -56,6 +59,12 @@ func analyzerCaptureSafe() *Analyzer {
 								checkWorkerLit(pkg, lit, "go-statement body", r)
 							}
 						case *ast.CallExpr:
+							if fn := staticCallee(pkg, n); fn != nil && fn.Pkg() != nil &&
+								fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+								r.Report(pkg, n.Pos(), "capturesafe",
+									"pointer-style sync/atomic call %s; use a typed atomic (atomic.Int64, …) so no plain load or store can mix with it",
+									fn.Name())
+							}
 							if name := parWorkerCallee(pkg, n); name != "" {
 								for _, arg := range n.Args {
 									if lit, ok := unparen(arg).(*ast.FuncLit); ok {

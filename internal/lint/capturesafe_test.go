@@ -176,3 +176,25 @@ func Last(xs []int) int {
 	wantNoFinding(t, findings, "capturesafe")
 	wantNoFinding(t, findings, "stalewaiver")
 }
+
+func TestCaptureSafePointerStyleAtomic(t *testing.T) {
+	// A pointer-style sync/atomic call is a finding wherever it is; typed
+	// atomics are clean.
+	findings := lintFixture(t, map[string]string{
+		"internal/scratch/s.go": `package scratch
+
+import "sync/atomic"
+
+type Counter struct {
+	n    int64
+	typed atomic.Int64
+}
+
+func (c *Counter) Inc() {
+	atomic.AddInt64(&c.n, 1)
+	c.typed.Add(1)
+}
+`,
+	})
+	wantFinding(t, findings, "capturesafe", "internal/scratch/s.go", 11)
+}

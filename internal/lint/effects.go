@@ -4,22 +4,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"strconv"
 	"strings"
 )
 
 // This file implements the interprocedural effect-inference engine the
-// purehook and noalloc rules (and the `bulklint -effects` report) are built
-// on. Every function declared in the module gets a summary in a flat
-// bitset lattice:
+// purehook and noalloc rules are built on. Every function declared in the
+// module gets a summary in a flat bitset lattice:
 //
 //	alloc        heap allocation (make/new/append, literals, closures,
 //	             boxing, string building, calls into allocating packages)
 //	io           output or input (fmt printing, os/io/bufio/log, builtin
 //	             print/println)
-//	nondet       a nondeterminism source: time.Now, math/rand, or a
-//	             builtin-map iteration whose order escapes (per the
-//	             maprange order-escape analysis, waiver-blind)
+//	nondet       a nondeterminism source: time.Now or math/rand (builtin
+//	             map iteration order is the maprange rule's job)
 //	globalwrite  a store to package-level state
 //	lock         sync package use (mutexes, wait groups, once)
 //	spawn        a go statement
@@ -42,8 +40,8 @@ import (
 //
 // Everything here is deterministic: functions are iterated in load order
 // (sorted directories, sorted files, source order), call sites in source
-// order, and witnesses are first-writer-wins under that order — so the
-// -effects report is byte-identical across runs.
+// order, and witnesses are first-writer-wins under that order — so a
+// purehook finding cites the same witness on every run.
 
 // Effect is a bitset of inferred function effects.
 type Effect uint16
@@ -53,8 +51,7 @@ const (
 	EffAlloc Effect = 1 << iota
 	// EffIO marks input/output.
 	EffIO
-	// EffNondet marks a nondeterminism source (time, rand, escaping
-	// builtin-map iteration order).
+	// EffNondet marks a nondeterminism source (time, rand).
 	EffNondet
 	// EffGlobalWrite marks a store to package-level state.
 	EffGlobalWrite
@@ -211,49 +208,6 @@ func addWitness(fe *funcEffects, eff Effect, msg string) {
 	}
 }
 
-// FuncEffect is one function's inferred effect summary, as reported by
-// `bulklint -effects`.
-type FuncEffect struct {
-	Pkg     string `json:"pkg"`
-	Func    string `json:"func"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Effects string `json:"effects"`
-}
-
-// InferEffects computes the effect summary of every function declared in
-// the loaded packages, sorted by (package, file, line). The output is
-// deterministic: identical sources produce byte-identical reports.
-func InferEffects(pkgs []*Package) []FuncEffect {
-	return inferEffects(pkgs, buildCallGraph(pkgs)).report()
-}
-
-func (eng *effectEngine) report() []FuncEffect {
-	out := make([]FuncEffect, 0, len(eng.order))
-	for _, fn := range eng.order {
-		fe := eng.fns[fn]
-		pos := sharedFset.Position(fe.node.decl.Pos())
-		out = append(out, FuncEffect{
-			Pkg:     fe.node.pkg.Path,
-			Func:    funcDisplayName(fe.node.decl),
-			File:    pos.Filename,
-			Line:    pos.Line,
-			Effects: fe.summary.String(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
 // scanEffectSites collects every local effect-introducing construct of one
 // declared body, in source order. It is the single construct scanner the
 // noalloc rule and the effect engine share, so the allocation messages
@@ -305,7 +259,7 @@ func scanEffectSites(pkg *Package, fd *ast.FuncDecl, cg *callGraph) []effectSite
 				add(n.Pos(), EffAlloc, "string concatenation allocates")
 			}
 		case *ast.IncDecStmt:
-			if root, _ := rootIdent(pkg, n.X); root != nil && isPkgLevel(root) {
+			if root := rootIdent(pkg, n.X); root != nil && isPkgLevel(root) {
 				add(n.X.Pos(), EffGlobalWrite, "writes package-level state")
 			}
 		case *ast.AssignStmt:
@@ -326,7 +280,7 @@ func scanEffectSites(pkg *Package, fd *ast.FuncDecl, cg *callGraph) []effectSite
 			}
 			if n.Tok != token.DEFINE {
 				for _, l := range n.Lhs {
-					if root, _ := rootIdent(pkg, unparen(l)); root != nil && isPkgLevel(root) {
+					if root := rootIdent(pkg, unparen(l)); root != nil && isPkgLevel(root) {
 						add(l.Pos(), EffGlobalWrite, "writes package-level state")
 					}
 				}
@@ -334,16 +288,6 @@ func scanEffectSites(pkg *Package, fd *ast.FuncDecl, cg *callGraph) []effectSite
 		}
 		return true
 	})
-
-	// Builtin-map iterations whose order escapes are nondeterminism
-	// sources. The escape scan is waiver-blind here: a //bulklint:ordered
-	// waiver silences the maprange finding, not the effect.
-	for _, re := range scanOrderEscapes(pkg, fd.Body, fd) {
-		if re.desc == "" {
-			continue
-		}
-		add(re.rs.For, EffNondet, "map iteration order "+re.desc)
-	}
 	return sites
 }
 
@@ -517,4 +461,49 @@ func stringSliceConversion(pkg *Package, target types.Type, arg ast.Expr) bool {
 func isStringType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
+}
+
+func lineSuffix(line int) string {
+	return " (line " + strconv.Itoa(line) + ")"
+}
+
+// isPkgLevel reports whether obj is a package-level variable.
+func isPkgLevel(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok {
+		return false
+	}
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// rootIdent unwraps selector/index/slice/deref/paren chains to the root
+// identifier's object.
+func rootIdent(pkg *Package, expr ast.Expr) types.Object {
+	for {
+		switch e := expr.(type) {
+		case *ast.ParenExpr:
+			expr = e.X
+		case *ast.SelectorExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.SliceExpr:
+			expr = e.X
+		case *ast.StarExpr:
+			expr = e.X
+		case *ast.Ident:
+			if o := pkg.Info.Uses[e]; o != nil {
+				return o
+			}
+			return pkg.Info.Defs[e]
+		default:
+			return nil
+		}
+	}
+}
+
+// isBuiltin reports whether the identifier resolves to a Go builtin.
+func isBuiltin(pkg *Package, id *ast.Ident) bool {
+	_, ok := pkg.Info.Uses[id].(*types.Builtin)
+	return ok
 }

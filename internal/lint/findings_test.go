@@ -23,7 +23,7 @@ func TestFindingsTotalOrder(t *testing.T) {
 		got = append(got, f.String())
 	}
 	want := []string{
-		"a.go:1: [rule] x",              // col 2
+		"a.go:1: [rule] x",               // col 2
 		"a.go:1: [alpha] second message", // col 5: rule then msg tie-break
 		"a.go:1: [alpha] x",
 		"a.go:1: [beta] x",
@@ -65,7 +65,7 @@ func Panics() {
 			t.Fatalf("LoadFixture: %v", err)
 		}
 		var b strings.Builder
-		for _, f := range RunAnalyzers(pkgs, fset, nil) {
+		for _, f := range RunAnalyzers(pkgs, fset) {
 			b.WriteString(f.String())
 			b.WriteByte('\n')
 		}
@@ -75,7 +75,7 @@ func Panics() {
 	if first != second {
 		t.Fatalf("output is not deterministic:\n%s\nvs\n%s", first, second)
 	}
-	want := "internal/scratch/s.go:5: [maprange] map iteration order escapes via return (line 8); range det.SortedKeys(m) instead, or waive with //bulklint:ordered <why>\n" +
+	want := "internal/scratch/s.go:5: [maprange] range over a builtin map; its iteration order is random: range det.SortedKeys(m) instead, or waive with //bulklint:ordered <why>\n" +
 		"internal/scratch/s.go:12: [nakedpanic] panic in Panics; return an error, move it into a Must* helper, or waive with //bulklint:invariant <why>\n"
 	if first != want {
 		t.Fatalf("golden mismatch:\ngot:\n%s\nwant:\n%s", first, want)

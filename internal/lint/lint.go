@@ -1,39 +1,27 @@
-// Package lint implements bulkvet (historically bulklint), the project's
-// static-analysis suite.
+// Package lint implements bulklint, the project's static-analysis suite.
 //
 // The simulator's experimental claims rest on properties nothing in the
 // compiler enforces: determinism (identical seeds must produce byte-identical
 // runs, so map-iteration order and ambient randomness must never reach
-// simulator state), the Bulk invariants of Ceze et al. (ISCA 2006) —
-// signatures are value-semantic under the Table 1 algebra, shared mutable
-// state on the commit paths is touched only under its lock — and the
+// simulator state), the Bulk invariants of Ceze et al. (ISCA 2006) — shared
+// mutable state on the commit paths is touched only under its lock, and
+// every field of the snapshot machinery is captured — and the
 // zero-allocation contract of the signature/flatmap/cache hot kernels.
-// bulkvet parses and type-checks every package in the module using only the
-// Go standard library, builds a module-wide static call graph, and runs a
-// suite of analyzers — some per-node pattern matches, some flow- and
+// bulklint parses and type-checks every package in the module using only
+// the Go standard library, builds a module-wide static call graph, and runs
+// a suite of analyzers — some per-node pattern matches, some flow- and
 // call-graph-sensitive — over the result. Each finding is reported as
 // `file:line: [rule] message`.
 //
-// Rules (each can be disabled with the CLI's -disable flag, or selected
-// with -rules):
+// Each rule is kept because some fault in cmd/faultmatrix's matrix is
+// caught by it and by no other guard; a guard another guard dominates is
+// deleted. Rules:
 //
-//   - maprange:   order-escape analysis. A `for … range` over a map is
-//     reported only when a value derived from the iteration can escape
-//     into order-sensitive state: returned, stored to package-level or
-//     caller-visible state, sent on a channel, passed to a sink package
-//     (fmt printing, io, internal/stats, internal/trace, internal/bus,
-//     internal/sim) or used in an order-dependent sequence of effectful
-//     calls. Order-independent reductions (integer +=, |=, …), building
-//     other keyed structures, and values laundered through sort.* /
-//     slices.Sort* are clean. Iterate det.SortedKeys(m) where order can
-//     escape, or waive with `//bulklint:ordered <why>`.
+//   - maprange:   a `for … range` over a builtin map. Range over
+//     det.SortedKeys(m) instead, or waive with `//bulklint:ordered <why>`.
 //   - randsrc:    imports of math/rand (v1 or v2) or calls to time.Now
 //     under internal/, outside internal/rng. Workloads must draw all
 //     randomness from the seeded internal/rng streams.
-//   - sigpurity:  a method named like a pure Bulk algebra operation
-//     (Intersect, Union, Contains, Decode, …) that mutates its receiver.
-//     The paper's ∩/∪/∈/δ operators are value-semantic; in-place variants
-//     must be named like mutators (UnionWith, IntersectWith, …).
 //   - guardedby:  interprocedural lockset analysis for fields annotated
 //     `//bulklint:guardedby <mu>`. An access is reported unless the named
 //     mutex is held on every path reaching it — acquired earlier in the
@@ -57,35 +45,25 @@
 //     receiver mutation allowed; io, nondeterminism, global writes,
 //     locks, goroutines, channels and unverifiable calls forbidden.
 //     Schedule replay is a verified property, not a convention.
-//   - atomicmix:  a location accessed through the pointer-style
-//     sync/atomic API anywhere in the module must never be accessed by a
-//     plain load/store elsewhere. Typed atomics are exempt by
-//     construction.
 //   - layerdep:   the package-layer DAG declared in
 //     internal/lint/layers.txt is enforced against actual imports; an
 //     intra-module import must target a strictly lower layer.
 //   - snapstate:  field-coverage proof for snapshot machinery. A struct
 //     annotated `//bulklint:snapstate` must have every non-ignored field
 //     referenced — directly or via static callees — in each method
-//     annotated `//bulklint:captures snapshot|restore|copyfrom|reset`;
-//     pointer/slice/map-holding fields assigned there additionally need a
-//     deep-copy witness (append/copy/CopyFrom/clone/fresh literal), so a
-//     shallow `dst.buf = src.buf` alias is a finding. Waive one field with
-//     `//bulklint:snapstate-ignore <field> <why>`.
+//     annotated `//bulklint:captures snapshot|restore|copyfrom|reset`.
+//     Waive one field with `//bulklint:snapstate-ignore <field> <why>`.
 //   - capturesafe: a variable captured by a worker closure (par.ForEach /
 //     par.Map / par.StealForEach bodies, `go` statements) and written
 //     there must land in a slice/array index slot, under a held lock, or
 //     through shard/atomic calls; anything else is a statically detected
-//     data race. Waive with `//bulklint:allow capturesafe <why>`.
+//     data race. Pointer-style sync/atomic calls are findings anywhere:
+//     typed atomics cannot mix atomic and plain access. Waive with
+//     `//bulklint:allow capturesafe <why>`.
 //   - stalewaiver: every //bulklint: directive must earn its keep — a
 //     waiver that suppresses no live finding of its rule, an annotation
 //     attached to nothing, or a directive naming an unknown rule is
 //     itself reported. Stale-waiver findings cannot be waived.
-//
-// The interprocedural effect-inference engine behind noalloc and purehook
-// (effects.go) is also exported directly: `bulklint -effects` prints every
-// function's inferred effect summary as a deterministic, byte-identical
-// report.
 package lint
 
 import (
@@ -97,11 +75,11 @@ import (
 
 // Finding is one diagnostic.
 type Finding struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Rule string `json:"rule"`
-	Msg  string `json:"message"`
+	File string
+	Line int
+	Col  int
+	Rule string
+	Msg  string
 }
 
 // String renders the canonical `file:line: [rule] message` form.
@@ -122,13 +100,11 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerMapRange(),
 		analyzerRandSrc(),
-		analyzerSigPurity(),
 		analyzerGuardedBy(),
 		analyzerDroppedErr(),
 		analyzerNakedPanic(),
 		analyzerNoalloc(),
 		analyzerPureHook(),
-		analyzerAtomicMix(),
 		analyzerLayerDep(),
 		analyzerSnapState(),
 		analyzerCaptureSafe(),
@@ -151,9 +127,6 @@ func AnalyzerNames() []string {
 type Reporter struct {
 	fset     *token.FileSet
 	findings []Finding
-	// ran records which rules executed this run, so the stalewaiver audit
-	// skips waivers whose rule was disabled (their liveness is unknown).
-	ran map[string]bool
 
 	cg  *callGraph
 	eff *effectEngine
@@ -179,7 +152,7 @@ func (r *Reporter) effectEngine(pkgs []*Package) *effectEngine {
 
 // NewReporter returns a reporter resolving positions against fset.
 func NewReporter(fset *token.FileSet) *Reporter {
-	return &Reporter{fset: fset, ran: map[string]bool{}}
+	return &Reporter{fset: fset}
 }
 
 // Report files a finding for rule at pos unless the owning package waived it
@@ -239,28 +212,11 @@ func (r *Reporter) Findings() []Finding {
 	return out
 }
 
-// Run loads the module rooted at root and runs every analyzer not named in
-// disabled. It returns the sorted findings.
-func Run(root string, disabled map[string]bool) ([]Finding, error) {
-	pkgs, fset, err := LoadModule(root)
-	if err != nil {
-		return nil, err
-	}
-	return RunAnalyzers(pkgs, fset, disabled), nil
-}
-
-// RunAnalyzers runs the enabled analyzers over already-loaded packages.
-func RunAnalyzers(pkgs []*Package, fset *token.FileSet, disabled map[string]bool) []Finding {
+// RunAnalyzers runs every analyzer over already-loaded packages and
+// returns the sorted findings.
+func RunAnalyzers(pkgs []*Package, fset *token.FileSet) []Finding {
 	r := NewReporter(fset)
-	var enabled []*Analyzer
 	for _, a := range Analyzers() {
-		if disabled[a.Name] {
-			continue
-		}
-		r.ran[a.Name] = true
-		enabled = append(enabled, a)
-	}
-	for _, a := range enabled {
 		a.Run(pkgs, r)
 	}
 	return r.Findings()

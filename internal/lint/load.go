@@ -190,7 +190,7 @@ func loadPackages(meta *ModuleMeta, dirs map[string][]srcFile) ([]*Package, erro
 	var order []string
 
 	var dirNames []string
-	for d := range dirs {
+	for d := range dirs { //bulklint:ordered dirNames is sorted before use
 		dirNames = append(dirNames, d)
 	}
 	sort.Strings(dirNames)

@@ -87,7 +87,7 @@ func (ls *locksetPass) walkAll(pkgs []*Package, r *Reporter) {
 
 func (ls *locksetPass) walkFunc(pkg *Package, fd *ast.FuncDecl, fn *types.Func, r *Reporter) {
 	st := lockState{}
-	for mu := range ls.entry[fn] {
+	for mu := range ls.entry[fn] { //bulklint:ordered copies a set; the result has no order
 		st[mu] = true
 	}
 	w := &locksetWalker{ls: ls, pkg: pkg, fd: fd, r: r}
@@ -107,7 +107,7 @@ type locksetWalker struct {
 
 func forkLocks(st lockState) lockState {
 	out := make(lockState, len(st))
-	for mu := range st {
+	for mu := range st { //bulklint:ordered copies a set; the result has no order
 		out[mu] = true
 	}
 	return out
@@ -121,7 +121,7 @@ func mergeLocks(base lockState, branches []lockState, mayFallThrough bool) lockS
 	if mayFallThrough || len(branches) == 0 {
 		paths = append(paths, base)
 	}
-	for mu := range paths[0] {
+	for mu := range paths[0] { //bulklint:ordered intersects sets; the result has no order
 		held := true
 		for _, p := range paths[1:] {
 			if !p[mu] {
@@ -204,14 +204,14 @@ func (w *locksetWalker) access(st lockState, sel *ast.SelectorExpr) {
 // sites observed this round; reports whether anything changed.
 func (ls *locksetPass) updateEntries() bool {
 	changed := false
-	for fn, sites := range ls.sites {
+	for fn, sites := range ls.sites { //bulklint:ordered each function's entry set is computed independently; changed is an OR
 		var entry lockState
 		for _, site := range sites {
 			if entry == nil {
 				entry = forkLocks(site)
 				continue
 			}
-			for mu := range entry {
+			for mu := range entry { //bulklint:ordered intersects sets; the result has no order
 				if !site[mu] {
 					delete(entry, mu)
 				}
@@ -222,7 +222,7 @@ func (ls *locksetPass) updateEntries() bool {
 		}
 		cur := ls.entry[fn]
 		grow := false
-		for mu := range entry {
+		for mu := range entry { //bulklint:ordered an any-match test; the result has no order
 			if !cur[mu] {
 				grow = true
 				break

@@ -14,22 +14,16 @@ import (
 // struct's capture methods are declared with `//bulklint:captures
 // <kind> [TypeName ...]` (kind one of snapshot, restore, copyfrom, reset;
 // with no type names the annotation covers the method's receiver type).
-// The rule then checks, per (struct, capture method):
+// The rule then checks, per (struct, capture method), that every
+// non-ignored field is referenced — read or written, directly or inside a
+// statically-resolved callee reachable through the module call graph —
+// somewhere in the method. Adding a field to tm.System without touching
+// Snapshot/Restore becomes a build-gate failure, not a latent divergence
+// a differential test may or may not hit.
 //
-//   - every non-ignored field is referenced — read or written, directly or
-//     inside a statically-resolved callee reachable through the module
-//     call graph — somewhere in the method. Adding a field to tm.System
-//     without touching Snapshot/Restore becomes a build-gate failure, not
-//     a latent divergence a differential test may or may not hit.
-//   - a field whose type transitively holds a pointer, slice or map, and
-//     which the method assigns whole, must additionally carry a deep-copy
-//     witness: the field appearing in an append/copy/make/CopyFrom/clone
-//     call, or being assigned a fresh composite literal or nil. A plain
-//     `dst.buf = src.buf` aliases the snapshot against the live system —
-//     exactly the bug class that silently breaks snapshot-vs-replay
-//     byte-identity — and is a finding. reset-kind methods are exempt
-//     (rewinding to a zero value cannot introduce sharing); interface,
-//     func and chan fields are exempt (they are rebound, never deep-copied).
+// Whether a referenced field is deep-copied rather than aliased is not
+// checked here: TestSnapshotFieldParity in internal/check and the runtime
+// round-trip tests catch shallow aliases at run time.
 //
 // `//bulklint:snapstate-ignore <field> <reason>` inside the struct
 // declaration waives one field; the waiver flows through the stalewaiver
@@ -44,30 +38,10 @@ var captureKinds = map[string]bool{
 	"reset":    true,
 }
 
-// deepCopyVocab names the calls accepted as deep-copy witnesses. Matching
-// is syntactic (the called name's last component): the witness is a
-// heuristic hint that fresh storage is involved, kept deliberately wide so
-// delegation (mem.CopyFrom -> flatmap.CopyFrom) and in-package helpers
-// (cache.copyLine) all count.
-var deepCopyVocab = map[string]bool{
-	"append":    true,
-	"copy":      true,
-	"make":      true,
-	"CopyFrom":  true,
-	"SaveState": true,
-	"LoadState": true,
-	"Snapshot":  true,
-	"Restore":   true,
-	"Clone":     true,
-	"clone":     true,
-	"copyLine":  true,
-}
-
 // snapField is one field of an annotated struct.
 type snapField struct {
-	name      string
-	needsDeep bool       // type transitively holds pointer/slice/map
-	ignore    *directive // //bulklint:snapstate-ignore, nil if none
+	name   string
+	ignore *directive // //bulklint:snapstate-ignore, nil if none
 }
 
 // capMethod is one //bulklint:captures entry attached to a struct.
@@ -88,22 +62,14 @@ type snapRecord struct {
 	methods []*capMethod
 }
 
-// fieldUse accumulates what a capture method's reachable bodies do with
-// one field.
-type fieldUse struct {
-	referenced bool
-	written    bool // assigned whole (not through an index)
-	witnessed  bool
-	firstWrite token.Pos
-}
-
-// bodyScan is one function body's field-use facts, per annotated struct.
-type bodyScan map[*types.TypeName]map[string]*fieldUse
+// bodyScan is the set of annotated-struct fields one function body
+// references, per struct.
+type bodyScan map[*types.TypeName]map[string]bool
 
 func analyzerSnapState() *Analyzer {
 	return &Analyzer{
 		Name: "snapstate",
-		Doc:  "snapstate struct field unreferenced in a captures method, or aliased without a deep-copy witness",
+		Doc:  "snapstate struct field unreferenced in a captures method",
 		Run: func(pkgs []*Package, r *Reporter) {
 			records, index := collectSnapStructs(pkgs, r)
 			if len(records) == 0 {
@@ -185,11 +151,10 @@ func buildSnapRecord(pkg *Package, gd *ast.GenDecl, ts *ast.TypeSpec, st *ast.St
 	rec := &snapRecord{pkg: pkg, obj: tn, pos: ts.Name.Pos(), byName: map[string]*snapField{}}
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
-			obj, ok := pkg.Info.Defs[name].(*types.Var)
-			if !ok {
+			if _, ok := pkg.Info.Defs[name].(*types.Var); !ok {
 				continue
 			}
-			sf := &snapField{name: name.Name, needsDeep: typeNeedsDeepCopy(obj.Type(), nil)}
+			sf := &snapField{name: name.Name}
 			rec.fields = append(rec.fields, sf)
 			rec.byName[sf.name] = sf
 		}
@@ -313,58 +278,32 @@ func receiverTypeName(fn *types.Func) *types.TypeName {
 }
 
 // checkCoverage verifies one (struct, capture method) pair: every
-// non-ignored field referenced in the method's reachable bodies, every
-// written pointer-holding field witnessed.
+// non-ignored field referenced in the method's reachable bodies.
 func checkCoverage(rec *snapRecord, m *capMethod, cg *callGraph, index map[*types.TypeName]*snapRecord, scans map[*types.Func]bodyScan, r *Reporter) {
-	agg := map[string]*fieldUse{}
+	referenced := map[string]bool{}
 	for _, node := range reachableNodes(cg, m.fn) {
 		bs := scans[node.fn]
 		if bs == nil {
 			bs = scanFuncBody(node, index)
 			scans[node.fn] = bs
 		}
-		uses := bs[rec.obj]
 		for _, f := range rec.fields {
-			u := uses[f.name]
-			if u == nil {
-				continue
-			}
-			a := agg[f.name]
-			if a == nil {
-				a = &fieldUse{}
-				agg[f.name] = a
-			}
-			a.referenced = a.referenced || u.referenced
-			a.witnessed = a.witnessed || u.witnessed
-			if u.written {
-				a.written = true
-				if a.firstWrite == token.NoPos || u.firstWrite < a.firstWrite {
-					a.firstWrite = u.firstWrite
-				}
+			if bs[rec.obj][f.name] {
+				referenced[f.name] = true
 			}
 		}
 	}
 	for _, f := range rec.fields {
-		u := agg[f.name]
-		missingRef := u == nil || !u.referenced
-		missingWit := m.kind != "reset" && f.needsDeep && u != nil && u.written && !u.witnessed
+		if referenced[f.name] {
+			continue
+		}
 		if f.ignore != nil {
-			if missingRef || missingWit {
-				f.ignore.used = true
-			}
+			f.ignore.used = true
 			continue
 		}
-		if missingRef {
-			r.Report(m.pkg, m.decl.Name.Pos(), "snapstate",
-				"field %s.%s is not referenced in captures-%s method %s (directly or via static callees); capture it or waive with //bulklint:snapstate-ignore %s <why>",
-				rec.obj.Name(), f.name, m.kind, funcDisplayName(m.decl), f.name)
-			continue
-		}
-		if missingWit {
-			r.Report(rec.pkg, u.firstWrite, "snapstate",
-				"field %s.%s holds pointer/slice/map state but captures-%s method %s assigns it with no deep-copy witness (append/copy/CopyFrom/clone/fresh literal); a plain assignment aliases snapshot and live state",
-				rec.obj.Name(), f.name, m.kind, funcDisplayName(m.decl))
-		}
+		r.Report(m.pkg, m.decl.Name.Pos(), "snapstate",
+			"field %s.%s is not referenced in captures-%s method %s (directly or via static callees); capture it or waive with //bulklint:snapstate-ignore %s <why>",
+			rec.obj.Name(), f.name, m.kind, funcDisplayName(m.decl), f.name)
 	}
 }
 
@@ -391,28 +330,21 @@ func reachableNodes(cg *callGraph, fn *types.Func) []*funcNode {
 	return queue
 }
 
-// scanFuncBody computes one body's field-use facts for every annotated
-// struct.
+// scanFuncBody computes one body's referenced fields for every annotated
+// struct: field selectors, whole-struct assignments (`*dst = *src`,
+// `*o = Out{}`), and composite literals of an annotated type.
 func scanFuncBody(node *funcNode, index map[*types.TypeName]*snapRecord) bodyScan {
 	s := &bodyScanner{pkg: node.pkg, index: index, out: bodyScan{}}
 	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			if tn, fname := s.resolveField(n); tn != nil {
-				s.use(tn, fname, token.NoPos).referenced = true
+				s.use(tn, fname)
 			}
 		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				var rhs ast.Expr
-				if len(n.Rhs) == len(n.Lhs) {
-					rhs = n.Rhs[i]
-				}
-				s.markAssign(lhs, rhs)
+			for _, lhs := range n.Lhs {
+				s.markWholeStruct(lhs)
 			}
-		case *ast.IncDecStmt:
-			s.markAssign(n.X, nil)
-		case *ast.CallExpr:
-			s.markCallWitness(n)
 		case *ast.CompositeLit:
 			s.markComposite(n)
 		}
@@ -427,26 +359,21 @@ type bodyScanner struct {
 	out   bodyScan
 }
 
-// use returns the accumulator for one (struct, field), creating it on
-// first touch; a valid writePos records the earliest write position.
-func (s *bodyScanner) use(tn *types.TypeName, fname string, writePos token.Pos) *fieldUse {
+// use records one reference to (struct, field).
+func (s *bodyScanner) use(tn *types.TypeName, fname string) {
 	m := s.out[tn]
 	if m == nil {
-		m = map[string]*fieldUse{}
+		m = map[string]bool{}
 		s.out[tn] = m
 	}
-	u := m[fname]
-	if u == nil {
-		u = &fieldUse{}
-		m[fname] = u
+	m[fname] = true
+}
+
+// useAll records a reference to every field of an annotated struct.
+func (s *bodyScanner) useAll(tn *types.TypeName) {
+	for _, f := range s.index[tn].fields {
+		s.use(tn, f.name)
 	}
-	if writePos != token.NoPos {
-		u.written = true
-		if u.firstWrite == token.NoPos || writePos < u.firstWrite {
-			u.firstWrite = writePos
-		}
-	}
-	return u
 }
 
 // resolveField maps a selector to (annotated struct, field name), or nil.
@@ -466,194 +393,54 @@ func (s *bodyScanner) resolveField(sel *ast.SelectorExpr) (*types.TypeName, stri
 	return tn, sel.Sel.Name
 }
 
-// recordType maps an expression's type to an annotated struct, or nil.
-func (s *bodyScanner) recordType(e ast.Expr) *types.TypeName {
-	tv, ok := s.pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	tn := namedOriginObj(t)
-	if tn == nil || s.index[tn] == nil {
-		return nil
-	}
-	return tn
-}
-
-// markAssign records a whole-field write (and its witness, when the RHS is
-// a fresh value) or a whole-struct write covering every field. Writes
-// through an index (s.lines[i] = ...) are element mutations, not field
-// rebinds, and count only as references.
-func (s *bodyScanner) markAssign(lhs, rhs ast.Expr) {
+// markWholeStruct records a whole-struct write — *dst = *src, or a
+// value-typed variable of an annotated struct type assigned whole — as
+// referencing every field. A pointer reassignment moves a reference; it
+// writes no field.
+func (s *bodyScanner) markWholeStruct(lhs ast.Expr) {
 	l := unparen(lhs)
-	if sel, ok := l.(*ast.SelectorExpr); ok {
-		if tn, fname := s.resolveField(sel); tn != nil {
-			u := s.use(tn, fname, sel.Sel.Pos())
-			u.referenced = true
-			if rhs != nil && s.witnessRHS(rhs) {
-				u.witnessed = true
-			}
-			return
-		}
-	}
-	// Whole-struct write: *dst = *src, or a value-typed variable/field of
-	// an annotated struct type assigned whole. Every field is written; a
-	// fresh-composite RHS witnesses them all.
-	var core ast.Expr
-	switch x := l.(type) {
-	case *ast.StarExpr:
-		core = l
-	case *ast.Ident:
-		core = x
+	switch l.(type) {
+	case *ast.StarExpr, *ast.Ident:
 	default:
 		return
 	}
-	tn := s.wholeStructTarget(core)
-	if tn == nil {
-		return
-	}
-	rec := s.index[tn]
-	wit := rhs != nil && s.witnessRHS(rhs)
-	for _, f := range rec.fields {
-		u := s.use(tn, f.name, l.Pos())
-		u.referenced = true
-		if wit {
-			u.witnessed = true
-		}
-	}
-}
-
-// wholeStructTarget resolves an assignment LHS to an annotated struct type
-// when the LHS denotes a whole struct value (never a pointer binding: a
-// pointer reassignment moves a reference, it does not write fields).
-func (s *bodyScanner) wholeStructTarget(e ast.Expr) *types.TypeName {
-	tv, ok := s.pkg.Info.Types[e]
+	tv, ok := s.pkg.Info.Types[l]
 	if !ok || tv.Type == nil {
-		return nil
+		return
 	}
 	if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-		return nil
+		return
+	}
+	if tn := namedOriginObj(tv.Type); tn != nil && s.index[tn] != nil {
+		s.useAll(tn)
+	}
+}
+
+// markComposite treats an annotated-struct composite literal as
+// referencing its listed fields — all of them when it is empty (every
+// field deliberately zeroed) or unkeyed.
+func (s *bodyScanner) markComposite(cl *ast.CompositeLit) {
+	tv, ok := s.pkg.Info.Types[cl]
+	if !ok || tv.Type == nil {
+		return
 	}
 	tn := namedOriginObj(tv.Type)
-	if tn == nil || s.index[tn] == nil {
-		return nil
-	}
-	return tn
-}
-
-// markCallWitness marks every annotated field appearing in a deep-copy
-// vocabulary call — as an argument or in the method receiver — witnessed.
-func (s *bodyScanner) markCallWitness(call *ast.CallExpr) {
-	name := calleeName(call)
-	if !deepCopyVocab[name] {
-		return
-	}
-	exprs := make([]ast.Expr, 0, len(call.Args)+1)
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		exprs = append(exprs, sel.X)
-	}
-	exprs = append(exprs, call.Args...)
-	for _, e := range exprs {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if tn, fname := s.resolveField(sel); tn != nil {
-					u := s.use(tn, fname, token.NoPos)
-					u.referenced = true
-					u.witnessed = true
-				}
-			}
-			return true
-		})
-	}
-}
-
-// markComposite treats an annotated-struct composite literal as writing
-// its listed fields (all of them when unkeyed), each element's freshness
-// judged like an assignment RHS.
-func (s *bodyScanner) markComposite(cl *ast.CompositeLit) {
-	tn := s.recordType(cl)
-	if tn == nil {
-		return
-	}
 	rec := s.index[tn]
-	if len(cl.Elts) == 0 {
-		// S{}: every field is deliberately zeroed — covered, and the zero
-		// value (nil slices/maps/pointers) cannot alias anything.
-		for _, f := range rec.fields {
-			u := s.use(tn, f.name, cl.Pos())
-			u.referenced = true
-			u.witnessed = true
-		}
+	if tn == nil || rec == nil {
 		return
 	}
-	keyed := false
 	for _, elt := range cl.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
-			continue
+			s.useAll(tn)
+			return
 		}
-		keyed = true
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || rec.byName[key.Name] == nil {
-			continue
-		}
-		u := s.use(tn, key.Name, key.Pos())
-		u.referenced = true
-		if s.witnessRHS(kv.Value) {
-			u.witnessed = true
+		if key, ok := kv.Key.(*ast.Ident); ok && rec.byName[key.Name] != nil {
+			s.use(tn, key.Name)
 		}
 	}
-	if !keyed {
-		for i, f := range rec.fields {
-			u := s.use(tn, f.name, cl.Pos())
-			u.referenced = true
-			if i < len(cl.Elts) && s.witnessRHS(cl.Elts[i]) {
-				u.witnessed = true
-			}
-		}
-	}
-}
-
-// witnessRHS reports whether an assigned value is visibly fresh: a
-// composite literal (plain or addressed), nil, or a deep-copy vocabulary
-// call.
-func (s *bodyScanner) witnessRHS(e ast.Expr) bool {
-	switch x := unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			_, ok := unparen(x.X).(*ast.CompositeLit)
-			return ok
-		}
-	case *ast.Ident:
-		return x.Name == "nil"
-	case *ast.CallExpr:
-		return deepCopyVocab[calleeName(x)]
-	}
-	return false
-}
-
-// calleeName extracts the syntactic last component of a call's function
-// name ("" when anonymous or computed).
-func calleeName(call *ast.CallExpr) string {
-	fun := unparen(call.Fun)
-	for {
-		switch f := fun.(type) {
-		case *ast.Ident:
-			return f.Name
-		case *ast.SelectorExpr:
-			return f.Sel.Name
-		case *ast.IndexExpr:
-			fun = f.X
-		case *ast.IndexListExpr:
-			fun = f.X
-		default:
-			return ""
-		}
+	if len(cl.Elts) == 0 {
+		s.useAll(tn)
 	}
 }
 
@@ -667,34 +454,6 @@ func namedOriginObj(t types.Type) *types.TypeName {
 		return nil
 	}
 	return named.Origin().Obj()
-}
-
-// typeNeedsDeepCopy reports whether a type transitively holds a pointer,
-// slice or map — the shapes where a whole-value assignment shares backing
-// storage. Interfaces, funcs and chans are exempt: capture methods rebind
-// them, they never deep-copy through them. Strings are immutable and safe
-// to share.
-func typeNeedsDeepCopy(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map:
-		return true
-	case *types.Array:
-		return typeNeedsDeepCopy(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeNeedsDeepCopy(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // directiveInRange returns the first directive with the given name whose

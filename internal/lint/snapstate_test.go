@@ -34,34 +34,6 @@ func (s *Sys) Restore(sn *Snap) {
 	wantFinding(t, findings, "snapstate", "internal/scratch/s.go", 20)
 }
 
-// TestSnapStateShallowAlias is negative mutation fixture #2: a slice field
-// restored by plain assignment — aliasing live state against the snapshot
-// — must yield exactly one finding at the assignment line.
-func TestSnapStateShallowAlias(t *testing.T) {
-	findings := lintFixture(t, map[string]string{
-		"internal/scratch/s.go": `package scratch
-
-//bulklint:snapstate
-type Sys struct {
-	clock int
-	buf   []int
-}
-
-type Snap struct {
-	clock int
-	buf   []int
-}
-
-//bulklint:captures restore
-func (s *Sys) Restore(sn *Snap) {
-	s.clock = sn.clock
-	s.buf = sn.buf
-}
-`,
-	})
-	wantFinding(t, findings, "snapstate", "internal/scratch/s.go", 17)
-}
-
 func TestSnapStateCleanDeepCopy(t *testing.T) {
 	// Full coverage with append/copy witnesses: no findings, no stale
 	// directives.
@@ -167,7 +139,7 @@ func (s *Sys) Restore(clock int) {
 
 func TestSnapStateResetKindNeedsNoWitness(t *testing.T) {
 	// A reset method rewinds to a zero value: whole-struct assignment
-	// covers every field and pointer fields demand no deep-copy witness.
+	// covers every field, pointer fields included.
 	findings := lintFixture(t, map[string]string{
 		"internal/scratch/s.go": `package scratch
 

@@ -16,25 +16,28 @@ import (
 //   - the directive name — and, for allow, the waived rule — must be one
 //     the suite knows.
 //
-// A waiver whose rule was disabled for this run is skipped: its liveness
-// is unknown. Audit findings are filed without a package, so they cannot
-// themselves be waived — a stale waiver is fixed by deleting it, never by
-// waiving the audit.
+// Audit findings are filed without a package, so they cannot themselves
+// be waived — a stale waiver is fixed by deleting it, never by waiving
+// the audit.
 
-// directiveKind classifies each directive name the suite understands.
-// Rule-waivers map to the rule whose findings they suppress; annotations
-// map to "".
-var directiveKind = map[string]string{
-	"ordered":          "maprange",
-	"invariant":        "nakedpanic",
-	"locked":           "guardedby",
-	"allow":            "", // rule named in the argument
-	"guardedby":        "",
-	"noalloc":          "",
-	"purehook":         "",
-	"snapstate":        "",
-	"captures":         "",
-	"snapstate-ignore": "",
+// waiverRule maps each waiver directive to the rule whose findings it
+// suppresses; allow names its rule in the argument.
+var waiverRule = map[string]string{
+	"ordered":   "maprange",
+	"invariant": "nakedpanic",
+	"locked":    "guardedby",
+	"allow":     "",
+}
+
+// unattached maps each annotation directive to the audit message for one
+// that ends a run attached to no declaration.
+var unattached = map[string]string{
+	"guardedby":        "//bulklint:guardedby annotation is not attached to a struct field",
+	"noalloc":          "//bulklint:noalloc annotation is not attached to a function declaration",
+	"purehook":         "//bulklint:purehook annotation is not attached to a function declaration",
+	"snapstate":        "//bulklint:snapstate annotation is not attached to a struct type declaration",
+	"captures":         "//bulklint:captures annotation is not attached to a function declaration",
+	"snapstate-ignore": "stale //bulklint:snapstate-ignore waiver: the field is fully covered in every captures method (or the ignore attaches to no snapstate struct); delete it",
 }
 
 func analyzerStaleWaiver() *Analyzer {
@@ -61,14 +64,14 @@ func analyzerStaleWaiver() *Analyzer {
 }
 
 func auditDirective(file string, d *directive, known map[string]bool, r *Reporter) {
-	kind, ok := directiveKind[d.name]
-	if !ok {
+	rule, isWaiver := waiverRule[d.name]
+	msg, isAnnotation := unattached[d.name]
+	switch {
+	case !isWaiver && !isAnnotation:
 		r.reportAt(file, d.line, d.col, "stalewaiver",
 			"unknown //bulklint:%s directive (known: allow, captures, guardedby, invariant, locked, noalloc, ordered, purehook, snapstate, snapstate-ignore)", d.name)
 		return
-	}
-	rule := kind
-	if d.name == "allow" {
+	case d.name == "allow":
 		rule, _, _ = strings.Cut(d.arg, " ")
 		if !known[rule] {
 			r.reportAt(file, d.line, d.col, "stalewaiver",
@@ -76,45 +79,11 @@ func auditDirective(file string, d *directive, known map[string]bool, r *Reporte
 			return
 		}
 	}
-	if d.used {
-		return
-	}
-	switch d.name {
-	case "guardedby":
-		// collectGuarded (part of the guardedby analyzer) marks attachment.
-		if r.ran["guardedby"] {
-			r.reportAt(file, d.line, d.col, "stalewaiver",
-				"//bulklint:guardedby annotation is not attached to a struct field")
-		}
-	case "noalloc":
-		if r.ran["noalloc"] {
-			r.reportAt(file, d.line, d.col, "stalewaiver",
-				"//bulklint:noalloc annotation is not attached to a function declaration")
-		}
-	case "purehook":
-		if r.ran["purehook"] {
-			r.reportAt(file, d.line, d.col, "stalewaiver",
-				"//bulklint:purehook annotation is not attached to a function declaration")
-		}
-	case "snapstate":
-		if r.ran["snapstate"] {
-			r.reportAt(file, d.line, d.col, "stalewaiver",
-				"//bulklint:snapstate annotation is not attached to a struct type declaration")
-		}
-	case "captures":
-		if r.ran["snapstate"] {
-			r.reportAt(file, d.line, d.col, "stalewaiver",
-				"//bulklint:captures annotation is not attached to a function declaration")
-		}
-	case "snapstate-ignore":
-		if r.ran["snapstate"] {
-			r.reportAt(file, d.line, d.col, "stalewaiver",
-				"stale //bulklint:snapstate-ignore waiver: the field is fully covered in every captures method (or the ignore attaches to no snapstate struct); delete it")
-		}
+	switch {
+	case d.used:
+	case isAnnotation:
+		r.reportAt(file, d.line, d.col, "stalewaiver", "%s", msg)
 	default:
-		if !r.ran[rule] {
-			return // rule disabled this run: liveness unknown
-		}
 		r.reportAt(file, d.line, d.col, "stalewaiver",
 			"stale //bulklint:%s waiver: it suppresses no live %s finding; delete it", d.name, rule)
 	}

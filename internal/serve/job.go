@@ -229,12 +229,13 @@ func (s *Server) jobTimeout(req *Request) (time.Duration, error) {
 	if req.TimeoutMS < 0 {
 		return 0, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMS)
 	}
-	d := time.Duration(req.TimeoutMS) * time.Millisecond
-	if d > s.cfg.MaxJobTimeout {
+	// Compare before converting: a large timeout_ms would overflow the
+	// Duration multiplication into a negative or tiny timeout.
+	if req.TimeoutMS > s.cfg.MaxJobTimeout.Milliseconds() {
 		return 0, fmt.Errorf("timeout_ms %d exceeds the server maximum %dms",
 			req.TimeoutMS, s.cfg.MaxJobTimeout.Milliseconds())
 	}
-	return d, nil
+	return time.Duration(req.TimeoutMS) * time.Millisecond, nil
 }
 
 // setStatus advances the state machine, publishing a frame. Transitions

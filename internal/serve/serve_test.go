@@ -347,6 +347,10 @@ func TestInvalidRequestsRejected(t *testing.T) {
 		`{"kind":"check","protocol":"quantum"}`,
 		`{"kind":"exhibit","exhibit":"table8","timeout_ms":-5}`,
 		`{"kind":"exhibit","exhibit":"table8","timeout_ms":999999999}`,
+		// Past MaxInt64/1e6: the millisecond-to-Duration conversion
+		// overflows to a negative and to a sub-millisecond timeout.
+		`{"kind":"exhibit","exhibit":"table8","timeout_ms":9223372036855}`,
+		`{"kind":"exhibit","exhibit":"table8","timeout_ms":18446744073710}`,
 		`{"kind":"exhibit","unknown_field":true}`,
 		`not json at all`,
 	}

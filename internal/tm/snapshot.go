@@ -115,7 +115,7 @@ func (s *System) SavePolicy(dst any) (any, int) {
 		// Launder the builtin map through a key sort so iteration order
 		// cannot reach the snapshot bytes.
 		ps.pairKeys = ps.pairKeys[:0]
-		for k := range p.pairSquash {
+		for k := range p.pairSquash { //bulklint:ordered the keys are sorted right after the loop
 			ps.pairKeys = append(ps.pairKeys, k)
 		}
 		sort.Ints(ps.pairKeys)

@@ -114,4 +114,48 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			}
 		})
 	}
+
+	// A capture taken while a processor is stalled on another's
+	// transaction (Eager with the livelock fix) holds a non-empty waiters
+	// list, which the run then rewrites in place; restoring it — twice, so
+	// a restore that aliases the capture is caught too — must still
+	// reproduce the one-shot run.
+	t.Run("eager-stall", func(t *testing.T) {
+		w := workload.GenerateTM(smallProfile("cb"), 3)
+		opts := NewOptions(Eager)
+		ref, err := Run(w, opts)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		sys, err := NewSystem(w, opts)
+		if err != nil {
+			t.Fatalf("NewSystem: %v", err)
+		}
+		done, err := sys.RunUntil(func() bool {
+			for _, p := range sys.procs {
+				if len(p.waiters) > 0 {
+					return true
+				}
+			}
+			return false
+		})
+		if err != nil {
+			t.Fatalf("RunUntil: %v", err)
+		}
+		if done {
+			t.Fatal("no processor stalled; the case no longer captures a waiters list")
+		}
+		sn := sys.Snapshot(nil)
+		if _, err := sys.RunUntil(nil); err != nil {
+			t.Fatalf("RunUntil past the stall: %v", err)
+		}
+		sameResult(t, "run past the stall", sys.Finish(), ref)
+		for range 2 {
+			sys.Restore(sn)
+			if _, err := sys.RunUntil(nil); err != nil {
+				t.Fatalf("RunUntil after restore: %v", err)
+			}
+			sameResult(t, "restored from the stall", sys.Finish(), ref)
+		}
+	})
 }

@@ -11,70 +11,22 @@ echo "== go vet =="
 go vet ./...
 
 echo "== bulklint =="
-# Runs all thirteen analyzers including the waiver audit: a stale
+# One run of every analyzer, including the waiver audit: a stale
 # //bulklint: waiver (one that suppresses no live finding) fails the gate.
+# Finding order is pinned by TestFindingsGoldenDeterministic and
+# TestFindingsTotalOrder.
 go run ./cmd/bulklint ./...
-
-echo "== bulklint effect/layer rules (filtered run) =="
-# The three effect-engine rules also pass standalone: the -rules path and
-# its filtered stalewaiver semantics stay exercised.
-go run ./cmd/bulklint -rules purehook,atomicmix,layerdep ./...
-
-echo "== bulklint snapshot-coverage rules (filtered run) =="
-# The snapstate field-coverage analyzer and the capturesafe closure-escape
-# analyzer must hold tree-wide on their own: every annotated snapshot
-# struct is fully captured with deep-copy witnesses, and every worker
-# closure lands its writes in a race-free slot.
-go run ./cmd/bulklint -rules snapstate,capturesafe ./...
-
-echo "== stale-waiver audit smoke (snapstate-ignore) =="
-# Plant a deliberately stale snapstate-ignore in a scratch file and require
-# the audit to reject the tree — proof the gate would catch a rotting
-# waiver, not just a missing field.
-smoke="internal/check/zz_stale_waiver_smoke.go"
-trap 'rm -f "$smoke"' EXIT
-cat > "$smoke" <<'EOF'
-package check
-
-//bulklint:snapstate
-type staleSmoke struct {
-	//bulklint:snapstate-ignore clock not captured (deliberately stale: reset covers it)
-	clock int
-}
-
-//bulklint:captures reset
-func (s *staleSmoke) reset() { *s = staleSmoke{} }
-EOF
-# bulklint exits 1 on the planted finding — exactly what the smoke wants —
-# so neutralize its status and assert on the reported message instead.
-if ! (go run ./cmd/bulklint -rules snapstate,stalewaiver ./internal/check || true) \
-    | grep -q 'stale //bulklint:snapstate-ignore'; then
-  echo "stale-waiver audit smoke: the audit missed a planted stale snapstate-ignore" >&2
-  exit 1
-fi
-rm -f "$smoke"
-trap - EXIT
-
-echo "== bulklint two-run byte determinism =="
-# Findings are sorted and deduplicated output: two runs of the full suite
-# over the same tree must be byte-identical, or CI diffs cannot be trusted.
-if ! cmp -s <(go run ./cmd/bulklint ./... 2>&1) <(go run ./cmd/bulklint ./... 2>&1); then
-  echo "bulklint output is not deterministic across runs" >&2
-  exit 1
-fi
-
-echo "== bulklint -effects determinism =="
-# The effect report is a published interface: two runs over the same tree
-# must be byte-identical, or schedule-replay auditing cannot trust it.
-if ! cmp -s <(go run ./cmd/bulklint -effects ./...) <(go run ./cmd/bulklint -effects ./...); then
-  echo "bulklint -effects is not deterministic across runs" >&2
-  exit 1
-fi
 
 echo "== go test -race =="
 # ./... includes internal/par and the parallel experiment engine, so the
 # race stage exercises the fan-out worker pool on every run.
 go test -race ./...
+
+echo "== fault-injection matrix =="
+# Plant every fault in cmd/faultmatrix/matrix.txt into a scratch copy of
+# the tree and run every guard against it: each bulklint rule and each
+# test guard kept must still catch the rows it is listed for.
+go run ./cmd/faultmatrix
 
 echo "== bench harness smoke (-benchtime=1x) =="
 # One iteration of each end-to-end run benchmark, so the bench harness
@@ -90,9 +42,9 @@ go test ./internal/lint/ -run '^$' -bench 'LintModule|InferEffects' -benchtime 1
 go test . -run '^$' -bench 'CheckExplore/tm-sweep/(w1|w4)$' -benchtime 1x
 
 echo "== lint-suite wall-time ratchet =="
-# Growing the suite from eleven to thirteen analyzers must not blow up its
-# cost: the full BenchmarkLintModule run has to stay under 2x the committed
-# eleven-analyzer baseline in bench/baseline/lint.txt.
+# The suite's cost must not blow up: the full BenchmarkLintModule run (all
+# eleven analyzers) has to stay under 2x the committed baseline in
+# bench/baseline/lint.txt, captured when the suite also had eleven.
 lint_base_ns=$(awk '/^BenchmarkLintModule/ { print $3; exit }' bench/baseline/lint.txt)
 lint_now_ns=$(go test ./internal/lint/ -run '^$' -bench 'LintModule$' \
   | awk '/^BenchmarkLintModule/ { print $3; exit }')
@@ -260,11 +212,12 @@ fi
 echo "== native fuzz smoke (5s per target) =="
 # The three runtimes; the workload layout determinism target the daemon's
 # result cache leans on (cache keys assume identical (seed, config) inputs
-# regenerate identical bytes); and the checkpoint decoder bulkcheck -resume
-# feeds files to, which must reject hostile input without panicking.
+# regenerate identical bytes); the checkpoint decoder bulkcheck -resume
+# feeds files to; and bulkd's request decoding. Both decoders must reject
+# hostile input without panicking.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
     internal/ckpt:FuzzCkptModes internal/workload:FuzzWorkloadLayout \
-    internal/check:FuzzDecodeCheckpoint; do
+    internal/check:FuzzDecodeCheckpoint internal/serve:FuzzDecodeRequest; do
   pkg="${target%%:*}"
   fz="${target##*:}"
   go test "./$pkg/" -run '^$' -fuzz "^${fz}\$" -fuzztime 5s
