@@ -299,7 +299,7 @@ func validateFlags(workers, schedules, depth int, deviate float64, budget string
 	if depth < 0 {
 		return fmt.Errorf("-depth %d is negative (0 means the budget default)", depth)
 	}
-	if deviate < 0 || deviate > 1 {
+	if !(deviate >= 0 && deviate <= 1) { // also rejects NaN
 		return fmt.Errorf("-deviate %v is not a probability in [0, 1]", deviate)
 	}
 	if _, ok := check.BudgetByName(budget); !ok {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -29,6 +30,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative depth", mut: func(a *args) { a.depth = -2 }, wantErr: "-depth"},
 		{name: "deviate above one", mut: func(a *args) { a.deviate = 1.5 }, wantErr: "-deviate"},
 		{name: "deviate negative", mut: func(a *args) { a.deviate = -0.1 }, wantErr: "-deviate"},
+		{name: "deviate NaN", mut: func(a *args) { a.deviate = math.NaN() }, wantErr: "-deviate"},
 		{name: "unknown budget", mut: func(a *args) { a.budget = "tiny" }, wantErr: "budget"},
 	}
 	for _, tc := range cases {
@@ -70,6 +72,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		"-depth -1",
 		"-snapmem -2",
 		"-deviate 1.5",
+		"-deviate NaN",
 		"-budget tiny",
 	}
 	for _, args := range cases {

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -49,6 +50,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validateFlags(*cacheMiB); err != nil {
+		fmt.Fprintf(os.Stderr, "bulkd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	cacheBytes := *cacheMiB << 20
 	if *cacheMiB == 0 {
 		cacheBytes = -1
@@ -99,4 +105,19 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("bulkd: drained cleanly")
+}
+
+// maxCacheMiB is the largest -cache-mib whose byte count fits an int64.
+const maxCacheMiB = math.MaxInt64 >> 20
+
+// validateFlags rejects out-of-domain flag values before the daemon
+// starts, so a typo'd invocation dies with usage (exit 2, like the flag
+// package's own parse errors) instead of serving with a different cache
+// than asked for: a negative budget or one whose byte count wraps would
+// otherwise disable the cache or fall back to the default.
+func validateFlags(cacheMiB int64) error {
+	if cacheMiB < 0 || cacheMiB > maxCacheMiB {
+		return fmt.Errorf("-cache-mib %d is outside [0, %d] (0 disables the cache)", cacheMiB, int64(maxCacheMiB))
+	}
+	return nil
 }

@@ -51,9 +51,11 @@ type Line struct {
 	Addr  LineAddr
 	State State
 	// Data optionally carries the line's word values. The cache itself
-	// never interprets it; the simulator's functional layer uses it so
-	// that stale-line bugs in the protocols are observable as wrong
-	// values rather than silently hidden.
+	// never interprets it. Only the TM runtime fills it, so that
+	// stale-line bugs in that protocol are observable as wrong values
+	// rather than silently hidden; TLS and checkpoint lines carry no data.
+	// Insert keeps a way's buffer for the next line placed in that way, so
+	// a user of Data overwrites all of it on every fill.
 	Data []uint64
 	lru  uint64
 }
@@ -61,11 +63,11 @@ type Line struct {
 // Valid reports whether the line holds data.
 func (l *Line) Valid() bool { return l.State != Invalid }
 
-// Evicted describes a line displaced by an insertion.
+// Evicted describes the line an insertion displaced. State is Invalid when
+// the insertion displaced nothing.
 type Evicted struct {
 	Addr  LineAddr
 	State State
-	Data  []uint64
 }
 
 // Stats counts cache events. All counters are cumulative.
@@ -244,10 +246,13 @@ func (c *Cache) Access(a LineAddr) *Line {
 }
 
 // Insert places address a in the cache in the given state, evicting the LRU
-// way if the set is full. The returned Evicted (nil if an invalid way was
-// used) tells the caller what was displaced — the caller owns writing back
-// dirty victims.
-func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
+// way if the set is full. The returned Evicted tells the caller what was
+// displaced (State Invalid if nothing was) — the caller owns writing back
+// dirty victims. The new line keeps the way's Data buffer with its stale
+// contents, so a fill into a used way allocates nothing.
+//
+//bulklint:noalloc
+func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 	if st == Invalid {
 		panic("cache: cannot insert a line in Invalid state") //bulklint:invariant callers insert only Clean or Dirty lines
 	}
@@ -260,7 +265,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 		}
 		c.clock++
 		l.lru = c.clock
-		return l, nil
+		return l, Evicted{}
 	}
 	ws := c.set(set)
 	victim := -1
@@ -270,7 +275,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 			break
 		}
 	}
-	var ev *Evicted
+	var ev Evicted
 	if victim < 0 {
 		victim = 0
 		for i := 1; i < len(ws); i++ {
@@ -278,7 +283,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 				victim = i
 			}
 		}
-		ev = &Evicted{Addr: ws[victim].Addr, State: ws[victim].State, Data: ws[victim].Data}
+		ev = Evicted{Addr: ws[victim].Addr, State: ws[victim].State}
 		c.stats.Evictions++
 		c.subValid(set)
 		if ws[victim].State == Dirty {
@@ -287,7 +292,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, *Evicted) {
 		}
 	}
 	c.clock++
-	ws[victim] = Line{Addr: a, State: st, lru: c.clock}
+	ws[victim] = Line{Addr: a, State: st, Data: ws[victim].Data, lru: c.clock}
 	c.addValid(set)
 	if st == Dirty {
 		c.addDirty(set)
@@ -402,15 +407,15 @@ func (c *Cache) AndDirtySets(m []uint64) {
 // CopyFrom makes c a deep copy of src, which must share c's geometry (the
 // snapshot pool always restores a system into an identically-configured
 // clone of itself). Line Data buffers are deep-copied into c's existing
-// buffers where capacity allows, and a nil source Data stays nil — the
-// runtimes branch on Data presence, so nil-ness is part of the state.
+// buffers where capacity allows, and a nil source Data stays nil.
 //
 // The copy is sparse: only sets occupied on either side are touched (the
 // union of the two valid masks), which makes snapshot capture and restore
 // O(occupancy) instead of O(cache size). That is sufficient for exact
 // behavioral equality because nothing ever reads an Invalid way's Addr,
-// lru, or Data: Lookup filters on State, victim selection prefers Invalid
-// ways without comparing their lru, and Insert overwrites the whole Line.
+// lru, or Data contents: Lookup filters on State, victim selection prefers
+// Invalid ways without comparing their lru, and Insert overwrites the
+// whole Line but the Data buffer, which its user overwrites in full.
 // A set unoccupied in both src and dst already agrees on the only
 // observable fact — every way Invalid.
 //

@@ -39,7 +39,7 @@ func TestInsertLookupInvalidate(t *testing.T) {
 		t.Fatal("empty cache must not contain anything")
 	}
 	l, ev := c.Insert(a, Clean)
-	if ev != nil {
+	if ev.State != Invalid {
 		t.Fatal("inserting into an empty set must not evict")
 	}
 	if l.Addr != a || l.State != Clean {
@@ -64,7 +64,7 @@ func TestInsertUpgradesState(t *testing.T) {
 	a := LineAddr(5)
 	c.Insert(a, Clean)
 	l, ev := c.Insert(a, Dirty)
-	if ev != nil {
+	if ev.State != Invalid {
 		t.Fatal("re-inserting present line must not evict")
 	}
 	if l.State != Dirty {
@@ -86,9 +86,14 @@ func TestLRUEviction(t *testing.T) {
 	if c.Access(0) == nil {
 		t.Fatal("line 0 must hit")
 	}
-	_, ev := c.Insert(2, Clean)
-	if ev == nil || ev.Addr != 1 {
+	buf := make([]uint64, 16)
+	c.Lookup(1).Data = buf
+	l, ev := c.Insert(2, Clean)
+	if ev.State == Invalid || ev.Addr != 1 {
 		t.Fatalf("expected eviction of LRU line 1, got %+v", ev)
+	}
+	if len(l.Data) != len(buf) || &l.Data[0] != &buf[0] {
+		t.Fatal("the new line must reuse the victim way's data buffer")
 	}
 	if !c.Contains(0) || !c.Contains(2) || c.Contains(1) {
 		t.Fatal("cache contents wrong after eviction")
@@ -100,7 +105,7 @@ func TestEvictionReportsDirty(t *testing.T) {
 	c.Insert(0, Dirty)
 	c.Insert(1, Clean)
 	_, ev := c.Insert(2, Clean)
-	if ev == nil || ev.Addr != 0 || ev.State != Dirty {
+	if ev.State != Dirty || ev.Addr != 0 {
 		t.Fatalf("expected dirty eviction of 0, got %+v", ev)
 	}
 	st := c.Stats()

@@ -105,8 +105,7 @@ func (c *Cache) LoadState(st *Snapshot) {
 }
 
 // copyLine deep-copies one line, reusing dst's Data buffer where capacity
-// allows. A nil source Data stays nil — the runtimes branch on Data
-// presence, so nil-ness is part of the state.
+// allows. A nil source Data stays nil.
 //
 //bulklint:noalloc
 //bulklint:captures copyfrom Line

@@ -135,8 +135,7 @@ func (s *System) access(p *proc, line uint64, write bool) int {
 	if write {
 		st = cache.Dirty
 	}
-	_, ev := p.cache.Insert(cache.LineAddr(line), st)
-	if ev != nil && ev.State == cache.Dirty {
+	if _, ev := p.cache.Insert(cache.LineAddr(line), st); ev.State == cache.Dirty {
 		s.Bus.Record(bus.WB, bus.WritebackBytes)
 	}
 	s.Bus.Record(bus.Fill, bus.FillBytes)

@@ -26,8 +26,10 @@ import (
 	"bulk/internal/sim"
 )
 
-// WordsPerLine is the number of 4-byte words in a 64-byte cache line.
-const WordsPerLine = bus.LineBytes / 4
+// WordsPerLine is the number of 4-byte words in a 64-byte cache line: the
+// line size of committed memory's line index, so a fill reads a line with
+// one mem.Memory.ReadLine.
+const WordsPerLine = mem.WordsPerLine
 
 // wordBits is log2(WordsPerLine): the word-offset bits a word-granularity
 // signature skips to reach the cache set index.

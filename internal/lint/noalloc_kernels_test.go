@@ -32,6 +32,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.CopyFrom exported=true",
 		"bulk/internal/cache.Cache.DirtyInSet exported=true",
 		"bulk/internal/cache.Cache.DirtyLinesInSet exported=true",
+		"bulk/internal/cache.Cache.Insert exported=true",
 		"bulk/internal/cache.Cache.LinesInSet exported=true",
 		"bulk/internal/cache.Cache.Lookup exported=true",
 		"bulk/internal/cache.Cache.MarkClean exported=true",
@@ -61,6 +62,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/mem.Memory.AppendSortedAddrs exported=true",
 		"bulk/internal/mem.Memory.CopyFrom exported=true",
 		"bulk/internal/mem.Memory.Read exported=true",
+		"bulk/internal/mem.Memory.ReadLine exported=true",
 		"bulk/internal/mem.Memory.Write exported=true",
 		"bulk/internal/mem.OverflowArea.DisambiguationScan exported=true",
 		"bulk/internal/mem.OverflowArea.Fetch exported=true",

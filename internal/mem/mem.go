@@ -12,6 +12,14 @@
 // layout removes the per-access allocation and pointer-chasing of the
 // runtime map while keeping iteration reproducible.
 //
+// Beside the word table, Memory keeps a line index: one entry per line
+// holding a non-zero word, with a bitmask of those words. A cache fill
+// reads a whole line through ReadLine, which probes the index once and the
+// word table once per non-zero word instead of once per word. Committed
+// images are sparse at line granularity too (about one non-zero word per
+// touched line in the TM workloads), so the index stores masks rather than
+// whole lines.
+//
 // The overflow area (Section 6.2.2 of the paper) is where dirty speculative
 // lines evicted from a thread's cache are parked. In conventional lazy
 // schemes the overflowed addresses must be consulted on every
@@ -21,16 +29,28 @@
 // the "Overflow Accesses Bulk/Lazy (%)" column of Table 7.
 package mem
 
-import "bulk/internal/flatmap"
+import (
+	"math/bits"
+
+	"bulk/internal/flatmap"
+)
 
 // Word is a memory word value.
 type Word uint64
+
+// WordsPerLine is the number of words in a cache line: the granularity of
+// the line index and of ReadLine. Word a lives in line a/WordsPerLine.
+const WordsPerLine = 16
 
 // Memory is a sparse word-addressed committed memory image.
 //
 //bulklint:snapstate
 type Memory struct {
 	words flatmap.Map[Word]
+	// lines maps a line address to the mask of its non-zero words (bit w
+	// set iff word line*WordsPerLine+w is in words). Write keeps it
+	// exact: a line is present iff it has a non-zero word.
+	lines flatmap.Map[uint16]
 }
 
 // NewMemory returns an empty (all-zero) memory.
@@ -50,18 +70,49 @@ func (m *Memory) Read(a uint64) Word {
 //
 //bulklint:noalloc
 func (m *Memory) Write(a uint64, v Word) {
+	line, bit := a/WordsPerLine, uint16(1)<<(a%WordsPerLine)
+	mask, _ := m.lines.Get(line)
 	if v == 0 {
-		m.words.Delete(a) // keep the image sparse; zero is the default
+		// Keep the image sparse; zero is the default.
+		if mask&bit == 0 {
+			return
+		}
+		m.words.Delete(a)
+		if mask &^= bit; mask == 0 {
+			m.lines.Delete(line)
+		} else {
+			m.lines.Put(line, mask)
+		}
 		return
 	}
 	m.words.Put(a, v)
+	if mask&bit == 0 {
+		m.lines.Put(line, mask|bit)
+	}
+}
+
+// ReadLine copies the committed words of line (word addresses
+// line*WordsPerLine onward) into dst[:WordsPerLine], zeros included. It
+// costs one index probe plus one word probe per non-zero word.
+//
+//bulklint:noalloc
+func (m *Memory) ReadLine(line uint64, dst []uint64) {
+	dst = dst[:WordsPerLine]
+	clear(dst)
+	mask, _ := m.lines.Get(line)
+	base := line * WordsPerLine
+	for ; mask != 0; mask &= mask - 1 {
+		w := bits.TrailingZeros16(mask)
+		v, _ := m.words.Get(base + uint64(w))
+		dst[w] = uint64(v)
+	}
 }
 
 // Len returns the number of non-zero words.
 func (m *Memory) Len() int { return m.words.Len() }
 
 // SizeBytes estimates the retained size for snapshot-budget accounting.
-func (m *Memory) SizeBytes() int { return 24 + 17*m.words.Cap() }
+func (m *Memory) SizeBytes() int { return 48 + 17*m.words.Cap() + 11*m.lines.Cap() }
 
 // Snapshot returns a copy of the non-zero words.
 func (m *Memory) Snapshot() map[uint64]Word {
@@ -83,6 +134,7 @@ func (m *Memory) Snapshot() map[uint64]Word {
 //bulklint:captures copyfrom
 func (m *Memory) CopyFrom(src *Memory) {
 	m.words.CopyFrom(&src.words)
+	m.lines.CopyFrom(&src.lines)
 }
 
 // AppendSortedAddrs appends the non-zero word addresses to dst in ascending
@@ -124,7 +176,7 @@ func (m *Memory) Diff(other *Memory, max int) []uint64 {
 		}
 	}
 	for _, a := range other.words.SortedKeys(nil) {
-		if v := other.Read(a); m.Read(a) != v && v != 0 {
+		if !m.words.Has(a) { // present in both: the first loop compared it
 			out = append(out, a)
 			if len(out) >= max {
 				return out

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestMemoryReadWrite(t *testing.T) {
 	m := NewMemory()
@@ -41,6 +45,100 @@ func TestMemoryEqualAndDiff(t *testing.T) {
 	b.Write(3, 30)
 	if len(a.Diff(b, 10)) != 1 {
 		t.Fatal("Diff must see words present only on one side")
+	}
+}
+
+func TestMemoryDiff(t *testing.T) {
+	// A memory is given as address, value pairs.
+	mk := func(words ...uint64) *Memory {
+		m := NewMemory()
+		for i := 0; i < len(words); i += 2 {
+			m.Write(words[i], Word(words[i+1]))
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name     string
+		m, other *Memory
+		max      int
+		want     []uint64
+	}{
+		{name: "equal", m: mk(1, 1), other: mk(1, 1), max: 10},
+		{name: "value differs", m: mk(5, 1), other: mk(5, 2), max: 10, want: []uint64{5}},
+		{name: "only in m", m: mk(5, 1), other: mk(), max: 10, want: []uint64{5}},
+		{name: "only in other", m: mk(), other: mk(9, 3), max: 10, want: []uint64{9}},
+		{name: "each address once", m: mk(5, 1), other: mk(5, 2, 9, 3), max: 10, want: []uint64{5, 9}},
+		{name: "max truncates", m: mk(1, 1, 2, 2), other: mk(3, 3), max: 2, want: []uint64{1, 2}},
+	} {
+		if got := tc.m.Diff(tc.other, tc.max); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Diff = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// checkLineIndex asserts that ReadLine agrees with WordsPerLine Reads on
+// every line in lines, and that the index holds exactly the lines with a
+// non-zero word, each with the mask of those words.
+func checkLineIndex(t *testing.T, step int, m *Memory, lines []uint64) {
+	t.Helper()
+	got := make([]uint64, WordsPerLine)
+	for _, line := range lines {
+		m.ReadLine(line, got)
+		for w := range got {
+			if want := uint64(m.Read(line*WordsPerLine + uint64(w))); got[w] != want {
+				t.Fatalf("step %d: ReadLine(%d)[%d] = %d, Read = %d", step, line, w, got[w], want)
+			}
+		}
+	}
+	want := map[uint64]uint16{}
+	m.words.Range(func(a uint64, _ Word) bool {
+		want[a/WordsPerLine] |= 1 << (a % WordsPerLine)
+		return true
+	})
+	if m.lines.Len() != len(want) {
+		t.Fatalf("step %d: index holds %d lines, %d have a non-zero word", step, m.lines.Len(), len(want))
+	}
+	m.lines.Range(func(line uint64, mask uint16) bool {
+		if mask != want[line] {
+			t.Fatalf("step %d: index mask of line %d = %#x, want %#x", step, line, mask, want[line])
+		}
+		return true
+	})
+}
+
+func TestReadLineMatchesRead(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	m := NewMemory()
+	var touched []uint64
+	emptied := 0
+	for step := 0; step < 3000; step++ {
+		// Three words in each of six lines, half the writes zero, so lines
+		// fill up and empty out again.
+		line := uint64(r.Intn(6)) + 70
+		a := line*WordsPerLine + uint64(7*r.Intn(3))
+		v := Word(0)
+		if r.Intn(2) == 0 {
+			v = Word(r.Intn(3) + 1)
+		}
+		wasLive := m.lines.Has(line)
+		m.Write(a, v)
+		if wasLive && !m.lines.Has(line) {
+			emptied++
+		}
+		if !slices.Contains(touched, line) {
+			touched = append(touched, line)
+		}
+		checkLineIndex(t, step, m, touched)
+		if step%500 == 499 {
+			// A restored copy must carry the index too.
+			c := NewMemory()
+			c.CopyFrom(m)
+			checkLineIndex(t, step, c, touched)
+			m = c
+		}
+	}
+	if emptied == 0 {
+		t.Fatal("no write emptied a line; the stream does not exercise index deletion")
 	}
 }
 

@@ -228,28 +228,18 @@ func (s *System) invalidateCommit(t *task) {
 }
 
 // mergeLine implements the line merge of Figure 6: the committed version of
-// the line is fetched and the local speculative words (exact, from the
-// owner's write buffer) are overlaid; the merged line stays dirty in the
-// owner's cache.
+// the line is fetched and the local speculative words are overlaid; the
+// merged line stays dirty in the owner's cache. TLS lines carry no data
+// (the owner's words stay in its write buffer), so the merge is the
+// fetch's traffic and the merge count.
 //
 //bulklint:noalloc
 func (s *System) mergeLine(q *proc, ownerIdx int, line uint64) {
-	owner := s.tasks[ownerIdx]
-	cl := q.cache.Lookup(cache.LineAddr(line))
-	if cl == nil || !owner.active() {
+	if !s.tasks[ownerIdx].active() || !q.cache.Contains(cache.LineAddr(line)) {
 		return
 	}
 	s.stats.Merges++
 	s.Bus.Record(bus.Fill, bus.FillBytes) // committed line read from the network
-	base := line * core.WordsPerLine
-	for w := 0; w < core.WordsPerLine; w++ {
-		a := base + uint64(w)
-		if v, ok := owner.wbuf.Get(a); ok {
-			cl.Data[w] = v
-		} else {
-			cl.Data[w] = uint64(s.Mem.Read(a))
-		}
-	}
 }
 
 // squashFrom squashes the task at index start and every more-speculative

@@ -143,46 +143,34 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 	if t.spawned {
 		t.postSpawnW.Add(op.Addr)
 	}
-	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	if t.version != nil {
 		p.module.CommitWrite(t.version, s.sigAddr(op.Addr))
 	}
 	return cost, true
 }
 
-// fill brings a line into p's cache on behalf of task t, choosing the
-// supplier: a less-speculative task's cache (forwarding), a neighbor with a
-// non-speculative copy, or memory. More-speculative owners never supply.
+// fill brings a line into p's cache on behalf of task t and returns the
+// latency of the supplier it chooses: a less-speculative task's cache
+// (forwarding), a neighbor with a non-speculative copy, or memory.
+// More-speculative owners never supply. TLS lines carry no data: the
+// values a task reads resolve through the write buffers and memory
+// (readValue).
 func (s *System) fill(p *proc, t *task, line uint64) int {
 	par := s.opts.Params
 	latency := par.MemLatency
 
-	// Suppliers: the tasks whose buffers may hold words of this line, in
-	// the order readValue resolves — t itself, then active predecessors
-	// newest first, stopping at committed state. taskWrite records the word
-	// in wbuf and the line in writeL together, so writeL.Has(line) is exact.
-	base := line * core.WordsPerLine
-	sup := s.supScratch[:0]
-	if t.writeL.Has(line) {
-		sup = append(sup, t)
-	}
-	nOwn := len(sup)
+	// Forwarding: an active predecessor, newest first up to committed
+	// state, buffers words of this line. taskWrite records the word in
+	// wbuf and the line in writeL together, so writeL.Has(line) is exact.
 	for i := t.idx - 1; i >= 0; i-- {
 		pre := s.tasks[i]
 		if pre.state == tsCommitted {
 			break
 		}
-		if !pre.active() {
-			continue
+		if pre.active() && pre.writeL.Has(line) {
+			latency = par.NeighborLatency
+			break
 		}
-		if pre.writeL.Has(line) {
-			sup = append(sup, pre)
-		}
-	}
-	s.supScratch = sup
-	if len(sup) > nOwn {
-		// Forwarding: an active predecessor buffers words of this line.
-		latency = par.NeighborLatency
 	}
 	if latency == par.MemLatency {
 		// A neighbor cache with a non-speculative copy can supply; another
@@ -190,24 +178,7 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 		latency = s.SupplyLatency(p.id, line, func(q int) bool { return s.specDirtyOwner(s.procs[q], line) != nil })
 	}
 	s.Bus.Record(bus.Fill, bus.FillBytes)
-	l, ev := p.cache.Insert(cache.LineAddr(line), cache.Clean)
-	if l.Data == nil {
-		l.Data = make([]uint64, core.WordsPerLine)
-	}
-	for w := 0; w < core.WordsPerLine; w++ {
-		word := base + uint64(w)
-		v, ok := uint64(0), false
-		for _, u := range sup {
-			if v, ok = u.wbuf.Get(word); ok {
-				break
-			}
-		}
-		if !ok {
-			v = uint64(s.Mem.Read(word))
-		}
-		l.Data[w] = v
-	}
-	if ev != nil && ev.State == cache.Dirty {
+	if _, ev := p.cache.Insert(cache.LineAddr(line), cache.Clean); ev.State == cache.Dirty {
 		// Speculative or not, the eviction is traffic; speculative values
 		// survive in the owning task's write buffer.
 		s.Bus.Record(bus.WB, bus.WritebackBytes)

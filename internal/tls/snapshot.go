@@ -6,8 +6,8 @@ import (
 
 // The machine's snapshot envelope (core.Machine.Snapshot/Restore) captures
 // memory, engine, bus counters, caches and BDM tables; SavePolicy and
-// LoadPolicy add the task state. The keyScratch/supScratch buffers are
-// dead at tick boundaries and are not captured.
+// LoadPolicy add the task state. The keyScratch buffer is dead at tick
+// boundaries and is not captured.
 
 // taskSnap is the deep-copied state of one speculative task. The BDM
 // version is recorded as an index into the owning processor's module

@@ -108,13 +108,10 @@ type System struct {
 	res Result
 
 	// keyScratch is the reusable sorted-key buffer for write-buffer
-	// iteration on the commit path; supScratch is the fill path's
-	// line-supplier list.
+	// iteration on the commit path.
 	//
 	//bulklint:snapstate-ignore keyScratch commit-path scratch dead between quanta
 	keyScratch []uint64
-	//bulklint:snapstate-ignore supScratch fill-path scratch dead between quanta
-	supScratch []*task
 }
 
 // NewSystem prepares a TLS run.

@@ -252,13 +252,11 @@ func (s *System) mergeLine(q *proc, line uint64) {
 	}
 	s.stats.Merges++
 	s.Bus.Record(bus.Fill, bus.FillBytes) // committed line fetched
+	s.Mem.ReadLine(line, cl.Data)
 	base := line * core.WordsPerLine
 	for w := 0; w < core.WordsPerLine; w++ {
-		a := base + uint64(w)
-		if v, ok := q.bufLookup(a); ok {
+		if v, ok := q.bufLookup(base + uint64(w)); ok {
 			cl.Data[w] = v
-		} else {
-			cl.Data[w] = uint64(s.Mem.Read(a))
 		}
 	}
 }

@@ -366,17 +366,15 @@ func (s *System) isSpecDirty(q *proc, line uint64) bool {
 }
 
 // insertLine inserts a line with a committed-memory data snapshot and
-// handles the eviction it may cause.
+// handles the eviction it may cause. The way's data buffer is reused, so
+// each way allocates once per run.
 func (s *System) insertLine(p *proc, line uint64, st cache.State) *cache.Line {
 	l, ev := p.cache.Insert(cache.LineAddr(line), st)
 	if l.Data == nil {
 		l.Data = make([]uint64, core.WordsPerLine)
 	}
-	base := line * core.WordsPerLine
-	for w := 0; w < core.WordsPerLine; w++ {
-		l.Data[w] = uint64(s.Mem.Read(base + uint64(w)))
-	}
-	if ev != nil && ev.State == cache.Dirty {
+	s.Mem.ReadLine(line, l.Data)
+	if ev.State == cache.Dirty {
 		s.handleDirtyEviction(p, uint64(ev.Addr))
 	}
 	return l

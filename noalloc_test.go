@@ -77,12 +77,17 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	setMaskBuf := make([]uint64, (c.NumSets()+63)/64)
 	c2 := cache.MustNew(1<<15, 4, 64)
 	c2.CopyFrom(c)
+	// A one-set cache whose every Insert evicts, so the harness measures
+	// the victim path.
+	ci := cache.MustNew(2*64, 2, 64)
+	var insAddr cache.LineAddr
 
 	// Memory and overflow area.
 	m := mem.NewMemory()
 	m.Write(100, 7)
 	m2 := mem.NewMemory()
 	m2.CopyFrom(m)
+	lineWords := make([]uint64, mem.WordsPerLine)
 	addrBuf := m.AppendSortedAddrs(nil)
 	ov := mem.NewOverflowArea()
 	ov.Spill(5, 0xF, []mem.Word{1, 2, 3, 4})
@@ -156,9 +161,11 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		},
 		"bulk/internal/cache.Cache.AndDirtySets": func() { c.AndDirtySets(setMaskBuf) },
 		"bulk/internal/cache.Cache.CopyFrom":     func() { c2.CopyFrom(c) },
+		"bulk/internal/cache.Cache.Insert":       func() { insAddr++; ci.Insert(insAddr, cache.Clean) },
 
 		"bulk/internal/mem.Memory.Read":                     func() { _ = m.Read(100) },
 		"bulk/internal/mem.Memory.Write":                    func() { m.Write(100, 7) },
+		"bulk/internal/mem.Memory.ReadLine":                 func() { m.ReadLine(100/mem.WordsPerLine, lineWords) },
 		"bulk/internal/mem.Memory.CopyFrom":                 func() { m2.CopyFrom(m) },
 		"bulk/internal/mem.Memory.AppendSortedAddrs":        func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
 		"bulk/internal/mem.OverflowArea.Fetch":              func() { _, _, _ = ov.Fetch(5) },
