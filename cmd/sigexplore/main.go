@@ -34,6 +34,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validateFlags(*samples, *perms, *writeSet, *readSet); err != nil {
+		fmt.Fprintf(os.Stderr, "sigexplore: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	var cfgs []*sig.Config
 	if *chunksFlag == "" {
 		all, err := sig.StandardConfigs(nil, sig.TMAddrBits)
@@ -88,6 +93,31 @@ func main() {
 		t.Row(base.Name(), base.TotalBits(), rleAvg(base, *seed, *writeSet), fpID, best, worst, fpPaper)
 	}
 	t.Render(os.Stdout)
+}
+
+// maxSetLines bounds -wset and -rset. draw takes distinct lines from a
+// pool of 768 shared plus 2^16 private lines per thread, so a set larger
+// than the pool would never finish.
+const maxSetLines = 1 << 16
+
+// validateFlags rejects out-of-domain flag values before any sampling
+// starts, so a typo'd invocation dies with usage (exit 2, like the flag
+// package's own parse errors) instead of printing NaN or empty rows, or
+// never finishing.
+func validateFlags(samples, perms, wset, rset int) error {
+	if samples < 1 {
+		return fmt.Errorf("-samples %d must be at least 1", samples)
+	}
+	if perms < 0 {
+		return fmt.Errorf("-perms %d is negative", perms)
+	}
+	if wset < 1 || wset > maxSetLines {
+		return fmt.Errorf("-wset %d is outside [1, %d]", wset, maxSetLines)
+	}
+	if rset < 1 || rset > maxSetLines {
+		return fmt.Errorf("-rset %d is outside [1, %d]", rset, maxSetLines)
+	}
+	return nil
 }
 
 // measure samples disjoint committer/receiver sets and reports the

@@ -397,7 +397,9 @@ func (m *Module) DisambiguateAddr(v *Version, a sig.Addr) bool {
 // cache sets; every valid line in a selected set is membership-tested
 // against s. fn is called for each line that passes. The line address is
 // widened to signature granularity for the membership test: at word
-// granularity a line passes if *any* of its word addresses passes.
+// granularity a line passes if *any* of its word addresses passes. Both
+// halves are sig kernels: DecodeInto for δ and, per line, one
+// WordMaskPlan.Mask gather (or one Contains at line granularity).
 //
 // δ(s) is intersected with the cache's per-set occupancy mask before the
 // walk — any-dirty when the caller only acts on dirty lines, any-valid
@@ -430,18 +432,13 @@ func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(*cache.Line)) 
 }
 
 // lineInSignature is the membership test at line granularity: for word
-// signatures, a line may be in the signature if any of its words is.
+// signatures, a line may be in the signature if any of its words is,
+// which is a nonzero Updated Word Bitmask.
 func (m *Module) lineInSignature(s *sig.Signature, line cache.LineAddr) bool {
 	if m.wordPlan == nil {
 		return s.Contains(sig.Addr(line))
 	}
-	base := uint64(line) * uint64(m.cfg.WordsPerLine)
-	for w := 0; w < m.cfg.WordsPerLine; w++ {
-		if s.Contains(sig.Addr(base + uint64(w))) {
-			return true
-		}
-	}
-	return false
+	return m.wordPlan.Mask(s, sig.Addr(line)) != 0
 }
 
 // SquashInvalidate discards the cache state of a squashed version: a bulk

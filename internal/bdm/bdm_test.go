@@ -545,19 +545,35 @@ func BenchmarkDisambiguate(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitInvalidate expands a 22-address committer signature
+// against 200 cached lines: "line" on the line-granular TM module, "word"
+// on the word-granular TLS module, whose membership test is the
+// Updated Word Bitmask kernel.
 func BenchmarkCommitInvalidate(b *testing.B) {
-	m := tmModule(b, 1)
-	c := m.Cache()
-	r := rng.New(2)
-	for i := 0; i < 200; i++ {
-		c.Insert(cache.LineAddr(r.Intn(1<<16)), cache.Clean)
-	}
-	wc := sig.DefaultTM().NewSignature()
-	for i := 0; i < 22; i++ {
-		wc.Add(sig.Addr(r.Intn(1 << 16)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.CommitInvalidate(wc)
+	for _, tc := range []struct {
+		name  string
+		build func(testing.TB, int) *Module
+		cfg   *sig.Config
+		words int
+	}{
+		{"line", tmModule, sig.DefaultTM(), 1},
+		{"word", tlsModule, sig.DefaultTLS(), 16},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := tc.build(b, 1)
+			c := m.Cache()
+			r := rng.New(2)
+			for i := 0; i < 200; i++ {
+				c.Insert(cache.LineAddr(r.Intn(1<<16)), cache.Clean)
+			}
+			wc := tc.cfg.NewSignature()
+			for i := 0; i < 22; i++ {
+				wc.Add(sig.Addr(r.Intn(1<<16) * tc.words))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.CommitInvalidate(wc)
+			}
+		})
 	}
 }

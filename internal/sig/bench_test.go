@@ -114,6 +114,43 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkWordMask times the Updated Word Bitmask of one 16-word line
+// against a signature of 22 written lines, on a line inside and a line
+// outside the signature: the paper's TLS layout (a window and a bit test)
+// and word-granularity TM's (the Gray-code walk in both chunks).
+func BenchmarkWordMask(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cfg  *Config
+	}{
+		{"TLS", DefaultTLS()},
+		{"WordTM", WordTM()},
+	} {
+		plan, err := NewWordMaskPlan(tc.cfg, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := tc.cfg.NewSignature()
+		lines := benchAddrs(23)
+		for i, line := range lines[:22] {
+			s.Add(line*16 + Addr(i%16))
+		}
+		for _, at := range []struct {
+			name string
+			line Addr
+		}{{"in", lines[0]}, {"out", lines[22]}} {
+			b.Run(tc.name+"/"+at.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					wordMaskSink = plan.Mask(s, at.line)
+				}
+			})
+		}
+	}
+}
+
+var wordMaskSink uint64
+
 func BenchmarkRLEncodedBits(b *testing.B) {
 	addrs := benchAddrs(1024)
 	for _, cfg := range benchConfigsUnder(b) {

@@ -145,3 +145,13 @@ func DefaultTM() *Config {
 func DefaultTLS() *Config {
 	return MustConfig("S14", []int{10, 10}, TLSPermutation, TLSAddrBits)
 }
+
+// WordTM returns the signature of word-granularity TM: S14 over 30-bit
+// word addresses of 16-word lines. The TM cache's 128-set index lives in
+// word-address bits 4..10, so the permutation brings those bits (plus
+// word-offset bits 0..2) into the first chunk, keeping the δ decode exact;
+// word-offset bit 3 leads the second chunk.
+func WordTM() *Config {
+	perm := []int{4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	return MustConfig("S14w", []int{10, 10}, perm, TLSAddrBits)
+}

@@ -125,6 +125,11 @@ type DecodePlan struct {
 	// the field value map to which bits of the set index.
 	fields []fieldProjection
 	exact  bool
+	// run is set when the plan is exact and its index bits are chunk bits
+	// [lo, lo+Bits) in order, as under both paper permutations: δ then
+	// maps field value v to set (v>>lo) & (sets-1).
+	run bool
+	lo  uint
 }
 
 type fieldProjection struct {
@@ -176,6 +181,13 @@ func NewDecodePlan(cfg *Config, idx IndexSpec) (*DecodePlan, error) {
 		p.fields = append(p.fields, *byField[f])
 	}
 	p.exact = len(p.fields) == 1
+	if p.exact {
+		cb := p.fields[0].chunkBits
+		p.run, p.lo = true, uint(cb[0])
+		for j, b := range cb {
+			p.run = p.run && b == cb[0]+j
+		}
+	}
 	return p, nil
 }
 
@@ -206,8 +218,9 @@ func (p *DecodePlan) Decode(s *Signature) SetMask {
 // Exact plans — the only kind the BDM accepts — run an allocation-free
 // fast path: every one bit of the single contributing field scatters
 // directly into the mask (SetMask.Set is idempotent, so no dedup pass is
-// needed). Inexact multi-field plans take the allocating cross-product
-// path in decodeCross.
+// needed). A run plan maps each bit with one shift and mask; other exact
+// plans move the index bits one at a time. Inexact multi-field plans take
+// the allocating cross-product path in decodeCross.
 //
 //bulklint:noalloc
 func (p *DecodePlan) DecodeInto(s *Signature, mask SetMask) {
@@ -219,6 +232,7 @@ func (p *DecodePlan) DecodeInto(s *Signature, mask SetMask) {
 		fp := &p.fields[0]
 		off := p.cfg.offsets[fp.field]
 		n := 1 << p.cfg.chunks[fp.field]
+		sets := uint32(p.idx.NumSets() - 1)
 		for i := 0; i < n; {
 			w := (off + i) >> 6
 			shift := uint((off + i) & 63)
@@ -235,12 +249,16 @@ func (p *DecodePlan) DecodeInto(s *Signature, mask SetMask) {
 			word := s.bits[w] & m
 			for word != 0 {
 				v := uint32(i + bits.TrailingZeros64(word) - int(shift))
+				word &= word - 1
+				if p.run {
+					mask.Set(int(v >> p.lo & sets))
+					continue
+				}
 				var pat uint32
 				for j, cb := range fp.chunkBits {
 					pat |= ((v >> uint(cb)) & 1) << uint(fp.indexBits[j])
 				}
 				mask.Set(int(pat))
-				word &= word - 1
 			}
 			i += take
 		}
@@ -286,13 +304,51 @@ func (p *DecodePlan) decodeCross(s *Signature, mask SetMask) {
 	combine(0, 0)
 }
 
-// WordMaskPlan extracts the Updated Word Bitmask of Section 4.4: given a
-// word-granularity write signature and a line address, a conservative
-// bitmask of the words within the line that the signature may contain.
+// WordMaskPlan is the Updated Word Bitmask unit of Section 4.4 (Figure 6):
+// given a word-granularity signature and a line address, the bitmask of
+// the line's words the signature may contain. Bit w is set iff
+// Contains(line*wordsPerLine + w), bit for bit, so the mask is exact with
+// respect to membership and conservative with respect to the writes.
+//
+// For bit-selected configurations the unit costs one gather per line.
+// Every field-value bit comes from exactly one address bit, so chunk i of
+// the word address line*W | w is chunk_i(line*W) | chunk_i(w): the
+// line's gather plus a contribution that depends on w and the layout
+// only. NewWordMaskPlan records which word-offset bits each chunk holds
+// and sorts the chunks into three kinds:
+//
+//   - a chunk that holds no word-offset bit contributes nothing, so it is
+//     one bit test for all W words (DefaultTLS's chunk 1);
+//   - a chunk that holds them all in order at its low bits contributes w
+//     itself, so its W bits are one aligned window of the field (when the
+//     field starts W-aligned; DefaultTLS's chunk 0);
+//   - any other chunk tests its W bits one by one, walking the words in
+//     Gray-code order so each step adds or removes one word bit's
+//     contribution (both chunks of WordTM, which hold word bits 0..2 at
+//     chunk bits 7..9 and word bit 3 at chunk bit 0).
+//
+// Hashed configurations mix every address bit into every field, so they
+// keep the per-word Contains loop.
 type WordMaskPlan struct {
 	cfg          *Config
 	wordsPerLine int
+	all          uint64 // the low wordsPerLine bits
+	kind         [MaxChunks]uint8
+	// Word-offset bit j lands at bit pos[j] of chunk holder[j] (-1: of
+	// no chunk). Fixed arrays keep building a plan one allocation.
+	holder [maxWordBits]int8
+	pos    [maxWordBits]uint8
 }
+
+// Chunk kinds of a WordMaskPlan.
+const (
+	wordsNone   = iota // holds no word-offset bit: one bit test
+	wordsWindow        // holds them in order at its low bits: one window
+	wordsWalk          // otherwise: a Gray-code walk over the words
+)
+
+// maxWordBits is log2 of the largest wordsPerLine.
+const maxWordBits = 6
 
 // NewWordMaskPlan builds the Updated Word Bitmask functional unit for
 // signatures over word addresses where the low log2(wordsPerLine) bits of
@@ -302,20 +358,85 @@ func NewWordMaskPlan(cfg *Config, wordsPerLine int) (*WordMaskPlan, error) {
 	if wordsPerLine <= 0 || wordsPerLine > 64 || wordsPerLine&(wordsPerLine-1) != 0 {
 		return nil, fmt.Errorf("sig: wordsPerLine %d must be a power of two in 1..64", wordsPerLine)
 	}
-	return &WordMaskPlan{cfg: cfg, wordsPerLine: wordsPerLine}, nil
+	p := &WordMaskPlan{cfg: cfg, wordsPerLine: wordsPerLine, all: ^uint64(0) >> uint(64-wordsPerLine)}
+	if cfg.hashed {
+		return p, nil
+	}
+	k := bits.TrailingZeros(uint(wordsPerLine))
+	for j := range p.holder {
+		p.holder[j] = -1
+	}
+	off := 0
+	for i, ch := range cfg.chunks {
+		held, inOrder := 0, cfg.offsets[i]%wordsPerLine == 0
+		for b := 0; b < ch; b++ {
+			if src := cfg.permPos[off+b]; src >= 0 && src < k {
+				p.holder[src], p.pos[src] = int8(i), uint8(b)
+				held++
+				inOrder = inOrder && src == b
+			}
+		}
+		off += ch
+		switch {
+		case held == 0:
+			p.kind[i] = wordsNone
+		case held == k && inOrder:
+			p.kind[i] = wordsWindow
+		default:
+			p.kind[i] = wordsWalk
+		}
+	}
+	return p, nil
 }
 
-// Mask returns the conservative per-word update bitmask for line (a line
-// address at line granularity): bit w is set iff word address
-// line*wordsPerLine + w may be in the signature.
+// Mask returns the per-word update bitmask for line (a line address at
+// line granularity): bit w is set iff word address line*wordsPerLine + w
+// may be in the signature. It panics when s uses a configuration the plan
+// was not built for.
 //
 //bulklint:noalloc
 func (p *WordMaskPlan) Mask(s *Signature, line Addr) uint64 {
-	var m uint64
-	base := uint64(line) * uint64(p.wordsPerLine)
-	for w := 0; w < p.wordsPerLine; w++ {
-		if s.Contains(Addr(base + uint64(w))) {
-			m |= 1 << uint(w)
+	if s.cfg != p.cfg && !s.cfg.Compatible(p.cfg) {
+		panic("sig: word mask plan applied to signature with different configuration") //bulklint:invariant plans are built per-config at system setup
+	}
+	base := Addr(uint64(line) * uint64(p.wordsPerLine))
+	if p.cfg.hashed {
+		var m uint64
+		for w := 0; w < p.wordsPerLine; w++ {
+			if s.Contains(base + Addr(w)) {
+				m |= 1 << uint(w)
+			}
+		}
+		return m
+	}
+	// base's word-offset bits are zero, so chunk_i(base) | chunk_i(w) is
+	// chunk_i(base) + chunk_i(w).
+	var vals [MaxChunks]uint32
+	m := p.all
+	for i, v := range p.cfg.fieldIndices(base, &vals) {
+		bit := p.cfg.offsets[i] + int(v)
+		switch p.kind[i] {
+		case wordsNone:
+			if s.bits[bit>>6]&(1<<uint(bit&63)) == 0 {
+				return 0
+			}
+		case wordsWindow:
+			m &= s.bits[bit>>6] >> uint(bit&63)
+		default:
+			// Word g = n^(n>>1) differs from the previous word in bit
+			// TrailingZeros(n) alone, and c tracks chunk_i(g).
+			var t uint64
+			var c uint32
+			for n := 0; n < p.wordsPerLine; n++ {
+				if n > 0 {
+					if j := bits.TrailingZeros(uint(n)); p.holder[j] == int8(i) {
+						c ^= 1 << p.pos[j]
+					}
+				}
+				b := bit + int(c)
+				t |= (s.bits[b>>6] >> uint(b&63) & 1) << uint(n^n>>1)
+			}
+			m &= t
 		}
 	}
 	return m

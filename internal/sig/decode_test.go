@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"slices"
 	"testing"
 
 	"bulk/internal/rng"
@@ -37,39 +38,56 @@ func TestDecodeExactSingleChunk(t *testing.T) {
 }
 
 func TestDecodeExactWithPaperPermutations(t *testing.T) {
-	// The paper's production configurations must give exact decodes for
-	// their respective cache geometries (Set Restriction correctness
-	// depends on it).
-	cases := []struct {
-		name string
-		cfg  *Config
-		idx  IndexSpec
-	}{
-		// TM: 32KB/4-way/64B -> 128 sets; line-address bits 0..6.
-		{"TM", DefaultTM(), IndexSpec{LowBit: 0, Bits: 7}},
-		// TLS: 16KB/4-way/64B -> 64 sets; word-address bits 4..9.
-		{"TLS", DefaultTLS(), IndexSpec{LowBit: 4, Bits: 6}},
+	// The production configurations (the paper's two and word-granularity
+	// TM's) must give exact decodes for their cache geometries (Set
+	// Restriction correctness depends on it), and every other exact plan
+	// over the kernel layouts must decode exactly too. Both paper permutations give run plans; the swapped layout
+	// (address bits 1 and 2 exchanged) keeps the per-bit loop covered.
+	type decodeCase struct {
+		name       string
+		cfg        *Config
+		idx        IndexSpec
+		production bool
 	}
+	cases := []decodeCase{
+		// TM: 32KB/4-way/64B -> 128 sets; line-address bits 0..6.
+		{"TM", DefaultTM(), IndexSpec{LowBit: 0, Bits: 7}, true},
+		// TLS: 16KB/4-way/64B -> 64 sets; word-address bits 4..9.
+		{"TLS", DefaultTLS(), IndexSpec{LowBit: 4, Bits: 6}, true},
+		// Word-granularity TM: 128 sets; word-address bits 4..10.
+		{"WordTM", WordTM(), IndexSpec{LowBit: 4, Bits: 7}, true},
+	}
+	swapped := MustConfig("swapped", []int{10, 10}, []int{0, 2, 1}, TMAddrBits)
+	for _, cfg := range append(kernelConfigs(t), swapped) {
+		for _, idx := range []IndexSpec{{0, 6}, {0, 7}, {4, 6}, {6, 7}} {
+			cases = append(cases, decodeCase{cfg.Name(), cfg, idx, false})
+		}
+	}
+	r := rng.New(5)
 	for _, tc := range cases {
 		plan, err := NewDecodePlan(tc.cfg, tc.idx)
-		if err != nil {
-			t.Fatalf("%s: NewDecodePlan: %v", tc.name, err)
+		if err != nil || !plan.Exact() {
+			if tc.production {
+				t.Errorf("%s: production configuration must decode exactly (%v)", tc.name, err)
+			}
+			continue
 		}
-		if !plan.Exact() {
-			t.Errorf("%s: paper configuration must decode exactly", tc.name)
+		if tc.cfg == swapped && tc.idx.LowBit == 0 && plan.run {
+			t.Fatalf("swapped layout %v: plan is a run, want the per-bit loop", tc.idx)
 		}
-		r := rng.New(5)
-		s := tc.cfg.NewSignature()
-		want := map[int]bool{}
-		for i := 0; i < 500; i++ {
-			a := Addr(r.Intn(1 << tc.cfg.AddrBits()))
-			s.Add(a)
-			want[plan.SetIndexOf(a)] = true
-		}
-		mask := plan.Decode(s)
-		for set := 0; set < tc.idx.NumSets(); set++ {
-			if mask.Has(set) != want[set] {
-				t.Fatalf("%s set %d: mask=%v, want %v", tc.name, set, mask.Has(set), want[set])
+		got := NewSetMask(tc.idx.NumSets())
+		for _, n := range []int{1, 22, 500} {
+			s := tc.cfg.NewSignature()
+			want := NewSetMask(tc.idx.NumSets())
+			for i := 0; i < n; i++ {
+				a := Addr(r.Uint64n(1 << tc.cfg.AddrBits()))
+				s.Add(a)
+				want.Set(plan.SetIndexOf(a))
+			}
+			plan.DecodeInto(s, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %v/%d %v, %d addrs: DecodeInto %v, set indices %v",
+					tc.name, tc.cfg.perm, tc.cfg.AddrBits(), tc.idx, n, got.Sets(nil), want.Sets(nil))
 			}
 		}
 	}
@@ -186,8 +204,97 @@ func TestWordMaskPlanValidation(t *testing.T) {
 			t.Errorf("wordsPerLine=%d must be rejected", n)
 		}
 	}
-	if _, err := NewWordMaskPlan(cfg, 16); err != nil {
-		t.Errorf("wordsPerLine=16 must be accepted: %v", err)
+	plan, err := NewWordMaskPlan(cfg, 16)
+	if err != nil {
+		t.Fatalf("wordsPerLine=16 must be accepted: %v", err)
 	}
+	// A signature of an equal but distinct Config is accepted; one of
+	// another layout panics, as DecodeInto does.
+	_ = plan.Mask(DefaultTLS().NewSignature(), 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Mask on a signature of another layout must panic")
+		}
+	}()
+	plan.Mask(DefaultTM().NewSignature(), 1)
 }
 
+// kernelConfigs returns every Table 8 configuration under the identity,
+// TM, TLS and a random permutation, over 26- and 30-bit addresses: the
+// layouts the expansion kernels are checked across.
+func kernelConfigs(t *testing.T) []*Config {
+	t.Helper()
+	r := rng.New(16)
+	var out []*Config
+	for _, addrBits := range []int{TMAddrBits, TLSAddrBits} {
+		for _, perm := range [][]int{nil, TMPermutation, TLSPermutation, r.Perm(addrBits)} {
+			cfgs, err := StandardConfigs(perm, addrBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, cfgs...)
+		}
+	}
+	return out
+}
+
+// TestWordMaskMatchesContains: the one-gather word-mask kernel equals the
+// per-word Contains loop bit for bit, on lines inside and outside random
+// signatures. The paper's defaults take only the window and bit-test
+// paths; WordTM, the layout of word-granularity TM, and the random
+// permutations run the walk path.
+func TestWordMaskMatchesContains(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  *Config
+		want [2]uint8
+	}{
+		{DefaultTLS(), [2]uint8{wordsWindow, wordsNone}},
+		{DefaultTM(), [2]uint8{wordsWindow, wordsNone}},
+		{WordTM(), [2]uint8{wordsWalk, wordsWalk}},
+	} {
+		p, err := NewWordMaskPlan(tc.cfg, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if [2]uint8(p.kind[:2]) != tc.want {
+			t.Fatalf("%s/%d: chunk kinds %v, want %v", tc.cfg.Name(), tc.cfg.AddrBits(), p.kind[:2], tc.want)
+		}
+	}
+	hashed := MustHashedConfig("hashed", []int{10, 10}, TLSAddrBits, 3)
+	r := rng.New(44)
+	for _, cfg := range append(kernelConfigs(t), WordTM(), hashed) {
+		for _, wpl := range []int{1, 2, 16, 64} {
+			p, err := NewWordMaskPlan(cfg, wpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lineSpace := uint64(1) << cfg.AddrBits() / uint64(wpl)
+			for _, n := range []int{8, 200} {
+				s := cfg.NewSignature()
+				lines := make([]Addr, n)
+				for i := range lines {
+					lines[i] = Addr(r.Uint64n(lineSpace))
+					s.Add(lines[i]*Addr(wpl) + Addr(r.Intn(wpl)))
+				}
+				check := func(line Addr) {
+					var want uint64
+					for w := 0; w < wpl; w++ {
+						if s.Contains(line*Addr(wpl) + Addr(w)) {
+							want |= 1 << uint(w)
+						}
+					}
+					if got := p.Mask(s, line); got != want {
+						t.Fatalf("%s %v/%d, %d words, %d lines: Mask(%#x) = %#x, per-word Contains %#x",
+							cfg.Name(), cfg.perm, cfg.AddrBits(), wpl, n, line, got, want)
+					}
+				}
+				for _, line := range lines[:8] {
+					check(line)
+				}
+				for i := 0; i < 8; i++ {
+					check(Addr(r.Uint64n(lineSpace)))
+				}
+			}
+		}
+	}
+}

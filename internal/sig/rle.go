@@ -179,11 +179,12 @@ func RLDecodeInto(dst *Signature, data []byte) error {
 		if err != nil {
 			return err
 		}
-		zeros := int(g - 1)
-		pos += zeros
-		if pos > total {
+		// Bound the run before converting it: a gamma value of 2^63+2 or
+		// more would wrap int negative and index before the signature.
+		if g-1 > uint64(total-pos) {
 			return errors.New("sig: RLE run overflows signature") //bulklint:allow noalloc failure path for malformed input
 		}
+		pos += int(g - 1)
 		if pos == total {
 			break // trailing-zero run
 		}

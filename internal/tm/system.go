@@ -127,12 +127,7 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 	switch {
 	case opts.SigConfig != nil:
 	case opts.WordGranularity:
-		// Word addresses over the TM cache: the 128-set index lives in
-		// word-address bits 4..10, so the permutation brings those bits
-		// (plus some offset bits) into the first S14 chunk, keeping the δ
-		// decode exact.
-		perm := []int{4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19}
-		opts.SigConfig = sig.MustConfig("S14w", []int{10, 10}, perm, 30)
+		opts.SigConfig = sig.WordTM()
 	default:
 		opts.SigConfig = sig.DefaultTM()
 	}

@@ -48,6 +48,14 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	if err != nil {
 		t.Fatalf("NewWordMaskPlan: %v", err)
 	}
+	// Word-granularity TM's layout, so Mask runs its Gray-code walk too.
+	wordTM := sig.WordTM()
+	wordTMSig := wordTM.NewSignature()
+	wordTMSig.Add(3*16 + 5)
+	wordTMPlan, err := sig.NewWordMaskPlan(wordTM, 16)
+	if err != nil {
+		t.Fatalf("NewWordMaskPlan: %v", err)
+	}
 
 	// Flat map and set, warmed past their final capacity, plus CopyFrom
 	// destinations pre-grown to the source size.
@@ -129,7 +137,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/sig.SetMask.CopyFrom":      func() { mask2.CopyFrom(mask) },
 		"bulk/internal/sig.SetMask.Count":         func() { _ = mask.Count() },
 		"bulk/internal/sig.DecodePlan.DecodeInto": func() { plan.DecodeInto(s1, mask) },
-		"bulk/internal/sig.WordMaskPlan.Mask":     func() { _ = wmp.Mask(s1, 3) },
+		"bulk/internal/sig.WordMaskPlan.Mask":     func() { _ = wmp.Mask(s1, 3); _ = wordTMPlan.Mask(wordTMSig, 3) },
 
 		"bulk/internal/flatmap.Map.Get":        func() { _, _ = fm.Get(42) },
 		"bulk/internal/flatmap.Map.Has":        func() { _ = fm.Has(42) },

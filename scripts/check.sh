@@ -213,11 +213,13 @@ echo "== native fuzz smoke (5s per target) =="
 # The three runtimes; the workload layout determinism target the daemon's
 # result cache leans on (cache keys assume identical (seed, config) inputs
 # regenerate identical bytes); the checkpoint decoder bulkcheck -resume
-# feeds files to; and bulkd's request decoding. Both decoders must reject
-# hostile input without panicking.
+# feeds files to; bulkd's request decoding; and the RLE decoder commit
+# broadcasts pass through. The decoders must reject hostile input without
+# panicking.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
     internal/ckpt:FuzzCkptModes internal/workload:FuzzWorkloadLayout \
-    internal/check:FuzzDecodeCheckpoint internal/serve:FuzzDecodeRequest; do
+    internal/check:FuzzDecodeCheckpoint internal/serve:FuzzDecodeRequest \
+    internal/sig:FuzzRLDecode; do
   pkg="${target%%:*}"
   fz="${target##*:}"
   go test "./$pkg/" -run '^$' -fuzz "^${fz}\$" -fuzztime 5s
