@@ -6,8 +6,9 @@
 // next to the core run benchmarks. The w1 case is the serial explorer;
 // w2/w4/w8 exercise the work-stealing pool (their reports are asserted
 // identical in internal/check's tests, so here only throughput differs).
-// scripts/bench.sh records these into BENCH_check.json against
-// bench/baseline/check.txt.
+// They are developer tools with no committed record: scripts/check.sh runs
+// the tm-sweep w1 and w4 cases once as a smoke test, and cmd/bulkbench's
+// check-small workload is the measured record of explorer throughput.
 package bulk_test
 
 import (

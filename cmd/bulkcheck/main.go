@@ -36,61 +36,60 @@ import (
 	"bulk/internal/serve"
 )
 
+// options holds the parsed command line.
+type options struct {
+	protocol, mode, budget, mutations, target, replay, ckptPath, resume string
+	schedules, depth, workers                                           int
+	seed                                                                uint64
+	deviate                                                             float64
+	verbose                                                             bool
+}
+
 func main() {
-	var (
-		protocol  = flag.String("protocol", "all", "runtime to check: tm, tls, ckpt, or all")
-		mode      = flag.String("mode", "dfs", "exploration mode: dfs (systematic best-first) or walk (random)")
-		budget    = flag.String("budget", "medium", "exploration budget: small, medium, or large")
-		schedules = flag.Int("schedules", 0, "override max schedules per target (0 = budget default)")
-		depth     = flag.Int("depth", 0, "override decision depth (0 = budget default)")
-		workers   = flag.Int("workers", 0, "explorer worker goroutines (0 = GOMAXPROCS); the report is identical at every count")
-		seed      = flag.Uint64("seed", 2006, "random-walk seed")
-		deviate   = flag.Float64("deviate", 0.3, "random-walk per-decision deviation probability")
-		mutations = flag.String("mutations", "", "mutation audit: 'all' or comma-separated names (empty = sweep the unmutated tree)")
-		target    = flag.String("target", "", "single target by name (required with -replay and -checkpoint)")
-		replay    = flag.String("replay", "", "replay one schedule (comma-separated choices) instead of exploring")
-		ckptPath  = flag.String("checkpoint", "", "write a resumable frontier checkpoint to FILE on a clean budget stop (requires -target)")
-		resume    = flag.String("resume", "", "resume a sweep from a checkpoint FILE (target and depth come from the checkpoint)")
-		verbose   = flag.Bool("v", false, "print per-target exploration statistics")
-	)
+	var o options
+	flag.StringVar(&o.protocol, "protocol", "all", "runtime to check: tm, tls, ckpt, or all")
+	flag.StringVar(&o.mode, "mode", "dfs", "exploration mode: dfs (systematic best-first) or walk (random)")
+	flag.StringVar(&o.budget, "budget", "medium", "exploration budget: small, medium, or large")
+	flag.IntVar(&o.schedules, "schedules", 0, "override max schedules per target (0 = budget default)")
+	flag.IntVar(&o.depth, "depth", 0, "override decision depth (0 = budget default)")
+	flag.IntVar(&o.workers, "workers", 0, "explorer worker goroutines (0 = GOMAXPROCS); the report is identical at every count")
+	flag.Uint64Var(&o.seed, "seed", 2006, "random-walk seed")
+	flag.Float64Var(&o.deviate, "deviate", 0.3, "random-walk per-decision deviation probability")
+	flag.StringVar(&o.mutations, "mutations", "", "mutation audit: 'all' or comma-separated names (empty = sweep the unmutated tree); with -replay, the names to replay under")
+	flag.StringVar(&o.target, "target", "", "single target by name (required with -replay and -checkpoint)")
+	flag.StringVar(&o.replay, "replay", "", "replay one schedule (comma-separated choices) instead of exploring")
+	flag.StringVar(&o.ckptPath, "checkpoint", "", "write a resumable frontier checkpoint to FILE on a clean budget stop (requires -target)")
+	flag.StringVar(&o.resume, "resume", "", "resume a sweep from a checkpoint FILE (target and depth come from the checkpoint)")
+	flag.BoolVar(&o.verbose, "v", false, "print per-target exploration statistics")
 	flag.Parse()
 
-	if err := validateFlags(*workers, *schedules, *depth, *deviate, *budget); err != nil {
+	if err := validateFlags(o); err != nil {
 		fmt.Fprintf(os.Stderr, "bulkcheck: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	b, _ := check.BudgetByName(*budget)
-	if *schedules > 0 {
-		b.MaxSchedules = *schedules
+	b, _ := check.BudgetByName(o.budget)
+	if o.schedules > 0 {
+		b.MaxSchedules = o.schedules
 	}
-	if *depth > 0 {
-		b.Depth = *depth
+	if o.depth > 0 {
+		b.Depth = o.depth
 	}
+	muts, _ := parseMutations(o.mutations)
 
-	if *replay != "" {
-		var muts mutate.Set
-		if *mutations != "" && *mutations != "all" {
-			for _, n := range strings.Split(*mutations, ",") {
-				id, ok := mutate.ByName(strings.TrimSpace(n))
-				if !ok {
-					fatalf("unknown mutation %q", n)
-				}
-				muts |= mutate.Of(id)
-			}
-		}
-		runReplay(*target, *replay, b.Depth, muts)
+	if o.replay != "" {
+		runReplay(o.target, o.replay, b.Depth, muts)
 		return
 	}
-	if *resume != "" || *ckptPath != "" {
-		runCheckpointed(*resume, *ckptPath, *target, b, *depth, *workers, *verbose)
+	if o.resume != "" || o.ckptPath != "" {
+		runCheckpointed(o.resume, o.ckptPath, o.target, b, o.depth, o.workers, o.verbose)
 		return
 	}
-	if *mutations != "" {
-		runMutations(*mutations, *workers, *verbose)
+	if o.mutations != "" {
+		runMutations(muts, o.workers, o.verbose)
 		return
 	}
-	runSweep(*protocol, *mode, b, *workers, *seed, *deviate, *target, *verbose)
+	runSweep(o, b)
 }
 
 // runCheckpointed handles the resumable single-target modes: -checkpoint
@@ -121,9 +120,6 @@ func runCheckpointed(resumePath, ckptPath, target string, b check.Budget, depthF
 				target, from.Schedules)
 			return
 		}
-	}
-	if target == "" {
-		fatalf("-checkpoint requires -target (one of: %s)", targetNames())
 	}
 	t, ok := targetByName(target)
 	if !ok {
@@ -156,35 +152,26 @@ func runCheckpointed(resumePath, ckptPath, target string, b check.Budget, depthF
 }
 
 // runSweep explores the unmutated tree and fails on any oracle rejection.
-func runSweep(protocol, mode string, b check.Budget, workers int, seed uint64, deviate float64, only string, verbose bool) {
-	targets, err := check.TargetsByProtocol(protocol)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if only != "" {
-		t, ok := targetByName(only)
-		if !ok {
-			fatalf("unknown target %q (try one of: %s)", only, targetNames())
-		}
+func runSweep(o options, b check.Budget) {
+	targets, _ := check.TargetsByProtocol(o.protocol)
+	if o.target != "" {
+		t, _ := targetByName(o.target)
 		targets = []check.Target{t}
 	}
 	failed := false
 	for _, t := range targets {
 		var rep *check.Report
-		switch mode {
-		case "dfs":
-			rep = check.ExploreParallel(t, 0, b, workers)
-		case "walk":
-			rep = check.Walk(t, 0, b, seed, deviate)
-		default:
-			fatalf("unknown mode %q (want dfs or walk)", mode)
+		if o.mode == "walk" {
+			rep = check.Walk(t, 0, b, o.seed, o.deviate)
+		} else {
+			rep = check.ExploreParallel(t, 0, b, o.workers)
 		}
 		if rep.Failure != nil {
 			failed = true
 			fmt.Print(serve.CheckFail(t.Name(), rep))
 			continue
 		}
-		fmt.Print(serve.CheckOK(t.Name(), rep, verbose))
+		fmt.Print(serve.CheckOK(t.Name(), rep, o.verbose))
 	}
 	if failed {
 		os.Exit(1)
@@ -194,27 +181,12 @@ func runSweep(protocol, mode string, b check.Budget, workers int, seed uint64, d
 // runMutations proves the checker's teeth: every requested seeded mutation
 // must be killed — the explorer must find an oracle-rejected schedule —
 // within its catalog budget.
-func runMutations(names string, workers int, verbose bool) {
-	catalog := check.Catalog()
-	if names != "all" {
-		want := map[mutate.ID]bool{}
-		for _, n := range strings.Split(names, ",") {
-			id, ok := mutate.ByName(strings.TrimSpace(n))
-			if !ok {
-				fatalf("unknown mutation %q", n)
-			}
-			want[id] = true
-		}
-		kept := catalog[:0]
-		for _, m := range catalog {
-			if want[m.ID] {
-				kept = append(kept, m)
-			}
-		}
-		catalog = kept
-	}
+func runMutations(muts mutate.Set, workers int, verbose bool) {
 	survived := 0
-	for _, m := range catalog {
+	for _, m := range check.Catalog() {
+		if !muts.Has(m.ID) {
+			continue
+		}
 		rep := check.ExploreParallel(m.Target, mutate.Of(m.ID), m.Budget, workers)
 		if rep.Failure == nil {
 			survived++
@@ -237,13 +209,7 @@ func runMutations(names string, workers int, verbose bool) {
 // mutations, so a mutation-audit kill reproduces too — and reports its
 // judgment.
 func runReplay(name, schedule string, depth int, muts mutate.Set) {
-	if name == "" {
-		fatalf("-replay requires -target (one of: %s)", targetNames())
-	}
-	t, ok := targetByName(name)
-	if !ok {
-		fatalf("unknown target %q (try one of: %s)", name, targetNames())
-	}
+	t, _ := targetByName(name)
 	sched, err := check.ParseSchedule(schedule)
 	if err != nil {
 		fatalf("%v", err)
@@ -286,26 +252,76 @@ func allTargets() []check.Target {
 	return ts
 }
 
-// validateFlags rejects out-of-domain flag values before any exploration
-// starts, so a typo'd invocation dies with usage (exit 2, like the flag
-// package's own parse errors) instead of misbehaving mid-sweep.
-func validateFlags(workers, schedules, depth int, deviate float64, budget string) error {
-	if workers < 0 {
-		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", workers)
+// validateFlags rejects out-of-domain flag values and combinations it
+// would misread before any exploration starts, so a typo'd invocation dies
+// with usage (exit 2, like the flag package's own parse errors) instead of
+// misbehaving mid-sweep.
+func validateFlags(o options) error {
+	if o.workers < 0 {
+		return fmt.Errorf("-workers %d is negative (0 means GOMAXPROCS)", o.workers)
 	}
-	if schedules < 0 {
-		return fmt.Errorf("-schedules %d is negative (0 means the budget default)", schedules)
+	if o.schedules < 0 {
+		return fmt.Errorf("-schedules %d is negative (0 means the budget default)", o.schedules)
 	}
-	if depth < 0 {
-		return fmt.Errorf("-depth %d is negative (0 means the budget default)", depth)
+	if o.depth < 0 {
+		return fmt.Errorf("-depth %d is negative (0 means the budget default)", o.depth)
 	}
-	if !(deviate >= 0 && deviate <= 1) { // also rejects NaN
-		return fmt.Errorf("-deviate %v is not a probability in [0, 1]", deviate)
+	if !(o.deviate >= 0 && o.deviate <= 1) { // also rejects NaN
+		return fmt.Errorf("-deviate %v is not a probability in [0, 1]", o.deviate)
 	}
-	if _, ok := check.BudgetByName(budget); !ok {
-		return fmt.Errorf("unknown budget %q (want small, medium, or large)", budget)
+	if _, ok := check.BudgetByName(o.budget); !ok {
+		return fmt.Errorf("unknown budget %q (want small, medium, or large)", o.budget)
+	}
+	if o.mode != "dfs" && o.mode != "walk" {
+		return fmt.Errorf("unknown mode %q (want dfs or walk)", o.mode)
+	}
+	if _, err := check.TargetsByProtocol(o.protocol); err != nil {
+		return fmt.Errorf("unknown protocol %q (want tm, tls, ckpt, or all)", o.protocol)
+	}
+	if _, err := parseMutations(o.mutations); err != nil {
+		return err
+	}
+	if o.target != "" {
+		if _, ok := targetByName(o.target); !ok {
+			return fmt.Errorf("unknown target %q (try one of: %s)", o.target, targetNames())
+		}
+	}
+	// The combinations below would otherwise run without the mutations
+	// asked for, or without a target, and could report a false ok.
+	switch {
+	case o.replay != "" && o.target == "":
+		return fmt.Errorf("-replay requires -target (one of: %s)", targetNames())
+	case o.replay != "" && o.mutations == "all":
+		return fmt.Errorf("-replay takes the mutation names a kill was found under, not -mutations all")
+	case o.mutations != "" && o.replay == "" && (o.ckptPath != "" || o.resume != ""):
+		return fmt.Errorf("-mutations does not combine with -checkpoint or -resume")
+	case o.ckptPath != "" && o.resume == "" && o.target == "":
+		return fmt.Errorf("-checkpoint requires -target (one of: %s)", targetNames())
 	}
 	return nil
+}
+
+// parseMutations resolves -mutations: empty is none, "all" every
+// mutation, anything else a comma-separated list of names.
+func parseMutations(names string) (mutate.Set, error) {
+	var muts mutate.Set
+	switch names {
+	case "":
+		return 0, nil
+	case "all":
+		for id := mutate.ID(0); id < mutate.NumIDs; id++ {
+			muts |= mutate.Of(id)
+		}
+		return muts, nil
+	}
+	for _, n := range strings.Split(names, ",") {
+		id, ok := mutate.ByName(strings.TrimSpace(n))
+		if !ok {
+			return 0, fmt.Errorf("unknown mutation %q", n)
+		}
+		muts |= mutate.Of(id)
+	}
+	return muts, nil
 }
 
 func fatalf(format string, args ...any) {

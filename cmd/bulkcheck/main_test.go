@@ -10,34 +10,51 @@ import (
 )
 
 func TestValidateFlags(t *testing.T) {
-	type args struct {
-		workers, schedules, depth int
-		deviate                   float64
-		budget                    string
-	}
-	ok := args{workers: 0, schedules: 0, depth: 0, deviate: 0.3, budget: "medium"}
+	ok := options{protocol: "all", mode: "dfs", budget: "medium", deviate: 0.3}
 	cases := []struct {
 		name    string
-		mut     func(*args)
+		mut     func(*options)
 		wantErr string // substring; "" means valid
 	}{
-		{name: "defaults", mut: func(*args) {}},
-		{name: "explicit values", mut: func(a *args) {
-			a.workers, a.schedules, a.depth, a.deviate = 8, 5000, 12, 1
+		{name: "defaults", mut: func(*options) {}},
+		{name: "explicit values", mut: func(o *options) {
+			o.workers, o.schedules, o.depth, o.deviate = 8, 5000, 12, 1
 		}},
-		{name: "negative workers", mut: func(a *args) { a.workers = -1 }, wantErr: "-workers"},
-		{name: "negative schedules", mut: func(a *args) { a.schedules = -5 }, wantErr: "-schedules"},
-		{name: "negative depth", mut: func(a *args) { a.depth = -2 }, wantErr: "-depth"},
-		{name: "deviate above one", mut: func(a *args) { a.deviate = 1.5 }, wantErr: "-deviate"},
-		{name: "deviate negative", mut: func(a *args) { a.deviate = -0.1 }, wantErr: "-deviate"},
-		{name: "deviate NaN", mut: func(a *args) { a.deviate = math.NaN() }, wantErr: "-deviate"},
-		{name: "unknown budget", mut: func(a *args) { a.budget = "tiny" }, wantErr: "budget"},
+		{name: "negative workers", mut: func(o *options) { o.workers = -1 }, wantErr: "-workers"},
+		{name: "negative schedules", mut: func(o *options) { o.schedules = -5 }, wantErr: "-schedules"},
+		{name: "negative depth", mut: func(o *options) { o.depth = -2 }, wantErr: "-depth"},
+		{name: "deviate above one", mut: func(o *options) { o.deviate = 1.5 }, wantErr: "-deviate"},
+		{name: "deviate negative", mut: func(o *options) { o.deviate = -0.1 }, wantErr: "-deviate"},
+		{name: "deviate NaN", mut: func(o *options) { o.deviate = math.NaN() }, wantErr: "-deviate"},
+		{name: "unknown budget", mut: func(o *options) { o.budget = "tiny" }, wantErr: "budget"},
+		{name: "walk mode", mut: func(o *options) { o.mode = "walk" }},
+		{name: "unknown mode", mut: func(o *options) { o.mode = "bogus" }, wantErr: "mode"},
+		{name: "one protocol", mut: func(o *options) { o.protocol = "tls" }},
+		{name: "unknown protocol", mut: func(o *options) { o.protocol = "bogus" }, wantErr: "protocol"},
+		{name: "named mutations", mut: func(o *options) { o.mutations = "drop-wr-term, skip-word-merge" }},
+		{name: "unknown mutation", mut: func(o *options) { o.mutations = "drop-wr-term,bogus" }, wantErr: "mutation"},
+		{name: "unknown target", mut: func(o *options) { o.target = "bogus" }, wantErr: "target"},
+		{name: "replay under a named mutation", mut: func(o *options) {
+			o.target, o.replay, o.mutations = "tm-word-merge", "1,1", "skip-word-merge"
+		}},
+		{name: "replay without target", mut: func(o *options) { o.replay = "1,1" }, wantErr: "-target"},
+		{name: "replay under all mutations", mut: func(o *options) {
+			o.target, o.replay, o.mutations = "tm-word-merge", "1,1", "all"
+		}, wantErr: "-mutations all"},
+		{name: "checkpoint without target", mut: func(o *options) { o.ckptPath = "cp.bin" }, wantErr: "-target"},
+		{name: "resume without target", mut: func(o *options) { o.resume, o.ckptPath = "cp.bin", "cp2.bin" }},
+		{name: "mutations with checkpoint", mut: func(o *options) {
+			o.target, o.ckptPath, o.mutations = "tm-sweep", "cp.bin", "all"
+		}, wantErr: "-checkpoint"},
+		{name: "mutations with resume", mut: func(o *options) {
+			o.resume, o.mutations = "cp.bin", "drop-wr-term"
+		}, wantErr: "-resume"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := ok
-			tc.mut(&a)
-			err := validateFlags(a.workers, a.schedules, a.depth, a.deviate, a.budget)
+			o := ok
+			tc.mut(&o)
+			err := validateFlags(o)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateFlags: unexpected error %v", err)
@@ -45,7 +62,7 @@ func TestValidateFlags(t *testing.T) {
 				return
 			}
 			if err == nil {
-				t.Fatalf("validateFlags accepted %+v", a)
+				t.Fatalf("validateFlags accepted %+v", o)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not name the offending flag %q", err, tc.wantErr)
@@ -55,10 +72,12 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestCLIRejectsBadFlags re-executes the test binary as bulkcheck's main and
-// pins the CLI contract: an out-of-domain or unknown flag exits 2 (the flag
-// package's usage-error code, distinct from exit 1 = oracle failure) and
-// prints the usage text. -snapmem no longer exists (every sweep runs on the
-// snapshot engine), so old invocations must be refused, not ignored.
+// pins the CLI contract: an out-of-domain or unknown flag, or a combination
+// bulkcheck would misread, exits 2 (the flag package's usage-error code,
+// distinct from exit 1 = oracle failure) and prints the usage text.
+// -snapmem no longer exists (every sweep runs on the snapshot engine), so
+// old invocations must be refused, not ignored. A replay under -mutations
+// all would run the schedule unmutated and print a false ok.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if os.Getenv("BULKCHECK_BE_MAIN") == "1" {
 		os.Args = append([]string{"bulkcheck"}, strings.Fields(os.Getenv("BULKCHECK_ARGS"))...)
@@ -74,6 +93,11 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		"-deviate 1.5",
 		"-deviate NaN",
 		"-budget tiny",
+		"-mode bogus",
+		"-protocol bogus",
+		"-mutations bogus",
+		"-target bogus",
+		"-target tm-word-merge -replay 1,1 -mutations all",
 	}
 	for _, args := range cases {
 		t.Run(args, func(t *testing.T) {

@@ -42,6 +42,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validateFlags(*exp, *tasks, *txns, *samples, *perms); err != nil {
+		fmt.Fprintf(os.Stderr, "bulksim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-22s %s\n", r.ID, r.Description)
@@ -73,15 +78,9 @@ func main() {
 	meter := &bus.Meter{}
 	cfg.Meter = meter
 
-	var runners []experiments.Runner
-	if *exp == "all" {
-		runners = experiments.All()
-	} else {
-		r, ok := experiments.ByID(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bulksim: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
-		}
+	runners := experiments.All()
+	if *exp != "all" {
+		r, _ := experiments.ByID(*exp)
 		runners = []experiments.Runner{r}
 	}
 
@@ -149,6 +148,25 @@ func main() {
 		}
 	}
 	printMeter(meter)
+}
+
+// validateFlags rejects an unknown experiment and negative size overrides
+// before any simulation starts, so a typo'd invocation dies with usage
+// (exit 2, like the flag package's own parse errors) instead of running
+// at the default size.
+func validateFlags(exp string, tasks, txns, samples, perms int) error {
+	if _, ok := experiments.ByID(exp); exp != "all" && !ok {
+		return fmt.Errorf("unknown experiment %q (try -list)", exp)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"tasks", tasks}, {"txns", txns}, {"samples", samples}, {"perms", perms}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d is negative (0 means the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // printMeter summarizes the bus traffic of every simulation this

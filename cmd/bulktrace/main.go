@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"bulk/internal/sig"
 	"bulk/internal/stats"
@@ -29,6 +30,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := validateFlags(*kind, *app, *sigName); err != nil {
+		fmt.Fprintln(os.Stderr, "bulktrace:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	switch *kind {
 	case "tm":
 		cfg, err := sig.StandardConfig(*sigName, sig.TMPermutation, sig.TMAddrBits)
@@ -58,14 +64,35 @@ func main() {
 			t.Row(row...)
 		}
 		t.Render(os.Stdout)
-	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
 	}
+}
+
+// validateFlags rejects an unknown kind, application or signature
+// configuration before any workload is generated, so a typo'd invocation
+// dies with usage (exit 2, like the flag package's own parse errors)
+// instead of printing a table with no rows.
+func validateFlags(kind, app, sigName string) error {
+	var known bool
+	switch kind {
+	case "tm":
+		_, known = workload.TMProfileByName(app)
+	case "tls":
+		_, known = workload.TLSProfileByName(app)
+	default:
+		return fmt.Errorf("unknown -kind %q (want tm or tls)", kind)
+	}
+	if app != "" && !known {
+		return fmt.Errorf("-app %q is not a %s profile", app, kind)
+	}
+	if !slices.Contains(sig.StandardConfigNames(), sigName) {
+		return fmt.Errorf("unknown -sig %q (want one of S1..S23)", sigName)
+	}
+	return nil
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "bulktrace:", err)
-	os.Exit(2)
+	os.Exit(1)
 }
 
 // tmRow summarizes one TM profile's generated workload.

@@ -5,8 +5,9 @@
 // generation, several schemes, verification, and aggregation together —
 // these isolate the simulation core's hot paths (cache walks, signature
 // expansion, commit broadcast, write-buffer and memory-image accesses), so
-// optimizations to the core show up undiluted. scripts/bench.sh records
-// them into BENCH_core.json against bench/baseline/core.txt.
+// optimizations to the core show up undiluted. They are developer tools
+// with no committed record: scripts/check.sh runs each once as a smoke
+// test, and the repository's performance numbers come from cmd/bulkbench.
 package bulk_test
 
 import (

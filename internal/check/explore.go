@@ -94,7 +94,7 @@ const seenShards = 64
 // Explore is the serial form of ExploreParallel: the explored set, the
 // report, and the failing schedule are identical at every worker count.
 func Explore(t Target, muts mutate.Set, b Budget) *Report {
-	rep, _, _ := explore(t, muts, b, 1, nil, false, snapCacheBytes)
+	rep, _, _, _ := explore(t, muts, b, 1, nil, false, snapCacheBytes)
 	return rep
 }
 
@@ -106,7 +106,7 @@ func Explore(t Target, muts mutate.Set, b Budget) *Report {
 // byte-identical to the serial explorer's no matter the worker count or
 // steal schedule.
 func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
-	rep, _, _ := explore(t, muts, b, workers, nil, false, snapCacheBytes)
+	rep, _, _, _ := explore(t, muts, b, workers, nil, false, snapCacheBytes)
 	return rep
 }
 
@@ -119,16 +119,18 @@ func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
 // identical to an uninterrupted one, because best-first order makes the
 // executed sequence independent of where budget boundaries fall.
 func ExploreFrom(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint) (*Report, *Checkpoint, error) {
-	return explore(t, muts, b, workers, from, true, snapCacheBytes)
+	rep, cp, _, err := explore(t, muts, b, workers, from, true, snapCacheBytes)
+	return rep, cp, err
 }
 
 // explore is the shared implementation. Every schedule runs on a pooled
 // per-worker system restored between runs, sharing fork-point snapshots
-// through a cache bounded to cacheBytes. Materializing the resumable
-// checkpoint costs real allocation (sorted fingerprints, the dedup set,
-// the whole frontier), so the non-resumable entry points pass
+// through a cache bounded to cacheBytes; the cache's final counters are
+// returned for tests, and are not part of the report. Materializing the
+// resumable checkpoint costs real allocation (sorted fingerprints, the
+// dedup set, the whole frontier), so the non-resumable entry points pass
 // wantCP=false and skip it.
-func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool, cacheBytes int64) (*Report, *Checkpoint, error) {
+func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool, cacheBytes int64) (*Report, *Checkpoint, snapCacheStats, error) {
 	rep := &Report{Target: t.Name()}
 	seen := flatmap.NewSharded(seenShards)
 	var fps flatmap.Set
@@ -137,10 +139,10 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 
 	if from != nil {
 		if from.Target != t.Name() {
-			return nil, nil, fmt.Errorf("check: checkpoint is for target %q, not %q", from.Target, t.Name())
+			return nil, nil, snapCacheStats{}, fmt.Errorf("check: checkpoint is for target %q, not %q", from.Target, t.Name())
 		}
 		if from.Depth != b.Depth {
-			return nil, nil, fmt.Errorf("check: checkpoint depth %d does not match budget depth %d", from.Depth, b.Depth)
+			return nil, nil, snapCacheStats{}, fmt.Errorf("check: checkpoint depth %d does not match budget depth %d", from.Depth, b.Depth)
 		}
 		counted = from.Schedules
 		for _, f := range from.Fingerprints {
@@ -220,7 +222,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 				failing := decodeRow(rows, length, i, nil)
 				oc := results[i].out // off the pooled slice before minimize replays
 				rep.Failure = minimize(t, muts, b, failing, &oc)
-				return rep, nil, nil
+				return rep, nil, cache.Stats(), nil
 			}
 			fr.addRows(results[i].kids)
 			if results[i].entry != nil {
@@ -242,10 +244,9 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		}
 	}
 
-	lastSnapStats = cache.Stats()
 	rep.Schedules, rep.Distinct = counted, distinct
 	if !wantCP {
-		return rep, nil, nil
+		return rep, nil, cache.Stats(), nil
 	}
 	cp := &Checkpoint{
 		Target:       t.Name(),
@@ -255,7 +256,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		Seen:         seen.AppendAll(nil),
 		Frontier:     fr.appendAll(nil),
 	}
-	return rep, cp, nil
+	return rep, cp, cache.Stats(), nil
 }
 
 // waveResult is one wave execution's contribution, landed by index. The

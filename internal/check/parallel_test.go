@@ -2,7 +2,9 @@ package check
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"bulk/internal/mutate"
@@ -71,6 +73,35 @@ func TestParallelMatchesSerialOnMutations(t *testing.T) {
 				reportsEqual(t, m.ID.String(), ExploreParallel(m.Target, mutate.Of(m.ID), m.Budget, w), serial)
 			}
 		})
+	}
+}
+
+// TestConcurrentExplorations runs two explorations at once, as bulkd does
+// when its two workers each take a check cell, and pins that they share
+// no mutable package state: each report equals the serial one, and under
+// -race any package variable both write is a reported race. Each
+// goroutine stays alive until both explorations are done: the detector
+// reports a race only while it can still recover the first access's
+// stack, and a goroutine that has exited may have lost it.
+func TestConcurrentExplorations(t *testing.T) {
+	tgt := SweepTargets()[0]
+	b := Budget{MaxSchedules: 50, Depth: 6}
+	want := Explore(tgt, 0, b)
+	var got [2]*Report
+	var done sync.WaitGroup
+	release := make(chan struct{})
+	for i := range got {
+		done.Add(1)
+		go func() {
+			got[i] = ExploreParallel(tgt, 0, b, 1)
+			done.Done()
+			<-release
+		}()
+	}
+	done.Wait()
+	close(release)
+	for i, rep := range got {
+		reportsEqual(t, fmt.Sprint("exploration ", i), rep, want)
 	}
 }
 

@@ -53,11 +53,6 @@ type snapCacheStats struct {
 	Hits, Misses, Inserts, Evictions, Retires uint64
 }
 
-// lastSnapStats records the final cache counters of the most recent
-// exploration — a diagnostics hook for tests and benchmarks, not part of
-// the report.
-var lastSnapStats snapCacheStats
-
 // snapCache is a bounded, mutex-guarded LRU of fork-point snapshots shared
 // by every worker of one exploration. Entries pin while a worker restores
 // from them (refs); eviction skips pinned entries, and evicted states and

@@ -112,7 +112,7 @@ func TestSnapshotMatchesReplayClean(t *testing.T) {
 		for _, cb := range cacheSweep {
 			for _, w := range []int{1, 2, 4, 8} {
 				label := fmt.Sprintf("%s/cache=%d/w=%d", tgt.Name(), cb, w)
-				got, gotCP, err := explore(tgt, 0, b, w, nil, true, cb)
+				got, gotCP, _, err := explore(tgt, 0, b, w, nil, true, cb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +151,7 @@ func TestSnapshotMatchesReplayOnMutations(t *testing.T) {
 			for _, cb := range cacheSweep {
 				for _, w := range []int{1, 4} {
 					label := fmt.Sprintf("cache=%d/w=%d", cb, w)
-					got, _, err := explore(m.Target, muts, m.Budget, w, nil, false, cb)
+					got, _, _, err := explore(m.Target, muts, m.Budget, w, nil, false, cb)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -180,14 +180,14 @@ func TestSnapshotCheckpointCutIdentical(t *testing.T) {
 	for _, cut := range []int{1, 137, 1_000} {
 		for _, leg := range legs {
 			label := fmt.Sprintf("cut=%d/cache=%d,%d", cut, leg[0], leg[1])
-			_, cp, err := explore(tgt, 0, Budget{MaxSchedules: cut, Depth: full.Depth}, 4, nil, true, leg[0])
+			_, cp, _, err := explore(tgt, 0, Budget{MaxSchedules: cut, Depth: full.Depth}, 4, nil, true, leg[0])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cp == nil {
 				t.Fatalf("%s: partial run returned no checkpoint", label)
 			}
-			resumed, resumedCP, err := explore(tgt, 0, full, 1, cp, true, leg[1])
+			resumed, resumedCP, _, err := explore(tgt, 0, full, 1, cp, true, leg[1])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,9 +9,10 @@ import "testing"
 // pass the suite. The small budget finishes several full waves, so rows at
 // snapCaptureDepth or less both deposit captures and resume from them.
 func TestSnapCacheTraffic(t *testing.T) {
-	b := SmallBudget()
-	ExploreParallel(SweepTargets()[0], 0, b, 1)
-	st := lastSnapStats
+	_, _, st, err := explore(SweepTargets()[0], 0, SmallBudget(), 1, nil, false, snapCacheBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("hits=%d misses=%d inserts=%d evictions=%d retires=%d",
 		st.Hits, st.Misses, st.Inserts, st.Evictions, st.Retires)
 	if st.Inserts == 0 {

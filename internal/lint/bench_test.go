@@ -2,10 +2,11 @@ package lint
 
 import "testing"
 
-// The benchmarks time the full suite over the real module — the number
-// scripts/check.sh smoke-checks against bench/baseline/lint.txt. Loading
-// (parse + type-check) is done once outside the timed loop: the interesting
-// costs are the analyzers and the effect fixpoint, not the parser.
+// The benchmarks time the full suite over the real module. scripts/check.sh
+// fails when BenchmarkLintModule takes more than twice the ns/op captured
+// in bench/baseline/lint.txt. Loading (parse + type-check) is done once
+// outside the timed loop: the interesting costs are the analyzers and the
+// effect fixpoint, not the parser.
 
 func BenchmarkLintModule(b *testing.B) {
 	pkgs, fset, err := LoadModule("../..")

@@ -66,8 +66,9 @@ func RenderExhibit(id string, cfg experiments.Config) (out []byte, bw bus.Bandwi
 
 // WriteOneShot writes the exact `bulksim -notime` output for the given
 // exhibit ids: sections separated by blank lines, then the meter summary.
-// This is the serial reference path — no cache, no coalescing — used by
-// bulksim itself and by the byte-identity tests.
+// This is the serial reference path — no cache, no coalescing — that the
+// byte-identity tests compare daemon responses against. bulksim does not
+// call it: it prints each section as it finishes.
 func WriteOneShot(w io.Writer, ids []string, cfg experiments.Config) error {
 	var total bus.Bandwidth
 	runs := 0

@@ -76,6 +76,35 @@ func TestLRUCacheOversizedAndDisabled(t *testing.T) {
 	}
 }
 
+// TestLRUCacheSnapshotConcurrentWithUse runs put and get on one goroutine
+// and snapshot on another, as a bulkd worker and the /metrics handler do.
+// Under -race a snapshot that reads the cache without its lock is a
+// reported race. The user goroutine stays alive until the snapshots are
+// done, so the detector can still recover the stack of its accesses.
+func TestLRUCacheSnapshotConcurrentWithUse(t *testing.T) {
+	c := newLRUCache(4 << 10)
+	used, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go func() {
+		for i := 0; i < 200; i++ {
+			key := fmt.Sprint("k", i%16)
+			c.put(key, entry(300))
+			c.get(key)
+		}
+		close(used)
+		<-release
+	}()
+	for i := 0; i < 200; i++ {
+		if st := c.snapshot(); st.Bytes > st.Capacity {
+			t.Fatalf("snapshot %d: %d bytes exceed capacity %d", i, st.Bytes, st.Capacity)
+		}
+	}
+	<-used
+	if st := c.snapshot(); st.Hits != 200 || st.Bytes != int64(st.Entries)*(300+256) {
+		t.Errorf("final accounting: %+v", st)
+	}
+}
+
 // --- flightGroup ---
 
 func TestFlightCoalescesConcurrentCallers(t *testing.T) {

@@ -10,9 +10,10 @@ import (
 // Micro-benchmarks for the signature hot path. Every simulated memory
 // access goes through Add/Contains and every commit broadcast through
 // Intersects and the RLE size model, so these five kernels bound the
-// simulator's throughput. All of them must report 0 allocs/op — the
-// zero-allocation claim of the gather-table kernel is enforced by
-// scripts/bench.sh reading these numbers into BENCH_sig.json.
+// simulator's throughput. All of them report 0 allocs/op. The benchmarks
+// only measure that; the zero-allocation claim is enforced by the
+// lint:noalloc rule over the //bulklint:noalloc kernels and by
+// TestNoallocKernelsAllocFree at the module root.
 
 // benchConfigNames is the subset of Table 8 configurations the benchmarks
 // sweep: the smallest, the paper's default-sized, a mid-sized and the

@@ -29,16 +29,17 @@ echo "== fault-injection matrix =="
 go run ./cmd/faultmatrix
 
 echo "== bench harness smoke (-benchtime=1x) =="
-# One iteration of each end-to-end run benchmark, so the bench harness
-# scripts/bench.sh depends on cannot silently rot.
+# One iteration of each end-to-end run benchmark, so the go test
+# benchmarks stay runnable. They are developer tools with no committed
+# record; the benchmark of record is cmd/bulkbench.
 go test . -run '^$' -bench 'TMRun|TLSRun|CkptRun' -benchtime 1x
-# The lint-suite benchmarks scripts/bench.sh records against
-# bench/baseline/lint.txt must keep running too.
+# The lint-suite benchmarks, which the wall-time ratchet below reads
+# against bench/baseline/lint.txt, must keep running too.
 go test ./internal/lint/ -run '^$' -bench 'LintModule|InferEffects' -benchtime 1x
 # One serial and one parallel iteration of the explorer-throughput
-# benchmark scripts/bench.sh records into BENCH_check.json. The medium
-# budget these run under carries the default snapshot-cache allowance, so
-# this smoke drives the fork-point snapshot/resume engine end to end.
+# benchmark. The medium budget these run under carries the default
+# snapshot-cache allowance, so this smoke drives the fork-point
+# snapshot/resume engine end to end.
 go test . -run '^$' -bench 'CheckExplore/tm-sweep/(w1|w4)$' -benchtime 1x
 
 echo "== lint-suite wall-time ratchet =="
