@@ -37,35 +37,41 @@ import (
 	"bulk/internal/serve"
 )
 
+// options are bulkd's flag values.
+type options struct {
+	workers, queue, checkWorkers         int
+	cacheMiB                             int64
+	jobTimeout, maxTimeout, drainTimeout time.Duration
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
-		workers      = flag.Int("workers", 2, "concurrent job executors")
-		queue        = flag.Int("queue", 32, "job queue depth (full queue returns 429 + Retry-After)")
-		cacheMiB     = flag.Int64("cache-mib", 64, "result cache budget in MiB (0 disables)")
-		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "default per-job execution budget")
-		maxTimeout   = flag.Duration("max-job-timeout", 30*time.Minute, "cap on client-requested timeout_ms")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for in-flight jobs")
-		checkWorkers = flag.Int("check-workers", 1, "explorer workers per check cell (reports are identical at every count)")
-	)
+	var o options
+	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
+	flag.IntVar(&o.workers, "workers", 2, "concurrent job executors")
+	flag.IntVar(&o.queue, "queue", 32, "job queue depth (full queue returns 429 + Retry-After)")
+	flag.Int64Var(&o.cacheMiB, "cache-mib", 64, "result cache budget in MiB (0 disables)")
+	flag.DurationVar(&o.jobTimeout, "job-timeout", 5*time.Minute, "default per-job execution budget")
+	flag.DurationVar(&o.maxTimeout, "max-job-timeout", 30*time.Minute, "cap on client-requested timeout_ms")
+	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long a shutdown waits for in-flight jobs")
+	flag.IntVar(&o.checkWorkers, "check-workers", 1, "explorer workers per check cell (reports are identical at every count)")
 	flag.Parse()
 
-	if err := validateFlags(*cacheMiB); err != nil {
+	if err := validateFlags(o); err != nil {
 		fmt.Fprintf(os.Stderr, "bulkd: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	cacheBytes := *cacheMiB << 20
-	if *cacheMiB == 0 {
+	cacheBytes := o.cacheMiB << 20
+	if o.cacheMiB == 0 {
 		cacheBytes = -1
 	}
 	s := serve.New(serve.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
+		Workers:       o.workers,
+		QueueDepth:    o.queue,
 		CacheBytes:    cacheBytes,
-		JobTimeout:    *jobTimeout,
-		MaxJobTimeout: *maxTimeout,
-		CheckWorkers:  *checkWorkers,
+		JobTimeout:    o.jobTimeout,
+		MaxJobTimeout: o.maxTimeout,
+		CheckWorkers:  o.checkWorkers,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -81,7 +87,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("bulkd: listening on %s (workers=%d queue=%d cache=%dMiB)\n",
-		ln.Addr(), *workers, *queue, *cacheMiB)
+		ln.Addr(), o.workers, o.queue, o.cacheMiB)
 
 	select {
 	case err := <-errc:
@@ -94,7 +100,7 @@ func main() {
 	// close the listener. Draining the job pool before the HTTP server
 	// keeps streams alive until their jobs reach a terminal state.
 	fmt.Println("bulkd: draining")
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	drainErr := s.Drain(dctx)
 	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -112,12 +118,26 @@ const maxCacheMiB = math.MaxInt64 >> 20
 
 // validateFlags rejects out-of-domain flag values before the daemon
 // starts, so a typo'd invocation dies with usage (exit 2, like the flag
-// package's own parse errors) instead of serving with a different cache
-// than asked for: a negative budget or one whose byte count wraps would
-// otherwise disable the cache or fall back to the default.
-func validateFlags(cacheMiB int64) error {
-	if cacheMiB < 0 || cacheMiB > maxCacheMiB {
-		return fmt.Errorf("-cache-mib %d is outside [0, %d] (0 disables the cache)", cacheMiB, int64(maxCacheMiB))
+// package's own parse errors) instead of serving with settings other than
+// the ones asked for: a count below 1 or a non-positive timeout would fall
+// back to its default, and a negative cache budget or one whose byte count
+// wraps would disable the cache or fall back to the default.
+func validateFlags(o options) error {
+	switch {
+	case o.workers < 1:
+		return fmt.Errorf("-workers %d is below 1", o.workers)
+	case o.queue < 1:
+		return fmt.Errorf("-queue %d is below 1", o.queue)
+	case o.checkWorkers < 1:
+		return fmt.Errorf("-check-workers %d is below 1", o.checkWorkers)
+	case o.jobTimeout <= 0:
+		return fmt.Errorf("-job-timeout %v is not positive", o.jobTimeout)
+	case o.maxTimeout <= 0:
+		return fmt.Errorf("-max-job-timeout %v is not positive", o.maxTimeout)
+	case o.drainTimeout <= 0:
+		return fmt.Errorf("-drain-timeout %v is not positive", o.drainTimeout)
+	case o.cacheMiB < 0 || o.cacheMiB > maxCacheMiB:
+		return fmt.Errorf("-cache-mib %d is outside [0, %d] (0 disables the cache)", o.cacheMiB, int64(maxCacheMiB))
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ import (
 // compared field by field with reflect — through every nested struct,
 // slice, pointer, interface, and map — so a field that Snapshot or Restore
 // silently drops shows up as a named path (e.g.
-// ".policy.procs[1].sections[0].wbuf"), not just a fingerprint mismatch.
-// The walk reads unexported fields, which is exactly the point: the
-// snapshot structs are the closed set of captured state, and no field may
-// escape the round trip.
+// ".policy.procs[1].sections[0].FootprintState.buf"), not just a
+// fingerprint mismatch. The walk reads unexported fields, which is exactly
+// the point: the snapshot structs are the closed set of captured state,
+// and no field may escape the round trip.
 func TestSnapshotFieldParity(t *testing.T) {
 	for i, name := range []string{"tm", "tls", "ckpt"} {
 		tgt := SweepTargets()[i]

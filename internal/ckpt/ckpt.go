@@ -30,7 +30,6 @@ import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/core"
-	"bulk/internal/flatmap"
 	"bulk/internal/mem"
 	"bulk/internal/rng"
 	"bulk/internal/sig"
@@ -163,15 +162,13 @@ type proc struct {
 	unit, opIdx int
 	done        bool
 
-	// Speculative episode state.
-	spec    bool
-	version *bdm.Version
-	wbuf    flatmap.Map[uint64]
-	readW   flatmap.Set
-	writeW  flatmap.Set
-	// tracking marks readW as live for stalled-episode conflict checks
-	// (it replaces the former readW != nil test; the sets themselves are
-	// recycled rather than reallocated).
+	// Speculative episode state: the episode's footprint (write buffer,
+	// exact sets, Bulk version), shared by the speculative and the
+	// stalled path.
+	spec bool
+	core.Footprint
+	// tracking marks the read sets as live for stalled-episode conflict
+	// checks (the sets themselves are recycled rather than reallocated).
 	tracking  bool
 	attempts  int
 	specStart int64
@@ -195,14 +192,9 @@ type System struct {
 	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
 	res Result
 
-	// keyScratch is the reusable sorted-key buffer for write-buffer
-	// iteration on the commit paths; lineScratch/lineKeys build the
-	// committed write-line set without per-commit map allocation.
+	// lineKeys is the reusable sorted buffer of a stalled episode's
+	// written lines, which its commit invalidates one by one.
 	//
-	//bulklint:snapstate-ignore keyScratch commit-path scratch dead between quanta
-	keyScratch []uint64
-	//bulklint:snapstate-ignore lineScratch commit-path scratch dead between quanta
-	lineScratch flatmap.Set
 	//bulklint:snapstate-ignore lineKeys commit-path scratch dead between quanta
 	lineKeys []uint64
 }

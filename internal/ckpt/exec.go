@@ -84,12 +84,8 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				continue
 			}
-			base := line * core.WordsPerLine
-			for w := 0; w < core.WordsPerLine; w++ {
-				if q.readW.Has(base + uint64(w)) {
-					s.restartStalled(q)
-					break
-				}
+			if q.ReadL.Has(line) {
+				s.restartStalled(q)
 			}
 			continue
 		}
@@ -97,16 +93,9 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 			continue
 		}
 		hit := false
-		exact := false
-		base := line * core.WordsPerLine
-		for w := 0; w < core.WordsPerLine; w++ {
-			if q.readW.Has(base+uint64(w)) || q.writeW.Has(base+uint64(w)) {
-				exact = true
-				break
-			}
-		}
+		exact := q.ReadL.Has(line) || q.WriteL.Has(line)
 		if q.module != nil {
-			hit = q.module.DisambiguateAddr(q.version, sig.Addr(line))
+			hit = q.module.DisambiguateAddr(q.Version, sig.Addr(line))
 			if s.opts.Probe != nil {
 				s.opts.Probe.EmitConflict(sim.ConflictEvent{
 					Path: sim.PathInvalidation, Committer: p.id, Receiver: q.id,
@@ -160,9 +149,7 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 		// value.
 		p.spec = true
 		p.specStart = s.Engine.Now()
-		p.wbuf.Reset()
-		p.readW.Reset()
-		p.writeW.Reset()
+		p.Footprint.Reset()
 		p.tracking = true
 		p.ckptReg = p.exec.LastRead()
 		if p.module != nil {
@@ -170,7 +157,7 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 			if err != nil {
 				return fmt.Errorf("ckpt: proc %d: %w", p.id, err)
 			}
-			p.version = v
+			p.Version = v
 			p.module.SetRunning(v)
 		}
 		real := uint64(s.Mem.Read(e.MissAddr))
@@ -220,9 +207,11 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 //
 //bulklint:noalloc
 func (s *System) recordRead(p *proc, word uint64) {
-	p.readW.Add(word)
+	line := core.LineOf(word)
+	p.ReadW.Add(word)
+	p.ReadL.Add(line)
 	if p.module != nil {
-		p.module.OnRead(p.version, sig.Addr(core.LineOf(word)))
+		p.module.OnRead(p.Version, sig.Addr(line))
 	}
 }
 
@@ -232,7 +221,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 	cost := 0
 	switch op.Kind {
 	case trace.Read:
-		if v, ok := p.wbuf.Get(op.Addr); ok {
+		if v, ok := p.Buf.Get(op.Addr); ok {
 			p.exec.SetLastRead(v)
 			cost = s.opts.Params.HitLatency
 		} else {
@@ -242,7 +231,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 		s.recordRead(p, op.Addr)
 	default:
 		if p.module != nil {
-			d := p.module.PrepareWrite(p.version, sig.Addr(line))
+			d := p.module.PrepareWrite(p.Version, sig.Addr(line))
 			if !d.OK {
 				// Only one version exists per processor here; a conflict
 				// cannot arise, but keep the code honest.
@@ -261,10 +250,10 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 		} else {
 			v = trace.Value(p.id, opIndexFor(p.unit, p.opIdx), op.Addr)
 		}
-		p.wbuf.Put(op.Addr, v)
-		p.writeW.Add(op.Addr)
+		p.Buf.Put(op.Addr, v)
+		p.WriteL.Add(line)
 		if p.module != nil {
-			p.module.CommitWrite(p.version, sig.Addr(line))
+			p.module.CommitWrite(p.Version, sig.Addr(line))
 		}
 	}
 	return cost
@@ -279,33 +268,21 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 	if p.module != nil {
 		// The committer's W is read-only from here until finishEpisode
 		// clears it (after the receiver loop), so no defensive clone.
-		wc = p.version.W
+		wc = p.Version.W
 		packet = bus.SignatureCommitBytes(sig.RLEncodedBits(wc))
 	} else {
-		// Exact mode: build the committed write-line set once; the sorted
-		// keys drive the per-receiver invalidations below.
-		s.lineScratch.Reset()
-		p.writeW.Range(func(wAddr uint64) bool { // building a set; order cannot escape
-			s.lineScratch.Add(core.LineOf(wAddr))
-			return true
-		})
-		s.lineKeys = s.lineScratch.SortedKeys(s.lineKeys[:0])
-		packet = bus.AddressListCommitBytes(len(s.lineKeys))
+		// Exact mode: the packet lists the committed write lines.
+		packet = bus.AddressListCommitBytes(p.WriteL.Len())
 	}
 	s.Bus.RecordCommit(packet)
 	busDone := s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packet))
 
-	s.keyScratch = p.wbuf.SortedKeys(s.keyScratch[:0])
-	for _, a := range s.keyScratch {
-		v, _ := p.wbuf.Get(a)
-		s.Mem.Write(a, mem.Word(v))
-	}
+	s.Apply(&p.Footprint)
 	s.log = append(s.log, CommitUnit{Proc: p.id, Unit: p.unit, Op: -1})
 	s.stats.Episodes++
 
 	// Receivers: disambiguate running episodes and invalidate stale
-	// copies of the committed lines (s.lineKeys, built above, holds the
-	// committer's write lines in sorted order for the exact path).
+	// copies of the committed lines.
 	for _, q := range s.procs {
 		if q == p {
 			continue
@@ -313,8 +290,8 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 		switch {
 		case q.spec:
 			exact := false
-			p.writeW.Range(func(wAddr uint64) bool { // order-independent boolean reduction
-				if q.readW.Has(wAddr) || q.writeW.Has(wAddr) {
+			p.Buf.Range(func(wAddr, _ uint64) bool { // order-independent boolean reduction
+				if q.ReadW.Has(wAddr) || q.Buf.Has(wAddr) {
 					exact = true
 					return false
 				}
@@ -322,7 +299,7 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 			})
 			hit := exact
 			if q.module != nil && wc != nil {
-				hit = q.module.Disambiguate(q.version, wc)
+				hit = q.module.Disambiguate(q.Version, wc)
 				if s.opts.Probe != nil {
 					s.opts.Probe.EmitConflict(sim.ConflictEvent{
 						Path: sim.PathCommit, Committer: p.id, Receiver: q.id,
@@ -337,8 +314,8 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				break
 			}
-			p.writeW.Range(func(wAddr uint64) bool { // restart fires at most once, on any hit
-				if q.readW.Has(wAddr) {
+			p.Buf.Range(func(wAddr, _ uint64) bool { // restart fires at most once, on any hit
+				if q.ReadW.Has(wAddr) {
 					s.restartStalled(q)
 					return false
 				}
@@ -348,9 +325,7 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 		if q.module != nil && wc != nil {
 			q.module.CommitInvalidate(wc)
 		} else {
-			for _, l := range s.lineKeys {
-				q.cache.Invalidate(cache.LineAddr(l))
-			}
+			s.InvalidateLines(q.id, &p.WriteL)
 		}
 	}
 
@@ -361,12 +336,12 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 // finishEpisode releases speculative state after a commit.
 func (s *System) finishEpisode(p *proc) {
 	if p.module != nil {
-		p.module.ClearVersion(p.version)
-		p.module.FreeVersion(p.version)
-		p.version = nil
+		p.module.ClearVersion(p.Version)
+		p.module.FreeVersion(p.Version)
+		p.Version = nil
 	}
 	p.spec = false
-	p.wbuf.Reset()
+	p.Footprint.Reset()
 	p.tracking = false
 	p.attempts = 0
 	p.unit++
@@ -388,20 +363,14 @@ func (s *System) rollback(q *proc, exact bool) {
 func (s *System) rollbackInternal(q *proc) {
 	s.stats.Rollbacks++
 	if q.module != nil {
-		q.module.SquashInvalidate(q.version, false)
-		q.module.FreeVersion(q.version)
-		q.version = nil
+		q.module.SquashInvalidate(q.Version, false)
+		q.module.FreeVersion(q.Version)
+		q.Version = nil
 	} else {
-		s.keyScratch = q.writeW.SortedKeys(s.keyScratch[:0])
-		for _, wAddr := range s.keyScratch {
-			l := core.LineOf(wAddr)
-			if cl := q.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Dirty {
-				q.cache.Invalidate(cache.LineAddr(l))
-			}
-		}
+		s.Drop(q.id, &q.WriteL, cache.Dirty)
 	}
 	q.spec = false
-	q.wbuf.Reset()
+	q.Footprint.Reset()
 	q.tracking = false
 	q.exec.SetLastRead(q.ckptReg)
 	q.opIdx = 0
@@ -422,8 +391,7 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	par := s.opts.Params
 	if p.opIdx == 0 && !p.stalled {
 		p.stalled = true
-		p.wbuf.Reset()
-		p.readW.Reset()
+		p.Footprint.Reset()
 		p.tracking = true
 		p.ckptReg = p.exec.LastRead()
 		if p.attempts == 0 {
@@ -436,15 +404,17 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	}
 	if p.opIdx == 0 {
 		p.exec.SetLastRead(uint64(s.Mem.Read(e.MissAddr)))
-		p.readW.Add(e.MissAddr)
+		p.ReadW.Add(e.MissAddr)
+		p.ReadL.Add(core.LineOf(e.MissAddr))
 	}
 	if p.opIdx < len(e.Ops) {
 		op := e.Ops[p.opIdx]
 		line := core.LineOf(op.Addr)
 		cost := s.access(p, line, op.Kind != trace.Read)
 		if op.Kind == trace.Read {
-			p.readW.Add(op.Addr)
-			if v, ok := p.wbuf.Get(op.Addr); ok {
+			p.ReadW.Add(op.Addr)
+			p.ReadL.Add(line)
+			if v, ok := p.Buf.Get(op.Addr); ok {
 				p.exec.SetLastRead(v)
 			} else {
 				p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
@@ -456,7 +426,8 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 			} else {
 				v = trace.Value(p.id, opIndexFor(p.unit, p.opIdx), op.Addr)
 			}
-			p.wbuf.Put(op.Addr, v)
+			p.Buf.Put(op.Addr, v)
+			p.WriteL.Add(line)
 		}
 		p.opIdx++
 		s.Engine.Advance(p.id, int(op.Think)+cost)
@@ -470,14 +441,8 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	}
 	// Apply atomically, invalidate, and log one unit. The invalidation
 	// traffic is charged as one coalesced batch.
-	s.lineScratch.Reset()
-	s.keyScratch = p.wbuf.SortedKeys(s.keyScratch[:0])
-	for _, a := range s.keyScratch {
-		v, _ := p.wbuf.Get(a)
-		s.Mem.Write(a, mem.Word(v))
-		s.lineScratch.Add(core.LineOf(a))
-	}
-	s.lineKeys = s.lineScratch.SortedKeys(s.lineKeys[:0])
+	s.Apply(&p.Footprint)
+	s.lineKeys = p.WriteL.SortedKeys(s.lineKeys[:0])
 	s.Bus.RecordN(bus.Inv, bus.InvalidationBytes, len(s.lineKeys))
 	for _, l := range s.lineKeys {
 		s.applyRemoteInvalidation(p, l)
@@ -485,7 +450,7 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	s.log = append(s.log, CommitUnit{Proc: p.id, Unit: p.unit, Op: -1})
 	s.stats.Episodes++
 	p.stalled = false
-	p.wbuf.Reset()
+	p.Footprint.Reset()
 	p.tracking = false
 	p.attempts = 0
 	p.unit++
@@ -499,8 +464,7 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 func (s *System) restartStalled(q *proc) {
 	s.stats.Rollbacks++
 	s.stats.ConflictRollbacks++
-	q.wbuf.Reset()
-	q.readW.Reset()
+	q.Footprint.Reset()
 	q.tracking = true
 	q.exec.SetLastRead(q.ckptReg)
 	q.opIdx = 0

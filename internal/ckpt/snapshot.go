@@ -1,34 +1,30 @@
 package ckpt
 
 import (
-	"bulk/internal/flatmap"
+	"bulk/internal/core"
 )
 
 // The machine's snapshot envelope (core.Machine.Snapshot/Restore) captures
 // memory, engine, bus counters, caches and BDM tables; SavePolicy and
-// LoadPolicy add the episode state. The keyScratch/lineScratch buffers are
-// dead at tick boundaries and are not captured.
+// LoadPolicy add the episode state. The lineKeys buffer is dead at tick
+// boundaries and is not captured.
 
-// procSnap is the deep-copied state of one processor. The BDM version is
-// recorded as a module-table index (-1 when nil) so LoadPolicy can
-// re-resolve it in the reloaded module.
+// procSnap is the deep-copied state of one processor. Its footprint
+// records the BDM version as a module-table index.
 //
 //bulklint:snapstate
 type procSnap struct {
-	lastRead   uint64
-	unit       int
-	opIdx      int
-	done       bool
-	spec       bool
-	versionIdx int
-	wbuf       flatmap.Map[uint64]
-	readW      flatmap.Set
-	writeW     flatmap.Set
-	tracking   bool
-	attempts   int
-	specStart  int64
-	ckptReg    uint64
-	stalled    bool
+	core.FootprintState
+	lastRead  uint64
+	unit      int
+	opIdx     int
+	done      bool
+	spec      bool
+	tracking  bool
+	attempts  int
+	specStart int64
+	ckptReg   uint64
+	stalled   bool
 }
 
 // policySnap is the episode state of a snapshot. The zero value grows on
@@ -62,16 +58,9 @@ func (s *System) SavePolicy(dst any) (any, int) {
 		sn.lastRead = p.exec.LastRead()
 		sn.unit, sn.opIdx, sn.done = p.unit, p.opIdx, p.done
 		sn.spec = p.spec
-		sn.versionIdx = -1
-		if p.version != nil {
-			sn.versionIdx = p.module.IndexOfVersion(p.version)
-		}
-		sn.wbuf.CopyFrom(&p.wbuf)
-		sn.readW.CopyFrom(&p.readW)
-		sn.writeW.CopyFrom(&p.writeW)
 		sn.tracking, sn.attempts = p.tracking, p.attempts
 		sn.specStart, sn.ckptReg, sn.stalled = p.specStart, p.ckptReg, p.stalled
-		size += 64 + 17*sn.wbuf.Cap() + 9*(sn.readW.Cap()+sn.writeW.Cap())
+		size += 64 + p.Footprint.Save(&sn.FootprintState, p.module)
 	}
 	return ps, size
 }
@@ -90,14 +79,8 @@ func (s *System) LoadPolicy(src any) {
 		p.exec.SetLastRead(sn.lastRead)
 		p.unit, p.opIdx, p.done = sn.unit, sn.opIdx, sn.done
 		p.spec = sn.spec
-		p.version = nil
-		if sn.versionIdx >= 0 {
-			p.version = p.module.VersionAt(sn.versionIdx)
-		}
-		p.wbuf.CopyFrom(&sn.wbuf)
-		p.readW.CopyFrom(&sn.readW)
-		p.writeW.CopyFrom(&sn.writeW)
 		p.tracking, p.attempts = sn.tracking, sn.attempts
 		p.specStart, p.ckptReg, p.stalled = sn.specStart, sn.ckptReg, sn.stalled
+		p.Footprint.Load(&sn.FootprintState, p.module)
 	}
 }

@@ -9,9 +9,13 @@
 // policies) a Bulk Disambiguation Module, addressed in 64-byte lines of
 // 4-byte words. It owns the options every runtime shares (Config), the
 // drive loop (RunUntil, Run, Finish, SetScheduler), and the snapshot
-// envelope. A runtime embeds a Machine in its System and installs itself
-// as the Policy: what one scheduling quantum does, how a finished run's
-// result is assembled, and the snapshot of its own state.
+// envelope. It owns the exact form of a speculative footprint too
+// (Footprint: a write buffer and exact read and write sets, with its
+// snapshot copy) and the three exact bulk operations on one — Apply, Drop
+// and InvalidateLines, twins of the BDM's signature operations. A runtime
+// embeds a Machine in its System and installs itself as the Policy: what
+// one scheduling quantum does, how a finished run's result is assembled,
+// and the snapshot of its own state.
 package core
 
 import (
@@ -139,8 +143,8 @@ type Machine[R any] struct {
 	//bulklint:snapstate-ignore cfg the run's shared options, immutable apart from the scheduler hook
 	cfg    *Config
 	policy Policy[R]
-	//bulklint:snapstate-ignore addrs DigestMemory scratch dead between runs
-	addrs []uint64
+	//bulklint:snapstate-ignore keys sorted-key scratch of Apply, Drop, InvalidateLines and DigestMemory, dead between calls
+	keys []uint64
 }
 
 // Init builds the machine for procs processors under cfg, whose defaults
@@ -308,8 +312,8 @@ func (d *Digest) Mix(vs ...uint64) {
 // DigestMemory folds the committed memory image into d as (address,
 // value) pairs in ascending address order.
 func (m *Machine[R]) DigestMemory(d *Digest) {
-	m.addrs = m.Mem.AppendSortedAddrs(m.addrs[:0])
-	for _, a := range m.addrs {
+	m.keys = m.Mem.AppendSortedAddrs(m.keys[:0])
+	for _, a := range m.keys {
 		d.Mix(a, uint64(m.Mem.Read(a)))
 	}
 }

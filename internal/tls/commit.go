@@ -4,7 +4,6 @@ import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/core"
-	"bulk/internal/mem"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
 	"bulk/internal/sim"
@@ -37,13 +36,13 @@ func (s *System) commitTask(t *task) {
 		packetBytes = bus.HeaderBytes
 		s.Bus.Record(bus.Coh, packetBytes)
 	case Lazy:
-		packetBytes = bus.AddressListCommitBytes(t.writeW.Len())
+		packetBytes = bus.AddressListCommitBytes(t.Buf.Len())
 		s.Bus.RecordCommit(packetBytes)
 	case Bulk:
-		bits := sig.RLEncodedBits(t.version.W)
-		if t.version.Wsh != nil {
+		bits := sig.RLEncodedBits(t.Version.W)
+		if t.Version.Wsh != nil {
 			// Partial Overlap sends both W and Wsh (Figure 9).
-			bits += sig.RLEncodedBits(t.version.Wsh)
+			bits += sig.RLEncodedBits(t.Version.Wsh)
 		}
 		packetBytes = bus.SignatureCommitBytes(bits)
 		s.Bus.RecordCommit(packetBytes)
@@ -51,14 +50,10 @@ func (s *System) commitTask(t *task) {
 	s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
 
 	// Commit the values.
-	s.keyScratch = t.wbuf.SortedKeys(s.keyScratch[:0])
-	for _, a := range s.keyScratch {
-		v, _ := t.wbuf.Get(a)
-		s.Mem.Write(a, mem.Word(v))
-	}
+	s.Apply(&t.Footprint)
 	s.stats.Commits++
-	s.stats.ReadSetWords += uint64(t.readW.Len())
-	s.stats.WriteSetWords += uint64(t.writeW.Len())
+	s.stats.ReadSetWords += uint64(t.ReadW.Len())
+	s.stats.WriteSetWords += uint64(t.Buf.Len())
 
 	// Disambiguate more-speculative tasks; the first violator and its
 	// children are squashed.
@@ -68,10 +63,10 @@ func (s *System) commitTask(t *task) {
 	s.invalidateCommit(t)
 
 	// Release the committer's state.
-	if t.version != nil {
-		p.module.ClearVersion(t.version)
-		p.module.FreeVersion(t.version)
-		t.version = nil
+	if t.Version != nil {
+		p.module.ClearVersion(t.Version)
+		p.module.FreeVersion(t.Version)
+		t.Version = nil
 	}
 	for i, ti := range p.tasks {
 		if ti == t.idx {
@@ -99,32 +94,31 @@ func (s *System) disambiguateCommit(t *task) {
 		firstChild := j == t.idx+1
 
 		// Exact ground truth: the dependence set is the committer's write
-		// set intersected with the victim's read and write sets.
-		exactW := &t.writeW
-		if firstChild && s.usesOverlap() {
-			exactW = &t.postSpawnW
-		}
+		// set — for a first child under Partial Overlap, only its
+		// post-spawn part — intersected with the victim's read and write
+		// sets. readAfterWrite is the part the victim read. At line
+		// granularity the honest ground truth is line overlap:
+		// same-line-different-word conflicts are real consequences of the
+		// coarse encoding, not aliasing.
+		postSpawn := firstChild && s.usesOverlap()
 		exactDep := uint64(0)
-		exactW.Range(func(a uint64) bool { // order-independent count
-			if v.readW.Has(a) || v.writeW.Has(a) {
+		readAfterWrite, lineOverlap := false, false
+		t.Buf.Range(func(a, _ uint64) bool { // order-independent reductions
+			if postSpawn && !t.postSpawnW.Has(a) {
+				return true
+			}
+			read := v.ReadW.Has(a)
+			if read || v.Buf.Has(a) {
 				exactDep++
+			}
+			readAfterWrite = readAfterWrite || read
+			if s.opts.LineGranularity && !lineOverlap {
+				l := core.LineOf(a)
+				lineOverlap = v.ReadL.Has(l) || v.WriteL.Has(l)
 			}
 			return true
 		})
-		// At line granularity the honest ground truth is line overlap:
-		// same-line-different-word conflicts are real consequences of the
-		// coarse encoding, not aliasing.
-		realOverlap := exactDep > 0
-		if s.opts.LineGranularity && !realOverlap {
-			exactW.Range(func(a uint64) bool { // order-independent boolean reduction
-				l := core.LineOf(a)
-				if v.readL.Has(l) || v.writeL.Has(l) {
-					realOverlap = true
-					return false
-				}
-				return true
-			})
-		}
+		realOverlap := exactDep > 0 || lineOverlap
 
 		violated := false
 		switch s.opts.Scheme {
@@ -133,19 +127,13 @@ func (s *System) disambiguateCommit(t *task) {
 		case Lazy:
 			// Exact word-level lazy: only read-after-write needs a
 			// squash; exact write-write merges by commit order.
-			exactW.Range(func(a uint64) bool { // order-independent boolean reduction
-				if v.readW.Has(a) {
-					violated = true
-					return false
-				}
-				return true
-			})
+			violated = readAfterWrite
 		case Bulk:
-			wc := t.version.W
-			if firstChild && s.opts.PartialOverlap && t.version.Wsh != nil {
-				wc = t.version.Wsh
+			wc := t.Version.W
+			if firstChild && s.opts.PartialOverlap && t.Version.Wsh != nil {
+				wc = t.Version.Wsh
 			}
-			violated = s.procs[v.proc].module.Disambiguate(v.version, wc)
+			violated = s.procs[v.proc].module.Disambiguate(v.Version, wc)
 			if s.opts.Probe != nil {
 				// realOverlap already honors the first-child Partial
 				// Overlap exemption (exactW is the post-spawn set there),
@@ -189,14 +177,14 @@ func (s *System) invalidateCommit(t *task) {
 	case Eager:
 		return // invalidations were sent at write time
 	case Bulk:
-		wc := t.version.W
+		wc := t.Version.W
 		for _, q := range s.procs {
 			if q.id == t.proc {
 				continue
 			}
 			invalidated, merges := q.module.CommitInvalidate(wc)
 			for _, l := range invalidated {
-				if !t.writeL.Has(uint64(l)) {
+				if !t.WriteL.Has(uint64(l)) {
 					s.stats.FalseInvalidations++
 				}
 			}
@@ -205,7 +193,7 @@ func (s *System) invalidateCommit(t *task) {
 			}
 		}
 	case Lazy:
-		s.keyScratch = t.writeL.SortedKeys(s.keyScratch[:0])
+		s.keyScratch = t.WriteL.SortedKeys(s.keyScratch[:0])
 		for _, q := range s.procs {
 			if q.id == t.proc {
 				continue
@@ -282,24 +270,14 @@ func (s *System) squashFrom(start int) {
 func (s *System) squashOne(t *task) {
 	p := s.procs[t.proc]
 	s.stats.Squashes++
-	if t.version != nil {
+	if t.Version != nil {
 		// Bulk: discard dirty lines via W and read lines via R
 		// (Section 6.3 — reads may hold forwarded data from a squashed
 		// predecessor).
-		p.module.SquashInvalidate(t.version, true)
+		p.module.SquashInvalidate(t.Version, true)
 	} else {
-		s.keyScratch = t.writeL.SortedKeys(s.keyScratch[:0])
-		for _, l := range s.keyScratch {
-			if cl := p.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Dirty {
-				p.cache.Invalidate(cache.LineAddr(l))
-			}
-		}
-		s.keyScratch = t.readL.SortedKeys(s.keyScratch[:0])
-		for _, l := range s.keyScratch {
-			if cl := p.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Clean {
-				p.cache.Invalidate(cache.LineAddr(l))
-			}
-		}
+		s.Drop(p.id, &t.WriteL, cache.Dirty)
+		s.Drop(p.id, &t.ReadL, cache.Clean)
 	}
 	t.resetSpec()
 	t.state = tsReady

@@ -30,7 +30,7 @@ func (s *System) executeOp(p *proc, t *task, op trace.Op) (int, bool) {
 // buffer, then the nearest less-speculative active task's buffer (the
 // eager cross-task forwarding TLS permits), then committed memory.
 func (s *System) readValue(t *task, word uint64) uint64 {
-	if v, ok := t.wbuf.Get(word); ok {
+	if v, ok := t.Buf.Get(word); ok {
 		return v
 	}
 	return s.forwardedValue(t, word)
@@ -47,7 +47,7 @@ func (s *System) forwardedValue(t *task, word uint64) uint64 {
 		if !pre.active() {
 			continue
 		}
-		if v, ok := pre.wbuf.Get(word); ok {
+		if v, ok := pre.Buf.Get(word); ok {
 			return v
 		}
 	}
@@ -57,17 +57,17 @@ func (s *System) forwardedValue(t *task, word uint64) uint64 {
 func (s *System) taskRead(p *proc, t *task, op trace.Op) int {
 	line := core.LineOf(op.Addr)
 	cost := s.opts.Params.HitLatency
-	value, buffered := t.wbuf.Get(op.Addr)
+	value, buffered := t.Buf.Get(op.Addr)
 	if !buffered {
 		if p.cache.Access(cache.LineAddr(line)) == nil {
 			cost = s.fill(p, t, line)
 		}
 		value = s.forwardedValue(t, op.Addr)
 	}
-	t.readW.Add(op.Addr)
-	t.readL.Add(line)
-	if t.version != nil {
-		p.module.OnRead(t.version, s.sigAddr(op.Addr))
+	t.ReadW.Add(op.Addr)
+	t.ReadL.Add(line)
+	if t.Version != nil {
+		p.module.OnRead(t.Version, s.sigAddr(op.Addr))
 	}
 	t.exec.SetLastRead(value)
 	return cost
@@ -85,21 +85,21 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 			if v.state == tsUnspawned {
 				break
 			}
-			if v.active() && v.readW.Has(op.Addr) {
+			if v.active() && v.ReadW.Has(op.Addr) {
 				s.stats.DepSetWords++
 				s.squashFrom(j)
 				break
 			}
 		}
-		if !t.writeL.Has(line) {
+		if !t.WriteL.Has(line) {
 			// First write to the line: broadcast the invalidation.
 			cost += s.InvalidateOthers(p.id, line)
 		}
 	}
 
 	// Bulk: Set Restriction check before the cache write.
-	if t.version != nil {
-		d := p.module.PrepareWrite(t.version, s.sigAddr(op.Addr))
+	if t.Version != nil {
+		d := p.module.PrepareWrite(t.Version, s.sigAddr(op.Addr))
 		if !d.OK {
 			// The set holds dirty lines of another speculative task on
 			// this processor. Squash the more speculative of the two
@@ -137,14 +137,13 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 	} else {
 		value = trace.Value(t.idx, t.opIdx, op.Addr)
 	}
-	t.wbuf.Put(op.Addr, value)
-	t.writeW.Add(op.Addr)
-	t.writeL.Add(line)
+	t.Buf.Put(op.Addr, value)
+	t.WriteL.Add(line)
 	if t.spawned {
 		t.postSpawnW.Add(op.Addr)
 	}
-	if t.version != nil {
-		p.module.CommitWrite(t.version, s.sigAddr(op.Addr))
+	if t.Version != nil {
+		p.module.CommitWrite(t.Version, s.sigAddr(op.Addr))
 	}
 	return cost, true
 }
@@ -161,13 +160,13 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 
 	// Forwarding: an active predecessor, newest first up to committed
 	// state, buffers words of this line. taskWrite records the word in
-	// wbuf and the line in writeL together, so writeL.Has(line) is exact.
+	// Buf and the line in WriteL together, so WriteL.Has(line) is exact.
 	for i := t.idx - 1; i >= 0; i-- {
 		pre := s.tasks[i]
 		if pre.state == tsCommitted {
 			break
 		}
-		if pre.active() && pre.writeL.Has(line) {
+		if pre.active() && pre.WriteL.Has(line) {
 			latency = par.NeighborLatency
 			break
 		}
@@ -191,7 +190,7 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 func (s *System) specDirtyOwner(q *proc, line uint64) *task {
 	for _, ti := range q.tasks {
 		t := s.tasks[ti]
-		if t.active() && t.writeL.Has(line) {
+		if t.active() && t.WriteL.Has(line) {
 			return t
 		}
 	}

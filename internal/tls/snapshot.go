@@ -1,6 +1,8 @@
 package tls
 
 import (
+	"bulk/internal/bdm"
+	"bulk/internal/core"
 	"bulk/internal/flatmap"
 )
 
@@ -9,27 +11,21 @@ import (
 // LoadPolicy add the task state. The keyScratch buffer is dead at tick
 // boundaries and is not captured.
 
-// taskSnap is the deep-copied state of one speculative task. The BDM
-// version is recorded as an index into the owning processor's module
-// table (-1 when nil) so LoadPolicy can re-resolve it in the reloaded
-// module.
+// taskSnap is the deep-copied state of one speculative task. Its
+// footprint records the BDM version as an index into the owning
+// processor's module table.
 //
 //bulklint:snapstate
 type taskSnap struct {
+	core.FootprintState
 	state      taskState
 	proc       int
 	opIdx      int
 	attempts   int
 	lastRead   uint64
-	wbuf       flatmap.Map[uint64]
-	readW      flatmap.Set
-	writeW     flatmap.Set
-	readL      flatmap.Set
-	writeL     flatmap.Set
 	postSpawnW flatmap.Set
 	spawned    bool
 	awaitSpawn bool
-	versionIdx int
 	restartAt  int64
 }
 
@@ -82,20 +78,10 @@ func (s *System) SavePolicy(dst any) (any, int) {
 		ts.state, ts.proc = t.state, t.proc
 		ts.opIdx, ts.attempts = t.opIdx, t.attempts
 		ts.lastRead = t.exec.LastRead()
-		ts.wbuf.CopyFrom(&t.wbuf)
-		ts.readW.CopyFrom(&t.readW)
-		ts.writeW.CopyFrom(&t.writeW)
-		ts.readL.CopyFrom(&t.readL)
-		ts.writeL.CopyFrom(&t.writeL)
 		ts.postSpawnW.CopyFrom(&t.postSpawnW)
 		ts.spawned, ts.awaitSpawn = t.spawned, t.awaitSpawn
-		ts.versionIdx = -1
-		if t.version != nil {
-			ts.versionIdx = s.procs[t.proc].module.IndexOfVersion(t.version)
-		}
 		ts.restartAt = t.restartAt
-		size += 96 + 17*ts.wbuf.Cap() +
-			9*(ts.readW.Cap()+ts.writeW.Cap()+ts.readL.Cap()+ts.writeL.Cap()+ts.postSpawnW.Cap())
+		size += 96 + t.Footprint.Save(&ts.FootprintState, s.moduleOf(t)) + 9*ts.postSpawnW.Cap()
 	}
 	return ps, size
 }
@@ -119,17 +105,18 @@ func (s *System) LoadPolicy(src any) {
 		t.state, t.proc = ts.state, ts.proc
 		t.opIdx, t.attempts = ts.opIdx, ts.attempts
 		t.exec.SetLastRead(ts.lastRead)
-		t.wbuf.CopyFrom(&ts.wbuf)
-		t.readW.CopyFrom(&ts.readW)
-		t.writeW.CopyFrom(&ts.writeW)
-		t.readL.CopyFrom(&ts.readL)
-		t.writeL.CopyFrom(&ts.writeL)
 		t.postSpawnW.CopyFrom(&ts.postSpawnW)
 		t.spawned, t.awaitSpawn = ts.spawned, ts.awaitSpawn
-		t.version = nil
-		if ts.versionIdx >= 0 {
-			t.version = s.procs[t.proc].module.VersionAt(ts.versionIdx)
-		}
 		t.restartAt = ts.restartAt
+		t.Footprint.Load(&ts.FootprintState, s.moduleOf(t))
 	}
+}
+
+// moduleOf returns the BDM of the processor t is assigned to: nil when t
+// is unassigned or the scheme runs without signatures.
+func (s *System) moduleOf(t *task) *bdm.Module {
+	if t.proc < 0 {
+		return nil
+	}
+	return s.procs[t.proc].module
 }

@@ -41,13 +41,11 @@ type task struct {
 	attempts int
 	exec     trace.Executor
 
-	wbuf   flatmap.Map[uint64] // word -> speculative value
-	readW  flatmap.Set         // exact read words
-	writeW flatmap.Set         // exact write words
-	readL  flatmap.Set         // exact read lines
-	writeL flatmap.Set         // exact write lines
-	// postSpawnW is the exact post-spawn write-word set: Lazy's exact
-	// Partial Overlap equivalent.
+	// Footprint is the task's write buffer, exact sets and (Bulk) BDM
+	// version; the version is allocated at claim and freed at commit.
+	core.Footprint
+	// postSpawnW is the exact post-spawn write-word set, a subset of the
+	// buffer's keys: Lazy's exact Partial Overlap equivalent.
 	postSpawnW flatmap.Set
 	spawned    bool // crossed the spawn point this execution
 	// awaitSpawn gates a cascade-squashed task: its parent was also
@@ -58,7 +56,6 @@ type task struct {
 	// values.
 	awaitSpawn bool
 
-	version   *bdm.Version // Bulk only; allocated at claim, freed at commit
 	restartAt int64
 }
 
@@ -67,11 +64,7 @@ func (t *task) active() bool { return t.state == tsRunning || t.state == tsFinis
 func (t *task) resetSpec() {
 	// All speculative tracking state keeps its capacity across restarts of
 	// the same task — squash/restart churn allocates nothing.
-	t.wbuf.Reset()
-	t.readW.Reset()
-	t.writeW.Reset()
-	t.readL.Reset()
-	t.writeL.Reset()
+	t.Footprint.Reset()
 	t.postSpawnW.Reset()
 	t.spawned = false
 	t.opIdx = 0
@@ -107,8 +100,8 @@ type System struct {
 	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
 	res Result
 
-	// keyScratch is the reusable sorted-key buffer for write-buffer
-	// iteration on the commit path.
+	// keyScratch is the reusable sorted-key buffer for the Lazy commit's
+	// line merge.
 	//
 	//bulklint:snapstate-ignore keyScratch commit-path scratch dead between quanta
 	keyScratch []uint64
@@ -308,7 +301,7 @@ func (s *System) claim(p *proc) *task {
 					p.tasks = p.tasks[:len(p.tasks)-1]
 					return nil
 				}
-				t.version = v
+				t.Version = v
 			}
 			return t
 		}
@@ -326,7 +319,7 @@ func (s *System) claim(p *proc) *task {
 func (s *System) startTask(p *proc, t *task) {
 	t.state = tsRunning
 	if p.module != nil {
-		p.module.SetRunning(t.version)
+		p.module.SetRunning(t.Version)
 	}
 	if t.idx == 0 || t.attempts > 0 {
 		return
@@ -337,18 +330,13 @@ func (s *System) startTask(p *proc, t *task) {
 	}
 	switch s.opts.Scheme {
 	case Bulk:
-		if s.opts.PartialOverlap && parent.version != nil {
-			p.module.SpawnInvalidate(parent.version.W)
+		if s.opts.PartialOverlap && parent.Version != nil {
+			p.module.SpawnInvalidate(parent.Version.W)
 		}
 	case Lazy:
 		// Exact equivalent: drop clean copies of the parent's written
 		// lines.
-		s.keyScratch = parent.writeL.SortedKeys(s.keyScratch[:0])
-		for _, l := range s.keyScratch {
-			if cl := p.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Clean {
-				p.cache.Invalidate(cache.LineAddr(l))
-			}
-		}
+		s.Drop(p.id, &parent.WriteL, cache.Clean)
 	}
 }
 
@@ -357,7 +345,7 @@ func (s *System) startTask(p *proc, t *task) {
 func (s *System) spawn(p *proc, t *task) int {
 	t.spawned = true
 	if p.module != nil && s.opts.PartialOverlap {
-		p.module.StartShadow(t.version)
+		p.module.StartShadow(t.Version)
 	}
 	if t.idx+1 < len(s.tasks) {
 		child := s.tasks[t.idx+1]

@@ -5,7 +5,6 @@ import (
 	"bulk/internal/cache"
 	"bulk/internal/core"
 	"bulk/internal/flatmap"
-	"bulk/internal/mem"
 	"bulk/internal/sig"
 	"bulk/internal/sim"
 	"bulk/internal/workload"
@@ -40,7 +39,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		// are cleared only after the receiver loop, so wc stays valid.
 		// Nested transactions union into a reusable scratch signature.
 		if len(p.sections) == 1 {
-			wc = p.sections[0].version.W
+			wc = p.sections[0].Version.W
 		} else {
 			if s.commitWC == nil {
 				s.commitWC = s.opts.SigConfig.NewSignature()
@@ -48,7 +47,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 				s.commitWC.Clear()
 			}
 			for _, sec := range p.sections {
-				s.commitWC.UnionWith(sec.version.W)
+				s.commitWC.UnionWith(sec.Version.W)
 			}
 			wc = s.commitWC
 		}
@@ -64,11 +63,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	// Apply the speculative values to committed memory, section order
 	// (outer first) so inner overwrites win, matching bufLookup.
 	for _, sec := range p.sections {
-		s.keyScratch = sec.wbuf.SortedKeys(s.keyScratch[:0])
-		for _, a := range s.keyScratch {
-			v, _ := sec.wbuf.Get(a)
-			s.Mem.Write(a, mem.Word(v))
-		}
+		s.Apply(&sec.Footprint)
 	}
 	// Commit propagates the transaction's dirty data: the written lines
 	// are flushed to memory and downgrade to clean (TCC-style lazy
@@ -113,8 +108,8 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	// stay in the cache as ordinary (non-speculative) dirty lines.
 	if p.module != nil {
 		for _, sec := range p.sections {
-			p.module.ClearVersion(sec.version)
-			p.module.FreeVersion(sec.version)
+			p.module.ClearVersion(sec.Version)
+			p.module.FreeVersion(sec.Version)
 		}
 	}
 	p.sections = p.sections[:0] // keep the backing array for recycling
@@ -126,9 +121,9 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	// either party ends the episode, so the mutual-squash counters
 	// involving p reset. Without this, two transactions that once
 	// squashed each other would stall on every future conflict.
-	p.pairSquash = map[int]int{}
+	clear(p.pairSquash)
 	for _, q := range s.procs {
-		delete(q.pairSquash, p.id)
+		q.pairSquash[p.id] = 0
 	}
 
 	p.segIdx++
@@ -154,7 +149,7 @@ func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, writeLines 
 	if s.opts.WordGranularity {
 		real = 0
 		for _, sec := range p.sections {
-			sec.wbuf.Range(func(w, _ uint64) bool { // order-independent count
+			sec.Buf.Range(func(w, _ uint64) bool { // order-independent count
 				if q.readWord(w) || q.wroteWord(w) {
 					real++
 				}
@@ -186,7 +181,7 @@ func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, writeLines 
 		// positive; the dependence-set stat stays line-based.
 		hitSec := -1
 		for si, sec := range q.sections {
-			if q.module.Disambiguate(sec.version, wc) {
+			if q.module.Disambiguate(sec.Version, wc) {
 				hitSec = si
 				break
 			}
@@ -217,10 +212,7 @@ func (s *System) invalidateCommitted(p, q *proc, wc *sig.Signature, writeLines *
 		// (pre-transaction) version from memory, so q can hold a clean copy
 		// that goes stale the moment this commit lands. The commit's
 		// coherence action knocks those out too.
-		s.keyScratch = writeLines.SortedKeys(s.keyScratch[:0])
-		for _, l := range s.keyScratch {
-			q.cache.Invalidate(cache.LineAddr(l))
-		}
+		s.InvalidateLines(q.id, writeLines)
 	case Bulk:
 		if q.module == nil {
 			return
@@ -296,10 +288,10 @@ func (s *System) squash(q *proc, fromSection int, dep uint64) {
 func (s *System) discardTxn(q *proc) {
 	if q.module != nil {
 		for _, sec := range q.sections {
-			if sec.version == nil {
+			if sec.Version == nil {
 				continue // spilled while preempted; nothing in the BDM
 			}
-			invalidated := q.module.SquashInvalidate(sec.version, false)
+			invalidated := q.module.SquashInvalidate(sec.Version, false)
 			// Squash hygiene: with the Set Restriction intact, every dirty
 			// line a squash destroys belongs to the squashed transaction's
 			// own write set. (Interloper-dirtied lines during preemption
@@ -313,16 +305,11 @@ func (s *System) discardTxn(q *proc) {
 					})
 				}
 			}
-			q.module.FreeVersion(sec.version)
+			q.module.FreeVersion(sec.Version)
 		}
 	} else {
-		// A squash can fire inside a commit's receiver loop, so it keeps
-		// its own scratch set and key buffer distinct from the commit's.
-		s.sqKeys = q.unionWriteLines(&s.sqScratch).SortedKeys(s.sqKeys[:0])
-		for _, l := range s.sqKeys {
-			if cl := q.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Dirty {
-				q.cache.Invalidate(cache.LineAddr(l))
-			}
+		for _, sec := range q.sections {
+			s.Drop(q.id, &sec.WriteL, cache.Dirty)
 		}
 	}
 	q.exec.SetLastRead(q.sections[0].lastRead)
@@ -345,8 +332,8 @@ func (s *System) partialRollback(q *proc, fromSection int) {
 	reg := q.sections[fromSection].lastRead
 	for _, sec := range q.sections[fromSection:] {
 		if q.module != nil {
-			q.module.SquashInvalidate(sec.version, false)
-			q.module.FreeVersion(sec.version)
+			q.module.SquashInvalidate(sec.Version, false)
+			q.module.FreeVersion(sec.Version)
 		}
 	}
 	q.sections = q.sections[:fromSection]

@@ -76,10 +76,10 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 	}
 
 	sec := p.top()
-	sec.readL.Add(line)
-	sec.readW.Add(op.Addr)
+	sec.ReadL.Add(line)
+	sec.ReadW.Add(op.Addr)
 	if p.module != nil && !(hit && s.opts.Mutate.Has(mutate.DropReadOnHit)) {
-		p.module.OnRead(sec.version, s.sigAddrOf(op.Addr))
+		p.module.OnRead(sec.Version, s.sigAddrOf(op.Addr))
 	}
 	p.exec.SetLastRead(value)
 	return cost, true
@@ -111,7 +111,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 
 	sec := p.top()
 	if p.module != nil {
-		d := p.module.PrepareWrite(sec.version, s.sigAddrOf(op.Addr))
+		d := p.module.PrepareWrite(sec.Version, s.sigAddrOf(op.Addr))
 		if d.OK {
 			for _, wb := range d.SafeWritebacks {
 				p.cache.MarkClean(wb.Addr)
@@ -143,11 +143,11 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 	} else {
 		value = trace.Value(p.id, p.opIdx, op.Addr)
 	}
-	sec.wbuf.Put(op.Addr, value)
-	sec.writeL.Add(line)
+	sec.Buf.Put(op.Addr, value)
+	sec.WriteL.Add(line)
 	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	if p.module != nil {
-		p.module.CommitWrite(sec.version, s.sigAddrOf(op.Addr))
+		p.module.CommitWrite(sec.Version, s.sigAddrOf(op.Addr))
 	}
 	return cost, true
 }
@@ -232,9 +232,9 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 							hitIdx = i
 						}
 						if s.opts.WordGranularity {
-							exact = exact || sp.sec.readW.Has(op.Addr) || sp.sec.wbuf.Has(op.Addr)
+							exact = exact || sp.sec.ReadW.Has(op.Addr) || sp.sec.Buf.Has(op.Addr)
 						} else {
-							exact = exact || sp.sec.readL.Has(line) || sp.sec.writeL.Has(line)
+							exact = exact || sp.sec.ReadL.Has(line) || sp.sec.WriteL.Has(line)
 						}
 					}
 					if s.opts.Mutate.Has(mutate.SkipSpilledDisambiguation) {
@@ -250,7 +250,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 						sp := q.preempt.spilled[hitIdx]
 						q.preempt.doomed = true
 						s.stats.Squashes++
-						if sp.sec.readL.Has(line) || sp.sec.writeL.Has(line) {
+						if sp.sec.ReadL.Has(line) || sp.sec.WriteL.Has(line) {
 							s.real++
 							s.stats.DepSetLines++
 						} else {
@@ -267,14 +267,14 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 				}
 				sigHit := false
 				for si, sec := range q.sections {
-					if q.module.DisambiguateAddr(sec.version, s.sigAddrOf(op.Addr)) {
+					if q.module.DisambiguateAddr(sec.Version, s.sigAddrOf(op.Addr)) {
 						sigHit = true
 						dep := 0
 						if s.opts.WordGranularity {
-							if sec.readW.Has(op.Addr) || sec.wbuf.Has(op.Addr) {
+							if sec.ReadW.Has(op.Addr) || sec.Buf.Has(op.Addr) {
 								dep = 1
 							}
-						} else if sec.readL.Has(line) || sec.writeL.Has(line) {
+						} else if sec.ReadL.Has(line) || sec.WriteL.Has(line) {
 							dep = 1
 						}
 						s.squash(q, s.rollbackSection(q, si), uint64(dep))
@@ -404,8 +404,8 @@ func (s *System) handleDirtyEviction(p *proc, line uint64) {
 		p.over.Spill(line, mask, words)
 		if p.module != nil {
 			for _, sec := range p.sections {
-				if sec.writeL.Has(line) {
-					p.module.NoteOverflow(sec.version)
+				if sec.WriteL.Has(line) {
+					p.module.NoteOverflow(sec.Version)
 				}
 			}
 		}
@@ -423,7 +423,7 @@ func (s *System) handleDirtyEviction(p *proc, line uint64) {
 func (s *System) overflowLookup(p *proc, line uint64) bool {
 	if p.module != nil {
 		for _, sec := range p.sections {
-			if p.module.NeedsOverflowLookup(sec.version, cache.LineAddr(line)) {
+			if p.module.NeedsOverflowLookup(sec.Version, cache.LineAddr(line)) {
 				return true
 			}
 		}

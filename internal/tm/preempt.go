@@ -79,12 +79,12 @@ func (s *System) maybePreempt(p *proc) bool {
 		p.module.SetRunning(nil)
 		if o.SpillOnPreempt {
 			for _, sec := range p.sections {
-				sv := p.module.SpillVersion(sec.version)
+				sv := p.module.SpillVersion(sec.Version)
 				ps.spilled = append(ps.spilled, &bdmSpill{
 					sv:  &spilledSig{R: sv.R, W: sv.W},
 					sec: sec,
 				})
-				sec.version = nil
+				sec.Version = nil
 				// The version's dirty cache lines lose their BDM guard;
 				// the paper moves them to the overflow area.
 				s.spillDirtyLines(p, sec)
@@ -100,7 +100,7 @@ func (s *System) maybePreempt(p *proc) bool {
 // area (the cache no longer knows who owns them once the signatures left
 // the BDM).
 func (s *System) spillDirtyLines(p *proc, sec *section) {
-	s.keyScratch = sec.writeL.SortedKeys(s.keyScratch[:0])
+	s.keyScratch = sec.WriteL.SortedKeys(s.keyScratch[:0])
 	for _, line := range s.keyScratch {
 		cl := p.cache.Lookup(cache.LineAddr(line))
 		if cl == nil || cl.State != cache.Dirty {
@@ -177,7 +177,7 @@ func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *
 	p.preempt.doomed = true
 	dep := uint64(0)
 	writeLines.Range(func(l uint64) bool { // order-independent count
-		if sp.sec.readL.Has(l) || sp.sec.writeL.Has(l) {
+		if sp.sec.ReadL.Has(l) || sp.sec.WriteL.Has(l) {
 			dep++
 		}
 		return true
@@ -201,8 +201,8 @@ func (s *System) spilledExactHit(c, p *proc, writeLines *flatmap.Set) bool {
 			// Word signatures: compare the committer's written words
 			// against the spilled section's read words and buffered writes.
 			for _, csec := range c.sections {
-				csec.wbuf.Range(func(w, _ uint64) bool { // order-independent boolean reduction
-					if sp.sec.readW.Has(w) || sp.sec.wbuf.Has(w) {
+				csec.Buf.Range(func(w, _ uint64) bool { // order-independent boolean reduction
+					if sp.sec.ReadW.Has(w) || sp.sec.Buf.Has(w) {
 						hit = true
 						return false
 					}
@@ -214,7 +214,7 @@ func (s *System) spilledExactHit(c, p *proc, writeLines *flatmap.Set) bool {
 			}
 		} else {
 			writeLines.Range(func(l uint64) bool { // order-independent boolean reduction
-				if sp.sec.readL.Has(l) || sp.sec.writeL.Has(l) {
+				if sp.sec.ReadL.Has(l) || sp.sec.WriteL.Has(l) {
 					hit = true
 					return false
 				}
@@ -252,17 +252,17 @@ func (s *System) resumePreempted(p *proc) {
 				}
 				v.R.CopyFrom(sp.sv.R)
 				v.W.CopyFrom(sp.sv.W)
-				sp.sec.version = v
+				sp.sec.Version = v
 				// Rebuilding δ(W) requires re-adding the exact writes at
 				// the signature's granularity; the decode is exact so the
 				// mask matches.
 				if s.opts.WordGranularity {
-					sp.sec.wbuf.Range(func(w, _ uint64) bool { // signature Add is a commutative bitwise OR
+					sp.sec.Buf.Range(func(w, _ uint64) bool { // signature Add is a commutative bitwise OR
 						p.module.CommitWrite(v, sig.Addr(w))
 						return true
 					})
 				} else {
-					sp.sec.writeL.Range(func(l uint64) bool { // signature Add is a commutative bitwise OR
+					sp.sec.WriteL.Range(func(l uint64) bool { // signature Add is a commutative bitwise OR
 						p.module.CommitWrite(v, sig.Addr(l))
 						return true
 					})
@@ -277,7 +277,7 @@ func (s *System) resumePreempted(p *proc) {
 				}
 			}
 		}
-		p.module.SetRunning(p.top().version)
+		p.module.SetRunning(p.top().Version)
 	}
 }
 

@@ -1,34 +1,28 @@
 package tm
 
 import (
-	"sort"
-
-	"bulk/internal/flatmap"
+	"bulk/internal/core"
 	"bulk/internal/mem"
 	"bulk/internal/sig"
 )
 
 // The machine's snapshot envelope (core.Machine.Snapshot/Restore) captures
 // memory, engine, bus counters, caches and BDM version tables; SavePolicy
-// and LoadPolicy add the transactional state — write buffers, exact sets,
-// section stacks, overflow areas, preemption, stats and the commit log.
+// and LoadPolicy add the transactional state — section stacks with their
+// footprints, overflow areas, preemption, stats and the commit log.
 // Scratch buffers (commit unions, spill staging) are dead between quanta
 // and are deliberately not captured.
 
-// secState is the deep-copied state of one transaction section. The BDM
-// version is recorded by module table index, not pointer, so Restore can
-// re-resolve it in the reloaded module; flattened sections (nesting
-// overflow) share an index exactly as they shared a version.
+// secState is the deep-copied state of one transaction section. Its
+// footprint records the BDM version by module table index, so flattened
+// sections (nesting overflow) share an index exactly as they shared a
+// version.
 //
 //bulklint:snapstate
 type secState struct {
-	startOp    int
-	wbuf       flatmap.Map[uint64]
-	readL      flatmap.Set
-	writeL     flatmap.Set
-	readW      flatmap.Set
-	versionIdx int
-	lastRead   uint64
+	core.FootprintState
+	startOp  int
+	lastRead uint64
 }
 
 // spillState holds one spilled section's signatures (preemption with
@@ -65,8 +59,7 @@ type procState struct {
 	lastPreemptOp int
 	stalledOn     int
 	waiters       []int
-	pairKeys      []int
-	pairVals      []int
+	pairSquash    []int
 	sections      []secState
 	nSections     int
 	preempt       preemptSnap
@@ -112,17 +105,7 @@ func (s *System) SavePolicy(dst any) (any, int) {
 		ps.attempts, ps.lastPreemptOp = p.attempts, p.lastPreemptOp
 		ps.stalledOn = p.stalledOn
 		ps.waiters = append(ps.waiters[:0], p.waiters...)
-		// Launder the builtin map through a key sort so iteration order
-		// cannot reach the snapshot bytes.
-		ps.pairKeys = ps.pairKeys[:0]
-		for k := range p.pairSquash { //bulklint:ordered the keys are sorted right after the loop
-			ps.pairKeys = append(ps.pairKeys, k)
-		}
-		sort.Ints(ps.pairKeys)
-		ps.pairVals = ps.pairVals[:0]
-		for _, k := range ps.pairKeys {
-			ps.pairVals = append(ps.pairVals, p.pairSquash[k])
-		}
+		ps.pairSquash = append(ps.pairSquash[:0], p.pairSquash...)
 		ps.nSections = len(p.sections)
 		for len(ps.sections) < ps.nSections {
 			ps.sections = append(ps.sections, secState{})
@@ -130,17 +113,8 @@ func (s *System) SavePolicy(dst any) (any, int) {
 		for j, sec := range p.sections {
 			ss := &ps.sections[j]
 			ss.startOp = sec.startOp
-			ss.wbuf.CopyFrom(&sec.wbuf)
-			ss.readL.CopyFrom(&sec.readL)
-			ss.writeL.CopyFrom(&sec.writeL)
-			ss.readW.CopyFrom(&sec.readW)
-			ss.versionIdx = -1
-			if sec.version != nil {
-				ss.versionIdx = p.module.IndexOfVersion(sec.version)
-			}
 			ss.lastRead = sec.lastRead
-			size += 64 + 17*ss.wbuf.Cap() +
-				9*(ss.readL.Cap()+ss.writeL.Cap()+ss.readW.Cap())
+			size += 64 + sec.Footprint.Save(&ss.FootprintState, p.module)
 		}
 		ps.preempt.valid = false
 		ps.preempt.spilled = ps.preempt.spilled[:0]
@@ -156,7 +130,7 @@ func (s *System) SavePolicy(dst any) (any, int) {
 				})
 			}
 		}
-		size += 64 + ps.over.SizeBytes() + 8*(cap(ps.waiters)+2*cap(ps.pairKeys))
+		size += 64 + ps.over.SizeBytes() + 8*(cap(ps.waiters)+cap(ps.pairSquash))
 	}
 	return st, size
 }
@@ -180,14 +154,7 @@ func (s *System) LoadPolicy(src any) {
 		p.attempts, p.lastPreemptOp = ps.attempts, ps.lastPreemptOp
 		p.stalledOn = ps.stalledOn
 		p.waiters = append(p.waiters[:0], ps.waiters...)
-		if p.pairSquash == nil {
-			p.pairSquash = make(map[int]int, len(ps.pairKeys))
-		} else {
-			clear(p.pairSquash)
-		}
-		for k, key := range ps.pairKeys {
-			p.pairSquash[key] = ps.pairVals[k]
-		}
+		p.pairSquash = append(p.pairSquash[:0], ps.pairSquash...)
 		// Rebuild the section stack through growSections, the recycling
 		// pushSection uses, so capacity survives restores.
 		p.sections = p.sections[:0]
@@ -195,15 +162,8 @@ func (s *System) LoadPolicy(src any) {
 			sec := p.growSections()
 			ss := &ps.sections[j]
 			sec.startOp = ss.startOp
-			sec.wbuf.CopyFrom(&ss.wbuf)
-			sec.readL.CopyFrom(&ss.readL)
-			sec.writeL.CopyFrom(&ss.writeL)
-			sec.readW.CopyFrom(&ss.readW)
-			sec.version = nil
-			if ss.versionIdx >= 0 {
-				sec.version = p.module.VersionAt(ss.versionIdx)
-			}
 			sec.lastRead = ss.lastRead
+			sec.Footprint.Load(&ss.FootprintState, p.module)
 		}
 		p.preempt = nil
 		if ps.preempt.valid {

@@ -16,18 +16,15 @@ import (
 )
 
 // section is one closed-nesting section of the currently running
-// transaction: its own write-buffer layer, exact sets, and (Bulk) BDM
-// version, plus the executor checkpoint taken at its start (Figure 8).
+// transaction: its own footprint — a write-buffer layer, exact sets, and
+// (Bulk) BDM version — plus the executor checkpoint taken at its start
+// (Figure 8).
 //
 //bulklint:snapstate
 type section struct {
+	core.Footprint
 	startOp  int
-	wbuf     flatmap.Map[uint64] // word addr -> speculative value
-	readL    flatmap.Set         // exact line sets
-	writeL   flatmap.Set
-	readW    flatmap.Set  // exact read words (word-granularity truth)
-	version  *bdm.Version // Bulk only
-	lastRead uint64       // executor register at section start
+	lastRead uint64 // executor register at section start
 }
 
 // proc is one simulated processor and the thread pinned to it.
@@ -58,9 +55,9 @@ type proc struct {
 	// Eager stall bookkeeping.
 	stalledOn int   // processor id we are waiting on, or -1
 	waiters   []int // processors stalled on our transaction
-	// pairSquash counts mutual squashes between this proc (as victim)
-	// and each aggressor, for the footnote-2 fix.
-	pairSquash map[int]int
+	// pairSquash counts, per aggressor processor id, the squashes this
+	// proc suffered from it, for the footnote-2 fix.
+	pairSquash []int
 }
 
 // System is a TM run in progress: the policy on an embedded core.Machine.
@@ -91,22 +88,17 @@ type System struct {
 	//
 	//bulklint:snapstate-ignore spillWords spill scratch dead between quanta
 	spillWords [core.WordsPerLine]mem.Word
-	// keyScratch is the reusable sorted-key buffer for write-buffer
-	// iteration on the commit path.
+	// keyScratch is the reusable sorted-key buffer for the commit's clean
+	// downgrade and the preemption spill.
 	//
 	//bulklint:snapstate-ignore keyScratch commit-path scratch dead between quanta
 	keyScratch []uint64
 	// wlScratch/rlScratch hold the committer's write/read line unions for
-	// the duration of a commit; sqScratch and sqKeys serve squash paths,
-	// which can run while a commit's unions are still live.
+	// the duration of a commit.
 	//
 	//bulklint:snapstate-ignore wlScratch commit-path scratch dead between quanta
 	//bulklint:snapstate-ignore rlScratch commit-path scratch dead between quanta
 	wlScratch, rlScratch flatmap.Set
-	//bulklint:snapstate-ignore sqScratch squash-path scratch dead between quanta
-	sqScratch flatmap.Set
-	//bulklint:snapstate-ignore sqKeys squash-path scratch dead between quanta
-	sqKeys []uint64
 }
 
 // NewSystem prepares a run of workload w under the given options.
@@ -148,7 +140,7 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 			over:       mem.NewOverflowArea(),
 			exec:       trace.Executor{ThreadID: i},
 			stalledOn:  -1,
-			pairSquash: map[int]int{},
+			pairSquash: make([]int, len(w.Threads)),
 		}
 		if bulk != nil {
 			p.module = s.Modules[i]
@@ -312,20 +304,17 @@ func (s *System) pushSection(p *proc, startOp int) {
 	n := len(p.sections)
 	sec := p.growSections()
 	sec.startOp = startOp
-	sec.wbuf.Reset()
-	sec.readL.Reset()
-	sec.writeL.Reset()
-	sec.readW.Reset()
-	sec.version = nil
+	sec.Footprint.Reset()
+	sec.Version = nil
 	sec.lastRead = p.exec.LastRead()
 	if p.module != nil {
 		v, err := p.module.AllocVersion(p.id*16 + n)
 		if err != nil {
 			// Out of version slots: flatten into the innermost section.
 			// (Only reachable with deep nesting; the workloads nest ≤3.)
-			sec.version = p.sections[n-1].version
+			sec.Version = p.sections[n-1].Version
 		} else {
-			sec.version = v
+			sec.Version = v
 			p.module.SetRunning(v)
 		}
 	}
@@ -359,44 +348,48 @@ func (s *System) maybeEnterSection(p *proc, seg *workload.TMSegment) {
 // top returns the innermost open section.
 func (p *proc) top() *section { return p.sections[len(p.sections)-1] }
 
-// readLines / writeLines iterate exact sets across sections.
+// inReadSet/inWriteSet are the line-granularity exact-set queries,
+// across sections. They run on the per-access path: the named result and
+// bare return keep each within the inliner's budget, which the embedded
+// footprint's field selector would otherwise exceed by one.
 //
 //bulklint:noalloc
-func (p *proc) inReadSet(line uint64) bool {
+func (p *proc) inReadSet(line uint64) (in bool) {
 	for _, sec := range p.sections {
-		if sec.readL.Has(line) {
+		if sec.ReadL.Has(line) {
 			return true
 		}
 	}
-	return false
+	return
 }
 
 //bulklint:noalloc
-func (p *proc) inWriteSet(line uint64) bool {
+func (p *proc) inWriteSet(line uint64) (in bool) {
 	for _, sec := range p.sections {
-		if sec.writeL.Has(line) {
+		if sec.WriteL.Has(line) {
 			return true
 		}
 	}
-	return false
+	return
 }
 
-// readWord/wroteWord are the word-granularity exact-set queries.
+// readWord/wroteWord are the word-granularity exact-set queries, shaped
+// like inReadSet for the inliner.
 //
 //bulklint:noalloc
-func (p *proc) readWord(w uint64) bool {
+func (p *proc) readWord(w uint64) (in bool) {
 	for _, sec := range p.sections {
-		if sec.readW.Has(w) {
+		if sec.ReadW.Has(w) {
 			return true
 		}
 	}
-	return false
+	return
 }
 
 //bulklint:noalloc
 func (p *proc) wroteWord(w uint64) bool {
 	for _, sec := range p.sections {
-		if sec.wbuf.Has(w) {
+		if sec.Buf.Has(w) {
 			return true
 		}
 	}
@@ -408,7 +401,7 @@ func (p *proc) wroteWord(w uint64) bool {
 //bulklint:noalloc
 func (p *proc) bufLookup(word uint64) (uint64, bool) {
 	for i := len(p.sections) - 1; i >= 0; i-- {
-		if v, ok := p.sections[i].wbuf.Get(word); ok {
+		if v, ok := p.sections[i].Buf.Get(word); ok {
 			return v, true
 		}
 	}
@@ -422,7 +415,7 @@ func (p *proc) bufLookup(word uint64) (uint64, bool) {
 func (p *proc) unionWriteLines(dst *flatmap.Set) *flatmap.Set {
 	dst.Reset()
 	for _, sec := range p.sections {
-		sec.writeL.Range(func(l uint64) bool { //bulklint:allow noalloc non-escaping closure; Range never retains fn
+		sec.WriteL.Range(func(l uint64) bool { //bulklint:allow noalloc non-escaping closure; Range never retains fn
 			dst.Add(l)
 			return true
 		})
@@ -436,7 +429,7 @@ func (p *proc) unionWriteLines(dst *flatmap.Set) *flatmap.Set {
 func (p *proc) unionReadLines(dst *flatmap.Set) *flatmap.Set {
 	dst.Reset()
 	for _, sec := range p.sections {
-		sec.readL.Range(func(l uint64) bool { //bulklint:allow noalloc non-escaping closure; Range never retains fn
+		sec.ReadL.Range(func(l uint64) bool { //bulklint:allow noalloc non-escaping closure; Range never retains fn
 			dst.Add(l)
 			return true
 		})

@@ -161,8 +161,8 @@ type Result struct {
 	Stats  Stats
 	Memory *mem.Memory
 	Log    []CommitUnit
-	// PerTxnDepSamples counts squashes with a real dependence, for
-	// averaging DepSetLines.
+	// RealSquashes counts squashes with a real dependence, for averaging
+	// DepSetLines.
 	RealSquashes uint64
 }
 
