@@ -210,10 +210,7 @@ func runMutations(muts mutate.Set, workers int, verbose bool) {
 // judgment.
 func runReplay(name, schedule string, depth int, muts mutate.Set) {
 	t, _ := targetByName(name)
-	sched, err := check.ParseSchedule(schedule)
-	if err != nil {
-		fatalf("%v", err)
-	}
+	sched, _ := check.ParseSchedule(schedule) // validateFlags rejected a malformed one
 	out, steps := check.Replay(t, muts, sched, depth)
 	for _, st := range steps {
 		fmt.Printf("  %s\n", st)
@@ -280,6 +277,9 @@ func validateFlags(o options) error {
 	}
 	if _, err := parseMutations(o.mutations); err != nil {
 		return err
+	}
+	if _, err := check.ParseSchedule(o.replay); err != nil {
+		return fmt.Errorf("-replay: %v", err)
 	}
 	if o.target != "" {
 		if _, ok := targetByName(o.target); !ok {

@@ -38,6 +38,9 @@ func TestValidateFlags(t *testing.T) {
 			o.target, o.replay, o.mutations = "tm-word-merge", "1,1", "skip-word-merge"
 		}},
 		{name: "replay without target", mut: func(o *options) { o.replay = "1,1" }, wantErr: "-target"},
+		{name: "malformed replay", mut: func(o *options) {
+			o.target, o.replay = "tm-sweep", "0x10"
+		}, wantErr: "-replay"},
 		{name: "replay under all mutations", mut: func(o *options) {
 			o.target, o.replay, o.mutations = "tm-word-merge", "1,1", "all"
 		}, wantErr: "-mutations all"},
@@ -77,7 +80,8 @@ func TestValidateFlags(t *testing.T) {
 // distinct from exit 1 = oracle failure) and prints the usage text.
 // -snapmem no longer exists (every sweep runs on the snapshot engine), so
 // old invocations must be refused, not ignored. A replay under -mutations
-// all would run the schedule unmutated and print a false ok.
+// all would run the schedule unmutated and print a false ok, and so would a
+// malformed schedule read only up to its first non-digit.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if os.Getenv("BULKCHECK_BE_MAIN") == "1" {
 		os.Args = append([]string{"bulkcheck"}, strings.Fields(os.Getenv("BULKCHECK_ARGS"))...)
@@ -98,6 +102,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		"-mutations bogus",
 		"-target bogus",
 		"-target tm-word-merge -replay 1,1 -mutations all",
+		"-target tm-sweep -replay 0x10",
 	}
 	for _, args := range cases {
 		t.Run(args, func(t *testing.T) {

@@ -85,9 +85,8 @@ type Version struct {
 	// evicted to the overflow area.
 	Overflow bool
 
-	mask    sig.SetMask // δ(W), maintained incrementally
-	running bool
-	freed   bool
+	mask  sig.SetMask // δ(W), maintained incrementally
+	freed bool
 }
 
 // Module is a per-processor Bulk Disambiguation Module.
@@ -204,7 +203,6 @@ func (m *Module) takeVersion(owner int) *Version {
 		v.Wsh = nil
 		v.Overflow = false
 		v.mask.Clear()
-		v.running = false
 		v.freed = false
 		return v
 	}
@@ -230,13 +228,7 @@ func (m *Module) SetRunning(v *Version) {
 	if v != nil && v.freed {
 		panic("bdm: running a freed version") //bulklint:invariant the OS never reschedules a version after commit/squash freed it
 	}
-	if m.run != nil {
-		m.run.running = false
-	}
 	m.run = v
-	if v != nil {
-		v.running = true
-	}
 	m.recomputePreMask()
 }
 

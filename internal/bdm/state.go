@@ -17,7 +17,6 @@ type VersionState struct {
 	HasWsh   bool
 	Overflow bool
 	mask     sig.SetMask
-	running  bool
 }
 
 // ModuleState is a deep copy of a module's mutable state. The zero value
@@ -76,7 +75,6 @@ func (m *Module) SaveState(st *ModuleState) {
 		}
 		sv.Overflow = v.Overflow
 		sv.mask.CopyFrom(v.mask)
-		sv.running = v.running
 		if v == m.run {
 			st.run = i
 		}
@@ -113,7 +111,6 @@ func (m *Module) LoadState(st *ModuleState) {
 		}
 		v.Overflow = sv.Overflow
 		v.mask.CopyFrom(sv.mask)
-		v.running = sv.running
 		v.freed = false
 		if i == st.run {
 			m.run = v

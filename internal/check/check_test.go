@@ -71,8 +71,10 @@ func TestScheduleRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ParseSchedule("1,x"); err == nil {
-		t.Error("ParseSchedule accepted garbage")
+	for _, bad := range []string{"1,x", "0x10", "1x,2", "2 3"} {
+		if got, err := ParseSchedule(bad); err == nil {
+			t.Errorf("ParseSchedule(%q) accepted garbage as %v", bad, got)
+		}
 	}
 }
 

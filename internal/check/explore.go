@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"bulk/internal/flatmap"
@@ -420,8 +421,8 @@ func ParseSchedule(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, len(parts))
 	for i, p := range parts {
-		var c int
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &c); err != nil {
+		c, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
 			return nil, fmt.Errorf("check: bad schedule element %q", p)
 		}
 		if c < 0 {

@@ -150,6 +150,24 @@ type Result struct {
 	Log    []CommitUnit
 }
 
+// procRun is a processor's scalar run state. Snapshots copy it whole, so
+// every scalar of a proc belongs here: snapstate reports one declared on
+// proc itself.
+type procRun struct {
+	exec trace.Executor
+
+	unit, opIdx int
+	done        bool
+
+	spec      bool // a speculative episode is running
+	attempts  int
+	specStart int64
+	ckptReg   uint64 // dependence register at the checkpoint
+	// stalled marks a non-speculative episode that has paid its miss; its
+	// read set is live for conflict checks until it commits.
+	stalled bool
+}
+
 //bulklint:snapstate
 type proc struct {
 	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
@@ -157,23 +175,11 @@ type proc struct {
 	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
 	cache  *cache.Cache
 	module *bdm.Module
-	exec   trace.Executor
+	procRun
 
-	unit, opIdx int
-	done        bool
-
-	// Speculative episode state: the episode's footprint (write buffer,
-	// exact sets, Bulk version), shared by the speculative and the
-	// stalled path.
-	spec bool
+	// Footprint is the episode's write buffer, exact sets and Bulk
+	// version, shared by the speculative and the stalled path.
 	core.Footprint
-	// tracking marks the read sets as live for stalled-episode conflict
-	// checks (the sets themselves are recycled rather than reallocated).
-	tracking  bool
-	attempts  int
-	specStart int64
-	ckptReg   uint64 // dependence register at the checkpoint
-	stalled   bool   // the non-speculative path has paid its miss
 }
 
 // System is a checkpointed-multiprocessor run in progress: the policy on
@@ -217,7 +223,7 @@ func NewSystem(w *Workload, opts Options) (*System, error) {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	for i := range w.Procs {
-		p := &proc{id: i, cache: s.Caches[i], exec: trace.Executor{ThreadID: i}}
+		p := &proc{id: i, cache: s.Caches[i], procRun: procRun{exec: trace.Executor{ThreadID: i}}}
 		if bulk != nil {
 			p.module = s.Modules[i]
 		}

@@ -57,7 +57,7 @@ func (s *System) plainOp(p *proc, op trace.Op) int {
 		p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 		return cost
 	}
-	v := trace.Value(p.id, opIndexFor(p.unit, p.opIdx), op.Addr)
+	v := p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op)
 	s.Mem.Write(op.Addr, mem.Word(v))
 	s.log = append(s.log, CommitUnit{Proc: p.id, Unit: p.unit, Op: p.opIdx})
 	s.invalidateRemote(p, line)
@@ -80,7 +80,7 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 			continue
 		}
 		q.cache.Invalidate(cache.LineAddr(line))
-		if q.stalled && q.tracking {
+		if q.stalled {
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				continue
 			}
@@ -150,7 +150,6 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 		p.spec = true
 		p.specStart = s.Engine.Now()
 		p.Footprint.Reset()
-		p.tracking = true
 		p.ckptReg = p.exec.LastRead()
 		if p.module != nil {
 			v, err := p.module.AllocVersion(p.id)
@@ -244,13 +243,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 			}
 		}
 		cost = s.access(p, line, true)
-		var v uint64
-		if op.Kind == trace.WriteDep {
-			v = trace.DepValue(p.exec.LastRead(), op.Addr)
-		} else {
-			v = trace.Value(p.id, opIndexFor(p.unit, p.opIdx), op.Addr)
-		}
-		p.Buf.Put(op.Addr, v)
+		p.Buf.Put(op.Addr, p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op))
 		p.WriteL.Add(line)
 		if p.module != nil {
 			p.module.CommitWrite(p.Version, sig.Addr(line))
@@ -310,7 +303,7 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 			if hit {
 				s.rollback(q, exact)
 			}
-		case q.stalled && q.tracking:
+		case q.stalled:
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				break
 			}
@@ -342,7 +335,6 @@ func (s *System) finishEpisode(p *proc) {
 	}
 	p.spec = false
 	p.Footprint.Reset()
-	p.tracking = false
 	p.attempts = 0
 	p.unit++
 	p.opIdx = 0
@@ -371,7 +363,6 @@ func (s *System) rollbackInternal(q *proc) {
 	}
 	q.spec = false
 	q.Footprint.Reset()
-	q.tracking = false
 	q.exec.SetLastRead(q.ckptReg)
 	q.opIdx = 0
 	q.attempts++
@@ -392,7 +383,6 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	if p.opIdx == 0 && !p.stalled {
 		p.stalled = true
 		p.Footprint.Reset()
-		p.tracking = true
 		p.ckptReg = p.exec.LastRead()
 		if p.attempts == 0 {
 			// Stall mode pays the full miss latency; a retry after a
@@ -420,13 +410,7 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 				p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 			}
 		} else {
-			var v uint64
-			if op.Kind == trace.WriteDep {
-				v = trace.DepValue(p.exec.LastRead(), op.Addr)
-			} else {
-				v = trace.Value(p.id, opIndexFor(p.unit, p.opIdx), op.Addr)
-			}
-			p.Buf.Put(op.Addr, v)
+			p.Buf.Put(op.Addr, p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op))
 			p.WriteL.Add(line)
 		}
 		p.opIdx++
@@ -451,7 +435,6 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	s.stats.Episodes++
 	p.stalled = false
 	p.Footprint.Reset()
-	p.tracking = false
 	p.attempts = 0
 	p.unit++
 	p.opIdx = 0
@@ -465,7 +448,6 @@ func (s *System) restartStalled(q *proc) {
 	s.stats.Rollbacks++
 	s.stats.ConflictRollbacks++
 	q.Footprint.Reset()
-	q.tracking = true
 	q.exec.SetLastRead(q.ckptReg)
 	q.opIdx = 0
 	q.attempts++

@@ -9,22 +9,14 @@ import (
 // LoadPolicy add the episode state. The lineKeys buffer is dead at tick
 // boundaries and is not captured.
 
-// procSnap is the deep-copied state of one processor. Its footprint
-// records the BDM version as a module-table index.
+// procSnap is the deep-copied state of one processor: its run-state
+// value, copied whole, and its footprint, which records the BDM version as
+// a module-table index.
 //
 //bulklint:snapstate
 type procSnap struct {
+	procRun
 	core.FootprintState
-	lastRead  uint64
-	unit      int
-	opIdx     int
-	done      bool
-	spec      bool
-	tracking  bool
-	attempts  int
-	specStart int64
-	ckptReg   uint64
-	stalled   bool
 }
 
 // policySnap is the episode state of a snapshot. The zero value grows on
@@ -55,11 +47,7 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	size := 24 * cap(ps.log)
 	for i, p := range s.procs {
 		sn := &ps.procs[i]
-		sn.lastRead = p.exec.LastRead()
-		sn.unit, sn.opIdx, sn.done = p.unit, p.opIdx, p.done
-		sn.spec = p.spec
-		sn.tracking, sn.attempts = p.tracking, p.attempts
-		sn.specStart, sn.ckptReg, sn.stalled = p.specStart, p.ckptReg, p.stalled
+		sn.procRun = p.procRun
 		size += 64 + p.Footprint.Save(&sn.FootprintState, p.module)
 	}
 	return ps, size
@@ -76,11 +64,7 @@ func (s *System) LoadPolicy(src any) {
 	s.log = append(s.log[:0], ps.log...)
 	for i, p := range s.procs {
 		sn := &ps.procs[i]
-		p.exec.SetLastRead(sn.lastRead)
-		p.unit, p.opIdx, p.done = sn.unit, sn.opIdx, sn.done
-		p.spec = sn.spec
-		p.tracking, p.attempts = sn.tracking, sn.attempts
-		p.specStart, p.ckptReg, p.stalled = sn.specStart, sn.ckptReg, sn.stalled
+		p.procRun = sn.procRun
 		p.Footprint.Load(&sn.FootprintState, p.module)
 	}
 }

@@ -39,7 +39,7 @@ func Verify(w *Workload, r *Result) error {
 			if op.Kind == trace.Read {
 				return fmt.Errorf("ckpt: logged plain unit %+v is a read", u)
 			}
-			ref.Write(op.Addr, mem.Word(trace.Value(u.Proc, opIndexFor(u.Unit, u.Op), op.Addr)))
+			ref.Write(op.Addr, mem.Word(e.WriteValue(opIndexFor(u.Unit, u.Op), op)))
 			seen[[3]int{u.Proc, u.Unit, u.Op}]++
 			continue
 		}

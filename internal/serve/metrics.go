@@ -53,11 +53,11 @@ func (h *histogram) observe(d time.Duration) {
 
 // histSnapshot is one histogram's exported state.
 type histSnapshot struct {
-	Count uint64  `json:"count"`
+	Count  uint64  `json:"count"`
 	MeanMS float64 `json:"mean_ms"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P95MS  float64 `json:"p95_ms"`
+	P99MS  float64 `json:"p99_ms"`
 }
 
 // snapshot computes the summary quantiles.
@@ -143,9 +143,9 @@ var endpointNames = []string{"submit", "run", "status", "stream", "result", "lis
 
 // metricsRegistry aggregates everything /metrics exports.
 type metricsRegistry struct {
-	counters  counters
-	latency   map[string]*histogram // fixed keys, created once, read-only after init
-	jobSecs   ewma
+	counters counters
+	latency  map[string]*histogram // fixed keys, created once, read-only after init
+	jobSecs  ewma
 }
 
 func newMetricsRegistry() *metricsRegistry {

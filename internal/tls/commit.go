@@ -51,7 +51,6 @@ func (s *System) commitTask(t *task) {
 
 	// Commit the values.
 	s.Apply(&t.Footprint)
-	s.stats.Commits++
 	s.stats.ReadSetWords += uint64(t.ReadW.Len())
 	s.stats.WriteSetWords += uint64(t.Buf.Len())
 

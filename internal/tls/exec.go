@@ -26,18 +26,9 @@ func (s *System) executeOp(p *proc, t *task, op trace.Op) (int, bool) {
 	return s.taskWrite(p, t, op)
 }
 
-// readValue resolves the logical value a task observes: its own write
-// buffer, then the nearest less-speculative active task's buffer (the
-// eager cross-task forwarding TLS permits), then committed memory.
-func (s *System) readValue(t *task, word uint64) uint64 {
-	if v, ok := t.Buf.Get(word); ok {
-		return v
-	}
-	return s.forwardedValue(t, word)
-}
-
-// forwardedValue is readValue past the task's own buffer: the nearest
-// less-speculative active task's buffer, then committed memory.
+// forwardedValue resolves the value a task reads past its own write
+// buffer: the nearest less-speculative active task's buffer (the eager
+// cross-task forwarding TLS permits), then committed memory.
 func (s *System) forwardedValue(t *task, word uint64) uint64 {
 	for i := t.idx - 1; i >= 0; i-- {
 		pre := s.tasks[i]
@@ -131,12 +122,7 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 	}
 	p.cache.MarkDirty(l)
 
-	var value uint64
-	if op.Kind == trace.WriteDep {
-		value = trace.DepValue(t.exec.LastRead(), op.Addr)
-	} else {
-		value = trace.Value(t.idx, t.opIdx, op.Addr)
-	}
+	value := t.exec.WriteValue(t.opIdx, op)
 	t.Buf.Put(op.Addr, value)
 	t.WriteL.Add(line)
 	if t.spawned {
@@ -153,7 +139,7 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 // (forwarding), a neighbor with a non-speculative copy, or memory.
 // More-speculative owners never supply. TLS lines carry no data: the
 // values a task reads resolve through the write buffers and memory
-// (readValue).
+// (taskRead).
 func (s *System) fill(p *proc, t *task, line uint64) int {
 	par := s.opts.Params
 	latency := par.MemLatency

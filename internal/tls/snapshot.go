@@ -11,30 +11,24 @@ import (
 // LoadPolicy add the task state. The keyScratch buffer is dead at tick
 // boundaries and is not captured.
 
-// taskSnap is the deep-copied state of one speculative task. Its
+// taskSnap is the deep-copied state of one speculative task: its
+// run-state value, copied whole, and deep copies of its sets. Its
 // footprint records the BDM version as an index into the owning
 // processor's module table.
 //
 //bulklint:snapstate
 type taskSnap struct {
+	taskRun
 	core.FootprintState
-	state      taskState
-	proc       int
-	opIdx      int
-	attempts   int
-	lastRead   uint64
 	postSpawnW flatmap.Set
-	spawned    bool
-	awaitSpawn bool
-	restartAt  int64
 }
 
 // procSnap is the policy state of one processor.
 //
 //bulklint:snapstate
 type procSnap struct {
-	tasks    []int
-	parkedAt int64
+	procRun
+	tasks []int
 }
 
 // policySnap is the task state of a snapshot. The zero value grows on
@@ -66,8 +60,8 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	size := 0
 	for i, p := range s.procs {
 		sn := &ps.procs[i]
+		sn.procRun = p.procRun
 		sn.tasks = append(sn.tasks[:0], p.tasks...)
-		sn.parkedAt = p.parkedAt
 		size += 32 + 8*cap(sn.tasks)
 	}
 	for len(ps.tasks) < len(s.tasks) {
@@ -75,12 +69,8 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	}
 	for i, t := range s.tasks {
 		ts := &ps.tasks[i]
-		ts.state, ts.proc = t.state, t.proc
-		ts.opIdx, ts.attempts = t.opIdx, t.attempts
-		ts.lastRead = t.exec.LastRead()
+		ts.taskRun = t.taskRun
 		ts.postSpawnW.CopyFrom(&t.postSpawnW)
-		ts.spawned, ts.awaitSpawn = t.spawned, t.awaitSpawn
-		ts.restartAt = t.restartAt
 		size += 96 + t.Footprint.Save(&ts.FootprintState, s.moduleOf(t)) + 9*ts.postSpawnW.Cap()
 	}
 	return ps, size
@@ -97,17 +87,13 @@ func (s *System) LoadPolicy(src any) {
 	s.commitNext = ps.commitNext
 	for i, p := range s.procs {
 		sn := &ps.procs[i]
+		p.procRun = sn.procRun
 		p.tasks = append(p.tasks[:0], sn.tasks...)
-		p.parkedAt = sn.parkedAt
 	}
 	for i, t := range s.tasks {
 		ts := &ps.tasks[i]
-		t.state, t.proc = ts.state, ts.proc
-		t.opIdx, t.attempts = ts.opIdx, ts.attempts
-		t.exec.SetLastRead(ts.lastRead)
+		t.taskRun = ts.taskRun
 		t.postSpawnW.CopyFrom(&ts.postSpawnW)
-		t.spawned, t.awaitSpawn = ts.spawned, ts.awaitSpawn
-		t.restartAt = ts.restartAt
 		t.Footprint.Load(&ts.FootprintState, s.moduleOf(t))
 	}
 }

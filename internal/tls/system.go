@@ -31,23 +31,17 @@ const (
 	tsCommitted
 )
 
-//bulklint:snapstate
-type task struct {
-	//bulklint:snapstate-ignore idx immutable task identity fixed at construction
-	idx      int
+// taskRun is a task's scalar run state. Snapshots copy it whole, so every
+// scalar of a task belongs here: snapstate reports one declared on task
+// itself.
+type taskRun struct {
 	state    taskState
 	proc     int // -1 when unassigned
 	opIdx    int
 	attempts int
 	exec     trace.Executor
 
-	// Footprint is the task's write buffer, exact sets and (Bulk) BDM
-	// version; the version is allocated at claim and freed at commit.
-	core.Footprint
-	// postSpawnW is the exact post-spawn write-word set, a subset of the
-	// buffer's keys: Lazy's exact Partial Overlap equivalent.
-	postSpawnW flatmap.Set
-	spawned    bool // crossed the spawn point this execution
+	spawned bool // crossed the spawn point this execution
 	// awaitSpawn gates a cascade-squashed task: its parent was also
 	// squashed and must re-cross its spawn point (re-producing the
 	// child's live-ins) before the child may restart. Without this gate a
@@ -57,6 +51,20 @@ type task struct {
 	awaitSpawn bool
 
 	restartAt int64
+}
+
+//bulklint:snapstate
+type task struct {
+	//bulklint:snapstate-ignore idx immutable task identity fixed at construction
+	idx int
+	taskRun
+
+	// Footprint is the task's write buffer, exact sets and (Bulk) BDM
+	// version; the version is allocated at claim and freed at commit.
+	core.Footprint
+	// postSpawnW is the exact post-spawn write-word set, a subset of the
+	// buffer's keys: Lazy's exact Partial Overlap equivalent.
+	postSpawnW flatmap.Set
 }
 
 func (t *task) active() bool { return t.state == tsRunning || t.state == tsFinished }
@@ -71,15 +79,20 @@ func (t *task) resetSpec() {
 	t.exec.Reset()
 }
 
+// procRun is a processor's scalar run state, copied whole like taskRun.
+type procRun struct {
+	parkedAt int64 // when the processor last parked, for StallCycles
+}
+
 //bulklint:snapstate
 type proc struct {
 	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
 	id int
 	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
-	cache    *cache.Cache
-	module   *bdm.Module // Bulk only
-	tasks    []int       // assigned uncommitted task indices, ascending
-	parkedAt int64
+	cache  *cache.Cache
+	module *bdm.Module // Bulk only
+	procRun
+	tasks []int // assigned uncommitted task indices, ascending
 }
 
 // System is a TLS run in progress: the policy on an embedded
@@ -139,7 +152,7 @@ func NewSystem(w *workload.TLSWorkload, opts Options) (*System, error) {
 	}
 	s.tasks = make([]*task, len(w.Tasks))
 	for i := range w.Tasks {
-		t := &task{idx: i, proc: -1, exec: trace.Executor{ThreadID: i}}
+		t := &task{idx: i, taskRun: taskRun{proc: -1, exec: trace.Executor{ThreadID: i}}}
 		t.resetSpec()
 		s.tasks[i] = t
 	}
@@ -178,9 +191,10 @@ func (s *System) Tick() (running bool, err error) {
 }
 
 // Collect implements core.Policy: it assembles the result of a completed
-// run.
+// run. Tasks commit in order, so commitNext is the commit count.
 func (s *System) Collect(res *Result, t core.Totals) {
 	*res = Result{Stats: s.stats, Memory: s.Mem}
+	res.Stats.Commits = uint64(s.commitNext)
 	res.Stats.Cycles = t.Cycles
 	res.Stats.Bandwidth = t.Bandwidth
 	res.Stats.SafeWritebacks += t.SafeWritebacks

@@ -135,8 +135,6 @@ type Stats struct {
 type Result struct {
 	Stats  Stats
 	Memory *mem.Memory
-	// SeqCycles, when computed by RunSequential, gives the baseline.
-	SeqCycles int64
 }
 
 // AvgReadSetWords returns the mean committed read footprint in words.

@@ -92,7 +92,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		if q == p {
 			continue
 		}
-		if q.inTxn {
+		if q.inTxn() {
 			if q.preempt != nil && len(q.preempt.spilled) > 0 {
 				// The receiver's signatures are spilled to memory
 				// (Section 6.2.2): disambiguate against the saved copies.
@@ -113,7 +113,6 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		}
 	}
 	p.sections = p.sections[:0] // keep the backing array for recycling
-	p.inTxn = false
 	p.attempts = 0
 	p.over.Dealloc()
 	s.releaseWaiters(p)
@@ -257,14 +256,13 @@ func (s *System) mergeLine(q *proc, line uint64) {
 // exact dependence overlap (0 means the squash was a signature false
 // positive).
 func (s *System) squash(q *proc, fromSection int, dep uint64) {
-	if !q.inTxn {
+	if !q.inTxn() {
 		return
 	}
 	s.stats.Squashes++
 	if dep == 0 {
 		s.stats.FalseSquashes++
 	} else {
-		s.real++
 		s.stats.DepSetLines += dep
 	}
 
@@ -314,7 +312,6 @@ func (s *System) discardTxn(q *proc) {
 	}
 	q.exec.SetLastRead(q.sections[0].lastRead)
 	q.sections = q.sections[:0] // keep the backing array for recycling
-	q.inTxn = false
 	q.opIdx = 0
 	q.preempt = nil
 	q.over.Dealloc()
@@ -346,26 +343,17 @@ func (s *System) partialRollback(q *proc, fromSection int) {
 
 // wake reschedules q at the given time, unparking it if it was stalled.
 func (s *System) wake(q *proc, at int64) {
-	if q.stalledOn >= 0 {
-		// Remove q from the waiter list of the proc it stalled on.
-		t := s.procs[q.stalledOn]
-		for i, w := range t.waiters {
-			if w == q.id {
-				t.waiters = append(t.waiters[:i], t.waiters[i+1:]...)
-				break
-			}
-		}
-		q.stalledOn = -1
-	}
+	q.stalledOn = -1
 	s.Engine.Unpark(q.id, at)
 }
 
 // releaseWaiters unparks every processor stalled on p's transaction.
+// Unpark touches only its own processor's slots, so the order is free.
 func (s *System) releaseWaiters(p *proc) {
-	for _, w := range p.waiters {
-		q := s.procs[w]
-		q.stalledOn = -1
-		s.Engine.Unpark(q.id, s.Engine.Now())
+	for _, q := range s.procs {
+		if q.stalledOn == p.id {
+			q.stalledOn = -1
+			s.Engine.Unpark(q.id, s.Engine.Now())
+		}
 	}
-	p.waiters = p.waiters[:0]
 }

@@ -49,7 +49,7 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 	// line; detected when the coherence request reaches the writer.
 	if s.opts.Scheme == Eager {
 		for _, q := range s.procs {
-			if q == p || !q.inTxn || !q.inWriteSet(line) {
+			if q == p || !q.inTxn() || !q.inWriteSet(line) {
 				continue
 			}
 			if !s.resolveEagerConflict(p, q) {
@@ -92,7 +92,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 		// A write conflicts with any other transaction that read or wrote
 		// the line.
 		for _, q := range s.procs {
-			if q == p || !q.inTxn || (!q.inReadSet(line) && !q.inWriteSet(line)) {
+			if q == p || !q.inTxn() || (!q.inReadSet(line) && !q.inWriteSet(line)) {
 				continue
 			}
 			if !s.resolveEagerConflict(p, q) {
@@ -137,12 +137,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 	p.cache.MarkDirty(l)
 
 	// Compute and buffer the speculative value.
-	var value uint64
-	if op.Kind == trace.WriteDep {
-		value = trace.DepValue(p.exec.LastRead(), op.Addr)
-	} else {
-		value = trace.Value(p.id, p.opIdx, op.Addr)
-	}
+	value := p.exec.WriteValue(p.opIdx, op)
 	sec.Buf.Put(op.Addr, value)
 	sec.WriteL.Add(line)
 	l.Data[int(op.Addr)%core.WordsPerLine] = value
@@ -162,7 +157,6 @@ func (s *System) resolveEagerConflict(p, q *proc) bool {
 		p.pairSquash[q.id]+q.pairSquash[p.id] >= 1 &&
 		olderTxn(q, p) {
 		p.stalledOn = q.id
-		q.waiters = append(q.waiters, p.id)
 		s.Engine.Park(p.id)
 		s.stats.Stalls++
 		return false
@@ -201,7 +195,7 @@ func (s *System) plainRead(p *proc, op trace.Op) int {
 
 func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 	line := core.LineOf(op.Addr)
-	value := trace.Value(p.id, p.opIdx, op.Addr)
+	value := p.exec.WriteValue(p.opIdx, op)
 
 	// Non-speculative writes are globally visible immediately: they send
 	// an invalidation and update committed memory.
@@ -217,7 +211,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 		}
 		// Individual disambiguation of the invalidation against
 		// speculative threads (Section 4.2's membership path).
-		if q.inTxn {
+		if q.inTxn() {
 			if q.preempt != nil && len(q.preempt.spilled) > 0 {
 				// Signatures are spilled: membership-test the saved
 				// copies; a hit dooms the paused transaction. The test
@@ -251,7 +245,6 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 						q.preempt.doomed = true
 						s.stats.Squashes++
 						if sp.sec.ReadL.Has(line) || sp.sec.WriteL.Has(line) {
-							s.real++
 							s.stats.DepSetLines++
 						} else {
 							s.stats.FalseSquashes++
@@ -327,7 +320,7 @@ func (s *System) fill(p *proc, line uint64, spec bool) (*cache.Line, int) {
 	par := s.opts.Params
 
 	// Overflow-area path: the thread may have evicted this very line.
-	if spec && p.inTxn {
+	if spec && p.inTxn() {
 		if s.overflowLookup(p, line) {
 			if mask, words, ok := p.over.Fetch(line); ok {
 				s.Bus.Record(bus.UB, bus.FillBytes)
@@ -356,7 +349,7 @@ func (s *System) fill(p *proc, line uint64, spec bool) (*cache.Line, int) {
 // uses the BDM's set-ownership test (what the hardware can see); exact
 // schemes use the write set.
 func (s *System) isSpecDirty(q *proc, line uint64) bool {
-	if !q.inTxn {
+	if !q.inTxn() {
 		return false
 	}
 	if q.module != nil {
@@ -399,7 +392,7 @@ func (s *System) gatherSpill(p *proc, line uint64) (uint64, []mem.Word) {
 // handleDirtyEviction routes an evicted dirty line: speculative lines go
 // to the overflow area (Section 6.2.2); non-speculative lines write back.
 func (s *System) handleDirtyEviction(p *proc, line uint64) {
-	if p.inTxn && p.inWriteSet(line) {
+	if p.inTxn() && p.inWriteSet(line) {
 		mask, words := s.gatherSpill(p, line)
 		p.over.Spill(line, mask, words)
 		if p.module != nil {

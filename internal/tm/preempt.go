@@ -50,7 +50,7 @@ type spilledSig struct {
 // at a boundary the policy would skip.
 func (s *System) maybePreempt(p *proc) bool {
 	o := s.opts
-	if o.PreemptEvery <= 0 || !p.inTxn || p.opIdx == 0 {
+	if o.PreemptEvery <= 0 || !p.inTxn() || p.opIdx == 0 {
 		return false
 	}
 	if p.opIdx == p.lastPreemptOp {
@@ -186,7 +186,6 @@ func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *
 	if dep == 0 {
 		s.stats.FalseSquashes++
 	} else {
-		s.real++
 		s.stats.DepSetLines += dep
 	}
 }

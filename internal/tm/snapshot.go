@@ -44,25 +44,17 @@ type preemptSnap struct {
 	spilled  []spillState
 }
 
-// procState is the deep-copied state of one processor.
+// procState is the deep-copied state of one processor: its run-state
+// value, copied whole, and deep copies of its containers.
 //
 //bulklint:snapstate
 type procState struct {
-	over          *mem.OverflowArea
-	lastRead      uint64
-	segIdx        int
-	opIdx         int
-	done          bool
-	inTxn         bool
-	txnStart      int64
-	attempts      int
-	lastPreemptOp int
-	stalledOn     int
-	waiters       []int
-	pairSquash    []int
-	sections      []secState
-	nSections     int
-	preempt       preemptSnap
+	procRun
+	over       *mem.OverflowArea
+	pairSquash []int
+	sections   []secState
+	nSections  int
+	preempt    preemptSnap
 }
 
 // policyState is the transactional state of a snapshot. The zero value
@@ -72,7 +64,6 @@ type procState struct {
 type policyState struct {
 	stats Stats
 	log   []CommitUnit
-	real  uint64
 	procs []procState
 }
 
@@ -88,23 +79,17 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	}
 	st.stats = s.stats
 	st.log = append(st.log[:0], s.log...)
-	st.real = s.real
 	for len(st.procs) < len(s.procs) {
 		st.procs = append(st.procs, procState{})
 	}
 	size := 32 * cap(st.log)
 	for i, p := range s.procs {
 		ps := &st.procs[i]
+		ps.procRun = p.procRun
 		if ps.over == nil {
 			ps.over = mem.NewOverflowArea()
 		}
 		ps.over.CopyFrom(p.over)
-		ps.lastRead = p.exec.LastRead()
-		ps.segIdx, ps.opIdx, ps.done = p.segIdx, p.opIdx, p.done
-		ps.inTxn, ps.txnStart = p.inTxn, p.txnStart
-		ps.attempts, ps.lastPreemptOp = p.attempts, p.lastPreemptOp
-		ps.stalledOn = p.stalledOn
-		ps.waiters = append(ps.waiters[:0], p.waiters...)
 		ps.pairSquash = append(ps.pairSquash[:0], p.pairSquash...)
 		ps.nSections = len(p.sections)
 		for len(ps.sections) < ps.nSections {
@@ -130,7 +115,7 @@ func (s *System) SavePolicy(dst any) (any, int) {
 				})
 			}
 		}
-		size += 64 + ps.over.SizeBytes() + 8*(cap(ps.waiters)+cap(ps.pairSquash))
+		size += 64 + ps.over.SizeBytes() + 8*cap(ps.pairSquash)
 	}
 	return st, size
 }
@@ -144,16 +129,10 @@ func (s *System) LoadPolicy(src any) {
 	st := src.(*policyState)
 	s.stats = st.stats
 	s.log = append(s.log[:0], st.log...)
-	s.real = st.real
 	for i, p := range s.procs {
 		ps := &st.procs[i]
+		p.procRun = ps.procRun
 		p.over.CopyFrom(ps.over)
-		p.exec.SetLastRead(ps.lastRead)
-		p.segIdx, p.opIdx, p.done = ps.segIdx, ps.opIdx, ps.done
-		p.inTxn, p.txnStart = ps.inTxn, ps.txnStart
-		p.attempts, p.lastPreemptOp = ps.attempts, ps.lastPreemptOp
-		p.stalledOn = ps.stalledOn
-		p.waiters = append(p.waiters[:0], ps.waiters...)
 		p.pairSquash = append(p.pairSquash[:0], ps.pairSquash...)
 		// Rebuild the section stack through growSections, the recycling
 		// pushSection uses, so capacity survives restores.

@@ -3,6 +3,7 @@ package tm
 import (
 	"bulk/internal/core"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bulk/internal/workload"
@@ -14,9 +15,6 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Stats, want.Stats) {
 		t.Fatalf("%s: stats diverged:\n got %+v\nwant %+v", tag, got.Stats, want.Stats)
-	}
-	if got.RealSquashes != want.RealSquashes {
-		t.Fatalf("%s: RealSquashes = %d, want %d", tag, got.RealSquashes, want.RealSquashes)
 	}
 	if !reflect.DeepEqual(got.Log, want.Log) {
 		t.Fatalf("%s: commit log diverged (%d vs %d units)", tag, len(got.Log), len(want.Log))
@@ -116,9 +114,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// A capture taken while a processor is stalled on another's
-	// transaction (Eager with the livelock fix) holds a non-empty waiters
-	// list, which the run then rewrites in place; restoring it — twice, so
-	// a restore that aliases the capture is caught too — must still
+	// transaction (Eager with the livelock fix) holds a stall and nonzero
+	// pair-squash counters, which the run then rewrites in place. Each
+	// restore — twice, so a restore that aliases the capture is caught
+	// too — must bring back the captured stall and counters and still
 	// reproduce the one-shot run.
 	t.Run("eager-stall", func(t *testing.T) {
 		w := workload.GenerateTM(smallProfile("cb"), 3)
@@ -133,7 +132,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 		done, err := sys.RunUntil(func() bool {
 			for _, p := range sys.procs {
-				if len(p.waiters) > 0 {
+				if p.stalledOn >= 0 {
 					return true
 				}
 			}
@@ -143,15 +142,27 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("RunUntil: %v", err)
 		}
 		if done {
-			t.Fatal("no processor stalled; the case no longer captures a waiters list")
+			t.Fatal("no processor stalled; the case no longer captures a stall")
 		}
 		sn := sys.Snapshot(nil)
+		stalledOn := make([]int, len(sys.procs))
+		pairSquash := make([][]int, len(sys.procs))
+		for i, p := range sys.procs {
+			stalledOn[i] = p.stalledOn
+			pairSquash[i] = slices.Clone(p.pairSquash)
+		}
 		if _, err := sys.RunUntil(nil); err != nil {
 			t.Fatalf("RunUntil past the stall: %v", err)
 		}
 		sameResult(t, "run past the stall", sys.Finish(), ref)
 		for range 2 {
 			sys.Restore(sn)
+			for i, p := range sys.procs {
+				if p.stalledOn != stalledOn[i] || !slices.Equal(p.pairSquash, pairSquash[i]) {
+					t.Fatalf("proc %d restored stalledOn=%d pairSquash=%v, captured stalledOn=%d pairSquash=%v",
+						i, p.stalledOn, p.pairSquash, stalledOn[i], pairSquash[i])
+				}
+			}
 			if _, err := sys.RunUntil(nil); err != nil {
 				t.Fatalf("RunUntil after restore: %v", err)
 			}

@@ -27,6 +27,24 @@ type section struct {
 	lastRead uint64 // executor register at section start
 }
 
+// procRun is a processor's scalar run state. Snapshots copy it whole, so
+// every scalar of a proc belongs here: snapstate reports one declared on
+// proc itself.
+type procRun struct {
+	exec trace.Executor
+
+	segIdx int
+	opIdx  int
+	done   bool
+
+	txnStart      int64
+	attempts      int
+	lastPreemptOp int
+	// stalledOn is the processor whose transaction this one waits on in
+	// an Eager stall, or -1.
+	stalledOn int
+}
+
 // proc is one simulated processor and the thread pinned to it.
 //
 //bulklint:snapstate
@@ -37,28 +55,20 @@ type proc struct {
 	cache  *cache.Cache
 	module *bdm.Module // Bulk only
 	over   *mem.OverflowArea
-	exec   trace.Executor
+	procRun
 
-	segIdx int
-	opIdx  int
-	done   bool
-
-	inTxn    bool
-	txnStart int64
-	attempts int
+	// sections is the open transaction's section stack, empty outside a
+	// transaction.
 	sections []*section
-
 	// Context-switch state (nil when not preempted).
-	preempt       *preemptState
-	lastPreemptOp int
-
-	// Eager stall bookkeeping.
-	stalledOn int   // processor id we are waiting on, or -1
-	waiters   []int // processors stalled on our transaction
+	preempt *preemptState
 	// pairSquash counts, per aggressor processor id, the squashes this
 	// proc suffered from it, for the footnote-2 fix.
 	pairSquash []int
 }
+
+// inTxn reports whether p is inside a transaction.
+func (p *proc) inTxn() bool { return len(p.sections) > 0 }
 
 // System is a TM run in progress: the policy on an embedded core.Machine.
 //
@@ -73,7 +83,6 @@ type System struct {
 
 	stats Stats
 	log   []CommitUnit
-	real  uint64 // real (non-false) squashes
 	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
 	res Result
 
@@ -138,8 +147,7 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 			id:         i,
 			cache:      s.Caches[i],
 			over:       mem.NewOverflowArea(),
-			exec:       trace.Executor{ThreadID: i},
-			stalledOn:  -1,
+			procRun:    procRun{exec: trace.Executor{ThreadID: i}, stalledOn: -1},
 			pairSquash: make([]int, len(w.Threads)),
 		}
 		if bulk != nil {
@@ -200,7 +208,7 @@ func (s *System) Collect(res *Result, t core.Totals) {
 		os := p.over.Stats()
 		st.OverflowAccesses += os.Spills + os.Fetches + os.DisambiguationAccesses + os.Deallocs
 	}
-	*res = Result{Stats: st, Memory: s.Mem, Log: s.log, RealSquashes: s.real}
+	*res = Result{Stats: st, Memory: s.Mem, Log: s.log}
 }
 
 // Judge finishes a completed run, digests its observable outcome — the
@@ -227,7 +235,7 @@ func (s *System) step(p *proc) {
 	}
 	seg := &segs[p.segIdx]
 
-	if seg.Txn && !p.inTxn {
+	if seg.Txn && !p.inTxn() {
 		s.beginTxn(p, seg)
 		// Beginning costs a cycle; the first op runs next quantum.
 		s.Engine.Advance(p.id, 1)
@@ -282,16 +290,15 @@ func (s *System) step(p *proc) {
 	s.Engine.Advance(p.id, int(op.Think)+cost)
 }
 
-// beginTxn starts the transaction at p's current segment. The executor's
-// dependence register is reset so a transaction's semantics depend only on
-// reads made inside it — this makes the serial replay of Verify exact.
+// beginTxn starts the transaction at p's current segment by opening its
+// first section. The executor's dependence register is reset so a
+// transaction's semantics depend only on reads made inside it — this makes
+// the serial replay of Verify exact.
 func (s *System) beginTxn(p *proc, seg *workload.TMSegment) {
-	p.inTxn = true
 	p.txnStart = s.Engine.Now()
 	p.opIdx = 0
 	p.lastPreemptOp = -1
 	p.exec.Reset()
-	p.sections = p.sections[:0]
 	s.pushSection(p, 0)
 }
 

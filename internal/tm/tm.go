@@ -161,9 +161,6 @@ type Result struct {
 	Stats  Stats
 	Memory *mem.Memory
 	Log    []CommitUnit
-	// RealSquashes counts squashes with a real dependence, for averaging
-	// DepSetLines.
-	RealSquashes uint64
 }
 
 // AvgReadSetLines returns the mean committed read-set size in lines.
@@ -182,12 +179,14 @@ func (r *Result) AvgWriteSetLines() float64 {
 	return float64(r.Stats.WriteSetLines) / float64(r.Stats.Commits)
 }
 
-// AvgDepSetLines returns the mean dependence-set size over real squashes.
+// AvgDepSetLines returns the mean dependence-set size over real squashes:
+// every squash that was not a false positive.
 func (r *Result) AvgDepSetLines() float64 {
-	if r.RealSquashes == 0 {
+	real := r.Stats.Squashes - r.Stats.FalseSquashes
+	if real == 0 {
 		return 0
 	}
-	return float64(r.Stats.DepSetLines) / float64(r.RealSquashes)
+	return float64(r.Stats.DepSetLines) / float64(real)
 }
 
 // FalseSquashPct returns the percentage of squashes that were false

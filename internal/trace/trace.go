@@ -126,16 +126,23 @@ func (e *Executor) LastRead() uint64 { return e.lastRead }
 // SetLastRead restores the dependence register.
 func (e *Executor) SetLastRead(v uint64) { e.lastRead = v }
 
+// WriteValue returns the value write op number opIndex stores: DepValue of
+// the dependence register for a WriteDep, Value otherwise.
+func (e *Executor) WriteValue(opIndex int, op Op) uint64 {
+	if op.Kind == WriteDep {
+		return DepValue(e.lastRead, op.Addr)
+	}
+	return Value(e.ThreadID, opIndex, op.Addr)
+}
+
 // Step performs op number opIndex: for reads it calls load and latches the
 // value; for writes it computes the value and calls store.
 func (e *Executor) Step(opIndex int, op Op, load func(addr uint64) uint64, store func(addr, val uint64)) {
 	switch op.Kind {
 	case Read:
 		e.lastRead = load(op.Addr)
-	case Write:
-		store(op.Addr, Value(e.ThreadID, opIndex, op.Addr))
-	case WriteDep:
-		store(op.Addr, DepValue(e.lastRead, op.Addr))
+	case Write, WriteDep:
+		store(op.Addr, e.WriteValue(opIndex, op))
 	default:
 		panic(fmt.Sprintf("trace: unknown op kind %v", op.Kind)) //bulklint:invariant Kind is a closed enum owned by this package
 	}

@@ -10,6 +10,15 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every tracked Go file must be gofmt-clean.
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files need formatting (run gofmt -w):" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== bulklint =="
 # One run of every analyzer, including the waiver audit: a stale
 # //bulklint: waiver (one that suppresses no live finding) fails the gate.
