@@ -263,6 +263,9 @@ func validateFlags(o options) error {
 	if o.depth < 0 {
 		return fmt.Errorf("-depth %d is negative (0 means the budget default)", o.depth)
 	}
+	if o.depth > check.MaxDepth {
+		return fmt.Errorf("-depth %d exceeds %d, the deepest the explorer encodes", o.depth, check.MaxDepth)
+	}
 	if !(o.deviate >= 0 && o.deviate <= 1) { // also rejects NaN
 		return fmt.Errorf("-deviate %v is not a probability in [0, 1]", o.deviate)
 	}
@@ -287,7 +290,7 @@ func validateFlags(o options) error {
 		}
 	}
 	// The combinations below would otherwise run without the mutations
-	// asked for, or without a target, and could report a false ok.
+	// or mode asked for, or without a target, and could report a false ok.
 	switch {
 	case o.replay != "" && o.target == "":
 		return fmt.Errorf("-replay requires -target (one of: %s)", targetNames())
@@ -297,6 +300,10 @@ func validateFlags(o options) error {
 		return fmt.Errorf("-mutations does not combine with -checkpoint or -resume")
 	case o.ckptPath != "" && o.resume == "" && o.target == "":
 		return fmt.Errorf("-checkpoint requires -target (one of: %s)", targetNames())
+	case o.mode == "walk" && (o.ckptPath != "" || o.resume != ""):
+		return fmt.Errorf("-mode walk does not combine with -checkpoint or -resume (checkpoints hold the systematic explorer's frontier)")
+	case o.mode == "walk" && o.mutations != "":
+		return fmt.Errorf("-mode walk does not combine with -mutations (the mutation audit runs the systematic explorer)")
 	}
 	return nil
 }

@@ -23,6 +23,8 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative workers", mut: func(o *options) { o.workers = -1 }, wantErr: "-workers"},
 		{name: "negative schedules", mut: func(o *options) { o.schedules = -5 }, wantErr: "-schedules"},
 		{name: "negative depth", mut: func(o *options) { o.depth = -2 }, wantErr: "-depth"},
+		{name: "deepest depth", mut: func(o *options) { o.depth = 255 }},
+		{name: "depth past the prefix encoding", mut: func(o *options) { o.depth = 256 }, wantErr: "-depth"},
 		{name: "deviate above one", mut: func(o *options) { o.deviate = 1.5 }, wantErr: "-deviate"},
 		{name: "deviate negative", mut: func(o *options) { o.deviate = -0.1 }, wantErr: "-deviate"},
 		{name: "deviate NaN", mut: func(o *options) { o.deviate = math.NaN() }, wantErr: "-deviate"},
@@ -52,6 +54,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "mutations with resume", mut: func(o *options) {
 			o.resume, o.mutations = "cp.bin", "drop-wr-term"
 		}, wantErr: "-resume"},
+		{name: "walk with checkpoint", mut: func(o *options) {
+			o.mode, o.target, o.ckptPath = "walk", "tm-sweep", "cp.bin"
+		}, wantErr: "-checkpoint"},
+		{name: "walk with resume", mut: func(o *options) { o.mode, o.resume = "walk", "cp.bin" }, wantErr: "-resume"},
+		{name: "walk with mutations", mut: func(o *options) { o.mode, o.mutations = "walk", "all" }, wantErr: "-mutations"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,7 +88,10 @@ func TestValidateFlags(t *testing.T) {
 // -snapmem no longer exists (every sweep runs on the snapshot engine), so
 // old invocations must be refused, not ignored. A replay under -mutations
 // all would run the schedule unmutated and print a false ok, and so would a
-// malformed schedule read only up to its first non-digit.
+// malformed schedule read only up to its first non-digit. A -depth past
+// the one-byte prefix encoding would panic mid-sweep, and -mode walk with
+// -checkpoint, -resume or -mutations would run the systematic explorer
+// instead of the walk asked for.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if os.Getenv("BULKCHECK_BE_MAIN") == "1" {
 		os.Args = append([]string{"bulkcheck"}, strings.Fields(os.Getenv("BULKCHECK_ARGS"))...)
@@ -103,11 +113,16 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		"-target bogus",
 		"-target tm-word-merge -replay 1,1 -mutations all",
 		"-target tm-sweep -replay 0x10",
+		"-depth 300",
+		"-mode walk -target tm-sweep -checkpoint cp.bin",
+		"-mode walk -resume cp.bin",
+		"-mode walk -mutations all",
 	}
 	for _, args := range cases {
 		t.Run(args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run", "TestCLIRejectsBadFlags")
 			cmd.Env = append(os.Environ(), "BULKCHECK_BE_MAIN=1", "BULKCHECK_ARGS="+args)
+			cmd.Dir = t.TempDir() // a checkpoint written past a missed rejection lands here
 			out, err := cmd.CombinedOutput()
 			ee, ok := err.(*exec.ExitError)
 			if !ok {

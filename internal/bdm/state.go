@@ -1,10 +1,12 @@
-// Snapshot support: the model checker's incremental execution engine
-// captures and restores whole-system states at schedule fork points, and
-// the module's version table is part of that state. SaveState/LoadState
-// copy the live versions into flat, index-addressed storage so a snapshot
-// never aliases the module's own signatures, and the runtime snapshots can
-// refer to versions by table index (IndexOfVersion/VersionAt) instead of
-// by pointer.
+// Snapshot support: the machine snapshot (core.Snapshot) captures and
+// restores whole-system states — the model checker rewinds each worker's
+// system to its initial state before every schedule — and the module's
+// version table is part of that state. SaveState/LoadState copy the live
+// versions into flat, index-addressed storage so a snapshot never aliases
+// the module's own signatures, and the runtime snapshots can refer to
+// versions by table index (IndexOfVersion/VersionAt) instead of by
+// pointer: LoadState recycles version objects, so a pointer taken before
+// a restore may name another slot after it.
 package bdm
 
 import "bulk/internal/sig"
@@ -27,24 +29,6 @@ type ModuleState struct {
 	nv       int
 	run      int // index into versions, -1 when no version is running
 	stats    Stats
-}
-
-// SizeBytes estimates the retained size of the snapshot for the explorer's
-// snapshot-cache budget accounting.
-func (st *ModuleState) SizeBytes() int {
-	n := 64
-	for i := range st.versions {
-		v := &st.versions[i]
-		n += 64
-		if v.R != nil {
-			n += 16 * len(v.R.Bits())
-		}
-		if v.Wsh != nil {
-			n += 8 * len(v.Wsh.Bits())
-		}
-		n += 8 * len(v.mask)
-	}
-	return n
 }
 
 // SaveState deep-copies the module's mutable state — the live version

@@ -162,23 +162,6 @@ func (c *Cache) SetIndex(a LineAddr) int { return int(a) & (c.sets - 1) }
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// SizeBytes estimates the retained size for snapshot-budget accounting.
-// Data buffers are tallied for occupied sets only (via the valid mask), so
-// the estimate stays O(occupancy) like the copy itself.
-func (c *Cache) SizeBytes() int {
-	n := 96 + 48*len(c.lines) + 2*(len(c.validCnt)+len(c.dirtyCnt)) +
-		8*(len(c.validMask)+len(c.dirtyMask))
-	for w, m := range c.validMask {
-		for ; m != 0; m &= m - 1 {
-			ws := c.set(w<<6 + bits.TrailingZeros64(m))
-			for i := range ws {
-				n += 8 * cap(ws[i].Data)
-			}
-		}
-	}
-	return n
-}
-
 // set returns the ways of set i.
 func (c *Cache) set(i int) []Line { return c.lines[i*c.ways : (i+1)*c.ways] }
 

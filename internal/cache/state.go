@@ -1,8 +1,9 @@
-// Snapshot support: the model checker's incremental execution engine
-// captures caches at schedule fork points. A State stores only the
-// occupied sets — their ways, plus the occupancy summaries — so capturing
-// and restoring a mostly-empty cache costs O(occupancy), and a snapshot
-// never carries the full line array of an idle cache.
+// Snapshot support: the machine snapshot (core.Snapshot) captures every
+// cache, and the model checker restores one capture before each schedule
+// it runs on a pooled system. A Snapshot stores only the occupied sets —
+// their ways, plus the occupancy summaries — so capturing and restoring a
+// mostly-empty cache costs O(occupancy), and a snapshot never carries the
+// full line array of an idle cache.
 package cache
 
 import "math/bits"
@@ -22,18 +23,6 @@ type Snapshot struct {
 	dirtyCnt  []uint16
 	validMask []uint64
 	dirtyMask []uint64
-}
-
-// SizeBytes estimates the retained size of the snapshot for the explorer's
-// snapshot-cache budget accounting.
-func (st *Snapshot) SizeBytes() int {
-	n := 128 + 4*cap(st.setIdx) + 48*cap(st.lines) +
-		2*(cap(st.validCnt)+cap(st.dirtyCnt)) +
-		8*(cap(st.validMask)+cap(st.dirtyMask))
-	for i := range st.lines {
-		n += 8 * cap(st.lines[i].Data)
-	}
-	return n
 }
 
 // SaveState deep-copies the cache's occupied sets and occupancy summaries

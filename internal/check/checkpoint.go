@@ -130,7 +130,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Target = string(r[:nameLen])
 	r = r[nameLen:]
 	depth, ok := uv()
-	if !ok || depth > maxChoiceByte {
+	if !ok || depth > MaxDepth {
 		return fail()
 	}
 	c.Depth = int(depth)
@@ -169,7 +169,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		p := make([]int, pl)
 		for j := range p {
 			ch, ok := uv()
-			if !ok || ch > maxChoiceByte {
+			if !ok || ch > MaxDepth {
 				return fail()
 			}
 			p[j] = int(ch)

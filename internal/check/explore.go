@@ -18,12 +18,6 @@ type Budget struct {
 	Depth        int
 }
 
-// snapCacheBytes bounds an exploration's fork-point snapshot cache. It
-// comfortably holds every fork point of the deepest stock sweep while
-// still bounding a pathological blow-up; the report is identical at any
-// bound, which trades memory for speed only.
-const snapCacheBytes = 256 << 20
-
 // SmallBudget is a smoke-test budget (sub-second per target).
 func SmallBudget() Budget { return Budget{MaxSchedules: 1_000, Depth: 10} }
 
@@ -95,7 +89,7 @@ const seenShards = 64
 // Explore is the serial form of ExploreParallel: the explored set, the
 // report, and the failing schedule are identical at every worker count.
 func Explore(t Target, muts mutate.Set, b Budget) *Report {
-	rep, _, _, _ := explore(t, muts, b, 1, nil, false, snapCacheBytes)
+	rep, _, _ := explore(t, muts, b, 1, nil, false)
 	return rep
 }
 
@@ -107,7 +101,7 @@ func Explore(t Target, muts mutate.Set, b Budget) *Report {
 // byte-identical to the serial explorer's no matter the worker count or
 // steal schedule.
 func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
-	rep, _, _, _ := explore(t, muts, b, workers, nil, false, snapCacheBytes)
+	rep, _, _ := explore(t, muts, b, workers, nil, false)
 	return rep
 }
 
@@ -120,18 +114,15 @@ func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
 // identical to an uninterrupted one, because best-first order makes the
 // executed sequence independent of where budget boundaries fall.
 func ExploreFrom(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint) (*Report, *Checkpoint, error) {
-	rep, cp, _, err := explore(t, muts, b, workers, from, true, snapCacheBytes)
-	return rep, cp, err
+	return explore(t, muts, b, workers, from, true)
 }
 
 // explore is the shared implementation. Every schedule runs on a pooled
-// per-worker system restored between runs, sharing fork-point snapshots
-// through a cache bounded to cacheBytes; the cache's final counters are
-// returned for tests, and are not part of the report. Materializing the
-// resumable checkpoint costs real allocation (sorted fingerprints, the
-// dedup set, the whole frontier), so the non-resumable entry points pass
-// wantCP=false and skip it.
-func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool, cacheBytes int64) (*Report, *Checkpoint, snapCacheStats, error) {
+// per-worker system restored to its base snapshot between runs.
+// Materializing the resumable checkpoint costs real allocation (sorted
+// fingerprints, the dedup set, the whole frontier), so the non-resumable
+// entry points pass wantCP=false and skip it.
+func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool) (*Report, *Checkpoint, error) {
 	rep := &Report{Target: t.Name()}
 	seen := flatmap.NewSharded(seenShards)
 	var fps flatmap.Set
@@ -140,10 +131,10 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 
 	if from != nil {
 		if from.Target != t.Name() {
-			return nil, nil, snapCacheStats{}, fmt.Errorf("check: checkpoint is for target %q, not %q", from.Target, t.Name())
+			return nil, nil, fmt.Errorf("check: checkpoint is for target %q, not %q", from.Target, t.Name())
 		}
 		if from.Depth != b.Depth {
-			return nil, nil, snapCacheStats{}, fmt.Errorf("check: checkpoint depth %d does not match budget depth %d", from.Depth, b.Depth)
+			return nil, nil, fmt.Errorf("check: checkpoint depth %d does not match budget depth %d", from.Depth, b.Depth)
 		}
 		counted = from.Schedules
 		for _, f := range from.Fingerprints {
@@ -161,7 +152,6 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		fr.add(nil)
 	}
 
-	cache := newSnapCache(cacheBytes)
 	var results []waveResult
 	var scratch []workerScratch
 
@@ -182,15 +172,6 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		} else {
 			results = results[:n]
 		}
-		// A budget-truncated wave is the exploration's last: the children
-		// its runs would deposit snapshots for can never execute, so the
-		// captures — a third of a run's cost each — are skipped outright.
-		// Resuming from earlier waves' captures still applies. Deeper
-		// waves capture only up to the depth cap: a shallow capture serves
-		// every schedule in the subtree below it, while a deep one serves
-		// only its immediate children — almost none of which run before
-		// the budget dies — at full capture cost per run.
-		capture := counted+n < b.MaxSchedules && length <= snapCaptureDepth
 		for nw := par.StealWorkers(workers, n); len(scratch) < nw; {
 			scratch = append(scratch, workerScratch{})
 		}
@@ -204,7 +185,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 				results[i] = waveResult{out: Outcome{Err: sc.runnerErr}}
 				return
 			}
-			results[i].entry = sc.runner.RunSchedule(&results[i].out, sc.prefix, b.Depth, cache, capture)
+			sc.runner.RunSchedule(&results[i].out, sc.prefix, b.Depth)
 			results[i].kids = expandChildren(sc.runner.sched.Trace(), length, seen, sc)
 		})
 		// Reduce in canonical order. Everything order-sensitive — the
@@ -223,22 +204,9 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 				failing := decodeRow(rows, length, i, nil)
 				oc := results[i].out // off the pooled slice before minimize replays
 				rep.Failure = minimize(t, muts, b, failing, &oc)
-				return rep, nil, cache.Stats(), nil
+				return rep, nil, nil
 			}
 			fr.addRows(results[i].kids)
-			if results[i].entry != nil {
-				// The enqueued children are the only schedules that can
-				// resume from this row's capture — and only those longer
-				// than the capture's decision count can match it (lookup
-				// wants the longest entry strictly shorter than the
-				// prefix). Once that many lookups have hit it, the entry
-				// retires and its snapshot recycles immediately instead of
-				// waiting for LRU pressure. A stray hit or miss elsewhere
-				// only shifts work back to replay — retirement can never
-				// change an outcome.
-				e := results[i].entry
-				cache.setExpected(e, countEligibleRows(results[i].kids, e.count))
-			}
 		}
 		if n < total {
 			fr.putBack(rows, length, n, total)
@@ -247,7 +215,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 
 	rep.Schedules, rep.Distinct = counted, distinct
 	if !wantCP {
-		return rep, nil, cache.Stats(), nil
+		return rep, nil, nil
 	}
 	cp := &Checkpoint{
 		Target:       t.Name(),
@@ -257,29 +225,15 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		Seen:         seen.AppendAll(nil),
 		Frontier:     fr.appendAll(nil),
 	}
-	return rep, cp, cache.Stats(), nil
+	return rep, cp, nil
 }
 
 // waveResult is one wave execution's contribution, landed by index. The
 // outcome is inline (not a pointer) so the pooled results slice recycles
 // its storage across waves without per-schedule Outcome allocations.
 type waveResult struct {
-	out   Outcome
-	kids  []byte     // length-prefixed child rows for frontier.addRows
-	entry *snapEntry // this row's fork-point capture, nil if none
-}
-
-// countEligibleRows counts the length-prefixed rows in a kids encoding
-// longer than count decisions — the ones whose snapshot lookups can reach
-// a fork-point entry captured at count.
-func countEligibleRows(kids []byte, count int) int {
-	n := 0
-	for i := 0; i < len(kids); i += 1 + int(kids[i]) {
-		if int(kids[i]) > count {
-			n++
-		}
-	}
-	return n
+	out  Outcome
+	kids []byte // length-prefixed child rows for frontier.addRows
 }
 
 // workerScratch is the per-worker reusable state of an exploration: the
@@ -305,7 +259,7 @@ func expandChildren(tr []Step, from int, seen *flatmap.Sharded, sc *workerScratc
 	sc.choices = sc.choices[:0]
 	h := uint64(fnvOffset)
 	for _, st := range tr {
-		if st.Arity > maxChoiceByte+1 {
+		if st.Arity > MaxDepth+1 {
 			panic("check: decision arity exceeds one-byte choice encoding") //bulklint:invariant arity is bounded by the workload's processor count
 		}
 		sc.hashes = append(sc.hashes, h) // hash of the first j choices

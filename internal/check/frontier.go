@@ -69,16 +69,18 @@ type frontier struct {
 	total   int
 }
 
-// maxChoiceByte bounds a canonical choice so a prefix encodes one byte per
-// decision. Decision arity is the number of runnable processors or branch
-// alternatives — single digits in every workload — so the bound is pure
-// paranoia, but a silent truncation here would corrupt the dedup set.
-const maxChoiceByte = 255
+// MaxDepth is the deepest budget the explorer accepts, and the largest
+// canonical choice it can record: a frontier row stores its length and
+// each choice in one byte. Stock budgets stop at depth 18, and decision
+// arity is the number of runnable processors or branch alternatives —
+// single digits in every workload — but a silent truncation here would
+// corrupt the dedup set, so bulkcheck rejects a deeper -depth up front.
+const MaxDepth = 255
 
 // newFrontier builds a frontier for prefixes up to depth choices long.
 func newFrontier(depth int) *frontier {
-	if depth > maxChoiceByte {
-		panic("check: budget depth exceeds one-byte prefix encoding") //bulklint:invariant budgets cap depth at 18; the byte encoding allows 255
+	if depth > MaxDepth {
+		panic("check: budget depth exceeds one-byte prefix encoding") //bulklint:invariant bulkcheck rejects -depth above MaxDepth; stock budgets stop at 18
 	}
 	return &frontier{
 		buckets: make([][]byte, depth+1),
@@ -88,9 +90,6 @@ func newFrontier(depth int) *frontier {
 
 // empty reports whether no prefixes are pending.
 func (f *frontier) empty() bool { return f.total == 0 }
-
-// pending returns the number of pending prefixes.
-func (f *frontier) pending() int { return f.total }
 
 // add enqueues one canonical prefix given as ints (checkpoint restore and
 // the initial empty prefix).

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
 	"bulk/internal/mutate"
@@ -35,7 +36,8 @@ func TestMutationsKilled(t *testing.T) {
 }
 
 // TestMutationNamesResolve keeps the CLI's -mutations flag aligned with
-// the catalog.
+// the catalog, and pins the names -budget and -protocol resolve, rejections
+// included.
 func TestMutationNamesResolve(t *testing.T) {
 	seen := map[mutate.ID]bool{}
 	for _, m := range Catalog() {
@@ -50,5 +52,43 @@ func TestMutationNamesResolve(t *testing.T) {
 	}
 	if len(seen) != int(mutate.NumIDs) {
 		t.Errorf("catalog covers %d of %d mutations", len(seen), mutate.NumIDs)
+	}
+
+	budgets := []struct {
+		name string
+		want Budget
+		ok   bool
+	}{
+		{"small", SmallBudget(), true},
+		{"medium", MediumBudget(), true},
+		{"large", LargeBudget(), true},
+		{"tiny", Budget{}, false},
+		{"", Budget{}, false},
+	}
+	for _, c := range budgets {
+		if got, ok := BudgetByName(c.name); got != c.want || ok != c.ok {
+			t.Errorf("BudgetByName(%q) = %+v, %v; want %+v, %v", c.name, got, ok, c.want, c.ok)
+		}
+	}
+	protocols := []struct {
+		name string
+		want []string // target names; nil means rejected
+	}{
+		{"all", []string{"tm-sweep", "tls-sweep", "ckpt-sweep"}},
+		{"tm", []string{"tm-sweep"}},
+		{"tls", []string{"tls-sweep"}},
+		{"ckpt", []string{"ckpt-sweep"}},
+		{"TM", nil},
+		{"bogus", nil},
+	}
+	for _, c := range protocols {
+		ts, err := TargetsByProtocol(c.name)
+		var got []string
+		for _, tgt := range ts {
+			got = append(got, tgt.Name())
+		}
+		if (err != nil) != (c.want == nil) || !slices.Equal(got, c.want) {
+			t.Errorf("TargetsByProtocol(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
 	}
 }

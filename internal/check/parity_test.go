@@ -17,7 +17,9 @@ import (
 // ".policy.procs[1].sections[0].FootprintState.buf"), not just a
 // fingerprint mismatch. The walk reads unexported fields, which is exactly
 // the point: the snapshot structs are the closed set of captured state,
-// and no field may escape the round trip.
+// and no field may escape the round trip. A capture must also be a deep
+// copy: after the capture and again after the restore, no slice the
+// capture holds may share its backing array with the live system.
 func TestSnapshotFieldParity(t *testing.T) {
 	for i, name := range []string{"tm", "tls", "ckpt"} {
 		tgt := SweepTargets()[i]
@@ -41,6 +43,9 @@ func TestSnapshotFieldParity(t *testing.T) {
 				t.Fatal("sweep workload finished before the mid-run capture; deepen it")
 			}
 			mid := sys.Snapshot(nil)
+			if path := sharedSlice(reflect.ValueOf(sys), reflect.ValueOf(mid)); path != "" {
+				t.Errorf("capture shares storage with the live system at %s", path)
+			}
 			// Mutate: run to completion, so every live field moves on.
 			if _, err := sys.RunUntil(nil); err != nil {
 				t.Fatal(err)
@@ -51,12 +56,80 @@ func TestSnapshotFieldParity(t *testing.T) {
 			}
 			// Restore and re-capture: every field must round-trip exactly.
 			sys.Restore(mid)
+			if path := sharedSlice(reflect.ValueOf(sys), reflect.ValueOf(mid)); path != "" {
+				t.Errorf("restore left the live system sharing storage with the capture at %s", path)
+			}
 			again := sys.Snapshot(nil)
 			if diff := deepDiff("", reflect.ValueOf(mid).Elem(), reflect.ValueOf(again).Elem()); diff != "" {
 				t.Errorf("snapshot round trip dropped state at %s", diff)
 			}
 		})
 	}
+}
+
+// sharedSlice returns the path of the first slice reachable from snap whose
+// backing array is also reachable from live, or "" when there is none.
+// Pointers the two share are not followed: they name immutable objects
+// such as a signature's configuration.
+func sharedSlice(live, snap reflect.Value) string {
+	owned := map[uintptr]bool{}
+	walkRefs(live, map[ref]bool{}, func(p uintptr) bool {
+		owned[p] = true
+		return false
+	})
+	path, _ := walkRefs(snap, map[ref]bool{}, func(p uintptr) bool { return owned[p] })
+	return path
+}
+
+// ref identifies one pointer target or slice for walkRefs' cycle check.
+type ref struct {
+	p uintptr
+	t reflect.Type
+	n int
+}
+
+// walkRefs walks v depth first and calls visit with the address of every
+// pointer target and non-empty slice backing array it meets. When visit
+// returns true for a slice, walkRefs stops and returns the slice's path;
+// for a pointer, it does not follow it. Zero-size elements are skipped: Go
+// may place every zero-size allocation at one address.
+func walkRefs(v reflect.Value, seen map[ref]bool, visit func(p uintptr) bool) (string, bool) {
+	switch v.Kind() {
+	case reflect.Interface:
+		if !v.IsNil() {
+			return walkRefs(v.Elem(), seen, visit)
+		}
+	case reflect.Pointer:
+		r := ref{v.Pointer(), v.Type(), 0}
+		if v.IsNil() || v.Type().Elem().Size() == 0 || seen[r] || visit(r.p) {
+			return "", false
+		}
+		seen[r] = true
+		return walkRefs(v.Elem(), seen, visit)
+	case reflect.Slice:
+		r := ref{v.Pointer(), v.Type(), v.Len()}
+		if v.Cap() == 0 || v.Type().Elem().Size() == 0 || seen[r] {
+			return "", false
+		}
+		if visit(r.p) {
+			return "", true
+		}
+		seen[r] = true
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if path, ok := walkRefs(v.Index(i), seen, visit); ok {
+				return fmt.Sprintf("[%d]%s", i, path), true
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if path, ok := walkRefs(v.Field(i), seen, visit); ok {
+				return "." + v.Type().Field(i).Name + path, true
+			}
+		}
+	}
+	return "", false
 }
 
 // deepDiff walks two values of the same type and returns the dotted path of

@@ -85,22 +85,6 @@ func (s *ReplayScheduler) Reset(prefix []int, depth int) {
 	s.r, s.deviate = nil, 0
 }
 
-// Resume is Reset positioned mid-execution: the first count decisions have
-// already been taken (their recorded steps are in steps), as when the run
-// continues from a fork-point snapshot instead of the root. The resumed
-// scheduler's Count, Trace, and Schedule are indistinguishable from a
-// replay that executed those decisions itself.
-//
-//bulklint:noalloc
-func (s *ReplayScheduler) Resume(prefix []int, depth, count int, steps []Step) {
-	s.Reset(prefix, depth)
-	s.count = count
-	s.trace = append(s.trace, steps...) //bulklint:allow noalloc first resume grows the pooled trace buffer to depth; later resumes reuse it
-}
-
-// Count returns the total number of decisions the execution made.
-func (s *ReplayScheduler) Count() int { return s.count }
-
 // Trace returns the recorded decisions (the first depth of them).
 func (s *ReplayScheduler) Trace() []Step { return s.trace }
 

@@ -34,7 +34,7 @@ type policySnap struct {
 //
 //bulklint:captures snapshot
 //bulklint:captures snapshot policySnap procSnap proc
-func (s *System) SavePolicy(dst any) (any, int) {
+func (s *System) SavePolicy(dst any) any {
 	ps, _ := dst.(*policySnap)
 	if ps == nil {
 		ps = &policySnap{}
@@ -44,13 +44,12 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	for len(ps.procs) < len(s.procs) {
 		ps.procs = append(ps.procs, procSnap{})
 	}
-	size := 24 * cap(ps.log)
 	for i, p := range s.procs {
 		sn := &ps.procs[i]
 		sn.procRun = p.procRun
-		size += 64 + p.Footprint.Save(&sn.FootprintState, p.module)
+		p.Footprint.Save(&sn.FootprintState, p.module)
 	}
-	return ps, size
+	return ps
 }
 
 // LoadPolicy implements core.Policy: it rewinds the episode state to a

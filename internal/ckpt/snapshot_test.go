@@ -58,11 +58,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				if done {
 					break
 				}
-				sn := sys.Snapshot(nil)
-				if sn.SizeBytes() <= 0 {
-					t.Fatal("snapshot reports a non-positive size")
-				}
-				snaps = append(snaps, sn)
+				snaps = append(snaps, sys.Snapshot(nil))
 			}
 			sameResult(t, "paused run", sys.Finish(), ref)
 			if len(snaps) < 3 {

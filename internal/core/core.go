@@ -101,8 +101,8 @@ type Policy[R any] interface {
 	// policy's state and the machine's totals.
 	Collect(res *R, t Totals)
 	// SavePolicy captures the policy's own run state, reusing dst (nil on
-	// the first capture), and returns it with its retained size in bytes.
-	SavePolicy(dst any) (state any, size int)
+	// the first capture), and returns it.
+	SavePolicy(dst any) any
 	// LoadPolicy rewinds the policy to a SavePolicy capture. The machine
 	// is restored first, so BDM version tables are already reloaded.
 	LoadPolicy(src any)

@@ -50,12 +50,11 @@ type FootprintState struct {
 	version int
 }
 
-// Save captures f into dst, reusing dst's storage, and returns the
-// capture's retained size in bytes. md is the module holding f's version
-// (unused when the version is nil).
+// Save captures f into dst, reusing dst's storage. md is the module
+// holding f's version (unused when the version is nil).
 //
 //bulklint:captures snapshot Footprint FootprintState
-func (f *Footprint) Save(dst *FootprintState, md *bdm.Module) (size int) {
+func (f *Footprint) Save(dst *FootprintState, md *bdm.Module) {
 	dst.buf.CopyFrom(&f.Buf)
 	dst.readW.CopyFrom(&f.ReadW)
 	dst.readL.CopyFrom(&f.ReadL)
@@ -64,7 +63,6 @@ func (f *Footprint) Save(dst *FootprintState, md *bdm.Module) (size int) {
 	if f.Version != nil {
 		dst.version = md.IndexOfVersion(f.Version)
 	}
-	return 17*dst.buf.Cap() + 9*(dst.readW.Cap()+dst.readL.Cap()+dst.writeL.Cap())
 }
 
 // Load rewinds f to a Save capture. md is the module holding the version,

@@ -38,9 +38,7 @@ func TestFootprintSaveLoad(t *testing.T) {
 	fill(&want, 100)
 	f.Version = v
 	var st FootprintState
-	if size := f.Save(&st, q.Modules[0]); size <= 0 {
-		t.Fatalf("Save reported size %d", size)
-	}
+	f.Save(&st, q.Modules[0])
 	fill(&f, 900) // the capture must not alias the live footprint
 	f.Version = nil
 

@@ -8,15 +8,17 @@ import (
 	"bulk/internal/sim"
 )
 
-// Fork-point snapshots. The model checker executes thousands of schedules
-// that share long prefixes; Snapshot/Restore let it capture a machine
-// between scheduling quanta (a RunUntil pause point) and resume siblings
-// from the capture instead of replaying from the root. The envelope
-// deep-copies the machine — committed memory, the engine clock, the bus
-// counters, every cache and BDM version table — and asks the policy to
-// capture its own state, so a restored run is byte-identical to one that
-// executed the prefix from scratch. Policy scratch buffers are dead
-// between quanta and are not captured.
+// Snapshots. The model checker runs thousands of schedules on one pooled
+// machine per worker; Snapshot/Restore let it capture the machine before
+// its first quantum and rewind to that capture before every schedule
+// instead of rebuilding the machine. A capture may be taken at any
+// RunUntil pause point between scheduling quanta, as the runtimes'
+// round-trip tests do mid-run. The envelope deep-copies the machine —
+// committed memory, the engine clock, the bus counters, every cache and
+// BDM version table — and asks the policy to capture its own state, so a
+// restored run is byte-identical to one that executed up to the capture
+// from scratch. Policy scratch buffers are dead between quanta and are
+// not captured.
 
 // Snapshot is a deep copy of a machine's run state. The zero value grows
 // on first capture; re-capturing into the same Snapshot reuses its
@@ -30,13 +32,7 @@ type Snapshot struct {
 	caches  []cache.Snapshot
 	modules []bdm.ModuleState
 	policy  any
-	//bulklint:snapstate-ignore size cache-budget estimate recomputed at every capture, never restored
-	size int
 }
-
-// SizeBytes estimates the retained size of the snapshot, recomputed at
-// every capture, for the model checker's snapshot-cache budget.
-func (sn *Snapshot) SizeBytes() int { return sn.size }
 
 // Snapshot captures the machine and its policy into dst (allocating one
 // if nil) and returns it. Must be called at a RunUntil pause point —
@@ -50,24 +46,19 @@ func (m *Machine[R]) Snapshot(dst *Snapshot) *Snapshot {
 	dst.mem.CopyFrom(m.Mem)
 	m.Engine.SaveState(&dst.engine)
 	dst.bus = m.Bus
-	size := 256 + dst.engine.SizeBytes() + m.Mem.SizeBytes()
 	for len(dst.caches) < len(m.Caches) {
 		dst.caches = append(dst.caches, cache.Snapshot{})
 	}
 	for i, c := range m.Caches {
 		c.SaveState(&dst.caches[i])
-		size += 64 + dst.caches[i].SizeBytes()
 	}
 	for len(dst.modules) < len(m.Modules) {
 		dst.modules = append(dst.modules, bdm.ModuleState{})
 	}
 	for i, md := range m.Modules {
 		md.SaveState(&dst.modules[i])
-		size += dst.modules[i].SizeBytes()
 	}
-	var policySize int
-	dst.policy, policySize = m.policy.SavePolicy(dst.policy)
-	dst.size = size + policySize
+	dst.policy = m.policy.SavePolicy(dst.policy)
 	return dst
 }
 

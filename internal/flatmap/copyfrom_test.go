@@ -146,7 +146,7 @@ func TestSetCopyFromDifferential(t *testing.T) {
 // operation on the source, and op 3 snapshots the source into the copy.
 // After the stream, the copy must match the reference taken at the last
 // snapshot point even though the source kept mutating — the independence
-// property the snapshot cache relies on.
+// property snapshot restores rely on.
 func FuzzCopyFrom(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 0, 9, 9, 1, 1, 2})
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 3, 0, 0, 0, 2, 3, 3, 0, 0, 1, 0, 1})

@@ -55,9 +55,6 @@ func (m *Map[V]) clearUsed(i uint64)   { m.used[i>>6] &^= 1 << (i & 63) }
 // Len returns the number of entries.
 func (m *Map[V]) Len() int { return m.n }
 
-// Cap returns the allocated slot capacity (snapshot-budget accounting).
-func (m *Map[V]) Cap() int { return len(m.keys) }
-
 // Get returns the value stored under k and whether it is present.
 //
 //bulklint:noalloc
@@ -278,9 +275,6 @@ type Set struct {
 
 // Len returns the number of members.
 func (s *Set) Len() int { return s.m.Len() }
-
-// Cap returns the allocated slot capacity (snapshot-budget accounting).
-func (s *Set) Cap() int { return s.m.Cap() }
 
 // Has reports whether k is a member.
 //

@@ -39,8 +39,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.MarkDirty exported=true",
 		"bulk/internal/cache.copyLine exported=false",
 		"bulk/internal/check.ReplayScheduler.Reset exported=true",
-		"bulk/internal/check.ReplayScheduler.Resume exported=true",
-		"bulk/internal/check.choicesMatch exported=false",
 		"bulk/internal/check.hashSchedule exported=false",
 		"bulk/internal/check.hashStep exported=false",
 		"bulk/internal/ckpt.System.recordRead exported=false",

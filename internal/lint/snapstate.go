@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the snapstate rule: a static field-coverage proof
-// for the Snapshot/Restore/CopyFrom machinery the fork-point snapshot
-// engine rests on. A struct annotated `//bulklint:snapstate` declares
+// for the Snapshot/Restore/CopyFrom machinery the model checker's pooled
+// runners rest on. A struct annotated `//bulklint:snapstate` declares
 // "every field of this struct is part of the captured machine state"; the
 // struct's capture methods are declared with `//bulklint:captures
 // <kind> [TypeName ...]` (kind one of snapshot, restore, copyfrom, reset;

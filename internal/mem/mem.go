@@ -111,9 +111,6 @@ func (m *Memory) ReadLine(line uint64, dst []uint64) {
 // Len returns the number of non-zero words.
 func (m *Memory) Len() int { return m.words.Len() }
 
-// SizeBytes estimates the retained size for snapshot-budget accounting.
-func (m *Memory) SizeBytes() int { return 48 + 17*m.words.Cap() + 11*m.lines.Cap() }
-
 // Snapshot returns a copy of the non-zero words.
 func (m *Memory) Snapshot() map[uint64]Word {
 	s := make(map[uint64]Word, m.words.Len())
@@ -231,16 +228,6 @@ func (o *OverflowArea) Len() int { return o.lines.Len() }
 
 // Stats returns a copy of the access counters.
 func (o *OverflowArea) Stats() OverflowStats { return o.stats }
-
-// SizeBytes estimates the retained size for snapshot-budget accounting.
-func (o *OverflowArea) SizeBytes() int {
-	n := 64 + 25*o.lines.Cap()
-	o.lines.Range(func(_ uint64, l ovLine) bool {
-		n += 8 * cap(l.words)
-		return true
-	})
-	return n
-}
 
 // Spill records the eviction of a dirty speculative line into the area.
 // mask marks which word-in-line offsets of words carry spilled values

@@ -335,19 +335,14 @@ func (e *Engine) Unpark(i int, at int64) {
 // Parked reports whether processor i is parked.
 func (e *Engine) Parked(i int) bool { return e.parked[i] }
 
-// EngineState is a deep copy of an engine's mutable scheduling state, used
-// by the runtimes' fork-point snapshots. The zero value grows on first
+// EngineState is a deep copy of an engine's mutable scheduling state, part
+// of the machine snapshot (core.Snapshot). The zero value grows on first
 // SaveState and is reused by later captures.
 type EngineState struct {
 	readyAt   []int64
 	parked    []bool
 	now       int64
 	busFreeAt int64
-}
-
-// SizeBytes estimates the retained size for snapshot-cache accounting.
-func (st *EngineState) SizeBytes() int {
-	return 48 + 8*len(st.readyAt) + len(st.parked)
 }
 
 // SaveState copies the engine's scheduling state into st.

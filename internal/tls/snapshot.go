@@ -47,7 +47,7 @@ type policySnap struct {
 //
 //bulklint:captures snapshot
 //bulklint:captures snapshot policySnap procSnap taskSnap proc task
-func (s *System) SavePolicy(dst any) (any, int) {
+func (s *System) SavePolicy(dst any) any {
 	ps, _ := dst.(*policySnap)
 	if ps == nil {
 		ps = &policySnap{}
@@ -57,12 +57,10 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	for len(ps.procs) < len(s.procs) {
 		ps.procs = append(ps.procs, procSnap{})
 	}
-	size := 0
 	for i, p := range s.procs {
 		sn := &ps.procs[i]
 		sn.procRun = p.procRun
 		sn.tasks = append(sn.tasks[:0], p.tasks...)
-		size += 32 + 8*cap(sn.tasks)
 	}
 	for len(ps.tasks) < len(s.tasks) {
 		ps.tasks = append(ps.tasks, taskSnap{})
@@ -71,9 +69,9 @@ func (s *System) SavePolicy(dst any) (any, int) {
 		ts := &ps.tasks[i]
 		ts.taskRun = t.taskRun
 		ts.postSpawnW.CopyFrom(&t.postSpawnW)
-		size += 96 + t.Footprint.Save(&ts.FootprintState, s.moduleOf(t)) + 9*ts.postSpawnW.Cap()
+		t.Footprint.Save(&ts.FootprintState, s.moduleOf(t))
 	}
-	return ps, size
+	return ps
 }
 
 // LoadPolicy implements core.Policy: it rewinds the task state to a

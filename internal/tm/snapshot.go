@@ -72,7 +72,7 @@ type policyState struct {
 //
 //bulklint:captures snapshot
 //bulklint:captures snapshot policyState procState secState spillState preemptSnap proc section
-func (s *System) SavePolicy(dst any) (any, int) {
+func (s *System) SavePolicy(dst any) any {
 	st, _ := dst.(*policyState)
 	if st == nil {
 		st = &policyState{}
@@ -82,7 +82,6 @@ func (s *System) SavePolicy(dst any) (any, int) {
 	for len(st.procs) < len(s.procs) {
 		st.procs = append(st.procs, procState{})
 	}
-	size := 32 * cap(st.log)
 	for i, p := range s.procs {
 		ps := &st.procs[i]
 		ps.procRun = p.procRun
@@ -99,7 +98,7 @@ func (s *System) SavePolicy(dst any) (any, int) {
 			ss := &ps.sections[j]
 			ss.startOp = sec.startOp
 			ss.lastRead = sec.lastRead
-			size += 64 + sec.Footprint.Save(&ss.FootprintState, p.module)
+			sec.Footprint.Save(&ss.FootprintState, p.module)
 		}
 		ps.preempt.valid = false
 		ps.preempt.spilled = ps.preempt.spilled[:0]
@@ -115,9 +114,8 @@ func (s *System) SavePolicy(dst any) (any, int) {
 				})
 			}
 		}
-		size += 64 + ps.over.SizeBytes() + 8*cap(ps.pairSquash)
 	}
-	return st, size
+	return st
 }
 
 // LoadPolicy implements core.Policy: it rewinds the transactional state

@@ -100,12 +100,9 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	ov := mem.NewOverflowArea()
 	ov.Spill(5, 0xF, []mem.Word{1, 2, 3, 4})
 
-	// Replay scheduler: a warm-up Resume grows the pooled trace buffer so
-	// steady-state Reset/Resume calls only reuse it.
+	// Replay scheduler.
 	schedPrefix := []int{1, 0, 2}
-	resumeSteps := make([]check.Step, 8)
 	rs := check.NewReplay(schedPrefix, 16)
-	rs.Resume(schedPrefix, 16, len(resumeSteps), resumeSteps)
 
 	var bw bus.Bandwidth
 
@@ -179,8 +176,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/mem.OverflowArea.Fetch":              func() { _, _, _ = ov.Fetch(5) },
 		"bulk/internal/mem.OverflowArea.DisambiguationScan": func() { _ = ov.DisambiguationScan(5) },
 
-		"bulk/internal/check.ReplayScheduler.Reset":  func() { rs.Reset(schedPrefix, 16) },
-		"bulk/internal/check.ReplayScheduler.Resume": func() { rs.Resume(schedPrefix, 16, len(resumeSteps), resumeSteps) },
+		"bulk/internal/check.ReplayScheduler.Reset": func() { rs.Reset(schedPrefix, 16) },
 
 		"bulk/internal/bus.Bandwidth.Record":       func() { bw.Record(bus.Inv, 12) },
 		"bulk/internal/bus.Bandwidth.RecordN":      func() { bw.RecordN(bus.WB, 76, 3) },
