@@ -43,6 +43,9 @@ type options struct {
 	seed                                                                uint64
 	deviate                                                             float64
 	verbose                                                             bool
+	// set holds the names of the flags given on the command line, so a
+	// flag a mode ignores is told apart from its default.
+	set map[string]bool
 }
 
 func main() {
@@ -62,6 +65,8 @@ func main() {
 	flag.StringVar(&o.resume, "resume", "", "resume a sweep from a checkpoint FILE (target and depth come from the checkpoint)")
 	flag.BoolVar(&o.verbose, "v", false, "print per-target exploration statistics")
 	flag.Parse()
+	o.set = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 
 	if err := validateFlags(o); err != nil {
 		fmt.Fprintf(os.Stderr, "bulkcheck: %v\n", err)
@@ -304,6 +309,24 @@ func validateFlags(o options) error {
 		return fmt.Errorf("-mode walk does not combine with -checkpoint or -resume (checkpoints hold the systematic explorer's frontier)")
 	case o.mode == "walk" && o.mutations != "":
 		return fmt.Errorf("-mode walk does not combine with -mutations (the mutation audit runs the systematic explorer)")
+	case o.mode == "walk" && o.replay != "":
+		return fmt.Errorf("-mode walk does not combine with -replay (a replay runs the one schedule given)")
+	}
+	// Flags a mode ignores: set, they would be dropped without a word.
+	for _, name := range []string{"seed", "deviate"} {
+		if o.set[name] && o.mode != "walk" {
+			return fmt.Errorf("-%s applies only to -mode walk", name)
+		}
+	}
+	if o.set["workers"] && (o.mode == "walk" || o.replay != "") {
+		return fmt.Errorf("-workers does not apply to -mode walk or -replay, which run on one goroutine")
+	}
+	if o.mutations != "" && o.replay == "" {
+		for _, name := range []string{"target", "protocol", "budget", "schedules", "depth"} {
+			if o.set[name] {
+				return fmt.Errorf("-%s does not apply to the mutation audit, which explores each mutation's own target within its own budget", name)
+			}
+		}
 	}
 	return nil
 }

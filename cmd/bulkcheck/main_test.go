@@ -59,6 +59,28 @@ func TestValidateFlags(t *testing.T) {
 		}, wantErr: "-checkpoint"},
 		{name: "walk with resume", mut: func(o *options) { o.mode, o.resume = "walk", "cp.bin" }, wantErr: "-resume"},
 		{name: "walk with mutations", mut: func(o *options) { o.mode, o.mutations = "walk", "all" }, wantErr: "-mutations"},
+		{name: "walk with replay", mut: func(o *options) {
+			o.mode, o.target, o.replay = "walk", "tm-sweep", "0,1"
+		}, wantErr: "-replay"},
+		{name: "seed in walk", mut: func(o *options) { o.mode, o.set = "walk", setFlags("seed", "deviate") }},
+		{name: "seed outside walk", mut: func(o *options) { o.set = setFlags("seed") }, wantErr: "-seed"},
+		{name: "deviate outside walk", mut: func(o *options) { o.set = setFlags("deviate") }, wantErr: "-deviate"},
+		{name: "workers on a sweep", mut: func(o *options) { o.set = setFlags("workers") }},
+		{name: "workers on the audit", mut: func(o *options) { o.mutations, o.set = "all", setFlags("workers") }},
+		{name: "workers in walk", mut: func(o *options) { o.mode, o.set = "walk", setFlags("workers") }, wantErr: "-workers"},
+		{name: "workers on a replay", mut: func(o *options) {
+			o.target, o.replay, o.set = "tm-sweep", "0,1", setFlags("workers")
+		}, wantErr: "-workers"},
+		{name: "audit with target", mut: func(o *options) {
+			o.mutations, o.target, o.set = "all", "tm-sweep", setFlags("target")
+		}, wantErr: "-target"},
+		{name: "audit with protocol", mut: func(o *options) { o.mutations, o.set = "all", setFlags("protocol") }, wantErr: "-protocol"},
+		{name: "audit with budget", mut: func(o *options) { o.mutations, o.set = "all", setFlags("budget") }, wantErr: "-budget"},
+		{name: "audit with schedules", mut: func(o *options) { o.mutations, o.set = "all", setFlags("schedules") }, wantErr: "-schedules"},
+		{name: "audit with depth", mut: func(o *options) { o.mutations, o.set = "drop-wr-term", setFlags("depth") }, wantErr: "-depth"},
+		{name: "replay under a mutation with depth", mut: func(o *options) {
+			o.target, o.replay, o.mutations, o.set = "tm-word-merge", "1,1", "skip-word-merge", setFlags("target", "depth")
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,17 +103,29 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// setFlags is the set of flag names a command line gave.
+func setFlags(names ...string) map[string]bool {
+	set := map[string]bool{}
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
+}
+
 // TestCLIRejectsBadFlags re-executes the test binary as bulkcheck's main and
 // pins the CLI contract: an out-of-domain or unknown flag, or a combination
 // bulkcheck would misread, exits 2 (the flag package's usage-error code,
 // distinct from exit 1 = oracle failure) and prints the usage text.
-// -snapmem no longer exists (every sweep runs on the snapshot engine), so
-// old invocations must be refused, not ignored. A replay under -mutations
+// -snapmem no longer exists (every sweep runs on pooled runners), so old
+// invocations must be refused, not ignored. A replay under -mutations
 // all would run the schedule unmutated and print a false ok, and so would a
 // malformed schedule read only up to its first non-digit. A -depth past
 // the one-byte prefix encoding would panic mid-sweep, and -mode walk with
 // -checkpoint, -resume or -mutations would run the systematic explorer
-// instead of the walk asked for.
+// instead of the walk asked for. A flag the chosen mode ignores — -seed or
+// -deviate outside the walk, -workers on the walk or a replay, -mode walk
+// on a replay, or a target or budget flag on the mutation audit — would be
+// dropped without a word.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if os.Getenv("BULKCHECK_BE_MAIN") == "1" {
 		os.Args = append([]string{"bulkcheck"}, strings.Fields(os.Getenv("BULKCHECK_ARGS"))...)
@@ -117,6 +151,16 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		"-mode walk -target tm-sweep -checkpoint cp.bin",
 		"-mode walk -resume cp.bin",
 		"-mode walk -mutations all",
+		"-budget small -protocol tm -seed 7 -deviate 0.9",
+		"-budget small -deviate 0.5",
+		"-mode walk -target tm-sweep -replay 0,1",
+		"-mode walk -budget small -workers 2",
+		"-target tm-sweep -replay 0,1 -workers 2",
+		"-mutations all -target tm-sweep",
+		"-mutations all -protocol tm",
+		"-mutations all -budget small",
+		"-mutations all -schedules 10",
+		"-mutations drop-wr-term -depth 4",
 	}
 	for _, args := range cases {
 		t.Run(args, func(t *testing.T) {

@@ -261,6 +261,26 @@ func (m *Module) FreeVersion(v *Version) {
 	m.recomputePreMask()
 }
 
+// Reset returns the module to its just-built state: no live or running
+// version, an empty OR(δ(W_pre)) register, zero counters and empty
+// expansion scratch. Live versions go to the spare pool as FreeVersion
+// would send them, so a pooled machine reuses their signatures.
+//
+//bulklint:noalloc
+func (m *Module) Reset() {
+	for _, v := range m.versions {
+		v.freed = true
+		m.spare = append(m.spare, v) //bulklint:allow noalloc the spare pool grows to the module's version count once
+	}
+	m.versions = m.versions[:0]
+	m.run = nil
+	m.preMask.Clear()
+	m.stats = Stats{}
+	m.scratchLines = m.scratchLines[:0]
+	m.scratchSets = m.scratchSets[:0]
+	m.scratchMask.Clear()
+}
+
 // OnRead records a speculative load by version v.
 func (m *Module) OnRead(v *Version, a sig.Addr) {
 	v.R.Add(a)

@@ -45,8 +45,6 @@ func (s State) String() string {
 // Line is one cache way's content. Callers get pointers into the cache's
 // backing array and may read fields; state changes should go through the
 // cache methods so statistics stay consistent.
-//
-//bulklint:snapstate
 type Line struct {
 	Addr  LineAddr
 	State State
@@ -91,10 +89,10 @@ type Stats struct {
 //
 //bulklint:snapstate
 type Cache struct {
-	//bulklint:snapstate-ignore sets immutable geometry checked by the cross-geometry panic
+	//bulklint:snapstate-ignore sets immutable geometry fixed at construction
 	sets int
 	ways int
-	//bulklint:snapstate-ignore lineBytes immutable geometry checked by the cross-geometry panic
+	//bulklint:snapstate-ignore lineBytes immutable geometry fixed at construction
 	lineBytes int
 	//bulklint:snapstate-ignore indexBits immutable geometry derived from sets
 	indexBits int
@@ -387,58 +385,6 @@ func (c *Cache) AndDirtySets(m []uint64) {
 	}
 }
 
-// CopyFrom makes c a deep copy of src, which must share c's geometry (the
-// snapshot pool always restores a system into an identically-configured
-// clone of itself). Line Data buffers are deep-copied into c's existing
-// buffers where capacity allows, and a nil source Data stays nil.
-//
-// The copy is sparse: only sets occupied on either side are touched (the
-// union of the two valid masks), which makes snapshot capture and restore
-// O(occupancy) instead of O(cache size). That is sufficient for exact
-// behavioral equality because nothing ever reads an Invalid way's Addr,
-// lru, or Data contents: Lookup filters on State, victim selection prefers
-// Invalid ways without comparing their lru, and Insert overwrites the
-// whole Line but the Data buffer, which its user overwrites in full.
-// A set unoccupied in both src and dst already agrees on the only
-// observable fact — every way Invalid.
-//
-//bulklint:noalloc
-//bulklint:captures copyfrom
-func (c *Cache) CopyFrom(src *Cache) {
-	if c == src {
-		return
-	}
-	if c.sets != src.sets || c.ways != src.ways || c.lineBytes != src.lineBytes {
-		panic("cache: CopyFrom across cache geometries") //bulklint:invariant snapshots restore into clones built from the same Options
-	}
-	for w := range c.validMask {
-		m := c.validMask[w] | src.validMask[w]
-		for ; m != 0; m &= m - 1 {
-			set := w<<6 + bits.TrailingZeros64(m)
-			for i := set * c.ways; i < (set+1)*c.ways; i++ {
-				data := c.lines[i].Data
-				c.lines[i] = src.lines[i]
-				if src.lines[i].Data == nil {
-					c.lines[i].Data = nil
-					continue
-				}
-				if cap(data) < len(src.lines[i].Data) {
-					data = make([]uint64, len(src.lines[i].Data)) //bulklint:allow noalloc first copy into a fresh snapshot; pooled restores reuse the buffer
-				}
-				data = data[:len(src.lines[i].Data)]
-				copy(data, src.lines[i].Data)
-				c.lines[i].Data = data
-			}
-		}
-	}
-	c.clock = src.clock
-	c.stats = src.stats
-	copy(c.validCnt, src.validCnt)
-	copy(c.dirtyCnt, src.dirtyCnt)
-	copy(c.validMask, src.validMask)
-	copy(c.dirtyMask, src.dirtyMask)
-}
-
 // Walk calls fn for every valid line. fn must not insert or invalidate.
 func (c *Cache) Walk(fn func(*Line)) {
 	for i := range c.lines {
@@ -459,14 +405,29 @@ func (c *Cache) CountState(st State) int {
 	return n
 }
 
-// Flush invalidates every line. Dirty contents are the caller's problem
-// (the simulator writes back through the functional layer).
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i].State = Invalid
+// Reset returns the cache to its just-built state: every way Invalid,
+// zero occupancy, counters and LRU clock. It walks only the occupied sets.
+// An Invalid way's Addr, LRU stamp and Data are never read — Lookup
+// filters on State, victim selection takes an Invalid way before it
+// compares stamps, and Insert rewrites the whole line but its Data buffer,
+// which a Data user overwrites in full — so they keep their payload, and a
+// way keeps its Data buffer for the next fill.
+//
+//bulklint:noalloc
+//bulklint:captures reset
+func (c *Cache) Reset() {
+	for w, m := range c.validMask {
+		for ; m != 0; m &= m - 1 {
+			ws := c.set(w<<6 + bits.TrailingZeros64(m))
+			for i := range ws {
+				ws[i].State = Invalid
+			}
+		}
 	}
 	clear(c.validCnt)
 	clear(c.dirtyCnt)
 	clear(c.validMask)
 	clear(c.dirtyMask)
+	c.clock = 0
+	c.stats = Stats{}
 }

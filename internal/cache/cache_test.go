@@ -172,9 +172,9 @@ func TestWalkAndCountState(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("Walk visited %d lines, want 3", n)
 	}
-	c.Flush()
+	c.Reset()
 	if c.CountState(Clean)+c.CountState(Dirty) != 0 {
-		t.Fatal("Flush must invalidate everything")
+		t.Fatal("Reset must invalidate everything")
 	}
 }
 

@@ -81,7 +81,7 @@ func TestOccupancyRandomOps(t *testing.T) {
 					c.MarkDirty(l)
 				}
 			case r.Bool(0.01):
-				c.Flush()
+				c.Reset()
 			default:
 				c.Access(a)
 			}

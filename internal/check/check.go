@@ -31,9 +31,9 @@
 // reduced serially in canonical order, so reports are byte-identical at
 // every worker count, and a clean budget stop emits a resumable frontier
 // checkpoint. Each worker drives one pooled system of the target's
-// runtime through the core machine's driver contract, restoring its
-// initial-state snapshot before every schedule instead of building a
-// fresh system. A random-walk fuzzer covers depths the systematic budget
+// runtime through the core machine's driver contract, resetting it in
+// place to its just-built state before every schedule instead of building
+// a fresh system. A random-walk fuzzer covers depths the systematic budget
 // cannot reach. Seeded protocol mutations (internal/mutate) give
 // the checker teeth: each mutation disables one load-bearing protocol
 // decision, and the catalog in mutations.go pairs each with a directed

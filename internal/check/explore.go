@@ -118,7 +118,7 @@ func ExploreFrom(t Target, muts mutate.Set, b Budget, workers int, from *Checkpo
 }
 
 // explore is the shared implementation. Every schedule runs on a pooled
-// per-worker system restored to its base snapshot between runs.
+// per-worker system reset to its just-built state between runs.
 // Materializing the resumable checkpoint costs real allocation (sorted
 // fingerprints, the dedup set, the whole frontier), so the non-resumable
 // entry points pass wantCP=false and skip it.

@@ -1,21 +1,18 @@
 package check
 
-import (
-	"bulk/internal/core"
-	"bulk/internal/mutate"
-)
+import "bulk/internal/mutate"
 
 // runner drives one pooled system through many schedules: instead of
-// rebuilding the world per schedule as Target.Run does, it restores a base
-// snapshot between runs. The two paths produce byte-identical Outcomes;
-// the differential tests pin that. A runner is not safe for concurrent
-// use; the explorer gives each worker its own.
+// rebuilding the world per schedule as Target.Run does, it resets the
+// system to its just-built state in place before each run. The two paths
+// produce byte-identical Outcomes; the differential tests pin that. A
+// runner is not safe for concurrent use; the explorer gives each worker
+// its own.
 //
 //bulklint:snapstate
 type runner struct {
 	sys   system
 	sched *ReplayScheduler // reset per schedule
-	base  *core.Snapshot   // the system's state before any quantum
 	viol  []string         // soundness-probe sink, reset per schedule
 }
 
@@ -26,20 +23,20 @@ func (t Target) newRunner(muts mutate.Set) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.sys, r.base = sys, sys.Snapshot(nil)
+	r.sys = sys
 	return r, nil
 }
 
 // RunSchedule executes the schedule prefix at the given recording depth
-// from the base state, filling out (which is reset first); the runner's
-// scheduler then holds the executed trace.
+// from the just-built state, filling out (which is reset first); the
+// runner's scheduler then holds the executed trace.
 //
 //bulklint:captures reset
 func (r *runner) RunSchedule(out *Outcome, prefix []int, depth int) {
 	out.reset()
 	r.viol = r.viol[:0]
 	r.sched.Reset(prefix, depth)
-	r.sys.Restore(r.base)
+	r.sys.Reset()
 	r.sys.SetScheduler(r.sched)
 	_, err := r.sys.RunUntil(nil)
 	// Soundness violations land in the outcome whether or not the run

@@ -9,17 +9,17 @@ import (
 	"bulk/internal/mutate"
 )
 
-// The explorer runs every schedule on a pooled system restored from its
-// base snapshot. Its contract is byte-identity with the reference: for any
-// target, mutation set and worker count, the report, fingerprint set,
-// dedup set, and frontier are exactly those of a serial best-first loop
-// that executes every schedule with Target.Run on a freshly built system.
-// These tests pin that contract across every stock target and every
-// catalog mutation, and compare outcomes schedule by schedule.
+// The explorer runs every schedule on a pooled system reset in place to
+// its just-built state. Its contract is byte-identity with the reference:
+// for any target, mutation set and worker count, the report, fingerprint
+// set, dedup set, and frontier are exactly those of a serial best-first
+// loop that executes every schedule with Target.Run on a freshly built
+// system. These tests pin that contract across every stock target and
+// every catalog mutation, and compare outcomes schedule by schedule.
 
 // replayExplore is the reference explorer: explore's best-first loop,
 // serial, with every schedule executed by Target.Run on a fresh system —
-// no pooling, no snapshots.
+// no pooling, no resets.
 func replayExplore(tgt Target, muts mutate.Set, b Budget) (*Report, *Checkpoint) {
 	rep := &Report{Target: tgt.Name()}
 	seen := flatmap.NewSharded(seenShards)
@@ -87,11 +87,11 @@ func runnerMatchesRun(t *testing.T, tgt Target, muts mutate.Set, schedules [][]i
 	}
 }
 
-// TestSnapshotMatchesReplayClean: on failure-free targets the explorer
+// TestRunnerMatchesReplayClean: on failure-free targets the explorer
 // reproduces the reference report at every worker count, and the final
 // checkpoints are byte-identical — same fingerprint set, same dedup set,
 // same frontier — not merely the same counts.
-func TestSnapshotMatchesReplayClean(t *testing.T) {
+func TestRunnerMatchesReplayClean(t *testing.T) {
 	b := Budget{MaxSchedules: 1_500, Depth: 12}
 	for _, tgt := range SweepTargets() {
 		want, wantCP := replayExplore(tgt, 0, b)
@@ -116,12 +116,12 @@ func TestSnapshotMatchesReplayClean(t *testing.T) {
 	}
 }
 
-// TestSnapshotMatchesReplayOnMutations: for every seeded mutation the
+// TestRunnerMatchesReplayOnMutations: for every seeded mutation the
 // explorer finds the same first failure — same minimized schedule, same
 // reason, after the same number of schedules — as the reference, and a
 // pooled runner judges the killing schedule, and each of its prefixes,
 // exactly as a fresh Target.Run does.
-func TestSnapshotMatchesReplayOnMutations(t *testing.T) {
+func TestRunnerMatchesReplayOnMutations(t *testing.T) {
 	for _, m := range Catalog() {
 		m := m
 		t.Run(m.ID.String(), func(t *testing.T) {
@@ -143,11 +143,11 @@ func TestSnapshotMatchesReplayOnMutations(t *testing.T) {
 	}
 }
 
-// TestSnapshotCheckpointCutIdentical: interrupting a sweep at an arbitrary
+// TestRunnerCheckpointCutIdentical: interrupting a sweep at an arbitrary
 // budget boundary and resuming — on a different worker count than the
-// interrupted leg ran — reproduces the uninterrupted run exactly. Snapshot
-// state is per-call and never leaks into the checkpoint.
-func TestSnapshotCheckpointCutIdentical(t *testing.T) {
+// interrupted leg ran — reproduces the uninterrupted run exactly. Pooled
+// runner state is per-call and never leaks into the checkpoint.
+func TestRunnerCheckpointCutIdentical(t *testing.T) {
 	tgt := SweepTargets()[0]
 	full := Budget{MaxSchedules: 1_500, Depth: 12}
 	whole, wholeCP, err := ExploreFrom(tgt, 0, full, 2, nil)
@@ -190,5 +190,37 @@ func TestRunnerMatchesTargetRun(t *testing.T) {
 	}
 	for _, tgt := range SweepTargets() {
 		runnerMatchesRun(t, tgt, 0, schedules, 10)
+	}
+}
+
+// TestRunnerAllocsPerSchedule bounds what a warmed pooled runner allocates
+// per schedule on each sweep target. Reset keeps every table's and
+// buffer's storage, so what is left is the judging: the oracles' reference
+// memories and the outcome's digest. A Reset that drops storage — memory
+// rebuilt instead of emptied, say — regrows its tables every schedule and
+// breaks the bound while every outcome stays the same.
+func TestRunnerAllocsPerSchedule(t *testing.T) {
+	bounds := map[string]float64{"tm-sweep": 14, "tls-sweep": 23, "ckpt-sweep": 10}
+	schedules := [][]int{nil, {1}, {2}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 1}}
+	for _, tgt := range SweepTargets() {
+		r, err := tgt.newRunner(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Outcome
+		for range 2 {
+			for _, s := range schedules {
+				r.RunSchedule(&out, s, 10)
+			}
+		}
+		i := 0
+		got := testing.AllocsPerRun(10*len(schedules), func() {
+			r.RunSchedule(&out, schedules[i%len(schedules)], 10)
+			i++
+		})
+		t.Logf("%s: %.0f allocations per schedule", tgt.Name(), got)
+		if got > bounds[tgt.Name()] {
+			t.Errorf("%s: %.0f allocations per schedule, bound %.0f", tgt.Name(), got, bounds[tgt.Name()])
+		}
 	}
 }

@@ -19,13 +19,12 @@ type Target struct {
 }
 
 // system is a runtime's System as the checker drives it: the core
-// machine's driver contract (RunUntil, SetScheduler, Snapshot, Restore)
-// plus the runtime's Judge of a completed run.
+// machine's driver contract (RunUntil, SetScheduler, Reset) plus the
+// runtime's Judge of a completed run.
 type system interface {
 	RunUntil(pause func() bool) (done bool, err error)
 	SetScheduler(sim.Scheduler)
-	Snapshot(dst *core.Snapshot) *core.Snapshot
-	Restore(src *core.Snapshot)
+	Reset()
 	Judge(d *core.Digest) error
 }
 

@@ -150,7 +150,7 @@ type Result struct {
 	Log    []CommitUnit
 }
 
-// procRun is a processor's scalar run state. Snapshots copy it whole, so
+// procRun is a processor's scalar run state. Reset writes it whole, so
 // every scalar of a proc belongs here: snapstate reports one declared on
 // proc itself.
 type procRun struct {
@@ -170,10 +170,10 @@ type procRun struct {
 
 //bulklint:snapstate
 type proc struct {
-	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
-	id int
-	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
-	cache  *cache.Cache
+	id int // immutable processor identity fixed at construction
+	//bulklint:snapstate-ignore cache core-owned; Machine.Reset resets it
+	cache *cache.Cache
+	//bulklint:snapstate-ignore module core-owned; Machine.Reset resets it
 	module *bdm.Module
 	procRun
 
@@ -195,7 +195,7 @@ type System struct {
 	procs []*proc
 	stats Stats
 	log   []CommitUnit
-	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
+	// res is Judge's result buffer, assembled once a run completes.
 	res Result
 
 	// lineKeys is the reusable sorted buffer of a stalled episode's
@@ -223,13 +223,32 @@ func NewSystem(w *Workload, opts Options) (*System, error) {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	for i := range w.Procs {
-		p := &proc{id: i, cache: s.Caches[i], procRun: procRun{exec: trace.Executor{ThreadID: i}}}
+		p := &proc{id: i, cache: s.Caches[i]}
 		if bulk != nil {
 			p.module = s.Modules[i]
 		}
 		s.procs = append(s.procs, p)
 	}
+	s.Reset()
 	return s, nil
+}
+
+// ResetPolicy implements core.Policy: it writes the episode state a
+// just-built system starts from — every processor at its first unit with
+// no episode open and an empty footprint, zero counters and an empty
+// commit log — keeping every buffer's storage.
+//
+//bulklint:captures reset
+//bulklint:captures reset proc
+func (s *System) ResetPolicy() {
+	s.stats = Stats{}
+	s.log = s.log[:0]
+	s.res = Result{}
+	for _, p := range s.procs {
+		p.procRun = procRun{exec: trace.Executor{ThreadID: p.id}}
+		p.Footprint.Reset()
+		p.Version = nil
+	}
 }
 
 // Run executes the workload under the options.

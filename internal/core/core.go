@@ -8,14 +8,14 @@
 // counters, and per processor an L1 cache and (for signature-based
 // policies) a Bulk Disambiguation Module, addressed in 64-byte lines of
 // 4-byte words. It owns the options every runtime shares (Config), the
-// drive loop (RunUntil, Run, Finish, SetScheduler), and the snapshot
-// envelope. It owns the exact form of a speculative footprint too
-// (Footprint: a write buffer and exact read and write sets, with its
-// snapshot copy) and the three exact bulk operations on one — Apply, Drop
+// drive loop (RunUntil, Run, Finish, SetScheduler), and Reset, which
+// returns a pooled machine to its just-built state. It owns the exact form
+// of a speculative footprint too (Footprint: a write buffer and exact read
+// and write sets) and the three exact bulk operations on one — Apply, Drop
 // and InvalidateLines, twins of the BDM's signature operations. A runtime
 // embeds a Machine in its System and installs itself as the Policy: what
 // one scheduling quantum does, how a finished run's result is assembled,
-// and the snapshot of its own state.
+// and how its own state returns to the just-built one.
 package core
 
 import (
@@ -100,12 +100,10 @@ type Policy[R any] interface {
 	// Collect assembles the finished run's result into res from the
 	// policy's state and the machine's totals.
 	Collect(res *R, t Totals)
-	// SavePolicy captures the policy's own run state, reusing dst (nil on
-	// the first capture), and returns it.
-	SavePolicy(dst any) any
-	// LoadPolicy rewinds the policy to a SavePolicy capture. The machine
-	// is restored first, so BDM version tables are already reloaded.
-	LoadPolicy(src any)
+	// ResetPolicy returns the policy's own run state to its just-built
+	// value, keeping storage. The machine is reset first, so every BDM
+	// version the policy held is already back in its module's spare pool.
+	ResetPolicy()
 }
 
 // Totals is the machine's share of a finished run's statistics.
@@ -188,10 +186,31 @@ func (m *Machine[R]) Init(cfg *Config, procs int, bulk *BDM, p Policy[R]) error 
 	return nil
 }
 
+// Reset returns the machine and its policy to their just-built state:
+// memory all zero, the clock and the bus counters at zero, every cache
+// empty and every BDM without versions. Each component keeps its storage,
+// so the model checker drives one pooled machine through thousands of
+// schedules without rebuilding or regrowing it. The scheduler is
+// configuration, not state: reinstall one with SetScheduler.
+//
+//bulklint:noalloc
+//bulklint:captures reset
+func (m *Machine[R]) Reset() {
+	m.Mem.Reset()
+	m.Engine.Reset()
+	m.Bus = bus.Bandwidth{}
+	for _, c := range m.Caches {
+		c.Reset()
+	}
+	for _, md := range m.Modules {
+		md.Reset()
+	}
+	m.policy.ResetPolicy() //bulklint:allow noalloc each runtime's ResetPolicy truncates and zeroes in place; the pooled-runner allocation guard pins it
+}
+
 // RunUntil executes scheduling quanta until the workload completes or the
-// pause hook returns true at a tick boundary (the state is then between
-// quanta — a safe point to Snapshot). done reports completion; a paused
-// run continues with another RunUntil call.
+// pause hook returns true at a tick boundary, between quanta. done reports
+// completion; a paused run continues with another RunUntil call.
 func (m *Machine[R]) RunUntil(pause func() bool) (done bool, err error) {
 	for {
 		if pause != nil && pause() {

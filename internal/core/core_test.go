@@ -2,10 +2,10 @@ package core
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
+	"bulk/internal/bdm"
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/mem"
@@ -19,6 +19,7 @@ import (
 type quota struct {
 	Machine[Totals]
 	cfg       Config
+	quotas    []int
 	left      []int
 	totals    Totals
 	collected int
@@ -27,10 +28,11 @@ type quota struct {
 
 func newQuota(t *testing.T, bulk *BDM, quotas ...int) *quota {
 	t.Helper()
-	q := &quota{cfg: Config{CacheBytes: 4 << 10, CacheWays: 2, SigConfig: sig.DefaultTLS()}, left: quotas}
+	q := &quota{cfg: Config{CacheBytes: 4 << 10, CacheWays: 2, SigConfig: sig.DefaultTLS()}, quotas: quotas}
 	if err := q.Init(&q.cfg, len(quotas), bulk, q); err != nil {
 		t.Fatal(err)
 	}
+	q.ResetPolicy()
 	return q
 }
 
@@ -70,16 +72,7 @@ func (q *quota) Tick() (bool, error) {
 
 func (q *quota) Collect(res *Totals, t Totals) { *res, q.totals, q.collected = t, t, q.collected+1 }
 
-func (q *quota) SavePolicy(dst any) any {
-	st, _ := dst.(*[]int)
-	if st == nil {
-		st = new([]int)
-	}
-	*st = append((*st)[:0], q.left...)
-	return st
-}
-
-func (q *quota) LoadPolicy(src any) { q.left = append(q.left[:0], *src.(*[]int)...) }
+func (q *quota) ResetPolicy() { q.left = append(q.left[:0], q.quotas...) }
 
 // outcome is everything a finished quota run reports.
 func (q *quota) outcome() (Totals, uint64) {
@@ -88,11 +81,12 @@ func (q *quota) outcome() (Totals, uint64) {
 	return q.totals, uint64(d)
 }
 
-// TestSnapshotRestoreRoundTrip pauses a run every few quanta, captures the
-// machine at each pause, and checks that resuming from any capture — into
-// the same machine or a second one built alike — finishes exactly as the
-// uninterrupted run: totals, bus counters, memory image.
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
+// TestResetRerunsIdentically pauses a run every few quanta and resets the
+// machine at each pause: it must be empty again — memory, clock, bus
+// counters, caches and BDM version tables — and a rerun from there must
+// finish exactly as the uninterrupted run: totals, bus counters, memory
+// image.
+func TestResetRerunsIdentically(t *testing.T) {
 	for _, bulk := range []*BDM{nil, {Versions: 1}, {Versions: 1, Words: true}} {
 		ref := newQuota(t, bulk, 7, 4, 9)
 		if _, err := ref.Run(); err != nil {
@@ -101,39 +95,38 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		wantTotals, wantMem := ref.outcome()
 
 		q := newQuota(t, bulk, 7, 4, 9)
-		var snaps []*Snapshot
-		for ticks := 0; ; {
-			done, err := q.RunUntil(func() bool { ticks++; return ticks%4 == 0 })
+		for pause := 1; ; pause += 4 {
+			ticks := 0
+			done, err := q.RunUntil(func() bool { ticks++; return ticks > pause })
 			if err != nil {
 				t.Fatal(err)
 			}
 			if done {
 				break
 			}
-			snaps = append(snaps, q.Snapshot(nil))
-		}
-		if len(snaps) < 3 {
-			t.Fatalf("only %d pause points", len(snaps))
-		}
-		other := newQuota(t, bulk, 7, 4, 9)
-		for i, sn := range snaps {
-			for _, m := range []*quota{q, other} {
-				m.Restore(sn)
-				if _, err := m.Run(); err != nil {
-					t.Fatal(err)
-				}
-				gotTotals, gotMem := m.outcome()
-				if gotTotals != wantTotals || gotMem != wantMem {
-					t.Fatalf("bdm=%v: resume from capture %d finished with %+v/%#x, want %+v/%#x",
-						bulk, i, gotTotals, gotMem, wantTotals, wantMem)
+			q.Reset()
+			if q.Mem.Len() != 0 || q.Engine.Now() != 0 || q.Bus != (bus.Bandwidth{}) {
+				t.Fatalf("bdm=%v: reset after %d quanta left memory, clock or bus counters", bulk, pause)
+			}
+			for p, c := range q.Caches {
+				if c.CountState(cache.Clean)+c.CountState(cache.Dirty) != 0 || c.Stats() != (cache.Stats{}) {
+					t.Fatalf("bdm=%v: reset after %d quanta left processor %d's cache occupied", bulk, pause, p)
 				}
 			}
-		}
-		// Re-capturing into used storage must not leak the older state.
-		q.Restore(snaps[0])
-		reused := q.Snapshot(snaps[len(snaps)-1])
-		if !reflect.DeepEqual(reused.policy, snaps[0].policy) || !reflect.DeepEqual(reused.engine, snaps[0].engine) {
-			t.Fatal("re-capture into reused storage differs from the original capture")
+			for p, md := range q.Modules {
+				if len(md.Versions()) != 0 || md.Running() != nil || md.Stats() != (bdm.Stats{}) {
+					t.Fatalf("bdm=%v: reset after %d quanta left processor %d's BDM in use", bulk, pause, p)
+				}
+			}
+			if _, err := q.Run(); err != nil {
+				t.Fatal(err)
+			}
+			gotTotals, gotMem := q.outcome()
+			if gotTotals != wantTotals || gotMem != wantMem {
+				t.Fatalf("bdm=%v: rerun after a reset at %d quanta finished with %+v/%#x, want %+v/%#x",
+					bulk, pause, gotTotals, gotMem, wantTotals, wantMem)
+			}
+			q.Reset()
 		}
 	}
 }

@@ -25,59 +25,20 @@ type Footprint struct {
 	ReadL  flatmap.Set
 	WriteL flatmap.Set
 	// Version is the unit's BDM version; nil without signatures.
+	//
+	//bulklint:snapstate-ignore Version the policy's to allocate and free, so Reset leaves it
 	Version *bdm.Version
 }
 
 // Reset empties the buffer and the sets, keeping their capacity. The
 // version is the policy's to allocate and free, so Reset leaves it.
+//
+//bulklint:captures reset
 func (f *Footprint) Reset() {
 	f.Buf.Reset()
 	f.ReadW.Reset()
 	f.ReadL.Reset()
 	f.WriteL.Reset()
-}
-
-// FootprintState is a deep copy of a Footprint. The version is recorded as
-// an index into its module's table (-1 for nil), not a pointer, so Load
-// re-resolves it in the reloaded module — possibly another machine's.
-//
-//bulklint:snapstate
-type FootprintState struct {
-	buf     flatmap.Map[uint64]
-	readW   flatmap.Set
-	readL   flatmap.Set
-	writeL  flatmap.Set
-	version int
-}
-
-// Save captures f into dst, reusing dst's storage. md is the module
-// holding f's version (unused when the version is nil).
-//
-//bulklint:captures snapshot Footprint FootprintState
-func (f *Footprint) Save(dst *FootprintState, md *bdm.Module) {
-	dst.buf.CopyFrom(&f.Buf)
-	dst.readW.CopyFrom(&f.ReadW)
-	dst.readL.CopyFrom(&f.ReadL)
-	dst.writeL.CopyFrom(&f.WriteL)
-	dst.version = -1
-	if f.Version != nil {
-		dst.version = md.IndexOfVersion(f.Version)
-	}
-}
-
-// Load rewinds f to a Save capture. md is the module holding the version,
-// its table already restored.
-//
-//bulklint:captures restore Footprint FootprintState
-func (f *Footprint) Load(src *FootprintState, md *bdm.Module) {
-	f.Buf.CopyFrom(&src.buf)
-	f.ReadW.CopyFrom(&src.readW)
-	f.ReadL.CopyFrom(&src.readL)
-	f.WriteL.CopyFrom(&src.writeL)
-	f.Version = nil
-	if src.version >= 0 {
-		f.Version = md.VersionAt(src.version)
-	}
 }
 
 // The three exact bulk operations below are the twins of the BDM's:

@@ -28,8 +28,6 @@ const minCap = 16
 
 // Map is an open-addressed uint64→V hash table. The zero value is an empty
 // map ready for use. Not safe for concurrent use.
-//
-//bulklint:snapstate
 type Map[V any] struct {
 	keys  []uint64
 	vals  []V
@@ -181,52 +179,6 @@ func (m *Map[V]) Reset() {
 	m.n = 0
 }
 
-// CopyFrom makes m a deep copy of src, reusing m's backing arrays when the
-// capacities already match (the snapshot pools restore into scratch maps of
-// the same shape on every hit, so the steady state is three memcopies). The
-// storage layout — slot assignment, probe chains, capacity — is copied
-// bit-for-bit, so a restored map is indistinguishable from the original by
-// any sequence of operations, including Range order and future growth.
-// Values are copied with assignment; reference-typed values share backing
-// state with src and need a caller-side fixup pass (see RangeMut).
-//
-//bulklint:noalloc
-//bulklint:captures copyfrom
-func (m *Map[V]) CopyFrom(src *Map[V]) {
-	if m == src {
-		return
-	}
-	if len(m.keys) != len(src.keys) {
-		m.keys = make([]uint64, len(src.keys)) //bulklint:allow noalloc first copy into a fresh snapshot; pooled restores hit the memcopy path
-		m.vals = make([]V, len(src.vals))      //bulklint:allow noalloc first copy into a fresh snapshot; pooled restores hit the memcopy path
-		m.used = make([]uint64, len(src.used)) //bulklint:allow noalloc first copy into a fresh snapshot; pooled restores hit the memcopy path
-	}
-	copy(m.keys, src.keys)
-	copy(m.vals, src.vals)
-	copy(m.used, src.used)
-	m.mask = src.mask
-	m.shift = src.shift
-	m.n = src.n
-}
-
-// RangeMut is Range with a mutable value pointer: fn may rewrite *v in
-// place without touching the table layout. This is the supported way to fix
-// up reference-typed values after CopyFrom — Put is not, because Put may
-// trigger a capacity grow before it discovers the key already exists,
-// diverging the copy's layout from the original's.
-func (m *Map[V]) RangeMut(fn func(k uint64, v *V) bool) {
-	for wi, w := range m.used {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			slot := wi*64 + b
-			if !fn(m.keys[slot], &m.vals[slot]) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
 // Range calls fn for every entry in storage order, stopping early if fn
 // returns false. Storage order is deterministic for a deterministic
 // operation sequence but is not key order — callers must use it only for
@@ -267,8 +219,6 @@ func (m *Map[V]) SortedKeys(dst []uint64) []uint64 {
 // capacity-reuse properties as Map. The zero value is an empty set. It
 // replaces the simulator's former map[uint64]bool exact-tracking sets,
 // whose per-restart reallocation dominated the allocation profile.
-//
-//bulklint:snapstate
 type Set struct {
 	m Map[struct{}]
 }
@@ -295,13 +245,6 @@ func (s *Set) Delete(k uint64) bool { return s.m.Delete(k) }
 //
 //bulklint:noalloc
 func (s *Set) Reset() { s.m.Reset() }
-
-// CopyFrom makes s a deep copy of src with the same layout-preserving,
-// capacity-reusing contract as Map.CopyFrom.
-//
-//bulklint:noalloc
-//bulklint:captures copyfrom
-func (s *Set) CopyFrom(src *Set) { s.m.CopyFrom(&src.m) }
 
 // Range calls fn for every member in storage order, stopping early if fn
 // returns false. The same discipline as Map.Range applies: storage order

@@ -5,7 +5,7 @@
 // runs, so map-iteration order and ambient randomness must never reach
 // simulator state), the Bulk invariants of Ceze et al. (ISCA 2006) — shared
 // mutable state on the commit paths is touched only under its lock, and
-// every field of the snapshot machinery is captured — and the
+// every field of a pooled system's run state is reset — and the
 // zero-allocation contract of the signature/flatmap/cache hot kernels.
 // bulklint parses and type-checks every package in the module using only
 // the Go standard library, builds a module-wide static call graph, and runs
@@ -48,11 +48,11 @@
 //   - layerdep:   the package-layer DAG declared in
 //     internal/lint/layers.txt is enforced against actual imports; an
 //     intra-module import must target a strictly lower layer.
-//   - snapstate:  field-coverage proof for snapshot machinery. A struct
+//   - snapstate:  field-coverage proof for Reset methods. A struct
 //     annotated `//bulklint:snapstate` must have every non-ignored field
 //     referenced — directly or via static callees — in each method
-//     annotated `//bulklint:captures snapshot|restore|copyfrom|reset`.
-//     Waive one field with `//bulklint:snapstate-ignore <field> <why>`.
+//     annotated `//bulklint:captures reset`. Waive one field with
+//     `//bulklint:snapstate-ignore <field> <why>`.
 //   - capturesafe: a variable captured by a worker closure (par.ForEach /
 //     par.Map / par.StealForEach bodies, `go` statements) and written
 //     there must land in a slice/array index slot, under a held lock, or

@@ -404,9 +404,9 @@ func (p *Package) funcDirective(fset *token.FileSet, fd *ast.FuncDecl, name stri
 
 // funcAnnotationsAll returns every directive with the given name attached
 // to the function declaration itself (doc-comment lines through the `func`
-// line), in line order. The snapstate rule needs all of them: one capture
+// line), in line order. The snapstate rule needs all of them: one reset
 // method may carry several //bulklint:captures entries, each naming a
-// different kind or type list.
+// different type list.
 func (p *Package) funcAnnotationsAll(fset *token.FileSet, fd *ast.FuncDecl, name string) []*directive {
 	file := fset.Position(fd.Pos()).Filename
 	byLine := p.directives[file]

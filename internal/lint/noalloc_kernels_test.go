@@ -22,6 +22,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 	sort.Strings(got)
 
 	want := []string{
+		"bulk/internal/bdm.Module.Reset exported=true",
 		"bulk/internal/bus.Bandwidth.Record exported=true",
 		"bulk/internal/bus.Bandwidth.RecordCommit exported=true",
 		"bulk/internal/bus.Bandwidth.RecordN exported=true",
@@ -29,7 +30,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.AndDirtySets exported=true",
 		"bulk/internal/cache.Cache.AndValidSets exported=true",
 		"bulk/internal/cache.Cache.Contains exported=true",
-		"bulk/internal/cache.Cache.CopyFrom exported=true",
 		"bulk/internal/cache.Cache.DirtyInSet exported=true",
 		"bulk/internal/cache.Cache.DirtyLinesInSet exported=true",
 		"bulk/internal/cache.Cache.Insert exported=true",
@@ -37,13 +37,13 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.Lookup exported=true",
 		"bulk/internal/cache.Cache.MarkClean exported=true",
 		"bulk/internal/cache.Cache.MarkDirty exported=true",
-		"bulk/internal/cache.copyLine exported=false",
+		"bulk/internal/cache.Cache.Reset exported=true",
 		"bulk/internal/check.ReplayScheduler.Reset exported=true",
 		"bulk/internal/check.hashSchedule exported=false",
 		"bulk/internal/check.hashStep exported=false",
 		"bulk/internal/ckpt.System.recordRead exported=false",
 		"bulk/internal/core.LineOf exported=true",
-		"bulk/internal/flatmap.Map.CopyFrom exported=true",
+		"bulk/internal/core.Machine.Reset exported=true",
 		"bulk/internal/flatmap.Map.Delete exported=true",
 		"bulk/internal/flatmap.Map.Get exported=true",
 		"bulk/internal/flatmap.Map.Has exported=true",
@@ -51,19 +51,19 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/flatmap.Map.Reset exported=true",
 		"bulk/internal/flatmap.Map.SortedKeys exported=true",
 		"bulk/internal/flatmap.Set.Add exported=true",
-		"bulk/internal/flatmap.Set.CopyFrom exported=true",
 		"bulk/internal/flatmap.Set.Delete exported=true",
 		"bulk/internal/flatmap.Set.Has exported=true",
 		"bulk/internal/flatmap.Set.Reset exported=true",
 		"bulk/internal/flatmap.Set.SortedKeys exported=true",
 		"bulk/internal/flatmap.Sharded.shardOf exported=false",
 		"bulk/internal/mem.Memory.AppendSortedAddrs exported=true",
-		"bulk/internal/mem.Memory.CopyFrom exported=true",
 		"bulk/internal/mem.Memory.Read exported=true",
 		"bulk/internal/mem.Memory.ReadLine exported=true",
+		"bulk/internal/mem.Memory.Reset exported=true",
 		"bulk/internal/mem.Memory.Write exported=true",
 		"bulk/internal/mem.OverflowArea.DisambiguationScan exported=true",
 		"bulk/internal/mem.OverflowArea.Fetch exported=true",
+		"bulk/internal/mem.OverflowArea.Reset exported=true",
 		"bulk/internal/mutate.Set.Has exported=true",
 		"bulk/internal/sig.DecodePlan.DecodeInto exported=true",
 		"bulk/internal/sig.RLDecodeInto exported=true",
@@ -71,7 +71,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/sig.RLEncodedBits exported=true",
 		"bulk/internal/sig.SetMask.Clear exported=true",
 		"bulk/internal/sig.SetMask.ClearSet exported=true",
-		"bulk/internal/sig.SetMask.CopyFrom exported=true",
 		"bulk/internal/sig.SetMask.Count exported=true",
 		"bulk/internal/sig.SetMask.Has exported=true",
 		"bulk/internal/sig.SetMask.OrWith exported=true",
@@ -86,6 +85,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/sig.Signature.UnionWith exported=true",
 		"bulk/internal/sig.Signature.Zero exported=true",
 		"bulk/internal/sig.WordMaskPlan.Mask exported=true",
+		"bulk/internal/sim.Engine.Reset exported=true",
 		"bulk/internal/tls.System.mergeLine exported=false",
 		"bulk/internal/tm.System.mergeLine exported=false",
 		"bulk/internal/tm.proc.bufLookup exported=false",

@@ -8,22 +8,24 @@ import (
 )
 
 // This file implements the snapstate rule: a static field-coverage proof
-// for the Snapshot/Restore/CopyFrom machinery the model checker's pooled
-// runners rest on. A struct annotated `//bulklint:snapstate` declares
-// "every field of this struct is part of the captured machine state"; the
-// struct's capture methods are declared with `//bulklint:captures
-// <kind> [TypeName ...]` (kind one of snapshot, restore, copyfrom, reset;
-// with no type names the annotation covers the method's receiver type).
-// The rule then checks, per (struct, capture method), that every
-// non-ignored field is referenced — read or written, directly or inside a
-// statically-resolved callee reachable through the module call graph —
-// somewhere in the method. Adding a field to tm.System without touching
-// Snapshot/Restore becomes a build-gate failure, not a latent divergence
-// a differential test may or may not hit.
+// for the Reset methods the model checker's pooled runners rest on. A
+// struct annotated `//bulklint:snapstate` declares "every field of this
+// struct is run state a reset must rewrite"; the struct's reset methods
+// are declared with `//bulklint:captures reset [TypeName ...]` (with no
+// type names the annotation covers the method's receiver type). The rule
+// then checks, per (struct, reset method), that every non-ignored field is
+// referenced — read or written, directly or inside a statically-resolved
+// callee reachable through the module call graph — somewhere in the
+// method. Adding a field to tm.System without touching its Reset becomes a
+// build-gate failure, not a latent divergence a differential test may or
+// may not hit. Embedded fields are not listed: a run-state value struct
+// embedded whole (procRun, taskRun) is written whole.
 //
-// Whether a referenced field is deep-copied rather than aliased is not
-// checked here: TestSnapshotFieldParity in internal/check and the runtime
-// round-trip tests catch shallow aliases at run time.
+// Whether a referenced field is returned to its just-built value is not
+// checked here: TestResetMatchesFreshBuild in internal/check compares a
+// reset system with a fresh one at run time. The rule covers what that
+// test cannot see, a field that happens to hold its initial value at
+// every tick boundary the test resets at.
 //
 // `//bulklint:snapstate-ignore <field> <reason>` inside the struct
 // declaration waives one field; the waiver flows through the stalewaiver
@@ -32,10 +34,7 @@ import (
 
 // captureKinds are the recognized //bulklint:captures kinds.
 var captureKinds = map[string]bool{
-	"snapshot": true,
-	"restore":  true,
-	"copyfrom": true,
-	"reset":    true,
+	"reset": true,
 }
 
 // snapField is one field of an annotated struct.
@@ -52,7 +51,7 @@ type capMethod struct {
 	pkg  *Package
 }
 
-// snapRecord is one //bulklint:snapstate struct with its capture methods.
+// snapRecord is one //bulklint:snapstate struct with its reset methods.
 type snapRecord struct {
 	pkg     *Package
 	obj     *types.TypeName
@@ -221,7 +220,7 @@ func attachCapture(pkg *Package, fd *ast.FuncDecl, d *directive, index map[*type
 	kind := parts[0]
 	if !captureKinds[kind] {
 		r.reportAt(file, d.line, d.col, "snapstate",
-			"unknown //bulklint:captures kind %q (want snapshot, restore, copyfrom or reset)", kind)
+			"unknown //bulklint:captures kind %q (want reset)", kind)
 		return
 	}
 	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
@@ -277,7 +276,7 @@ func receiverTypeName(fn *types.Func) *types.TypeName {
 	return named.Origin().Obj()
 }
 
-// checkCoverage verifies one (struct, capture method) pair: every
+// checkCoverage verifies one (struct, reset method) pair: every
 // non-ignored field referenced in the method's reachable bodies.
 func checkCoverage(rec *snapRecord, m *capMethod, cg *callGraph, index map[*types.TypeName]*snapRecord, scans map[*types.Func]bodyScan, r *Reporter) {
 	referenced := map[string]bool{}
@@ -302,7 +301,7 @@ func checkCoverage(rec *snapRecord, m *capMethod, cg *callGraph, index map[*type
 			continue
 		}
 		r.Report(m.pkg, m.decl.Name.Pos(), "snapstate",
-			"field %s.%s is not referenced in captures-%s method %s (directly or via static callees); capture it or waive with //bulklint:snapstate-ignore %s <why>",
+			"field %s.%s is not referenced in captures-%s method %s (directly or via static callees); reset it or waive with //bulklint:snapstate-ignore %s <why>",
 			rec.obj.Name(), f.name, m.kind, funcDisplayName(m.decl), f.name)
 	}
 }

@@ -2,9 +2,9 @@ package lint
 
 import "testing"
 
-// TestSnapStateDroppedField is the PR's negative mutation fixture #1: a
-// field deliberately dropped from Restore must yield exactly one finding
-// naming the capture method (the witness line is the method declaration).
+// TestSnapStateDroppedField: a field a Reset forgets must yield exactly
+// one finding naming the reset method (the witness line is the method
+// declaration).
 func TestSnapStateDroppedField(t *testing.T) {
 	findings := lintFixture(t, map[string]string{
 		"internal/scratch/s.go": `package scratch
@@ -15,28 +15,17 @@ type Sys struct {
 	buf   []int
 }
 
-type Snap struct {
-	clock int
-	buf   []int
-}
-
-//bulklint:captures snapshot
-func (s *Sys) Snapshot() *Snap {
-	return &Snap{clock: s.clock, buf: append([]int(nil), s.buf...)}
-}
-
-//bulklint:captures restore
-func (s *Sys) Restore(sn *Snap) {
-	s.buf = append(s.buf[:0], sn.buf...)
+//bulklint:captures reset
+func (s *Sys) Reset() {
+	s.buf = s.buf[:0]
 }
 `,
 	})
-	wantFinding(t, findings, "snapstate", "internal/scratch/s.go", 20)
+	wantFinding(t, findings, "snapstate", "internal/scratch/s.go", 10)
 }
 
-func TestSnapStateCleanDeepCopy(t *testing.T) {
-	// Full coverage with append/copy witnesses: no findings, no stale
-	// directives.
+func TestSnapStateCleanReset(t *testing.T) {
+	// Full coverage, storage kept: no findings, no stale directives.
 	findings := lintFixture(t, map[string]string{
 		"internal/scratch/s.go": `package scratch
 
@@ -47,17 +36,11 @@ type Sys struct {
 	m     map[int]int
 }
 
-//bulklint:captures snapshot Sys
-//bulklint:captures restore Sys
-func Roundtrip(dst, src *Sys) {
-	dst.clock = src.clock
-	dst.buf = append(dst.buf[:0], src.buf...)
-	if dst.m == nil {
-		dst.m = make(map[int]int, len(src.m))
-	}
-	for k, v := range src.m {
-		dst.m[k] = v
-	}
+//bulklint:captures reset Sys
+func ResetSys(s *Sys) {
+	s.clock = 0
+	s.buf = s.buf[:0]
+	clear(s.m)
 }
 `,
 	})
@@ -77,14 +60,14 @@ type Sys struct {
 	buf   []int
 }
 
-func copyBuf(dst, src *Sys) {
-	dst.buf = append(dst.buf[:0], src.buf...)
+func resetBuf(s *Sys) {
+	s.buf = s.buf[:0]
 }
 
-//bulklint:captures copyfrom
-func (s *Sys) CopyFrom(o *Sys) {
-	s.clock = o.clock
-	copyBuf(s, o)
+//bulklint:captures reset
+func (s *Sys) Reset() {
+	s.clock = 0
+	resetBuf(s)
 }
 `,
 	})
@@ -105,9 +88,9 @@ type Sys struct {
 	scratch []int
 }
 
-//bulklint:captures restore
-func (s *Sys) Restore(clock int) {
-	s.clock = clock
+//bulklint:captures reset
+func (s *Sys) Reset() {
+	s.clock = 0
 }
 `,
 	})
@@ -127,9 +110,9 @@ type Sys struct {
 	clock int
 }
 
-//bulklint:captures restore
-func (s *Sys) Restore(clock int) {
-	s.clock = clock
+//bulklint:captures reset
+func (s *Sys) Reset() {
+	s.clock = 0
 }
 `,
 	})
@@ -183,13 +166,14 @@ type Sys struct {
 	clock int
 }
 
-//bulklint:captures deepfreeze
-//bulklint:captures restore
-func (s *Sys) Restore(clock int) {
-	s.clock = clock
+//bulklint:captures snapshot
+//bulklint:captures reset
+func (s *Sys) Reset() {
+	s.clock = 0
 }
 `,
 	})
+	// snapshot is an unknown kind: reset is the only one.
 	var got []Finding
 	for _, f := range findings {
 		if f.Rule == "snapstate" {

@@ -111,27 +111,15 @@ func (m *Memory) ReadLine(line uint64, dst []uint64) {
 // Len returns the number of non-zero words.
 func (m *Memory) Len() int { return m.words.Len() }
 
-// Snapshot returns a copy of the non-zero words.
-func (m *Memory) Snapshot() map[uint64]Word {
-	s := make(map[uint64]Word, m.words.Len())
-	m.words.Range(func(a uint64, v Word) bool {
-		s[a] = v
-		return true
-	})
-	return s
-}
-
-// CopyFrom makes m a deep copy of src, reusing m's table capacity when the
-// shapes match (the explorer's snapshot pool restores into the same scratch
-// memory on every run). The storage layout is preserved bit-for-bit, so a
-// restored memory behaves identically to the original under every operation
-// sequence.
+// Reset empties the memory back to all-zero, keeping both tables'
+// capacity: a pooled machine returns to its just-built image without
+// regrowing them.
 //
 //bulklint:noalloc
-//bulklint:captures copyfrom
-func (m *Memory) CopyFrom(src *Memory) {
-	m.words.CopyFrom(&src.words)
-	m.lines.CopyFrom(&src.lines)
+//bulklint:captures reset
+func (m *Memory) Reset() {
+	m.words.Reset()
+	m.lines.Reset()
 }
 
 // AppendSortedAddrs appends the non-zero word addresses to dst in ascending
@@ -286,25 +274,14 @@ func (o *OverflowArea) Lines() []uint64 {
 	return o.lines.SortedKeys(nil)
 }
 
-// CopyFrom makes o a deep copy of src: the line table layout is cloned
-// bit-for-bit, then every word buffer is replaced with a private copy so
-// later spills into either area cannot alias the other. Check workloads
-// rarely overflow, so the per-line buffer copies are off the snapshot hot
-// path.
+// Reset returns the area to its just-built state: no lines, zero
+// counters, the line table's capacity kept.
 //
-//bulklint:captures copyfrom
-func (o *OverflowArea) CopyFrom(src *OverflowArea) {
-	if o == src {
-		return
-	}
-	o.stats = src.stats
-	o.lines.CopyFrom(&src.lines)
-	o.lines.RangeMut(func(_ uint64, l *ovLine) bool {
-		words := make([]Word, len(l.words))
-		copy(words, l.words)
-		l.words = words
-		return true
-	})
+//bulklint:noalloc
+//bulklint:captures reset
+func (o *OverflowArea) Reset() {
+	o.lines.Reset()
+	o.stats = OverflowStats{}
 }
 
 // Dealloc discards the area contents (after the owning thread commits or is

@@ -60,11 +60,6 @@ func (m SetMask) OrWith(other SetMask) {
 	}
 }
 
-// CopyFrom overwrites m with other.
-//
-//bulklint:noalloc
-func (m SetMask) CopyFrom(other SetMask) { copy(m, other) }
-
 // Count returns the number of marked sets.
 //
 //bulklint:noalloc

@@ -335,31 +335,19 @@ func (e *Engine) Unpark(i int, at int64) {
 // Parked reports whether processor i is parked.
 func (e *Engine) Parked(i int) bool { return e.parked[i] }
 
-// EngineState is a deep copy of an engine's mutable scheduling state, part
-// of the machine snapshot (core.Snapshot). The zero value grows on first
-// SaveState and is reused by later captures.
-type EngineState struct {
-	readyAt   []int64
-	parked    []bool
-	now       int64
-	busFreeAt int64
-}
-
-// SaveState copies the engine's scheduling state into st.
-func (e *Engine) SaveState(st *EngineState) {
-	st.readyAt = append(st.readyAt[:0], e.readyAt...)
-	st.parked = append(st.parked[:0], e.parked...)
-	st.now = e.now
-	st.busFreeAt = e.BusFreeAt
-}
-
-// LoadState restores scheduling state captured by SaveState. The installed
-// scheduler is not part of the state — callers re-attach their own.
-func (e *Engine) LoadState(st *EngineState) {
-	copy(e.readyAt, st.readyAt)
-	copy(e.parked, st.parked)
-	e.now = st.now
-	e.BusFreeAt = st.busFreeAt
+// Reset returns the engine to its just-built state: every processor
+// runnable at cycle 0, the bus free, the candidate buffers empty with
+// their capacity kept. The installed scheduler is the caller's
+// configuration, not run state, and stays.
+//
+//bulklint:noalloc
+func (e *Engine) Reset() {
+	clear(e.readyAt)
+	clear(e.parked)
+	e.now = 0
+	e.BusFreeAt = 0
+	e.candScratch = e.candScratch[:0]
+	e.readyScratch = e.readyScratch[:0]
 }
 
 // AcquireBus reserves the bus for cycles starting no earlier than now;

@@ -31,7 +31,7 @@ const (
 	tsCommitted
 )
 
-// taskRun is a task's scalar run state. Snapshots copy it whole, so every
+// taskRun is a task's scalar run state. Reset writes it whole, so every
 // scalar of a task belongs here: snapstate reports one declared on task
 // itself.
 type taskRun struct {
@@ -55,8 +55,7 @@ type taskRun struct {
 
 //bulklint:snapstate
 type task struct {
-	//bulklint:snapstate-ignore idx immutable task identity fixed at construction
-	idx int
+	idx int // immutable task identity fixed at construction
 	taskRun
 
 	// Footprint is the task's write buffer, exact sets and (Bulk) BDM
@@ -79,7 +78,7 @@ func (t *task) resetSpec() {
 	t.exec.Reset()
 }
 
-// procRun is a processor's scalar run state, copied whole like taskRun.
+// procRun is a processor's scalar run state, written whole like taskRun.
 type procRun struct {
 	parkedAt int64 // when the processor last parked, for StallCycles
 }
@@ -88,8 +87,9 @@ type procRun struct {
 type proc struct {
 	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
 	id int
-	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
-	cache  *cache.Cache
+	//bulklint:snapstate-ignore cache core-owned; Machine.Reset resets it
+	cache *cache.Cache
+	//bulklint:snapstate-ignore module core-owned; Machine.Reset resets it
 	module *bdm.Module // Bulk only
 	procRun
 	tasks []int // assigned uncommitted task indices, ascending
@@ -110,7 +110,7 @@ type System struct {
 
 	commitNext int
 	stats      Stats
-	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
+	// res is Judge's result buffer, assembled once a run completes.
 	res Result
 
 	// keyScratch is the reusable sorted-key buffer for the Lazy commit's
@@ -152,12 +152,33 @@ func NewSystem(w *workload.TLSWorkload, opts Options) (*System, error) {
 	}
 	s.tasks = make([]*task, len(w.Tasks))
 	for i := range w.Tasks {
-		t := &task{idx: i, taskRun: taskRun{proc: -1, exec: trace.Executor{ThreadID: i}}}
+		s.tasks[i] = &task{idx: i}
+	}
+	s.Reset()
+	return s, nil
+}
+
+// ResetPolicy implements core.Policy: it writes the task state a
+// just-built system starts from — the first task spawnable, every other
+// unspawned and unassigned with an empty footprint, no processor holding a
+// task, zero counters — keeping every buffer's storage.
+//
+//bulklint:captures reset
+//bulklint:captures reset proc task
+func (s *System) ResetPolicy() {
+	s.stats = Stats{}
+	s.commitNext = 0
+	s.res = Result{}
+	for _, p := range s.procs {
+		p.procRun = procRun{}
+		p.tasks = p.tasks[:0]
+	}
+	for _, t := range s.tasks {
+		t.taskRun = taskRun{proc: -1, exec: trace.Executor{ThreadID: t.idx}}
 		t.resetSpec()
-		s.tasks[i] = t
+		t.Version = nil
 	}
 	s.tasks[0].state = tsSpawnable
-	return s, nil
 }
 
 // Run executes the workload under the options and returns the result.

@@ -27,7 +27,7 @@ type section struct {
 	lastRead uint64 // executor register at section start
 }
 
-// procRun is a processor's scalar run state. Snapshots copy it whole, so
+// procRun is a processor's scalar run state. Reset writes it whole, so
 // every scalar of a proc belongs here: snapstate reports one declared on
 // proc itself.
 type procRun struct {
@@ -49,10 +49,10 @@ type procRun struct {
 //
 //bulklint:snapstate
 type proc struct {
-	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
-	id int
-	//bulklint:snapstate-ignore cache core-owned; the machine's snapshot envelope captures it
-	cache  *cache.Cache
+	id int // immutable processor identity fixed at construction
+	//bulklint:snapstate-ignore cache core-owned; Machine.Reset resets it
+	cache *cache.Cache
+	//bulklint:snapstate-ignore module core-owned; Machine.Reset resets it
 	module *bdm.Module // Bulk only
 	over   *mem.OverflowArea
 	procRun
@@ -83,7 +83,7 @@ type System struct {
 
 	stats Stats
 	log   []CommitUnit
-	//bulklint:snapstate-ignore res Judge's result buffer, assembled once a run completes
+	// res is Judge's result buffer, assembled once a run completes.
 	res Result
 
 	// commitWC is the reusable broadcast signature for multi-section Bulk
@@ -147,7 +147,6 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 			id:         i,
 			cache:      s.Caches[i],
 			over:       mem.NewOverflowArea(),
-			procRun:    procRun{exec: trace.Executor{ThreadID: i}, stalledOn: -1},
 			pairSquash: make([]int, len(w.Threads)),
 		}
 		if bulk != nil {
@@ -155,7 +154,29 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 		}
 		s.procs = append(s.procs, p)
 	}
+	s.Reset()
 	return s, nil
+}
+
+// ResetPolicy implements core.Policy: it writes the transactional run
+// state a just-built system starts from — no open section, no preemption,
+// empty overflow areas, zero counters and an empty commit log — keeping
+// every buffer's storage. Section structs stay in the stack's backing
+// array, where pushSection recycles them.
+//
+//bulklint:captures reset
+//bulklint:captures reset proc
+func (s *System) ResetPolicy() {
+	s.stats = Stats{}
+	s.log = s.log[:0]
+	s.res = Result{}
+	for _, p := range s.procs {
+		p.procRun = procRun{exec: trace.Executor{ThreadID: p.id}, stalledOn: -1}
+		p.over.Reset()
+		clear(p.pairSquash)
+		p.sections = p.sections[:0]
+		p.preempt = nil
+	}
 }
 
 // Run executes the workload to completion and returns the result.
@@ -303,10 +324,12 @@ func (s *System) beginTxn(p *proc, seg *workload.TMSegment) {
 }
 
 // pushSection opens a nesting section starting at op index startOp. Section
-// structs are recycled through the sections slice's backing array (commit
-// and squash truncate with [:0] rather than dropping it), so the write
-// buffers and exact sets keep their capacity from one transaction to the
-// next.
+// structs are recycled through the sections slice's backing array (commit,
+// squash and Reset truncate with [:0] rather than dropping it), so the
+// write buffers and exact sets keep their capacity from one transaction to
+// the next. A recycled section is reset here, field by field.
+//
+//bulklint:captures reset section
 func (s *System) pushSection(p *proc, startOp int) {
 	n := len(p.sections)
 	sec := p.growSections()

@@ -9,6 +9,7 @@ package bulk_test
 import (
 	"testing"
 
+	"bulk/internal/bdm"
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/check"
@@ -18,6 +19,10 @@ import (
 	"bulk/internal/mem"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
+	"bulk/internal/sim"
+	"bulk/internal/tm"
+	"bulk/internal/trace"
+	"bulk/internal/workload"
 )
 
 // kernelHarnesses returns one AllocsPerRun body per exported noalloc
@@ -57,8 +62,7 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		t.Fatalf("NewWordMaskPlan: %v", err)
 	}
 
-	// Flat map and set, warmed past their final capacity, plus CopyFrom
-	// destinations pre-grown to the source size.
+	// Flat map and set, warmed past their final capacity.
 	var fm flatmap.Map[uint64]
 	var fs flatmap.Set
 	for k := uint64(0); k < 200; k++ {
@@ -66,10 +70,6 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		fs.Add(k)
 	}
 	keyBuf := fm.SortedKeys(nil)
-	var fm2 flatmap.Map[uint64]
-	var fs2 flatmap.Set
-	fm2.CopyFrom(&fm)
-	fs2.CopyFrom(&fs)
 
 	// Cache with a mix of clean and dirty resident lines.
 	c := cache.MustNew(1<<15, 4, 64)
@@ -83,8 +83,8 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	dirtyLine := c.Lookup(cache.LineAddr(0))
 	lineBuf := c.LinesInSet(0, nil)
 	setMaskBuf := make([]uint64, (c.NumSets()+63)/64)
+	// A second cache for Reset, refilled after each reset.
 	c2 := cache.MustNew(1<<15, 4, 64)
-	c2.CopyFrom(c)
 	// A one-set cache whose every Insert evicts, so the harness measures
 	// the victim path.
 	ci := cache.MustNew(2*64, 2, 64)
@@ -93,12 +93,24 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	// Memory and overflow area.
 	m := mem.NewMemory()
 	m.Write(100, 7)
-	m2 := mem.NewMemory()
-	m2.CopyFrom(m)
 	lineWords := make([]uint64, mem.WordsPerLine)
 	addrBuf := m.AppendSortedAddrs(nil)
 	ov := mem.NewOverflowArea()
 	ov.Spill(5, 0xF, []mem.Word{1, 2, 3, 4})
+	ov2 := mem.NewOverflowArea()
+
+	// An engine, a BDM whose version is allocated before each reset, and
+	// a TM system that has run once, for the Reset kernels.
+	eng := sim.NewEngine(4)
+	md := bdm.MustNew(bdm.Config{Sig: cfg, Index: sig.IndexSpec{Bits: c2.IndexBits()}, MaxVersions: 1}, c2)
+	tmw := &workload.TMWorkload{Threads: []workload.TMThread{{Segments: []workload.TMSegment{{Txn: true, Ops: []trace.Op{{Kind: trace.Write, Addr: 64}}}}}}}
+	tms, err := tm.NewSystem(tmw, tm.NewOptions(tm.Bulk))
+	if err != nil {
+		t.Fatalf("tm.NewSystem: %v", err)
+	}
+	if _, err := tms.Run(); err != nil {
+		t.Fatalf("tm run: %v", err)
+	}
 
 	// Replay scheduler.
 	schedPrefix := []int{1, 0, 2}
@@ -131,7 +143,6 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/sig.SetMask.Has":           func() { _ = mask.Has(3) },
 		"bulk/internal/sig.SetMask.Clear":         func() { mask2.Clear() },
 		"bulk/internal/sig.SetMask.OrWith":        func() { mask2.OrWith(mask) },
-		"bulk/internal/sig.SetMask.CopyFrom":      func() { mask2.CopyFrom(mask) },
 		"bulk/internal/sig.SetMask.Count":         func() { _ = mask.Count() },
 		"bulk/internal/sig.DecodePlan.DecodeInto": func() { plan.DecodeInto(s1, mask) },
 		"bulk/internal/sig.WordMaskPlan.Mask":     func() { _ = wmp.Mask(s1, 3); _ = wordTMPlan.Mask(wordTMSig, 3) },
@@ -147,8 +158,6 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/flatmap.Set.Delete":     func() { fs.Delete(9999) },
 		"bulk/internal/flatmap.Set.Reset":      func() { fs.Reset(); fs.Add(42) },
 		"bulk/internal/flatmap.Set.SortedKeys": func() { keyBuf = fs.SortedKeys(keyBuf[:0]) },
-		"bulk/internal/flatmap.Map.CopyFrom":   func() { fm2.CopyFrom(&fm) },
-		"bulk/internal/flatmap.Set.CopyFrom":   func() { fs2.CopyFrom(&fs) },
 
 		"bulk/internal/cache.Cache.Lookup":          func() { _ = c.Lookup(3) },
 		"bulk/internal/cache.Cache.Contains":        func() { _ = c.Contains(3) },
@@ -165,16 +174,26 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 			c.AndValidSets(setMaskBuf)
 		},
 		"bulk/internal/cache.Cache.AndDirtySets": func() { c.AndDirtySets(setMaskBuf) },
-		"bulk/internal/cache.Cache.CopyFrom":     func() { c2.CopyFrom(c) },
+		"bulk/internal/cache.Cache.Reset":        func() { c2.Reset(); c2.Insert(3, cache.Dirty) },
 		"bulk/internal/cache.Cache.Insert":       func() { insAddr++; ci.Insert(insAddr, cache.Clean) },
 
 		"bulk/internal/mem.Memory.Read":                     func() { _ = m.Read(100) },
 		"bulk/internal/mem.Memory.Write":                    func() { m.Write(100, 7) },
 		"bulk/internal/mem.Memory.ReadLine":                 func() { m.ReadLine(100/mem.WordsPerLine, lineWords) },
-		"bulk/internal/mem.Memory.CopyFrom":                 func() { m2.CopyFrom(m) },
+		"bulk/internal/mem.Memory.Reset":                    func() { m.Reset(); m.Write(100, 7) },
 		"bulk/internal/mem.Memory.AppendSortedAddrs":        func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
 		"bulk/internal/mem.OverflowArea.Fetch":              func() { _, _, _ = ov.Fetch(5) },
 		"bulk/internal/mem.OverflowArea.DisambiguationScan": func() { _ = ov.DisambiguationScan(5) },
+		"bulk/internal/mem.OverflowArea.Reset":              func() { ov2.Reset() },
+
+		"bulk/internal/sim.Engine.Reset": func() { eng.Advance(1, 5); eng.Reset() },
+		"bulk/internal/bdm.Module.Reset": func() {
+			if _, err := md.AllocVersion(1); err != nil {
+				t.Fatal(err)
+			}
+			md.Reset()
+		},
+		"bulk/internal/core.Machine.Reset": func() { tms.Reset() },
 
 		"bulk/internal/check.ReplayScheduler.Reset": func() { rs.Reset(schedPrefix, 16) },
 

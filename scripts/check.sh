@@ -46,8 +46,8 @@ go test . -run '^$' -bench 'TMRun|TLSRun|CkptRun' -benchtime 1x
 # against bench/baseline/lint.txt, must keep running too.
 go test ./internal/lint/ -run '^$' -bench 'LintModule|InferEffects' -benchtime 1x
 # One serial and one parallel iteration of the explorer-throughput
-# benchmark: a medium-budget sweep on pooled runners, each restoring its
-# base snapshot before every schedule, end to end.
+# benchmark: a medium-budget sweep on pooled runners, each resetting its
+# system in place before every schedule, end to end.
 go test . -run '^$' -bench 'CheckExplore/tm-sweep/(w1|w4)$' -benchtime 1x
 
 echo "== lint-suite wall-time ratchet =="
