@@ -9,8 +9,10 @@
 // checks that a clean copy passes every guard. It then plants the rows,
 // two at a time (one per copy): it applies a row, runs every guard against
 // it, and restores the copy. It prints the guard × row table and exits 1
-// when a listed guard misses its row, a row fails to apply or build, or
-// the clean copy fails a guard.
+// when a listed guard misses its row, a row fails to apply or build, the
+// clean copy fails a guard, or a bulklint rule is dominated: it catches
+// no row that every other guard misses, so internal/lint's keep rule
+// says to delete it.
 //
 // Run it from the module root:
 //
@@ -22,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	_ "embed"
 	"encoding/json"
 	"fmt"
@@ -159,11 +162,28 @@ func run() error {
 		}
 		fmt.Println()
 	}
-	if failed {
+	dom := dominated(guards, cells)
+	switch {
+	case failed:
 		return fmt.Errorf("a listed guard missed its row ('!')")
+	case len(dom) > 0:
+		return fmt.Errorf("no row is caught by %s alone", strings.Join(dom, ", "))
 	}
-	fmt.Printf("faultmatrix: %d rows, every listed guard caught its row\n", len(rows))
+	fmt.Printf("faultmatrix: %d rows, every listed guard caught its row, every rule caught one alone\n", len(rows))
 	return nil
+}
+
+// dominated returns the specs of the lint columns that catch no row alone:
+// each row they catch ('+' in cells) some other column catches too.
+func dominated(guards []guard, cells [][]byte) []string {
+	var out []string
+	for i, g := range guards {
+		alone := func(c []byte) bool { return c[i] == '+' && bytes.Count(c, []byte{'+'}) == 1 }
+		if g.kind == "lint" && !slices.ContainsFunc(cells, alone) {
+			out = append(out, g.spec)
+		}
+	}
+	return out
 }
 
 // plant applies r to the tree, runs every guard, and restores the tree.

@@ -45,3 +45,26 @@ func TestParseMatrixRejectsMalformedRows(t *testing.T) {
 		t.Fatalf("parsed %+v", rows)
 	}
 }
+
+// TestDominatedRules pins the keep rule over a synthetic table: a lint
+// column survives only with a row no other column catches.
+func TestDominatedRules(t *testing.T) {
+	guards := []guard{
+		{spec: "lint:alone", kind: "lint"},
+		{spec: "lint:shared", kind: "lint"},
+		{spec: "lint:blind", kind: "lint"},
+		{spec: "lint:silent", kind: "lint"},
+		{spec: "test:x:TestY", kind: "test"},
+	}
+	cells := [][]byte{
+		[]byte("+...."), // lint:alone and no other column
+		[]byte("++..."), // lint:shared, but lint:alone too
+		[]byte(".+..+"), // lint:shared, but the test too
+		[]byte("..+-+"), // lint:blind, but the test too; '-' is no catch
+		[]byte("....+"), // the test alone, which no rule needs to beat
+	}
+	got := strings.Join(dominated(guards, cells), " ")
+	if want := "lint:shared lint:blind lint:silent"; got != want {
+		t.Fatalf("dominated = %q, want %q", got, want)
+	}
+}

@@ -86,19 +86,13 @@ type Stats struct {
 // δ(W) with these masks and walk only the surviving sets, so a mostly-empty
 // or mostly-clean cache costs almost nothing to disambiguate against. The
 // masks share the []uint64 layout of sig.SetMask.
-//
-//bulklint:snapstate
 type Cache struct {
-	//bulklint:snapstate-ignore sets immutable geometry fixed at construction
-	sets int
-	ways int
-	//bulklint:snapstate-ignore lineBytes immutable geometry fixed at construction
-	lineBytes int
-	//bulklint:snapstate-ignore indexBits immutable geometry derived from sets
-	indexBits int
-	lines     []Line // sets*ways, row-major by set
-	clock     uint64
-	stats     Stats
+	// The geometry, fixed at construction.
+	sets, ways, lineBytes, indexBits int
+
+	lines []Line // sets*ways, row-major by set
+	clock uint64
+	stats Stats
 
 	validCnt  []uint16 // valid lines per set
 	dirtyCnt  []uint16 // dirty lines per set
@@ -414,7 +408,6 @@ func (c *Cache) CountState(st State) int {
 // way keeps its Data buffer for the next fill.
 //
 //bulklint:noalloc
-//bulklint:captures reset
 func (c *Cache) Reset() {
 	for w, m := range c.validMask {
 		for ; m != 0; m &= m - 1 {

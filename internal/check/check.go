@@ -47,8 +47,6 @@ import (
 )
 
 // Outcome is the judged result of one schedule's execution.
-//
-//bulklint:snapstate
 type Outcome struct {
 	// Err is a run-level failure (the runtime returned an error).
 	Err error

@@ -8,6 +8,7 @@ import (
 
 	"bulk/internal/cache"
 	"bulk/internal/ckpt"
+	"bulk/internal/det"
 	"bulk/internal/mutate"
 	"bulk/internal/sim"
 	"bulk/internal/tls"
@@ -22,6 +23,9 @@ const resetBoundaries = 24
 
 // resetIgnored names the fields the reset comparison skips, each with the
 // reason it may differ from a fresh build without changing any later run.
+// It is the one list of what a reset may leave: an entry that matches no
+// field in a full run of the test fails it, so a renamed or deleted field
+// takes its entry with it.
 // Three more differences are skipped by kind rather than by name: slice
 // capacity and nil against empty (Reset keeps storage); flatmap tables,
 // which compare by entry count because every table is empty at build and
@@ -83,8 +87,12 @@ func resetTargets() []Target {
 // through every field, unexported ones included. A field a Reset forgets
 // shows up as a named path, e.g. ".procs[1].procRun.attempts: 2 vs 0".
 func TestResetMatchesFreshBuild(t *testing.T) {
-	for _, tgt := range resetTargets() {
+	targets := resetTargets()
+	matched := map[string]bool{} // resetIgnored entries some walk skipped
+	ran := 0
+	for _, tgt := range targets {
 		t.Run(tgt.Name(), func(t *testing.T) {
+			ran++
 			sched := NewReplay(nil, 0)
 			fresh, err := tgt.build(sched, nil, 0)
 			if err != nil {
@@ -107,7 +115,7 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				sys.Reset()
-				if d := resetDiff(reflect.ValueOf(sys), reflect.ValueOf(fresh)); d != "" {
+				if d := resetDiff(reflect.ValueOf(sys), reflect.ValueOf(fresh), matched); d != "" {
 					t.Fatalf("reset after %d of %d ticks differs from a fresh build at %s", at, ticks, d)
 				}
 			}
@@ -122,17 +130,27 @@ func TestResetMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("default schedule failed: %s", out.Failure())
 			}
 			sys.Reset()
-			if d := resetDiff(reflect.ValueOf(sys), reflect.ValueOf(fresh)); d != "" {
+			if d := resetDiff(reflect.ValueOf(sys), reflect.ValueOf(fresh), matched); d != "" {
 				t.Fatalf("reset after a judged run differs from a fresh build at %s", d)
 			}
 		})
 	}
+	// Only complete walks over every target show an entry to be stale.
+	if ran < len(targets) || t.Failed() {
+		return
+	}
+	for _, name := range det.SortedKeys(resetIgnored) {
+		if !matched[name] {
+			t.Errorf("resetIgnored entry %s matched no field in any walk; delete it", name)
+		}
+	}
 }
 
 // resetDiff returns the path of the first difference between a reset
-// system and a fresh one, or "" when they agree.
-func resetDiff(a, b reflect.Value) string {
-	return (&resetWalk{seen: map[[2]uintptr]bool{}}).diff("", a, b)
+// system and a fresh one, or "" when they agree. It marks in matched each
+// resetIgnored entry whose field it skipped.
+func resetDiff(a, b reflect.Value, matched map[string]bool) string {
+	return (&resetWalk{seen: map[[2]uintptr]bool{}, matched: matched}).diff("", a, b)
 }
 
 // resetWalk compares two values field by field. It reads unexported
@@ -140,7 +158,8 @@ func resetDiff(a, b reflect.Value) string {
 // pointers once per pair, so the policy's back-pointer to its own system
 // ends the walk instead of looping.
 type resetWalk struct {
-	seen map[[2]uintptr]bool
+	seen    map[[2]uintptr]bool
+	matched map[string]bool
 }
 
 func (w *resetWalk) diff(path string, a, b reflect.Value) string {
@@ -229,6 +248,7 @@ func (w *resetWalk) diffStruct(path string, a, b reflect.Value) string {
 	for i := 0; i < a.NumField(); i++ {
 		f := st.Field(i)
 		if _, ok := resetIgnored[name+"."+f.Name]; ok {
+			w.matched[name+"."+f.Name] = true
 			continue
 		}
 		if d := w.diff(path+"."+f.Name, a.Field(i), b.Field(i)); d != "" {

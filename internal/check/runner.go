@@ -8,8 +8,6 @@ import "bulk/internal/mutate"
 // produce byte-identical Outcomes; the differential tests pin that. A
 // runner is not safe for concurrent use; the explorer gives each worker
 // its own.
-//
-//bulklint:snapstate
 type runner struct {
 	sys   system
 	sched *ReplayScheduler // reset per schedule
@@ -30,8 +28,6 @@ func (t Target) newRunner(muts mutate.Set) (*runner, error) {
 // RunSchedule executes the schedule prefix at the given recording depth
 // from the just-built state, filling out (which is reset first); the
 // runner's scheduler then holds the executed trace.
-//
-//bulklint:captures reset
 func (r *runner) RunSchedule(out *Outcome, prefix []int, depth int) {
 	out.reset()
 	r.viol = r.viol[:0]
@@ -53,8 +49,6 @@ func (r *runner) RunSchedule(out *Outcome, prefix []int, depth int) {
 
 // reset clears an Outcome for reuse, dropping retained slices so pooled
 // outcomes never alias a previous schedule's soundness log.
-//
-//bulklint:captures reset
 func (o *Outcome) reset() {
 	*o = Outcome{}
 }

@@ -151,8 +151,7 @@ type Result struct {
 }
 
 // procRun is a processor's scalar run state. Reset writes it whole, so
-// every scalar of a proc belongs here: snapstate reports one declared on
-// proc itself.
+// every scalar of a proc belongs here.
 type procRun struct {
 	exec trace.Executor
 
@@ -162,18 +161,14 @@ type procRun struct {
 	spec      bool // a speculative episode is running
 	attempts  int
 	specStart int64
-	ckptReg   uint64 // dependence register at the checkpoint
 	// stalled marks a non-speculative episode that has paid its miss; its
 	// read set is live for conflict checks until it commits.
 	stalled bool
 }
 
-//bulklint:snapstate
 type proc struct {
-	id int // immutable processor identity fixed at construction
-	//bulklint:snapstate-ignore cache core-owned; Machine.Reset resets it
-	cache *cache.Cache
-	//bulklint:snapstate-ignore module core-owned; Machine.Reset resets it
+	id     int // immutable processor identity fixed at construction
+	cache  *cache.Cache
 	module *bdm.Module
 	procRun
 
@@ -184,13 +179,9 @@ type proc struct {
 
 // System is a checkpointed-multiprocessor run in progress: the policy on
 // an embedded core.Machine.
-//
-//bulklint:snapstate
 type System struct {
 	core.Machine[Result]
-	//bulklint:snapstate-ignore opts immutable run configuration
-	opts Options
-	//bulklint:snapstate-ignore w immutable workload shared across schedules
+	opts  Options
 	w     *Workload
 	procs []*proc
 	stats Stats
@@ -200,8 +191,6 @@ type System struct {
 
 	// lineKeys is the reusable sorted buffer of a stalled episode's
 	// written lines, which its commit invalidates one by one.
-	//
-	//bulklint:snapstate-ignore lineKeys commit-path scratch dead between quanta
 	lineKeys []uint64
 }
 
@@ -237,9 +226,6 @@ func NewSystem(w *Workload, opts Options) (*System, error) {
 // just-built system starts from — every processor at its first unit with
 // no episode open and an empty footprint, zero counters and an empty
 // commit log — keeping every buffer's storage.
-//
-//bulklint:captures reset
-//bulklint:captures reset proc
 func (s *System) ResetPolicy() {
 	s.stats = Stats{}
 	s.log = s.log[:0]

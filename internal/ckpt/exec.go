@@ -150,7 +150,6 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 		p.spec = true
 		p.specStart = s.Engine.Now()
 		p.Footprint.Reset()
-		p.ckptReg = p.exec.LastRead()
 		if p.module != nil {
 			v, err := p.module.AllocVersion(p.id)
 			if err != nil {
@@ -363,7 +362,9 @@ func (s *System) rollbackInternal(q *proc) {
 	}
 	q.spec = false
 	q.Footprint.Reset()
-	q.exec.SetLastRead(q.ckptReg)
+	// The retry needs no restored dependence register: it runs
+	// non-speculatively from op 0, and runEpisodeStalled sets the register
+	// from the miss load before any op reads it, as Verify's replay does.
 	q.opIdx = 0
 	q.attempts++
 	// The retry waits for the real load value plus the restart overhead.
@@ -383,7 +384,6 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	if p.opIdx == 0 && !p.stalled {
 		p.stalled = true
 		p.Footprint.Reset()
-		p.ckptReg = p.exec.LastRead()
 		if p.attempts == 0 {
 			// Stall mode pays the full miss latency; a retry after a
 			// rollback already waited for the value.
@@ -448,7 +448,8 @@ func (s *System) restartStalled(q *proc) {
 	s.stats.Rollbacks++
 	s.stats.ConflictRollbacks++
 	q.Footprint.Reset()
-	q.exec.SetLastRead(q.ckptReg)
+	// As in rollbackInternal, the retry reloads the dependence register
+	// from the miss load before any op reads it.
 	q.opIdx = 0
 	q.attempts++
 	at := s.Engine.Now() + int64(s.opts.Params.SquashOverhead)

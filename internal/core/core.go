@@ -126,8 +126,6 @@ type BDM struct {
 // Machine is the simulated multiprocessor: committed memory, the event
 // engine, the bus traffic counters, and per processor an L1 cache and
 // optionally a BDM. R is the result type of the policy driving it.
-//
-//bulklint:snapstate
 type Machine[R any] struct {
 	Mem    *mem.Memory
 	Engine *sim.Engine
@@ -138,10 +136,10 @@ type Machine[R any] struct {
 	Caches  []*cache.Cache
 	Modules []*bdm.Module
 
-	//bulklint:snapstate-ignore cfg the run's shared options, immutable apart from the scheduler hook
-	cfg    *Config
+	cfg    *Config // the run's shared options
 	policy Policy[R]
-	//bulklint:snapstate-ignore keys sorted-key scratch of Apply, Drop, InvalidateLines and DigestMemory, dead between calls
+	// keys is the sorted-key scratch of Apply, Drop, InvalidateLines and
+	// DigestMemory, dead between calls.
 	keys []uint64
 }
 
@@ -194,7 +192,6 @@ func (m *Machine[R]) Init(cfg *Config, procs int, bulk *BDM, p Policy[R]) error 
 // configuration, not state: reinstall one with SetScheduler.
 //
 //bulklint:noalloc
-//bulklint:captures reset
 func (m *Machine[R]) Reset() {
 	m.Mem.Reset()
 	m.Engine.Reset()

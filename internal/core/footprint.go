@@ -13,8 +13,6 @@ import (
 // and Bulk's false positives are counted against it. The signature form
 // lives in the unit's BDM Version. Policies add to the sets at their
 // access sites, so the hot path pays no call.
-//
-//bulklint:snapstate
 type Footprint struct {
 	// Buf maps each written word to its buffered value; its keys are the
 	// exact write set in words.
@@ -25,15 +23,11 @@ type Footprint struct {
 	ReadL  flatmap.Set
 	WriteL flatmap.Set
 	// Version is the unit's BDM version; nil without signatures.
-	//
-	//bulklint:snapstate-ignore Version the policy's to allocate and free, so Reset leaves it
 	Version *bdm.Version
 }
 
 // Reset empties the buffer and the sets, keeping their capacity. The
 // version is the policy's to allocate and free, so Reset leaves it.
-//
-//bulklint:captures reset
 func (f *Footprint) Reset() {
 	f.Buf.Reset()
 	f.ReadW.Reset()

@@ -3,10 +3,10 @@
 // The simulator's experimental claims rest on properties nothing in the
 // compiler enforces: determinism (identical seeds must produce byte-identical
 // runs, so map-iteration order and ambient randomness must never reach
-// simulator state), the Bulk invariants of Ceze et al. (ISCA 2006) — shared
-// mutable state on the commit paths is touched only under its lock, and
-// every field of a pooled system's run state is reset — and the
-// zero-allocation contract of the signature/flatmap/cache hot kernels.
+// simulator state), lock discipline (shared mutable state is touched only
+// under its lock), the purity of the replay oracles and scheduler hooks,
+// and the zero-allocation contract of the signature/flatmap/cache hot
+// kernels.
 // bulklint parses and type-checks every package in the module using only
 // the Go standard library, builds a module-wide static call graph, and runs
 // a suite of analyzers — some per-node pattern matches, some flow- and
@@ -15,7 +15,7 @@
 //
 // Each rule is kept because some fault in cmd/faultmatrix's matrix is
 // caught by it and by no other guard; a guard another guard dominates is
-// deleted. Rules:
+// deleted, and faultmatrix fails while one rule is dominated. Rules:
 //
 //   - maprange:   a `for … range` over a builtin map. Range over
 //     det.SortedKeys(m) instead, or waive with `//bulklint:ordered <why>`.
@@ -48,11 +48,6 @@
 //   - layerdep:   the package-layer DAG declared in
 //     internal/lint/layers.txt is enforced against actual imports; an
 //     intra-module import must target a strictly lower layer.
-//   - snapstate:  field-coverage proof for Reset methods. A struct
-//     annotated `//bulklint:snapstate` must have every non-ignored field
-//     referenced — directly or via static callees — in each method
-//     annotated `//bulklint:captures reset`. Waive one field with
-//     `//bulklint:snapstate-ignore <field> <why>`.
 //   - capturesafe: a variable captured by a worker closure (par.ForEach /
 //     par.Map / par.StealForEach bodies, `go` statements) and written
 //     there must land in a slice/array index slot, under a held lock, or
@@ -106,7 +101,6 @@ func Analyzers() []*Analyzer {
 		analyzerNoalloc(),
 		analyzerPureHook(),
 		analyzerLayerDep(),
-		analyzerSnapState(),
 		analyzerCaptureSafe(),
 		analyzerStaleWaiver(),
 	}

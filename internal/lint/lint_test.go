@@ -296,7 +296,7 @@ func B(m map[int]int) []int {
 }
 
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{"maprange", "randsrc", "guardedby", "droppederr", "nakedpanic", "noalloc", "purehook", "layerdep", "snapstate", "capturesafe", "stalewaiver"}
+	want := []string{"maprange", "randsrc", "guardedby", "droppederr", "nakedpanic", "noalloc", "purehook", "layerdep", "capturesafe", "stalewaiver"}
 	got := AnalyzerNames()
 	if len(got) != len(want) {
 		t.Fatalf("AnalyzerNames() = %v, want %v", got, want)

@@ -402,32 +402,6 @@ func (p *Package) funcDirective(fset *token.FileSet, fd *ast.FuncDecl, name stri
 	return nil
 }
 
-// funcAnnotationsAll returns every directive with the given name attached
-// to the function declaration itself (doc-comment lines through the `func`
-// line), in line order. The snapstate rule needs all of them: one reset
-// method may carry several //bulklint:captures entries, each naming a
-// different type list.
-func (p *Package) funcAnnotationsAll(fset *token.FileSet, fd *ast.FuncDecl, name string) []*directive {
-	file := fset.Position(fd.Pos()).Filename
-	byLine := p.directives[file]
-	if byLine == nil {
-		return nil
-	}
-	start := fset.Position(fd.Pos()).Line
-	if fd.Doc != nil {
-		start = fset.Position(fd.Doc.Pos()).Line
-	}
-	var out []*directive
-	for line := start; line <= fset.Position(fd.Pos()).Line; line++ {
-		for _, d := range byLine[line] {
-			if d.name == name {
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
 // funcAnnotation returns a directive with the given name attached to the
 // function declaration itself: on a doc-comment line or the `func` line,
 // not inside the body. Used for //bulklint:noalloc.

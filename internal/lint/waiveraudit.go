@@ -32,12 +32,9 @@ var waiverRule = map[string]string{
 // unattached maps each annotation directive to the audit message for one
 // that ends a run attached to no declaration.
 var unattached = map[string]string{
-	"guardedby":        "//bulklint:guardedby annotation is not attached to a struct field",
-	"noalloc":          "//bulklint:noalloc annotation is not attached to a function declaration",
-	"purehook":         "//bulklint:purehook annotation is not attached to a function declaration",
-	"snapstate":        "//bulklint:snapstate annotation is not attached to a struct type declaration",
-	"captures":         "//bulklint:captures annotation is not attached to a function declaration",
-	"snapstate-ignore": "stale //bulklint:snapstate-ignore waiver: the field is fully covered in every captures method (or the ignore attaches to no snapstate struct); delete it",
+	"guardedby": "//bulklint:guardedby annotation is not attached to a struct field",
+	"noalloc":   "//bulklint:noalloc annotation is not attached to a function declaration",
+	"purehook":  "//bulklint:purehook annotation is not attached to a function declaration",
 }
 
 func analyzerStaleWaiver() *Analyzer {
@@ -69,7 +66,7 @@ func auditDirective(file string, d *directive, known map[string]bool, r *Reporte
 	switch {
 	case !isWaiver && !isAnnotation:
 		r.reportAt(file, d.line, d.col, "stalewaiver",
-			"unknown //bulklint:%s directive (known: allow, captures, guardedby, invariant, locked, noalloc, ordered, purehook, snapstate, snapstate-ignore)", d.name)
+			"unknown //bulklint:%s directive (known: allow, guardedby, invariant, locked, noalloc, ordered, purehook)", d.name)
 		return
 	case d.name == "allow":
 		rule, _, _ = strings.Cut(d.arg, " ")

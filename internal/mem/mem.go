@@ -43,8 +43,6 @@ type Word uint64
 const WordsPerLine = 16
 
 // Memory is a sparse word-addressed committed memory image.
-//
-//bulklint:snapstate
 type Memory struct {
 	words flatmap.Map[Word]
 	// lines maps a line address to the mask of its non-zero words (bit w
@@ -116,7 +114,6 @@ func (m *Memory) Len() int { return m.words.Len() }
 // regrowing them.
 //
 //bulklint:noalloc
-//bulklint:captures reset
 func (m *Memory) Reset() {
 	m.words.Reset()
 	m.lines.Reset()
@@ -196,8 +193,6 @@ type ovLine struct {
 
 // OverflowArea holds the speculative dirty lines a thread evicted from its
 // cache: line addresses plus the per-word values at eviction time.
-//
-//bulklint:snapstate
 type OverflowArea struct {
 	lines flatmap.Map[ovLine]
 	stats OverflowStats
@@ -278,7 +273,6 @@ func (o *OverflowArea) Lines() []uint64 {
 // counters, the line table's capacity kept.
 //
 //bulklint:noalloc
-//bulklint:captures reset
 func (o *OverflowArea) Reset() {
 	o.lines.Reset()
 	o.stats = OverflowStats{}

@@ -304,15 +304,19 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.setStatus(StatusRunning, "")
 
-	ctx, cancelTimeout := context.WithTimeoutCause(j.ctx, j.timeout, context.DeadlineExceeded)
-	defer cancelTimeout()
+	// The timeout cancels the job's own context rather than a child of it:
+	// a canceled context closes its Done channel before it cancels its
+	// children, so with a child a cell could still see a live context
+	// after a waiter saw the job's die.
+	timer := time.AfterFunc(j.timeout, func() { j.cancel(context.DeadlineExceeded) })
+	defer timer.Stop()
 
-	result, err := s.executeCells(ctx, j)
+	result, err := s.executeCells(j.ctx, j)
 	switch {
 	case err == nil:
 		s.metrics.counters.add(func(v *countersView) { v.Completed++ })
 		j.finish(result)
-	case canceledErr(err) || ctx.Err() != nil:
+	case canceledErr(err) || j.ctx.Err() != nil:
 		s.metrics.counters.add(func(v *countersView) { v.Canceled++ })
 		j.setStatus(StatusCanceled, describeCause(err))
 	default:

@@ -32,8 +32,7 @@ const (
 )
 
 // taskRun is a task's scalar run state. Reset writes it whole, so every
-// scalar of a task belongs here: snapstate reports one declared on task
-// itself.
+// scalar of a task belongs here.
 type taskRun struct {
 	state    taskState
 	proc     int // -1 when unassigned
@@ -53,7 +52,6 @@ type taskRun struct {
 	restartAt int64
 }
 
-//bulklint:snapstate
 type task struct {
 	idx int // immutable task identity fixed at construction
 	taskRun
@@ -83,13 +81,9 @@ type procRun struct {
 	parkedAt int64 // when the processor last parked, for StallCycles
 }
 
-//bulklint:snapstate
 type proc struct {
-	//bulklint:snapstate-ignore id immutable processor identity fixed at construction
-	id int
-	//bulklint:snapstate-ignore cache core-owned; Machine.Reset resets it
-	cache *cache.Cache
-	//bulklint:snapstate-ignore module core-owned; Machine.Reset resets it
+	id     int
+	cache  *cache.Cache
 	module *bdm.Module // Bulk only
 	procRun
 	tasks []int // assigned uncommitted task indices, ascending
@@ -97,13 +91,9 @@ type proc struct {
 
 // System is a TLS run in progress: the policy on an embedded
 // core.Machine.
-//
-//bulklint:snapstate
 type System struct {
 	core.Machine[Result]
-	//bulklint:snapstate-ignore opts immutable run configuration
-	opts Options
-	//bulklint:snapstate-ignore w immutable workload shared across schedules
+	opts  Options
 	w     *workload.TLSWorkload
 	procs []*proc
 	tasks []*task
@@ -115,8 +105,6 @@ type System struct {
 
 	// keyScratch is the reusable sorted-key buffer for the Lazy commit's
 	// line merge.
-	//
-	//bulklint:snapstate-ignore keyScratch commit-path scratch dead between quanta
 	keyScratch []uint64
 }
 
@@ -162,9 +150,6 @@ func NewSystem(w *workload.TLSWorkload, opts Options) (*System, error) {
 // just-built system starts from — the first task spawnable, every other
 // unspawned and unassigned with an empty footprint, no processor holding a
 // task, zero counters — keeping every buffer's storage.
-//
-//bulklint:captures reset
-//bulklint:captures reset proc task
 func (s *System) ResetPolicy() {
 	s.stats = Stats{}
 	s.commitNext = 0

@@ -19,8 +19,6 @@ import (
 // transaction: its own footprint — a write-buffer layer, exact sets, and
 // (Bulk) BDM version — plus the executor checkpoint taken at its start
 // (Figure 8).
-//
-//bulklint:snapstate
 type section struct {
 	core.Footprint
 	startOp  int
@@ -28,8 +26,7 @@ type section struct {
 }
 
 // procRun is a processor's scalar run state. Reset writes it whole, so
-// every scalar of a proc belongs here: snapstate reports one declared on
-// proc itself.
+// every scalar of a proc belongs here.
 type procRun struct {
 	exec trace.Executor
 
@@ -46,13 +43,9 @@ type procRun struct {
 }
 
 // proc is one simulated processor and the thread pinned to it.
-//
-//bulklint:snapstate
 type proc struct {
-	id int // immutable processor identity fixed at construction
-	//bulklint:snapstate-ignore cache core-owned; Machine.Reset resets it
-	cache *cache.Cache
-	//bulklint:snapstate-ignore module core-owned; Machine.Reset resets it
+	id     int // immutable processor identity fixed at construction
+	cache  *cache.Cache
 	module *bdm.Module // Bulk only
 	over   *mem.OverflowArea
 	procRun
@@ -71,13 +64,9 @@ type proc struct {
 func (p *proc) inTxn() bool { return len(p.sections) > 0 }
 
 // System is a TM run in progress: the policy on an embedded core.Machine.
-//
-//bulklint:snapstate
 type System struct {
 	core.Machine[Result]
-	//bulklint:snapstate-ignore opts immutable run configuration
-	opts Options
-	//bulklint:snapstate-ignore w immutable workload shared across schedules
+	opts  Options
 	w     *workload.TMWorkload
 	procs []*proc
 
@@ -88,25 +77,16 @@ type System struct {
 
 	// commitWC is the reusable broadcast signature for multi-section Bulk
 	// commits (single-section commits broadcast the section's W directly).
-	//
-	//bulklint:snapstate-ignore commitWC commit-path scratch dead between quanta
 	commitWC *sig.Signature
 
 	// spillWords is the reusable word buffer for overflow-area spills
 	// (accesses are serialized, so one buffer serves every proc).
-	//
-	//bulklint:snapstate-ignore spillWords spill scratch dead between quanta
 	spillWords [core.WordsPerLine]mem.Word
 	// keyScratch is the reusable sorted-key buffer for the commit's clean
 	// downgrade and the preemption spill.
-	//
-	//bulklint:snapstate-ignore keyScratch commit-path scratch dead between quanta
 	keyScratch []uint64
 	// wlScratch/rlScratch hold the committer's write/read line unions for
 	// the duration of a commit.
-	//
-	//bulklint:snapstate-ignore wlScratch commit-path scratch dead between quanta
-	//bulklint:snapstate-ignore rlScratch commit-path scratch dead between quanta
 	wlScratch, rlScratch flatmap.Set
 }
 
@@ -163,9 +143,6 @@ func NewSystem(w *workload.TMWorkload, opts Options) (*System, error) {
 // empty overflow areas, zero counters and an empty commit log — keeping
 // every buffer's storage. Section structs stay in the stack's backing
 // array, where pushSection recycles them.
-//
-//bulklint:captures reset
-//bulklint:captures reset proc
 func (s *System) ResetPolicy() {
 	s.stats = Stats{}
 	s.log = s.log[:0]
@@ -328,8 +305,6 @@ func (s *System) beginTxn(p *proc, seg *workload.TMSegment) {
 // squash and Reset truncate with [:0] rather than dropping it), so the
 // write buffers and exact sets keep their capacity from one transaction to
 // the next. A recycled section is reset here, field by field.
-//
-//bulklint:captures reset section
 func (s *System) pushSection(p *proc, startOp int) {
 	n := len(p.sections)
 	sec := p.growSections()

@@ -52,8 +52,8 @@ go test . -run '^$' -bench 'CheckExplore/tm-sweep/(w1|w4)$' -benchtime 1x
 
 echo "== lint-suite wall-time ratchet =="
 # The suite's cost must not blow up: the full BenchmarkLintModule run (all
-# eleven analyzers) has to stay under 2x the committed baseline in
-# bench/baseline/lint.txt, captured when the suite also had eleven.
+# ten analyzers) has to stay under 2x the committed baseline in
+# bench/baseline/lint.txt, captured when the suite had eleven.
 lint_base_ns=$(awk '/^BenchmarkLintModule/ { print $3; exit }' bench/baseline/lint.txt)
 lint_now_ns=$(go test ./internal/lint/ -run '^$' -bench 'LintModule$' \
   | awk '/^BenchmarkLintModule/ { print $3; exit }')
