@@ -37,9 +37,9 @@ var resetIgnored = map[string]string{
 	"bulk/internal/tm.System.commitWC":    "commit-path scratch dead between quanta",
 	"bulk/internal/tm.System.spillWords":  "spill scratch dead between quanta",
 	"bulk/internal/tm.System.keyScratch":  "commit-path scratch dead between quanta",
-	"bulk/internal/tm.System.wlScratch":   "commit-path scratch dead between quanta",
-	"bulk/internal/tm.System.rlScratch":   "commit-path scratch dead between quanta",
+	"bulk/internal/tm.System.union":       "commit-path scratch dead between quanta",
 	"bulk/internal/tls.System.keyScratch": "commit-path scratch dead between quanta",
+	"bulk/internal/tls.System.pool":       "empty pooled footprints; which task draws which changes no result",
 	"bulk/internal/ckpt.System.lineKeys":  "commit-path scratch dead between quanta",
 }
 

@@ -84,7 +84,7 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				continue
 			}
-			if q.ReadL.Has(line) {
+			if q.Line(line).R != 0 {
 				s.restartStalled(q)
 			}
 			continue
@@ -93,7 +93,8 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 			continue
 		}
 		hit := false
-		exact := q.ReadL.Has(line) || q.WriteL.Has(line)
+		m := q.Line(line)
+		exact := m.R|m.W != 0
 		if q.module != nil {
 			hit = q.module.DisambiguateAddr(q.Version, sig.Addr(line))
 			if s.opts.Probe != nil {
@@ -201,16 +202,16 @@ func (s *System) stepEpisode(p *proc, e *Episode) error {
 	}
 }
 
-// recordRead notes a speculative read of a word.
+// recordRead notes a speculative read of a word and returns the value the
+// episode buffers for it, if it wrote it.
 //
 //bulklint:noalloc
-func (s *System) recordRead(p *proc, word uint64) {
-	line := core.LineOf(word)
-	p.ReadW.Add(word)
-	p.ReadL.Add(line)
+func (s *System) recordRead(p *proc, word uint64) (uint64, bool) {
+	v, buffered := p.Read(word)
 	if p.module != nil {
-		p.module.OnRead(p.Version, sig.Addr(line))
+		p.module.OnRead(p.Version, sig.Addr(core.LineOf(word)))
 	}
+	return v, buffered
 }
 
 // specOp executes one speculative episode op.
@@ -219,14 +220,13 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 	cost := 0
 	switch op.Kind {
 	case trace.Read:
-		if v, ok := p.Buf.Get(op.Addr); ok {
+		if v, ok := s.recordRead(p, op.Addr); ok {
 			p.exec.SetLastRead(v)
 			cost = s.opts.Params.HitLatency
 		} else {
 			cost = s.access(p, line, false)
 			p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 		}
-		s.recordRead(p, op.Addr)
 	default:
 		if p.module != nil {
 			d := p.module.PrepareWrite(p.Version, sig.Addr(line))
@@ -242,8 +242,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 			}
 		}
 		cost = s.access(p, line, true)
-		p.Buf.Put(op.Addr, p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op))
-		p.WriteL.Add(line)
+		p.Write(op.Addr, p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op))
 		if p.module != nil {
 			p.module.CommitWrite(p.Version, sig.Addr(line))
 		}
@@ -264,7 +263,7 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 		packet = bus.SignatureCommitBytes(sig.RLEncodedBits(wc))
 	} else {
 		// Exact mode: the packet lists the committed write lines.
-		packet = bus.AddressListCommitBytes(p.WriteL.Len())
+		packet = bus.AddressListCommitBytes(p.Lines(core.Writes))
 	}
 	s.Bus.RecordCommit(packet)
 	busDone := s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packet))
@@ -281,14 +280,7 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 		}
 		switch {
 		case q.spec:
-			exact := false
-			p.Buf.Range(func(wAddr, _ uint64) bool { // order-independent boolean reduction
-				if q.ReadW.Has(wAddr) || q.Buf.Has(wAddr) {
-					exact = true
-					return false
-				}
-				return true
-			})
+			exact := p.Overlap(q.Line, false).Words > 0
 			hit := exact
 			if q.module != nil && wc != nil {
 				hit = q.module.Disambiguate(q.Version, wc)
@@ -306,18 +298,14 @@ func (s *System) commitEpisode(p *proc, e *Episode) {
 			if s.opts.Mutate.Has(mutate.SkipStalledRestart) {
 				break
 			}
-			p.Buf.Range(func(wAddr, _ uint64) bool { // restart fires at most once, on any hit
-				if q.ReadW.Has(wAddr) {
-					s.restartStalled(q)
-					return false
-				}
-				return true
-			})
+			if p.Overlap(q.Line, false).Read {
+				s.restartStalled(q)
+			}
 		}
 		if q.module != nil && wc != nil {
 			q.module.CommitInvalidate(wc)
 		} else {
-			s.InvalidateLines(q.id, &p.WriteL)
+			s.InvalidateLines(q.id, &p.Footprint)
 		}
 	}
 
@@ -358,7 +346,7 @@ func (s *System) rollbackInternal(q *proc) {
 		q.module.FreeVersion(q.Version)
 		q.Version = nil
 	} else {
-		s.Drop(q.id, &q.WriteL, cache.Dirty)
+		s.Drop(q.id, &q.Footprint, core.Writes, cache.Dirty)
 	}
 	q.spec = false
 	q.Footprint.Reset()
@@ -394,24 +382,20 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	}
 	if p.opIdx == 0 {
 		p.exec.SetLastRead(uint64(s.Mem.Read(e.MissAddr)))
-		p.ReadW.Add(e.MissAddr)
-		p.ReadL.Add(core.LineOf(e.MissAddr))
+		p.Read(e.MissAddr)
 	}
 	if p.opIdx < len(e.Ops) {
 		op := e.Ops[p.opIdx]
 		line := core.LineOf(op.Addr)
 		cost := s.access(p, line, op.Kind != trace.Read)
 		if op.Kind == trace.Read {
-			p.ReadW.Add(op.Addr)
-			p.ReadL.Add(line)
-			if v, ok := p.Buf.Get(op.Addr); ok {
+			if v, ok := p.Read(op.Addr); ok {
 				p.exec.SetLastRead(v)
 			} else {
 				p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 			}
 		} else {
-			p.Buf.Put(op.Addr, p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op))
-			p.WriteL.Add(line)
+			p.Write(op.Addr, p.exec.WriteValue(opIndexFor(p.unit, p.opIdx), op))
 		}
 		p.opIdx++
 		s.Engine.Advance(p.id, int(op.Think)+cost)
@@ -426,7 +410,7 @@ func (s *System) runEpisodeStalled(p *proc, e *Episode) error {
 	// Apply atomically, invalidate, and log one unit. The invalidation
 	// traffic is charged as one coalesced batch.
 	s.Apply(&p.Footprint)
-	s.lineKeys = p.WriteL.SortedKeys(s.lineKeys[:0])
+	s.lineKeys = p.SortedLines(s.lineKeys[:0], core.Writes)
 	s.Bus.RecordN(bus.Inv, bus.InvalidationBytes, len(s.lineKeys))
 	for _, l := range s.lineKeys {
 		s.applyRemoteInvalidation(p, l)

@@ -10,9 +10,11 @@
 // 4-byte words. It owns the options every runtime shares (Config), the
 // drive loop (RunUntil, Run, Finish, SetScheduler), and Reset, which
 // returns a pooled machine to its just-built state. It owns the exact form
-// of a speculative footprint too (Footprint: a write buffer and exact read
-// and write sets) and the three exact bulk operations on one — Apply, Drop
-// and InvalidateLines, twins of the BDM's signature operations. A runtime
+// of a speculative footprint too (Footprint: one table keyed by line, each
+// entry the masks of the words read, written and written after a spawn,
+// and a block of buffered values per written line) and the three exact
+// bulk operations on one — Apply, Drop and InvalidateLines, twins of the
+// BDM's signature operations. A runtime
 // embeds a Machine in its System and installs itself as the Policy: what
 // one scheduling quantum does, how a finished run's result is assembled,
 // and how its own state returns to the just-built one.

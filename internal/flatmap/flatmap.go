@@ -57,12 +57,8 @@ func (m *Map[V]) Len() int { return m.n }
 //
 //bulklint:noalloc
 func (m *Map[V]) Get(k uint64) (V, bool) {
-	if m.n != 0 {
-		for i := m.slot(k); m.isUsed(i); i = (i + 1) & m.mask {
-			if m.keys[i] == k {
-				return m.vals[i], true
-			}
-		}
+	if p := m.Lookup(k); p != nil {
+		return *p, true
 	}
 	var zero V
 	return zero, false
@@ -76,25 +72,50 @@ func (m *Map[V]) Has(k uint64) bool {
 	return ok
 }
 
+// Lookup returns a pointer to the value stored under k, or nil when k is
+// absent, so a caller updates an entry in place. The pointer is valid
+// until the next insertion or deletion.
+//
+//bulklint:noalloc
+func (m *Map[V]) Lookup(k uint64) *V {
+	if m.n != 0 {
+		for i := m.slot(k); m.isUsed(i); i = (i + 1) & m.mask {
+			if m.keys[i] == k {
+				return &m.vals[i]
+			}
+		}
+	}
+	return nil
+}
+
 // Put stores v under k, replacing any previous value.
 //
 //bulklint:noalloc
-func (m *Map[V]) Put(k uint64, v V) {
+func (m *Map[V]) Put(k uint64, v V) { *m.Upsert(k) = v }
+
+// Upsert returns a pointer to the value stored under k, first inserting
+// the zero value when k is absent: a read-modify-write of an entry costs
+// one probe, where Get and Put cost two. The pointer is valid until the
+// next insertion or deletion.
+//
+//bulklint:noalloc
+func (m *Map[V]) Upsert(k uint64) *V {
 	if 4*(m.n+1) > 3*len(m.keys) {
 		m.grow() //bulklint:allow noalloc amortized growth; simulators pre-size hot tables
 	}
 	i := m.slot(k)
 	for m.isUsed(i) {
 		if m.keys[i] == k {
-			m.vals[i] = v
-			return
+			return &m.vals[i]
 		}
 		i = (i + 1) & m.mask
 	}
+	// A free slot holds the zero value: Delete and Reset clear what they
+	// free.
 	m.keys[i] = k
-	m.vals[i] = v
 	m.setUsed(i)
 	m.n++
+	return &m.vals[i]
 }
 
 // grow doubles the capacity (or allocates the first table) and reinserts
@@ -216,9 +237,8 @@ func (m *Map[V]) SortedKeys(dst []uint64) []uint64 {
 }
 
 // Set is an open-addressed set of uint64 keys with the same determinism and
-// capacity-reuse properties as Map. The zero value is an empty set. It
-// replaces the simulator's former map[uint64]bool exact-tracking sets,
-// whose per-restart reallocation dominated the allocation profile.
+// capacity-reuse properties as Map: the model checker's fingerprint and
+// visited-schedule sets. The zero value is an empty set.
 type Set struct {
 	m Map[struct{}]
 }
@@ -236,22 +256,10 @@ func (s *Set) Has(k uint64) bool { return s.m.Has(k) }
 //bulklint:noalloc
 func (s *Set) Add(k uint64) { s.m.Put(k, struct{}{}) }
 
-// Delete removes k, reporting whether it was present.
-//
-//bulklint:noalloc
-func (s *Set) Delete(k uint64) bool { return s.m.Delete(k) }
-
 // Reset empties the set, keeping capacity for reuse.
 //
 //bulklint:noalloc
 func (s *Set) Reset() { s.m.Reset() }
-
-// Range calls fn for every member in storage order, stopping early if fn
-// returns false. The same discipline as Map.Range applies: storage order
-// must never reach simulator-visible state.
-func (s *Set) Range(fn func(k uint64) bool) {
-	s.m.Range(func(k uint64, _ struct{}) bool { return fn(k) })
-}
 
 // SortedKeys appends every member to dst in ascending order and returns
 // the extended slice.

@@ -171,9 +171,9 @@ func TestDeleteChains(t *testing.T) {
 	}
 }
 
-// TestSetDifferentialAgainstBuiltinMap drives random add/delete/reset
-// sequences through Set and a map[uint64]bool in lockstep — Set wraps Map
-// but its simulator role (exact read/write-set tracking) warrants its own
+// TestSetDifferentialAgainstBuiltinMap drives random add/reset sequences
+// through Set and a map[uint64]bool in lockstep — Set wraps Map but its
+// checker role (fingerprint and visited sets) warrants its own
 // differential check.
 func TestSetDifferentialAgainstBuiltinMap(t *testing.T) {
 	r := rng.New(0x5E7)
@@ -185,11 +185,6 @@ func TestSetDifferentialAgainstBuiltinMap(t *testing.T) {
 		case r.Bool(0.5):
 			fs.Add(k)
 			ref[k] = true
-		case r.Bool(0.6):
-			if got := fs.Delete(k); got != ref[k] {
-				t.Fatalf("step %d: Delete(%d) = %v, want %v", step, k, got, ref[k])
-			}
-			delete(ref, k)
 		case r.Bool(0.02):
 			fs.Reset()
 			ref = map[uint64]bool{}
@@ -209,17 +204,6 @@ func TestSetDifferentialAgainstBuiltinMap(t *testing.T) {
 	slices.Sort(want)
 	if got := fs.SortedKeys(nil); !slices.Equal(got, want) {
 		t.Fatalf("SortedKeys = %v, want %v", got, want)
-	}
-	n := 0
-	fs.Range(func(k uint64) bool {
-		if !ref[k] {
-			t.Fatalf("Range yielded non-member %d", k)
-		}
-		n++
-		return true
-	})
-	if n != len(ref) {
-		t.Fatalf("Range yielded %d members, want %d", n, len(ref))
 	}
 }
 

@@ -42,16 +42,23 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/check.hashSchedule exported=false",
 		"bulk/internal/check.hashStep exported=false",
 		"bulk/internal/ckpt.System.recordRead exported=false",
+		"bulk/internal/core.Footprint.Line exported=true",
+		"bulk/internal/core.Footprint.Read exported=true",
+		"bulk/internal/core.Footprint.Value exported=true",
+		"bulk/internal/core.Footprint.Write exported=true",
+		"bulk/internal/core.Footprint.WriteShadow exported=true",
 		"bulk/internal/core.LineOf exported=true",
 		"bulk/internal/core.Machine.Reset exported=true",
+		"bulk/internal/core.WordBit exported=true",
 		"bulk/internal/flatmap.Map.Delete exported=true",
 		"bulk/internal/flatmap.Map.Get exported=true",
 		"bulk/internal/flatmap.Map.Has exported=true",
+		"bulk/internal/flatmap.Map.Lookup exported=true",
 		"bulk/internal/flatmap.Map.Put exported=true",
 		"bulk/internal/flatmap.Map.Reset exported=true",
 		"bulk/internal/flatmap.Map.SortedKeys exported=true",
+		"bulk/internal/flatmap.Map.Upsert exported=true",
 		"bulk/internal/flatmap.Set.Add exported=true",
-		"bulk/internal/flatmap.Set.Delete exported=true",
 		"bulk/internal/flatmap.Set.Has exported=true",
 		"bulk/internal/flatmap.Set.Reset exported=true",
 		"bulk/internal/flatmap.Set.SortedKeys exported=true",
@@ -89,12 +96,7 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/tls.System.mergeLine exported=false",
 		"bulk/internal/tm.System.mergeLine exported=false",
 		"bulk/internal/tm.proc.bufLookup exported=false",
-		"bulk/internal/tm.proc.inReadSet exported=false",
-		"bulk/internal/tm.proc.inWriteSet exported=false",
-		"bulk/internal/tm.proc.readWord exported=false",
-		"bulk/internal/tm.proc.unionReadLines exported=false",
-		"bulk/internal/tm.proc.unionWriteLines exported=false",
-		"bulk/internal/tm.proc.wroteWord exported=false",
+		"bulk/internal/tm.proc.masks exported=false",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("kernel count = %d, want %d\ngot: %v", len(got), len(want), got)

@@ -61,6 +61,10 @@ func (s Status) terminal() bool {
 // errCanceled is the cancellation cause for explicit DELETE requests.
 var errCanceled = errors.New("canceled by client")
 
+// errJobDone releases a job's context once the job is terminal, so a
+// finished job does not stay a child of the server's base context.
+var errJobDone = errors.New("job finished")
+
 // errClientGone is the cancellation cause when the owning client
 // disconnected (sync /run callers and cancel-bound streamers).
 var errClientGone = errors.New("client disconnected")

@@ -287,8 +287,10 @@ func (s *Server) worker() {
 }
 
 // runJob executes one claimed job end to end, translating panics into
-// failed status so a poisoned workload cannot kill the daemon.
+// failed status so a poisoned workload cannot kill the daemon. Whatever the
+// terminal status, the job's context is canceled after it is set.
 func (s *Server) runJob(j *Job) {
+	defer j.cancel(errJobDone)
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.counters.add(func(v *countersView) { v.Panics++; v.Failed++ })

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -504,5 +505,37 @@ func TestRegistryTrimForgetsFinishedJobs(t *testing.T) {
 	// The newest job must survive trimming.
 	if _, ok := s.Job(fmt.Sprintf("job-%06d", 4)); !ok {
 		t.Errorf("newest job was trimmed")
+	}
+}
+
+// TestFinishedJobsReleaseTheirContexts: once a job is terminal its context
+// is canceled, trimmed from the registry or not, so a long-running daemon
+// does not keep one child of its base context per job it ever ran.
+func TestFinishedJobsReleaseTheirContexts(t *testing.T) {
+	s := New(Config{Workers: 1, MaxJobs: 2})
+	defer s.Close()
+	var jobs []*Job
+	for i := 0; i < 20; i++ {
+		j, err := s.Submit(Request{Kind: "exhibit", Exhibit: "table8", Quick: true})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		<-j.done
+		jobs = append(jobs, j)
+	}
+	// Drain returns once every worker has left runJob; the base context
+	// stays live, so only the jobs' own cancels can have ended theirs.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if s.baseCtx.Err() != nil {
+		t.Fatal("the base context was canceled; the test shows nothing")
+	}
+	for _, j := range jobs {
+		if j.ctx.Err() == nil {
+			t.Errorf("%s is %s with its context still live", j.ID, j.status)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func (s *System) commitTask(t *task) {
 		packetBytes = bus.HeaderBytes
 		s.Bus.Record(bus.Coh, packetBytes)
 	case Lazy:
-		packetBytes = bus.AddressListCommitBytes(t.Buf.Len())
+		packetBytes = bus.AddressListCommitBytes(t.WrittenWords())
 		s.Bus.RecordCommit(packetBytes)
 	case Bulk:
 		bits := sig.RLEncodedBits(t.Version.W)
@@ -50,9 +50,9 @@ func (s *System) commitTask(t *task) {
 	s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
 
 	// Commit the values.
-	s.Apply(&t.Footprint)
-	s.stats.ReadSetWords += uint64(t.ReadW.Len())
-	s.stats.WriteSetWords += uint64(t.Buf.Len())
+	s.Apply(t.Footprint)
+	s.stats.ReadSetWords += uint64(t.ReadWords())
+	s.stats.WriteSetWords += uint64(t.WrittenWords())
 
 	// Disambiguate more-speculative tasks; the first violator and its
 	// children are squashed.
@@ -65,8 +65,8 @@ func (s *System) commitTask(t *task) {
 	if t.Version != nil {
 		p.module.ClearVersion(t.Version)
 		p.module.FreeVersion(t.Version)
-		t.Version = nil
 	}
+	s.release(t)
 	for i, ti := range p.tasks {
 		if ti == t.idx {
 			p.tasks = append(p.tasks[:i], p.tasks[i+1:]...)
@@ -95,29 +95,13 @@ func (s *System) disambiguateCommit(t *task) {
 		// Exact ground truth: the dependence set is the committer's write
 		// set — for a first child under Partial Overlap, only its
 		// post-spawn part — intersected with the victim's read and write
-		// sets. readAfterWrite is the part the victim read. At line
+		// sets. Its Read part is the read-after-write. At line
 		// granularity the honest ground truth is line overlap:
 		// same-line-different-word conflicts are real consequences of the
 		// coarse encoding, not aliasing.
-		postSpawn := firstChild && s.usesOverlap()
-		exactDep := uint64(0)
-		readAfterWrite, lineOverlap := false, false
-		t.Buf.Range(func(a, _ uint64) bool { // order-independent reductions
-			if postSpawn && !t.postSpawnW.Has(a) {
-				return true
-			}
-			read := v.ReadW.Has(a)
-			if read || v.Buf.Has(a) {
-				exactDep++
-			}
-			readAfterWrite = readAfterWrite || read
-			if s.opts.LineGranularity && !lineOverlap {
-				l := core.LineOf(a)
-				lineOverlap = v.ReadL.Has(l) || v.WriteL.Has(l)
-			}
-			return true
-		})
-		realOverlap := exactDep > 0 || lineOverlap
+		dep := t.Overlap(v.Line, firstChild && s.usesOverlap())
+		exactDep := uint64(dep.Words)
+		realOverlap := exactDep > 0 || s.opts.LineGranularity && dep.Lines > 0
 
 		violated := false
 		switch s.opts.Scheme {
@@ -126,7 +110,7 @@ func (s *System) disambiguateCommit(t *task) {
 		case Lazy:
 			// Exact word-level lazy: only read-after-write needs a
 			// squash; exact write-write merges by commit order.
-			violated = readAfterWrite
+			violated = dep.Read
 		case Bulk:
 			wc := t.Version.W
 			if firstChild && s.opts.PartialOverlap && t.Version.Wsh != nil {
@@ -183,7 +167,7 @@ func (s *System) invalidateCommit(t *task) {
 			}
 			invalidated, merges := q.module.CommitInvalidate(wc)
 			for _, l := range invalidated {
-				if !t.WriteL.Has(uint64(l)) {
+				if t.Line(uint64(l)).W == 0 {
 					s.stats.FalseInvalidations++
 				}
 			}
@@ -192,7 +176,7 @@ func (s *System) invalidateCommit(t *task) {
 			}
 		}
 	case Lazy:
-		s.keyScratch = t.WriteL.SortedKeys(s.keyScratch[:0])
+		s.keyScratch = t.SortedLines(s.keyScratch[:0], core.Writes)
 		for _, q := range s.procs {
 			if q.id == t.proc {
 				continue
@@ -275,8 +259,8 @@ func (s *System) squashOne(t *task) {
 		// predecessor).
 		p.module.SquashInvalidate(t.Version, true)
 	} else {
-		s.Drop(p.id, &t.WriteL, cache.Dirty)
-		s.Drop(p.id, &t.ReadL, cache.Clean)
+		s.Drop(p.id, t.Footprint, core.Writes, cache.Dirty)
+		s.Drop(p.id, t.Footprint, core.Reads, cache.Clean)
 	}
 	t.resetSpec()
 	t.state = tsReady

@@ -38,7 +38,7 @@ func (s *System) forwardedValue(t *task, word uint64) uint64 {
 		if !pre.active() {
 			continue
 		}
-		if v, ok := pre.Buf.Get(word); ok {
+		if v, ok := pre.Value(word); ok {
 			return v
 		}
 	}
@@ -48,15 +48,13 @@ func (s *System) forwardedValue(t *task, word uint64) uint64 {
 func (s *System) taskRead(p *proc, t *task, op trace.Op) int {
 	line := core.LineOf(op.Addr)
 	cost := s.opts.Params.HitLatency
-	value, buffered := t.Buf.Get(op.Addr)
+	value, buffered := t.Read(op.Addr)
 	if !buffered {
 		if p.cache.Access(cache.LineAddr(line)) == nil {
 			cost = s.fill(p, t, line)
 		}
 		value = s.forwardedValue(t, op.Addr)
 	}
-	t.ReadW.Add(op.Addr)
-	t.ReadL.Add(line)
 	if t.Version != nil {
 		p.module.OnRead(t.Version, s.sigAddr(op.Addr))
 	}
@@ -76,13 +74,13 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 			if v.state == tsUnspawned {
 				break
 			}
-			if v.active() && v.ReadW.Has(op.Addr) {
+			if v.active() && v.Line(line).R&core.WordBit(op.Addr) != 0 {
 				s.stats.DepSetWords++
 				s.squashFrom(j)
 				break
 			}
 		}
-		if !t.WriteL.Has(line) {
+		if t.Line(line).W == 0 {
 			// First write to the line: broadcast the invalidation.
 			cost += s.InvalidateOthers(p.id, line)
 		}
@@ -123,10 +121,10 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 	p.cache.MarkDirty(l)
 
 	value := t.exec.WriteValue(t.opIdx, op)
-	t.Buf.Put(op.Addr, value)
-	t.WriteL.Add(line)
 	if t.spawned {
-		t.postSpawnW.Add(op.Addr)
+		t.WriteShadow(op.Addr, value)
+	} else {
+		t.Write(op.Addr, value)
 	}
 	if t.Version != nil {
 		p.module.CommitWrite(t.Version, s.sigAddr(op.Addr))
@@ -145,14 +143,13 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 	latency := par.MemLatency
 
 	// Forwarding: an active predecessor, newest first up to committed
-	// state, buffers words of this line. taskWrite records the word in
-	// Buf and the line in WriteL together, so WriteL.Has(line) is exact.
+	// state, buffers words of this line: exactly the lines it wrote.
 	for i := t.idx - 1; i >= 0; i-- {
 		pre := s.tasks[i]
 		if pre.state == tsCommitted {
 			break
 		}
-		if pre.active() && pre.WriteL.Has(line) {
+		if pre.active() && pre.Line(line).W != 0 {
 			latency = par.NeighborLatency
 			break
 		}
@@ -176,7 +173,7 @@ func (s *System) fill(p *proc, t *task, line uint64) int {
 func (s *System) specDirtyOwner(q *proc, line uint64) *task {
 	for _, ti := range q.tasks {
 		t := s.tasks[ti]
-		if t.active() && t.WriteL.Has(line) {
+		if t.active() && t.Line(line).W != 0 {
 			return t
 		}
 	}

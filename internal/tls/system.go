@@ -7,7 +7,6 @@ import (
 	"bulk/internal/bdm"
 	"bulk/internal/cache"
 	"bulk/internal/core"
-	"bulk/internal/flatmap"
 	"bulk/internal/sig"
 	"bulk/internal/trace"
 	"bulk/internal/workload"
@@ -56,12 +55,11 @@ type task struct {
 	idx int // immutable task identity fixed at construction
 	taskRun
 
-	// Footprint is the task's write buffer, exact sets and (Bulk) BDM
-	// version; the version is allocated at claim and freed at commit.
-	core.Footprint
-	// postSpawnW is the exact post-spawn write-word set, a subset of the
-	// buffer's keys: Lazy's exact Partial Overlap equivalent.
-	postSpawnW flatmap.Set
+	// Footprint is the task's write buffer, exact sets (its shadow masks
+	// are Lazy's exact Partial Overlap equivalent) and (Bulk) BDM version.
+	// A claim draws it from the System's pool with a fresh version, and the
+	// commit frees the version and returns it; nil while unclaimed.
+	*core.Footprint
 }
 
 func (t *task) active() bool { return t.state == tsRunning || t.state == tsFinished }
@@ -70,7 +68,6 @@ func (t *task) resetSpec() {
 	// All speculative tracking state keeps its capacity across restarts of
 	// the same task — squash/restart churn allocates nothing.
 	t.Footprint.Reset()
-	t.postSpawnW.Reset()
 	t.spawned = false
 	t.opIdx = 0
 	t.exec.Reset()
@@ -106,6 +103,9 @@ type System struct {
 	// keyScratch is the reusable sorted-key buffer for the Lazy commit's
 	// line merge.
 	keyScratch []uint64
+	// pool holds the empty footprints of retired tasks for the next claims,
+	// so a run grows about Procs×MaxVersions footprints, not one per task.
+	pool []*core.Footprint
 }
 
 // NewSystem prepares a TLS run.
@@ -160,8 +160,9 @@ func (s *System) ResetPolicy() {
 	}
 	for _, t := range s.tasks {
 		t.taskRun = taskRun{proc: -1, exec: trace.Executor{ThreadID: t.idx}}
-		t.resetSpec()
-		t.Version = nil
+		if t.Footprint != nil {
+			s.release(t)
+		}
 	}
 	s.tasks[0].state = tsSpawnable
 }
@@ -309,20 +310,22 @@ func (s *System) claim(p *proc) *task {
 	for i := s.commitNext; i < len(s.tasks); i++ {
 		t := s.tasks[i]
 		if t.state == tsSpawnable && t.proc < 0 && !t.awaitSpawn {
+			var v *bdm.Version
+			if p.module != nil {
+				var err error
+				if v, err = p.module.AllocVersion(i); err != nil {
+					return nil // no slot
+				}
+			}
 			t.proc = p.id
 			t.state = tsReady
 			p.tasks = append(p.tasks, i)
-			if p.module != nil {
-				v, err := p.module.AllocVersion(i)
-				if err != nil {
-					// No slot: undo the claim.
-					t.proc = -1
-					t.state = tsSpawnable
-					p.tasks = p.tasks[:len(p.tasks)-1]
-					return nil
-				}
-				t.Version = v
+			if n := len(s.pool); n > 0 {
+				t.Footprint, s.pool = s.pool[n-1], s.pool[:n-1]
+			} else {
+				t.Footprint = new(core.Footprint)
 			}
+			t.Version = v
 			return t
 		}
 		if t.state == tsUnspawned {
@@ -356,7 +359,7 @@ func (s *System) startTask(p *proc, t *task) {
 	case Lazy:
 		// Exact equivalent: drop clean copies of the parent's written
 		// lines.
-		s.Drop(p.id, &parent.WriteL, cache.Clean)
+		s.Drop(p.id, parent.Footprint, core.Writes, cache.Clean)
 	}
 }
 
@@ -394,6 +397,15 @@ func (s *System) finishTask(p *proc, t *task) {
 	s.tryCommitChain()
 	// The processor looks for more work next quantum.
 	s.Engine.Advance(p.id, 1)
+}
+
+// release empties t's footprint and returns it to the pool. The caller has
+// freed its version.
+func (s *System) release(t *task) {
+	t.Footprint.Reset()
+	t.Version = nil
+	s.pool = append(s.pool, t.Footprint)
+	t.Footprint = nil
 }
 
 // unparkAll wakes every parked processor to re-evaluate scheduling.

@@ -4,7 +4,6 @@ import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/core"
-	"bulk/internal/flatmap"
 	"bulk/internal/sig"
 	"bulk/internal/sim"
 	"bulk/internal/workload"
@@ -17,8 +16,15 @@ import (
 func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	par := s.opts.Params
 
-	writeLines := p.unionWriteLines(&s.wlScratch)
-	readLines := p.unionReadLines(&s.rlScratch)
+	u := &p.sections[0].Footprint
+	if len(p.sections) > 1 {
+		// A nest commits as its sections merged in order.
+		s.union.Reset()
+		for _, sec := range p.sections {
+			s.union.Merge(&sec.Footprint)
+		}
+		u = &s.union
+	}
 
 	// Commit packet per scheme.
 	var wc *sig.Signature
@@ -30,7 +36,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 		packetBytes = bus.HeaderBytes
 		s.Bus.Record(bus.Coh, packetBytes)
 	case Lazy:
-		packetBytes = bus.AddressListCommitBytes(writeLines.Len())
+		packetBytes = bus.AddressListCommitBytes(u.Lines(core.Writes))
 		s.Bus.RecordCommit(packetBytes)
 	case Bulk:
 		// The broadcast signature is the union of the section write
@@ -72,7 +78,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	// later being charged as Set Restriction safe writebacks. The bus
 	// traffic is charged as one coalesced batch after the walk.
 	wbLines := 0
-	s.keyScratch = writeLines.SortedKeys(s.keyScratch[:0])
+	s.keyScratch = u.SortedLines(s.keyScratch[:0], core.Writes)
 	for _, l := range s.keyScratch {
 		if cl := p.cache.Lookup(cache.LineAddr(l)); cl != nil && cl.State == cache.Dirty {
 			p.cache.MarkClean(cache.LineAddr(l))
@@ -84,8 +90,8 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	}
 	s.log = append(s.log, CommitUnit{Thread: p.id, Segment: p.segIdx, OpLo: 0, OpHi: len(seg.Ops)})
 	s.stats.Commits++
-	s.stats.ReadSetLines += uint64(readLines.Len())
-	s.stats.WriteSetLines += uint64(writeLines.Len())
+	s.stats.ReadSetLines += uint64(u.Lines(core.Reads))
+	s.stats.WriteSetLines += uint64(u.Lines(core.Writes))
 
 	// Receivers: disambiguate, then invalidate stale copies.
 	for _, q := range s.procs {
@@ -96,12 +102,12 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 			if q.preempt != nil && len(q.preempt.spilled) > 0 {
 				// The receiver's signatures are spilled to memory
 				// (Section 6.2.2): disambiguate against the saved copies.
-				s.disambiguateSpilled(p, q, wc, writeLines)
+				s.disambiguateSpilled(p, q, wc, u)
 			} else {
-				s.disambiguateAtCommit(p, q, wc, writeLines)
+				s.disambiguateAtCommit(p, q, wc, u)
 			}
 		}
-		s.invalidateCommitted(p, q, wc, writeLines)
+		s.invalidateCommitted(q, wc, u)
 	}
 
 	// Release the committer's speculative state. Committed dirty lines
@@ -130,31 +136,19 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	s.Engine.AdvanceTo(p.id, busDone)
 }
 
-// disambiguateAtCommit applies the committer's write set/signature to a
-// receiver with an active transaction and squashes it on overlap.
-func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, writeLines *flatmap.Set) {
+// disambiguateAtCommit applies the committer's footprint u and write
+// signature wc to a receiver with an active transaction and squashes it on
+// overlap.
+func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, u *core.Footprint) {
 	// Exact overlap (ground truth): committer writes vs. receiver R∪W,
-	// in lines (the Table 7 dependence-set metric).
-	dep := uint64(0)
-	writeLines.Range(func(l uint64) bool { // order-independent count
-		if q.inReadSet(l) || q.inWriteSet(l) {
-			dep++
-		}
-		return true
-	})
-	// At word granularity the honest squash ground truth is word overlap:
+	// in lines (dep, the Table 7 dependence-set metric). At word
+	// granularity the honest squash ground truth is word overlap:
 	// same-line-different-word contacts are not conflicts there.
-	real := dep
+	o := u.Overlap(q.masks, false)
+	dep := uint64(o.Lines)
+	real := dep > 0
 	if s.opts.WordGranularity {
-		real = 0
-		for _, sec := range p.sections {
-			sec.Buf.Range(func(w, _ uint64) bool { // order-independent count
-				if q.readWord(w) || q.wroteWord(w) {
-					real++
-				}
-				return true
-			})
-		}
+		real = o.Words > 0
 	}
 
 	switch s.opts.Scheme {
@@ -165,10 +159,10 @@ func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, writeLines 
 		// Conventional lazy must also disambiguate against the
 		// receiver's overflowed addresses in memory.
 		if !q.over.Empty() {
-			for i := 0; i < writeLines.Len(); i++ {
+			for i := 0; i < u.Lines(core.Writes); i++ {
 				q.over.DisambiguationScan(0)
 			}
-			s.Bus.Record(bus.UB, writeLines.Len()*bus.AddrBytes+bus.HeaderBytes)
+			s.Bus.Record(bus.UB, u.Lines(core.Writes)*bus.AddrBytes+bus.HeaderBytes)
 		}
 		if dep > 0 {
 			s.squash(q, 0, dep)
@@ -188,22 +182,21 @@ func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, writeLines 
 		if s.opts.Probe != nil {
 			s.opts.Probe.EmitConflict(sim.ConflictEvent{
 				Path: sim.PathCommit, Committer: p.id, Receiver: q.id,
-				SigHit: hitSec >= 0, ExactHit: real > 0,
+				SigHit: hitSec >= 0, ExactHit: real,
 			})
 		}
 		if hitSec >= 0 {
-			if real == 0 {
-				s.squash(q, s.rollbackSection(q, hitSec), 0)
-			} else {
-				s.squash(q, s.rollbackSection(q, hitSec), dep)
+			if !real {
+				dep = 0
 			}
+			s.squash(q, s.rollbackSection(q, hitSec), dep)
 		}
 	}
 }
 
-// invalidateCommitted removes the receiver's stale copies of the
-// committer's written lines.
-func (s *System) invalidateCommitted(p, q *proc, wc *sig.Signature, writeLines *flatmap.Set) {
+// invalidateCommitted removes the receiver's stale copies of the lines
+// the committer's footprint u wrote.
+func (s *System) invalidateCommitted(q *proc, wc *sig.Signature, u *core.Footprint) {
 	switch s.opts.Scheme {
 	case Eager, Lazy:
 		// Eager acquired ownership at write time, but a later miss by q is
@@ -211,14 +204,14 @@ func (s *System) invalidateCommitted(p, q *proc, wc *sig.Signature, writeLines *
 		// (pre-transaction) version from memory, so q can hold a clean copy
 		// that goes stale the moment this commit lands. The commit's
 		// coherence action knocks those out too.
-		s.InvalidateLines(q.id, writeLines)
+		s.InvalidateLines(q.id, u)
 	case Bulk:
 		if q.module == nil {
 			return
 		}
 		invalidated, merges := q.module.CommitInvalidate(wc)
 		for _, l := range invalidated {
-			if !writeLines.Has(uint64(l)) {
+			if u.Line(uint64(l)).W == 0 {
 				s.stats.FalseInvalidations++
 			}
 		}
@@ -299,7 +292,7 @@ func (s *System) discardTxn(q *proc) {
 				for _, line := range invalidated {
 					s.opts.Probe.EmitHygiene(sim.HygieneEvent{
 						Owner: q.id, Line: uint64(line),
-						InWriteSet: q.inWriteSet(uint64(line)),
+						InWriteSet: q.masks(uint64(line)).W != 0,
 					})
 				}
 			}
@@ -307,7 +300,7 @@ func (s *System) discardTxn(q *proc) {
 		}
 	} else {
 		for _, sec := range q.sections {
-			s.Drop(q.id, &sec.WriteL, cache.Dirty)
+			s.Drop(q.id, &sec.Footprint, core.Writes, cache.Dirty)
 		}
 	}
 	q.exec.SetLastRead(q.sections[0].lastRead)

@@ -49,7 +49,7 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 	// line; detected when the coherence request reaches the writer.
 	if s.opts.Scheme == Eager {
 		for _, q := range s.procs {
-			if q == p || !q.inTxn() || !q.inWriteSet(line) {
+			if q == p || !q.inTxn() || q.masks(line).W == 0 {
 				continue
 			}
 			if !s.resolveEagerConflict(p, q) {
@@ -58,12 +58,17 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 		}
 	}
 
+	// The innermost section records the read and returns its own buffered
+	// value in one probe; the outer sections' buffers come next.
+	sec := p.top()
+	value, buffered := sec.Read(op.Addr)
+	for i := len(p.sections) - 2; !buffered && i >= 0; i-- {
+		value, buffered = p.sections[i].Value(op.Addr)
+	}
 	cost := 0
-	var value uint64
 	hit := true
-	if v, ok := p.bufLookup(op.Addr); ok {
+	if buffered {
 		// Store-buffer hit: the value is p's own speculative write.
-		value = v
 		cost = s.opts.Params.HitLatency
 	} else if l := p.cache.Access(cache.LineAddr(line)); l != nil {
 		value = l.Data[int(op.Addr)%core.WordsPerLine]
@@ -75,9 +80,6 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 		value = l.Data[int(op.Addr)%core.WordsPerLine]
 	}
 
-	sec := p.top()
-	sec.ReadL.Add(line)
-	sec.ReadW.Add(op.Addr)
 	if p.module != nil && !(hit && s.opts.Mutate.Has(mutate.DropReadOnHit)) {
 		p.module.OnRead(sec.Version, s.sigAddrOf(op.Addr))
 	}
@@ -92,7 +94,10 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 		// A write conflicts with any other transaction that read or wrote
 		// the line.
 		for _, q := range s.procs {
-			if q == p || !q.inTxn() || (!q.inReadSet(line) && !q.inWriteSet(line)) {
+			if q == p || !q.inTxn() {
+				continue
+			}
+			if m := q.masks(line); m.R|m.W == 0 {
 				continue
 			}
 			if !s.resolveEagerConflict(p, q) {
@@ -101,11 +106,10 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 		}
 	}
 
-	firstWrite := !p.inWriteSet(line)
 	cost := 0
-
-	if s.opts.Scheme == Eager && firstWrite {
-		// Eager writes acquire ownership: broadcast an invalidation.
+	if s.opts.Scheme == Eager && p.masks(line).W == 0 {
+		// Eager writes acquire ownership at the first write to a line:
+		// broadcast an invalidation.
 		cost += s.InvalidateOthers(p.id, line)
 	}
 
@@ -138,8 +142,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 
 	// Compute and buffer the speculative value.
 	value := p.exec.WriteValue(p.opIdx, op)
-	sec.Buf.Put(op.Addr, value)
-	sec.WriteL.Add(line)
+	sec.Write(op.Addr, value)
 	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	if p.module != nil {
 		p.module.CommitWrite(sec.Version, s.sigAddrOf(op.Addr))
@@ -225,11 +228,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 						if hitIdx < 0 && (sp.sv.R.Contains(sigAddr) || sp.sv.W.Contains(sigAddr)) {
 							hitIdx = i
 						}
-						if s.opts.WordGranularity {
-							exact = exact || sp.sec.ReadW.Has(op.Addr) || sp.sec.Buf.Has(op.Addr)
-						} else {
-							exact = exact || sp.sec.ReadL.Has(line) || sp.sec.WriteL.Has(line)
-						}
+						exact = exact || s.touches(sp.sec.Line(line), op.Addr)
 					}
 					if s.opts.Mutate.Has(mutate.SkipSpilledDisambiguation) {
 						hitIdx = -1
@@ -244,7 +243,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 						sp := q.preempt.spilled[hitIdx]
 						q.preempt.doomed = true
 						s.stats.Squashes++
-						if sp.sec.ReadL.Has(line) || sp.sec.WriteL.Has(line) {
+						if m := sp.sec.Line(line); m.R|m.W != 0 {
 							s.stats.DepSetLines++
 						} else {
 							s.stats.FalseSquashes++
@@ -252,22 +251,13 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 					}
 				}
 			} else if q.module != nil {
-				exact := false
-				if s.opts.WordGranularity {
-					exact = q.readWord(op.Addr) || q.wroteWord(op.Addr)
-				} else {
-					exact = q.inReadSet(line) || q.inWriteSet(line)
-				}
+				exact := s.touches(q.masks(line), op.Addr)
 				sigHit := false
 				for si, sec := range q.sections {
 					if q.module.DisambiguateAddr(sec.Version, s.sigAddrOf(op.Addr)) {
 						sigHit = true
 						dep := 0
-						if s.opts.WordGranularity {
-							if sec.ReadW.Has(op.Addr) || sec.Buf.Has(op.Addr) {
-								dep = 1
-							}
-						} else if sec.ReadL.Has(line) || sec.WriteL.Has(line) {
+						if s.touches(sec.Line(line), op.Addr) {
 							dep = 1
 						}
 						s.squash(q, s.rollbackSection(q, si), uint64(dep))
@@ -280,7 +270,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 						SigHit: sigHit, ExactHit: exact,
 					})
 				}
-			} else if q.inReadSet(line) || q.inWriteSet(line) {
+			} else if m := q.masks(line); m.R|m.W != 0 {
 				s.squash(q, 0, 1)
 			}
 		}
@@ -299,6 +289,17 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 	p.cache.MarkDirty(l)
 	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	return cost
+}
+
+// touches reports whether m, the masks of a line, has the word a remote
+// write updates at the signatures' granularity: the word itself under
+// WordGranularity, any word of its line otherwise.
+func (s *System) touches(m core.Masks, word uint64) bool {
+	t := m.R | m.W
+	if s.opts.WordGranularity {
+		t &= core.WordBit(word)
+	}
+	return t != 0
 }
 
 // rollbackSection maps a violating section index to the rollback point:
@@ -355,7 +356,7 @@ func (s *System) isSpecDirty(q *proc, line uint64) bool {
 	if q.module != nil {
 		return q.module.OwnsDirtySet(q.cache.SetIndex(cache.LineAddr(line)))
 	}
-	return q.inWriteSet(line)
+	return q.masks(line).W != 0
 }
 
 // insertLine inserts a line with a committed-memory data snapshot and
@@ -392,12 +393,12 @@ func (s *System) gatherSpill(p *proc, line uint64) (uint64, []mem.Word) {
 // handleDirtyEviction routes an evicted dirty line: speculative lines go
 // to the overflow area (Section 6.2.2); non-speculative lines write back.
 func (s *System) handleDirtyEviction(p *proc, line uint64) {
-	if p.inTxn() && p.inWriteSet(line) {
+	if p.inTxn() && p.masks(line).W != 0 {
 		mask, words := s.gatherSpill(p, line)
 		p.over.Spill(line, mask, words)
 		if p.module != nil {
 			for _, sec := range p.sections {
-				if sec.WriteL.Has(line) {
+				if sec.Line(line).W != 0 {
 					p.module.NoteOverflow(sec.Version)
 				}
 			}

@@ -1,10 +1,11 @@
 package tm
 
 import (
+	"math/bits"
+
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/core"
-	"bulk/internal/flatmap"
 	"bulk/internal/mutate"
 	"bulk/internal/sig"
 	"bulk/internal/sim"
@@ -100,7 +101,7 @@ func (s *System) maybePreempt(p *proc) bool {
 // area (the cache no longer knows who owns them once the signatures left
 // the BDM).
 func (s *System) spillDirtyLines(p *proc, sec *section) {
-	s.keyScratch = sec.WriteL.SortedKeys(s.keyScratch[:0])
+	s.keyScratch = sec.SortedLines(s.keyScratch[:0], core.Writes)
 	for _, line := range s.keyScratch {
 		cl := p.cache.Lookup(cache.LineAddr(line))
 		if cl == nil || cl.State != cache.Dirty {
@@ -146,10 +147,10 @@ func (s *System) runInterloper(p *proc) {
 	}
 }
 
-// disambiguateSpilled checks an incoming commit by c against p's spilled
-// signatures (the in-memory disambiguation of Section 6.2.2). A hit dooms
-// the paused transaction.
-func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *flatmap.Set) {
+// disambiguateSpilled checks an incoming commit by c, with footprint u,
+// against p's spilled signatures (the in-memory disambiguation of Section
+// 6.2.2). A hit dooms the paused transaction.
+func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, u *core.Footprint) {
 	if p.preempt == nil || len(p.preempt.spilled) == 0 || p.preempt.doomed {
 		return
 	}
@@ -167,7 +168,7 @@ func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *
 	if s.opts.Probe != nil {
 		s.opts.Probe.EmitConflict(sim.ConflictEvent{
 			Path: sim.PathSpilled, Committer: c.id, Receiver: p.id,
-			SigHit: hitIdx >= 0, ExactHit: s.spilledExactHit(c, p, writeLines),
+			SigHit: hitIdx >= 0, ExactHit: s.spilledExactHit(p, u),
 		})
 	}
 	if hitIdx < 0 {
@@ -175,13 +176,7 @@ func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *
 	}
 	sp := p.preempt.spilled[hitIdx]
 	p.preempt.doomed = true
-	dep := uint64(0)
-	writeLines.Range(func(l uint64) bool { // order-independent count
-		if sp.sec.ReadL.Has(l) || sp.sec.WriteL.Has(l) {
-			dep++
-		}
-		return true
-	})
+	dep := uint64(u.Overlap(sp.sec.Line, false).Lines)
 	s.stats.Squashes++
 	if dep == 0 {
 		s.stats.FalseSquashes++
@@ -192,35 +187,13 @@ func (s *System) disambiguateSpilled(c, p *proc, wc *sig.Signature, writeLines *
 
 // spilledExactHit computes the exact ground truth for a commit-vs-spilled
 // disambiguation at the signatures' own granularity, so an unmutated run
-// can never look unsound (the signatures are supersets of these sets).
-func (s *System) spilledExactHit(c, p *proc, writeLines *flatmap.Set) bool {
+// can never look unsound (the signatures are supersets of these sets): the
+// committer's written words, or lines, against each spilled section's read
+// and written ones.
+func (s *System) spilledExactHit(p *proc, u *core.Footprint) bool {
 	for _, sp := range p.preempt.spilled {
-		hit := false
-		if s.opts.WordGranularity {
-			// Word signatures: compare the committer's written words
-			// against the spilled section's read words and buffered writes.
-			for _, csec := range c.sections {
-				csec.Buf.Range(func(w, _ uint64) bool { // order-independent boolean reduction
-					if sp.sec.ReadW.Has(w) || sp.sec.Buf.Has(w) {
-						hit = true
-						return false
-					}
-					return true
-				})
-				if hit {
-					break
-				}
-			}
-		} else {
-			writeLines.Range(func(l uint64) bool { // order-independent boolean reduction
-				if sp.sec.ReadL.Has(l) || sp.sec.WriteL.Has(l) {
-					hit = true
-					return false
-				}
-				return true
-			})
-		}
-		if hit {
+		o := u.Overlap(sp.sec.Line, false)
+		if o.Words > 0 || o.Lines > 0 && !s.opts.WordGranularity {
 			return true
 		}
 	}
@@ -255,16 +228,15 @@ func (s *System) resumePreempted(p *proc) {
 				// Rebuilding δ(W) requires re-adding the exact writes at
 				// the signature's granularity; the decode is exact so the
 				// mask matches.
-				if s.opts.WordGranularity {
-					sp.sec.Buf.Range(func(w, _ uint64) bool { // signature Add is a commutative bitwise OR
-						p.module.CommitWrite(v, sig.Addr(w))
-						return true
-					})
-				} else {
-					sp.sec.WriteL.Range(func(l uint64) bool { // signature Add is a commutative bitwise OR
+				s.keyScratch = sp.sec.SortedLines(s.keyScratch[:0], core.Writes)
+				for _, l := range s.keyScratch {
+					if !s.opts.WordGranularity {
 						p.module.CommitWrite(v, sig.Addr(l))
-						return true
-					})
+						continue
+					}
+					for m := sp.sec.Line(l).W; m != 0; m &= m - 1 {
+						p.module.CommitWrite(v, sig.Addr(l*core.WordsPerLine+uint64(bits.TrailingZeros16(m))))
+					}
 				}
 				// ClearVersion dropped the sticky O bit when the signatures
 				// left the BDM, and spillDirtyLines moved this section's

@@ -7,7 +7,6 @@ import (
 	"bulk/internal/bdm"
 	"bulk/internal/cache"
 	"bulk/internal/core"
-	"bulk/internal/flatmap"
 	"bulk/internal/mem"
 	"bulk/internal/sig"
 	"bulk/internal/sim"
@@ -85,9 +84,9 @@ type System struct {
 	// keyScratch is the reusable sorted-key buffer for the commit's clean
 	// downgrade and the preemption spill.
 	keyScratch []uint64
-	// wlScratch/rlScratch hold the committer's write/read line unions for
-	// the duration of a commit.
-	wlScratch, rlScratch flatmap.Set
+	// union is a nested committer's sections merged into one footprint
+	// for the duration of its commit.
+	union core.Footprint
 }
 
 // NewSystem prepares a run of workload w under the given options.
@@ -353,52 +352,18 @@ func (s *System) maybeEnterSection(p *proc, seg *workload.TMSegment) {
 // top returns the innermost open section.
 func (p *proc) top() *section { return p.sections[len(p.sections)-1] }
 
-// inReadSet/inWriteSet are the line-granularity exact-set queries,
-// across sections. They run on the per-access path: the named result and
-// bare return keep each within the inliner's budget, which the embedded
-// footprint's field selector would otherwise exceed by one.
+// masks returns the masks of line joined across the open sections: the
+// exact-set query of the whole transaction, one probe per section. It runs
+// on the per-access path.
 //
 //bulklint:noalloc
-func (p *proc) inReadSet(line uint64) (in bool) {
+func (p *proc) masks(line uint64) (m core.Masks) {
 	for _, sec := range p.sections {
-		if sec.ReadL.Has(line) {
-			return true
-		}
+		sm := sec.Line(line)
+		m.R |= sm.R
+		m.W |= sm.W
 	}
-	return
-}
-
-//bulklint:noalloc
-func (p *proc) inWriteSet(line uint64) (in bool) {
-	for _, sec := range p.sections {
-		if sec.WriteL.Has(line) {
-			return true
-		}
-	}
-	return
-}
-
-// readWord/wroteWord are the word-granularity exact-set queries, shaped
-// like inReadSet for the inliner.
-//
-//bulklint:noalloc
-func (p *proc) readWord(w uint64) (in bool) {
-	for _, sec := range p.sections {
-		if sec.ReadW.Has(w) {
-			return true
-		}
-	}
-	return
-}
-
-//bulklint:noalloc
-func (p *proc) wroteWord(w uint64) bool {
-	for _, sec := range p.sections {
-		if sec.Buf.Has(w) {
-			return true
-		}
-	}
-	return false
+	return m
 }
 
 // bufLookup searches the section write buffers innermost-first.
@@ -406,38 +371,9 @@ func (p *proc) wroteWord(w uint64) bool {
 //bulklint:noalloc
 func (p *proc) bufLookup(word uint64) (uint64, bool) {
 	for i := len(p.sections) - 1; i >= 0; i-- {
-		if v, ok := p.sections[i].Buf.Get(word); ok {
+		if v, ok := p.sections[i].Value(word); ok {
 			return v, true
 		}
 	}
 	return 0, false
-}
-
-// unionWriteLines rebuilds dst as the union of exact write lines across
-// sections. The caller supplies a reusable scratch set.
-//
-//bulklint:noalloc
-func (p *proc) unionWriteLines(dst *flatmap.Set) *flatmap.Set {
-	dst.Reset()
-	for _, sec := range p.sections {
-		sec.WriteL.Range(func(l uint64) bool { //bulklint:allow noalloc non-escaping closure; Range never retains fn
-			dst.Add(l)
-			return true
-		})
-	}
-	return dst
-}
-
-// unionReadLines rebuilds dst as the union of exact read lines.
-//
-//bulklint:noalloc
-func (p *proc) unionReadLines(dst *flatmap.Set) *flatmap.Set {
-	dst.Reset()
-	for _, sec := range p.sections {
-		sec.ReadL.Range(func(l uint64) bool { //bulklint:allow noalloc non-escaping closure; Range never retains fn
-			dst.Add(l)
-			return true
-		})
-	}
-	return dst
 }

@@ -71,6 +71,14 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	}
 	keyBuf := fm.SortedKeys(nil)
 
+	// An exact footprint that has read and written every word it is
+	// asked about, so each access finds its line and its block.
+	var fp core.Footprint
+	for w := uint64(0); w < 64; w++ {
+		fp.WriteShadow(w, w)
+		fp.Read(w)
+	}
+
 	// Cache with a mix of clean and dirty resident lines.
 	c := cache.MustNew(1<<15, 4, 64)
 	for i := 0; i < 64; i++ {
@@ -150,12 +158,13 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/flatmap.Map.Get":        func() { _, _ = fm.Get(42) },
 		"bulk/internal/flatmap.Map.Has":        func() { _ = fm.Has(42) },
 		"bulk/internal/flatmap.Map.Put":        func() { fm.Put(42, 99) },
+		"bulk/internal/flatmap.Map.Lookup":     func() { *fm.Lookup(42)++ },
+		"bulk/internal/flatmap.Map.Upsert":     func() { *fm.Upsert(43)++ },
 		"bulk/internal/flatmap.Map.Delete":     func() { fm.Delete(9999) },
 		"bulk/internal/flatmap.Map.Reset":      func() { fm.Reset(); fm.Put(42, 1) },
 		"bulk/internal/flatmap.Map.SortedKeys": func() { keyBuf = fm.SortedKeys(keyBuf[:0]) },
 		"bulk/internal/flatmap.Set.Has":        func() { _ = fs.Has(42) },
 		"bulk/internal/flatmap.Set.Add":        func() { fs.Add(42) },
-		"bulk/internal/flatmap.Set.Delete":     func() { fs.Delete(9999) },
 		"bulk/internal/flatmap.Set.Reset":      func() { fs.Reset(); fs.Add(42) },
 		"bulk/internal/flatmap.Set.SortedKeys": func() { keyBuf = fs.SortedKeys(keyBuf[:0]) },
 
@@ -201,7 +210,13 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/bus.Bandwidth.RecordN":      func() { bw.RecordN(bus.WB, 76, 3) },
 		"bulk/internal/bus.Bandwidth.RecordCommit": func() { bw.RecordCommit(40) },
 
-		"bulk/internal/core.LineOf": func() { _ = core.LineOf(0x12345) },
+		"bulk/internal/core.LineOf":                func() { _ = core.LineOf(0x12345) },
+		"bulk/internal/core.WordBit":               func() { _ = core.WordBit(0x12345) },
+		"bulk/internal/core.Footprint.Read":        func() { _, _ = fp.Read(21) },
+		"bulk/internal/core.Footprint.Write":       func() { fp.Write(22, 7) },
+		"bulk/internal/core.Footprint.WriteShadow": func() { fp.WriteShadow(23, 8) },
+		"bulk/internal/core.Footprint.Value":       func() { _, _ = fp.Value(24) },
+		"bulk/internal/core.Footprint.Line":        func() { _ = fp.Line(1) },
 	}
 }
 

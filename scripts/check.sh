@@ -219,14 +219,16 @@ if ! grep -q 'drained cleanly' "$bc_tmp/bulkd.log"; then
 fi
 
 echo "== native fuzz smoke (5s per target) =="
-# The three runtimes; the workload layout determinism target the daemon's
+# The three runtimes and the exact footprint they share (against a
+# map-of-words model); the workload layout determinism target the daemon's
 # result cache leans on (cache keys assume identical (seed, config) inputs
 # regenerate identical bytes); the checkpoint decoder bulkcheck -resume
 # feeds files to; bulkd's request decoding; and the RLE decoder commit
 # broadcasts pass through. The decoders must reject hostile input without
 # panicking.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
-    internal/ckpt:FuzzCkptModes internal/workload:FuzzWorkloadLayout \
+    internal/ckpt:FuzzCkptModes internal/core:FuzzFootprint \
+    internal/workload:FuzzWorkloadLayout \
     internal/check:FuzzDecodeCheckpoint internal/serve:FuzzDecodeRequest \
     internal/sig:FuzzRLDecode; do
   pkg="${target%%:*}"
