@@ -103,9 +103,13 @@ type Module struct {
 
 	stats Stats
 
-	scratchLines []*cache.Line
+	scratchLines []cache.LineAddr
 	scratchSets  []int
 	scratchMask  sig.SetMask // reused δ(s) output of expand
+	// The result lists of the bulk operations, valid until the module's
+	// next call. Every runtime consumes them at once.
+	invalidated []cache.LineAddr
+	merges      []MergeLine
 }
 
 // New builds a module attached to a cache. The signature configuration must
@@ -299,10 +303,11 @@ func (m *Module) StartShadow(v *Version) {
 type WriteDecision struct {
 	// OK: the write may proceed (possibly after the writebacks below).
 	OK bool
-	// SafeWritebacks lists non-speculative dirty lines in the target set
-	// that must be written back (and marked clean) before the write
-	// updates the cache. Only populated in the (0,0) case.
-	SafeWritebacks []*cache.Line
+	// SafeWritebacks lists the addresses of non-speculative dirty lines in
+	// the target set that must be written back (and marked clean) before
+	// the write updates the cache. Only populated in the (0,0) case, and
+	// valid until the module's next call.
+	SafeWritebacks []cache.LineAddr
 	// ConflictOwner, when !OK, is the owner of the preempted version
 	// whose dirty lines occupy the set ((0,1) case). The runtime must
 	// resolve (squash/preempt/merge) and retry.
@@ -329,9 +334,9 @@ func (m *Module) PrepareWrite(v *Version, a sig.Addr) WriteDecision {
 		if m.cfg.Mutate.Has(mutate.SkipSetRestriction) {
 			return WriteDecision{OK: true}
 		}
-		dirty := m.cache.DirtyLinesInSet(set, nil)
-		m.stats.SafeWritebacks += uint64(len(dirty))
-		return WriteDecision{OK: true, SafeWritebacks: dirty}
+		m.scratchLines = m.cache.DirtyLinesInSet(set, m.scratchLines[:0])
+		m.stats.SafeWritebacks += uint64(len(m.scratchLines))
+		return WriteDecision{OK: true, SafeWritebacks: m.scratchLines}
 	}
 }
 
@@ -406,12 +411,13 @@ func (m *Module) DisambiguateAddr(v *Version, a sig.Addr) bool {
 }
 
 // expand runs signature expansion (Section 3.3 / Figure 4): δ(s) selects
-// cache sets; every valid line in a selected set is membership-tested
-// against s. fn is called for each line that passes. The line address is
-// widened to signature granularity for the membership test: at word
-// granularity a line passes if *any* of its word addresses passes. Both
-// halves are sig kernels: DecodeInto for δ and, per line, one
-// WordMaskPlan.Mask gather (or one Contains at line granularity).
+// cache sets; every valid line address read from a selected set's tags is
+// membership-tested against s. fn is called with each address that
+// passes. The line address is widened to signature granularity for the
+// membership test: at word granularity a line passes if *any* of its word
+// addresses passes. Both halves are sig kernels: DecodeInto for δ and, per
+// line, one WordMaskPlan.Mask (or one Contains at line granularity), each
+// a single permutation of the address.
 //
 // δ(s) is intersected with the cache's per-set occupancy mask before the
 // walk — any-dirty when the caller only acts on dirty lines, any-valid
@@ -419,7 +425,7 @@ func (m *Module) DisambiguateAddr(v *Version, a sig.Addr) bool {
 // actually hold candidate lines. This is the paper's "expansion visits only
 // the sets in δ(W)" claim made concrete: against a cold or clean cache, a
 // broadcast costs a handful of AND instructions.
-func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(*cache.Line)) {
+func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(cache.LineAddr)) {
 	m.plan.DecodeInto(s, m.scratchMask)
 	if dirtyOnly {
 		m.cache.AndDirtySets(m.scratchMask)
@@ -434,10 +440,10 @@ func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(*cache.Line)) 
 		} else {
 			m.scratchLines = m.cache.LinesInSet(set, m.scratchLines[:0])
 		}
-		for _, l := range m.scratchLines {
+		for _, a := range m.scratchLines {
 			m.stats.ExpansionLinesRead++
-			if m.lineInSignature(s, l.Addr) {
-				fn(l)
+			if m.lineInSignature(s, a) {
+				fn(a)
 			}
 		}
 	}
@@ -462,30 +468,31 @@ func (m *Module) lineInSignature(s *sig.Signature, line cache.LineAddr) bool {
 // allocated for the restarted thread.
 //
 // Thanks to the Set Restriction plus exact δ, the dirty lines invalidated
-// here are guaranteed to belong to this version.
+// here are guaranteed to belong to this version. The returned list is
+// valid until the module's next call.
 func (m *Module) SquashInvalidate(v *Version, invalidateReads bool) (invalidated []cache.LineAddr) {
-	m.expand(v.W, true, func(l *cache.Line) {
-		if l.State == cache.Dirty {
-			m.cache.Invalidate(l.Addr)
-			m.stats.SquashInvalidations++
-			invalidated = append(invalidated, l.Addr)
-		}
+	m.invalidated = m.invalidated[:0]
+	// The walk reads only dirty lines.
+	m.expand(v.W, true, func(a cache.LineAddr) {
+		m.cache.Invalidate(a)
+		m.stats.SquashInvalidations++
+		m.invalidated = append(m.invalidated, a)
 	})
 	if invalidateReads {
 		// Only clean lines: a dirty line aliasing into R is either v's own
 		// write (already handled via W above) or non-speculative dirty
 		// data whose only valid copy must not be destroyed. Clean lines
 		// are safe to drop — they can always be refetched.
-		m.expand(v.R, false, func(l *cache.Line) {
-			if l.State == cache.Clean {
-				m.cache.Invalidate(l.Addr)
+		m.expand(v.R, false, func(a cache.LineAddr) {
+			if m.cache.Lookup(a).State == cache.Clean {
+				m.cache.Invalidate(a)
 				m.stats.SquashInvalidations++
-				invalidated = append(invalidated, l.Addr)
+				m.invalidated = append(m.invalidated, a)
 			}
 		})
 	}
 	m.ClearVersion(v)
-	return invalidated
+	return m.invalidated
 }
 
 // ClearVersion clears v's signatures and set mask (commit, or the tail end
@@ -520,19 +527,21 @@ type MergeLine struct {
 //     action (Section 4.3's argument).
 //
 // The returned invalidated list lets the runtime charge refill costs and
-// classify false invalidations against the committer's exact set.
+// classify false invalidations against the committer's exact set. Both
+// lists are valid until the module's next call.
 func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAddr, merges []MergeLine) {
-	m.expand(wc, false, func(l *cache.Line) {
-		switch l.State {
+	m.invalidated, m.merges = m.invalidated[:0], m.merges[:0]
+	m.expand(wc, false, func(a cache.LineAddr) {
+		switch m.cache.Lookup(a).State {
 		case cache.Clean:
 			if m.cfg.Mutate.Has(mutate.SkipCleanInvalidation) {
 				return
 			}
-			m.cache.Invalidate(l.Addr)
+			m.cache.Invalidate(a)
 			m.stats.CommitInvalidations++
-			invalidated = append(invalidated, l.Addr)
+			m.invalidated = append(m.invalidated, a)
 		case cache.Dirty:
-			set := m.cache.SetIndex(l.Addr)
+			set := m.cache.SetIndex(a)
 			owner := m.VersionOwningSet(set)
 			if owner == nil {
 				// Non-speculative dirty aliasing into wc: no action.
@@ -550,29 +559,30 @@ func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAd
 				return
 			}
 			m.stats.Merges++
-			merges = append(merges, MergeLine{
-				Addr:       l.Addr,
-				LocalWords: m.wordPlan.Mask(owner.W, sig.Addr(l.Addr)),
+			m.merges = append(m.merges, MergeLine{
+				Addr:       a,
+				LocalWords: m.wordPlan.Mask(owner.W, sig.Addr(a)),
 				Version:    owner,
 			})
 		}
 	})
-	return invalidated, merges
+	return m.invalidated, m.merges
 }
 
 // SpawnInvalidate supports Partial Overlap (Section 6.3): when a parent
 // spawns its first child, the parent's current W travels with the spawn and
 // the child's processor bulk-invalidates the *clean* cached lines in it, so
 // the child will miss and fetch the parent's versions instead of using
-// stale ones.
+// stale ones. The returned list is valid until the module's next call.
 func (m *Module) SpawnInvalidate(w *sig.Signature) (invalidated []cache.LineAddr) {
-	m.expand(w, false, func(l *cache.Line) {
-		if l.State == cache.Clean {
-			m.cache.Invalidate(l.Addr)
-			invalidated = append(invalidated, l.Addr)
+	m.invalidated = m.invalidated[:0]
+	m.expand(w, false, func(a cache.LineAddr) {
+		if m.cache.Lookup(a).State == cache.Clean {
+			m.cache.Invalidate(a)
+			m.invalidated = append(m.invalidated, a)
 		}
 	})
-	return invalidated
+	return m.invalidated
 }
 
 // NoteOverflow records that a dirty line of v was evicted to the overflow

@@ -150,7 +150,7 @@ func TestSetRestrictionSafeWriteback(t *testing.T) {
 	if !d.OK {
 		t.Fatal("(0,0) case must proceed")
 	}
-	if len(d.SafeWritebacks) != 1 || d.SafeWritebacks[0].Addr != 5 {
+	if len(d.SafeWritebacks) != 1 || d.SafeWritebacks[0] != 5 {
 		t.Fatalf("expected safe writeback of line 5, got %+v", d.SafeWritebacks)
 	}
 	if m.Stats().SafeWritebacks != 1 {

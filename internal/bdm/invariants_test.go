@@ -103,8 +103,8 @@ func TestInvariantSquashNeverTouchesForeignDirtyLines(t *testing.T) {
 				return // set owned by the other version
 			}
 			for _, wb := range d.SafeWritebacks {
-				c.MarkClean(wb.Addr)
-				delete(ownedBy, wb.Addr)
+				c.MarkClean(wb)
+				delete(ownedBy, wb)
 			}
 			c.Insert(cache.LineAddr(a), cache.Dirty)
 			m.CommitWrite(v, a)

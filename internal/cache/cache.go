@@ -6,6 +6,10 @@
 // cache unmodified relative to a non-speculative system"); everything
 // speculative is tracked outside the cache, in the Bulk Disambiguation
 // Module's signatures and cache-set bitmask registers.
+//
+// A way's line address lives in a tag array apart from its state and data,
+// as in hardware: a tag match compares one set's contiguous tags, and
+// signature expansion reads a set's line addresses from them (Figure 4).
 package cache
 
 import (
@@ -44,9 +48,9 @@ func (s State) String() string {
 
 // Line is one cache way's content. Callers get pointers into the cache's
 // backing array and may read fields; state changes should go through the
-// cache methods so statistics stay consistent.
+// cache methods so statistics stay consistent. A way's address lives in
+// the cache's tag array, not here.
 type Line struct {
-	Addr  LineAddr
 	State State
 	// Data optionally carries the line's word values. The cache itself
 	// never interprets it. Only the TM runtime fills it, so that
@@ -57,9 +61,6 @@ type Line struct {
 	Data []uint64
 	lru  uint64
 }
-
-// Valid reports whether the line holds data.
-func (l *Line) Valid() bool { return l.State != Invalid }
 
 // Evicted describes the line an insertion displaced. State is Invalid when
 // the insertion displaced nothing.
@@ -80,6 +81,9 @@ type Stats struct {
 // Cache is a set-associative cache. Not safe for concurrent use; the
 // simulator serializes accesses.
 //
+// The tag array is the only home of a way's address; an Invalid way holds
+// noTag.
+//
 // The cache maintains per-set occupancy summaries incrementally: a
 // valid/dirty line count per set and a bit-per-set any-valid/any-dirty
 // mask. Bulk operations (signature expansion, bulk invalidation) intersect
@@ -90,7 +94,8 @@ type Cache struct {
 	// The geometry, fixed at construction.
 	sets, ways, lineBytes, indexBits int
 
-	lines []Line // sets*ways, row-major by set
+	tags  []LineAddr // sets*ways, row-major by set; noTag while Invalid
+	lines []Line     // the ways' contents, laid out as tags
 	clock uint64
 	stats Stats
 
@@ -113,18 +118,27 @@ func New(sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets is not a power of two", sets)
 	}
-	return &Cache{
+	c := &Cache{
 		sets:      sets,
 		ways:      ways,
 		lineBytes: lineBytes,
 		indexBits: bits.TrailingZeros(uint(sets)),
+		tags:      make([]LineAddr, sets*ways),
 		lines:     make([]Line, sets*ways),
 		validCnt:  make([]uint16, sets),
 		dirtyCnt:  make([]uint16, sets),
 		validMask: make([]uint64, (sets+63)/64),
 		dirtyMask: make([]uint64, (sets+63)/64),
-	}, nil
+	}
+	for i := range c.tags {
+		c.tags[i] = noTag
+	}
+	return c, nil
 }
+
+// noTag is the tag of an Invalid way. No line address reaches it: line
+// addresses are word addresses divided by the words per line.
+const noTag = ^LineAddr(0)
 
 // MustNew is New that panics on error; for static configuration tables.
 func MustNew(sizeBytes, ways, lineBytes int) *Cache {
@@ -154,8 +168,19 @@ func (c *Cache) SetIndex(a LineAddr) int { return int(a) & (c.sets - 1) }
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// set returns the ways of set i.
-func (c *Cache) set(i int) []Line { return c.lines[i*c.ways : (i+1)*c.ways] }
+// find returns the index in tags and lines of the way holding a, or -1:
+// one match over the ways' contiguous tags.
+//
+//bulklint:noalloc
+func (c *Cache) find(a LineAddr) int {
+	base := c.SetIndex(a) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == a {
+			return base + i
+		}
+	}
+	return -1
+}
 
 // Occupancy bookkeeping. Counts drive the masks: a set's mask bit flips
 // exactly on the 0↔1 count transitions, so every state change costs O(1).
@@ -189,11 +214,8 @@ func (c *Cache) subDirty(set int) {
 //
 //bulklint:noalloc
 func (c *Cache) Lookup(a LineAddr) *Line {
-	ws := c.set(c.SetIndex(a))
-	for i := range ws {
-		if ws[i].State != Invalid && ws[i].Addr == a {
-			return &ws[i]
-		}
+	if i := c.find(a); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
@@ -242,10 +264,11 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 		l.lru = c.clock
 		return l, Evicted{}
 	}
-	ws := c.set(set)
+	base := set * c.ways
+	tags, ws := c.tags[base:base+c.ways], c.lines[base:base+c.ways]
 	victim := -1
-	for i := range ws {
-		if ws[i].State == Invalid {
+	for i, t := range tags {
+		if t == noTag {
 			victim = i
 			break
 		}
@@ -258,7 +281,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 				victim = i
 			}
 		}
-		ev = Evicted{Addr: ws[victim].Addr, State: ws[victim].State}
+		ev = Evicted{Addr: tags[victim], State: ws[victim].State}
 		c.stats.Evictions++
 		c.subValid(set)
 		if ws[victim].State == Dirty {
@@ -267,7 +290,8 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 		}
 	}
 	c.clock++
-	ws[victim] = Line{Addr: a, State: st, Data: ws[victim].Data, lru: c.clock}
+	tags[victim] = a
+	ws[victim] = Line{State: st, Data: ws[victim].Data, lru: c.clock}
 	c.addValid(set)
 	if st == Dirty {
 		c.addDirty(set)
@@ -277,13 +301,16 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 
 // Invalidate removes address a from the cache if present. Returns the state
 // the line had (Invalid if it was not present).
+//
+//bulklint:noalloc
 func (c *Cache) Invalidate(a LineAddr) State {
-	l := c.Lookup(a)
-	if l == nil {
+	i := c.find(a)
+	if i < 0 {
 		return Invalid
 	}
-	st := l.State
-	l.State = Invalid
+	st := c.lines[i].State
+	c.lines[i].State = Invalid
+	c.tags[i] = noTag
 	c.stats.Invals++
 	set := c.SetIndex(a)
 	c.subValid(set)
@@ -304,34 +331,35 @@ func (c *Cache) MarkClean(a LineAddr) {
 	}
 }
 
-// MarkDirty upgrades a resident line to Dirty. Line state transitions must
-// go through the cache (not `l.State = Dirty` on the returned pointer) so
-// the per-set occupancy summaries stay consistent.
+// MarkDirty upgrades the resident line a to Dirty. Line state transitions
+// must go through the cache (not `l.State = Dirty` on a returned pointer)
+// so the per-set occupancy summaries stay consistent.
 //
 //bulklint:noalloc
-func (c *Cache) MarkDirty(l *Line) {
-	if l.State == Invalid {
-		panic("cache: MarkDirty on an invalid line") //bulklint:invariant callers pass lines obtained from Lookup/Access/Insert
+func (c *Cache) MarkDirty(a LineAddr) {
+	i := c.find(a)
+	if i < 0 {
+		panic("cache: MarkDirty on an absent line") //bulklint:invariant callers mark lines they just accessed or inserted
 	}
-	if l.State != Dirty {
-		l.State = Dirty
-		c.addDirty(c.SetIndex(l.Addr))
+	if c.lines[i].State != Dirty {
+		c.lines[i].State = Dirty
+		c.addDirty(c.SetIndex(a))
 	}
 }
 
-// LinesInSet appends pointers to the valid lines of set i to dst. This is
-// the cache-side read of signature expansion (Figure 4): given a set index
-// from δ, read out all valid line addresses in the set.
+// LinesInSet appends the addresses of the valid lines of set i to dst,
+// read from the tags. This is the cache-side read of signature expansion
+// (Figure 4): given a set index from δ, read out all valid line addresses
+// in the set.
 //
 //bulklint:noalloc
-func (c *Cache) LinesInSet(i int, dst []*Line) []*Line {
+func (c *Cache) LinesInSet(i int, dst []LineAddr) []LineAddr {
 	if c.validCnt[i] == 0 {
 		return dst
 	}
-	ws := c.set(i)
-	for j := range ws {
-		if ws[j].State != Invalid {
-			dst = append(dst, &ws[j]) //bulklint:allow noalloc amortized growth; callers pass a warmed scratch buffer
+	for _, t := range c.tags[i*c.ways : (i+1)*c.ways] {
+		if t != noTag {
+			dst = append(dst, t) //bulklint:allow noalloc amortized growth; callers pass a warmed scratch buffer
 		}
 	}
 	return dst
@@ -342,17 +370,16 @@ func (c *Cache) LinesInSet(i int, dst []*Line) []*Line {
 //bulklint:noalloc
 func (c *Cache) DirtyInSet(i int) bool { return c.dirtyCnt[i] > 0 }
 
-// DirtyLinesInSet appends the dirty lines of set i to dst.
+// DirtyLinesInSet appends the addresses of the dirty lines of set i to dst.
 //
 //bulklint:noalloc
-func (c *Cache) DirtyLinesInSet(i int, dst []*Line) []*Line {
+func (c *Cache) DirtyLinesInSet(i int, dst []LineAddr) []LineAddr {
 	if c.dirtyCnt[i] == 0 {
 		return dst
 	}
-	ws := c.set(i)
-	for j := range ws {
-		if ws[j].State == Dirty {
-			dst = append(dst, &ws[j]) //bulklint:allow noalloc amortized growth; callers pass a warmed scratch buffer
+	for j := i * c.ways; j < (i+1)*c.ways; j++ {
+		if c.lines[j].State == Dirty {
+			dst = append(dst, c.tags[j]) //bulklint:allow noalloc amortized growth; callers pass a warmed scratch buffer
 		}
 	}
 	return dst
@@ -379,11 +406,12 @@ func (c *Cache) AndDirtySets(m []uint64) {
 	}
 }
 
-// Walk calls fn for every valid line. fn must not insert or invalidate.
-func (c *Cache) Walk(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+// Walk calls fn with the address and content of every valid line. fn must
+// not insert or invalidate.
+func (c *Cache) Walk(fn func(LineAddr, *Line)) {
+	for i, t := range c.tags {
+		if t != noTag {
+			fn(t, &c.lines[i])
 		}
 	}
 }
@@ -399,21 +427,22 @@ func (c *Cache) CountState(st State) int {
 	return n
 }
 
-// Reset returns the cache to its just-built state: every way Invalid,
-// zero occupancy, counters and LRU clock. It walks only the occupied sets.
-// An Invalid way's Addr, LRU stamp and Data are never read — Lookup
-// filters on State, victim selection takes an Invalid way before it
-// compares stamps, and Insert rewrites the whole line but its Data buffer,
-// which a Data user overwrites in full — so they keep their payload, and a
-// way keeps its Data buffer for the next fill.
+// Reset returns the cache to its just-built state: every way Invalid with
+// tag noTag, zero occupancy, counters and LRU clock. It walks only the
+// occupied sets. An Invalid way's LRU stamp and Data are never read —
+// victim selection takes an Invalid way before it compares stamps, and
+// Insert rewrites the whole line but its Data buffer, which a Data user
+// overwrites in full — so they keep their payload, and a way keeps its
+// Data buffer for the next fill.
 //
 //bulklint:noalloc
 func (c *Cache) Reset() {
 	for w, m := range c.validMask {
 		for ; m != 0; m &= m - 1 {
-			ws := c.set(w<<6 + bits.TrailingZeros64(m))
-			for i := range ws {
-				ws[i].State = Invalid
+			base := (w<<6 + bits.TrailingZeros64(m)) * c.ways
+			for i := base; i < base+c.ways; i++ {
+				c.tags[i] = noTag
+				c.lines[i].State = Invalid
 			}
 		}
 	}

@@ -42,10 +42,10 @@ func TestInsertLookupInvalidate(t *testing.T) {
 	if ev.State != Invalid {
 		t.Fatal("inserting into an empty set must not evict")
 	}
-	if l.Addr != a || l.State != Clean {
+	if l.State != Clean {
 		t.Fatalf("inserted line wrong: %+v", l)
 	}
-	if got := c.Lookup(a); got == nil || got.Addr != a {
+	if got := c.Lookup(a); got != l {
 		t.Fatal("Lookup must find the inserted line")
 	}
 	if st := c.Invalidate(a); st != Clean {
@@ -144,7 +144,7 @@ func TestLinesInSetAndDirtyQueries(t *testing.T) {
 		t.Fatal("DirtyInSet wrong")
 	}
 	dirty := c.DirtyLinesInSet(0, nil)
-	if len(dirty) != 1 || dirty[0].Addr != 4 {
+	if len(dirty) != 1 || dirty[0] != 4 {
 		t.Fatalf("DirtyLinesInSet wrong: %+v", dirty)
 	}
 }
@@ -168,7 +168,12 @@ func TestWalkAndCountState(t *testing.T) {
 		t.Fatalf("CountState(Dirty)=%d, want 2", got)
 	}
 	n := 0
-	c.Walk(func(l *Line) { n++ })
+	c.Walk(func(a LineAddr, l *Line) {
+		if c.Lookup(a) != l {
+			t.Fatalf("Walk passed line %d with another way's content", a)
+		}
+		n++
+	})
 	if n != 3 {
 		t.Fatalf("Walk visited %d lines, want 3", n)
 	}
@@ -229,13 +234,13 @@ func TestStressRandomOpsInvariant(t *testing.T) {
 			t.Fatalf("set %d has %d valid lines > %d ways", set, len(lines), c.Ways())
 		}
 		seen := map[LineAddr]bool{}
-		for _, l := range lines {
-			if seen[l.Addr] {
-				t.Fatalf("set %d holds address %d twice", set, l.Addr)
+		for _, a := range lines {
+			if seen[a] {
+				t.Fatalf("set %d holds address %d twice", set, a)
 			}
-			seen[l.Addr] = true
-			if c.SetIndex(l.Addr) != set {
-				t.Fatalf("line %d stored in wrong set %d", l.Addr, set)
+			seen[a] = true
+			if c.SetIndex(a) != set {
+				t.Fatalf("line %d stored in wrong set %d", a, set)
 			}
 		}
 	}
@@ -248,6 +253,29 @@ func BenchmarkAccessHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Access(1)
 	}
+}
+
+// lookupSink keeps the benchmarked lookups from being optimized away.
+var lookupSink *Line
+
+// BenchmarkLookup times the tag match on a warmed 32 KiB 4-way cache with
+// every set full: hits, and misses that compare all four tags.
+func BenchmarkLookup(b *testing.B) {
+	c := MustNew(32<<10, 4, 64)
+	for a := LineAddr(0); a < LineAddr(c.NumSets()*c.Ways()); a++ {
+		c.Insert(a, Clean)
+	}
+	miss := LineAddr(c.NumSets() * c.Ways() * 2)
+	b.Run("hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lookupSink = c.Lookup(LineAddr(i) & 511)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lookupSink = c.Lookup(miss + LineAddr(i)&127)
+		}
+	})
 }
 
 func BenchmarkInsertEvict(b *testing.B) {

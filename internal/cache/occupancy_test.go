@@ -14,16 +14,15 @@ func bruteOccupancy(c *Cache) (validCnt, dirtyCnt []uint16, validMask, dirtyMask
 	dirtyCnt = make([]uint16, c.sets)
 	validMask = make([]uint64, (c.sets+63)/64)
 	dirtyMask = make([]uint64, (c.sets+63)/64)
-	for s := 0; s < c.sets; s++ {
-		for _, l := range c.set(s) {
-			if l.State != Invalid {
-				validCnt[s]++
-				validMask[s>>6] |= 1 << (s & 63)
-			}
-			if l.State == Dirty {
-				dirtyCnt[s]++
-				dirtyMask[s>>6] |= 1 << (s & 63)
-			}
+	for i, l := range c.lines {
+		s := i / c.ways
+		if l.State != Invalid {
+			validCnt[s]++
+			validMask[s>>6] |= 1 << (s & 63)
+		}
+		if l.State == Dirty {
+			dirtyCnt[s]++
+			dirtyMask[s>>6] |= 1 << (s & 63)
 		}
 	}
 	return
@@ -50,9 +49,35 @@ func checkOccupancy(t *testing.T, c *Cache, when string) {
 	}
 }
 
+// checkTags re-derives the tag array from model, the resident lines and
+// their states: each resident line sits in one way of its own set under
+// its state, and every other way is Invalid with tag noTag.
+func checkTags(t *testing.T, c *Cache, model map[LineAddr]State, step int) {
+	t.Helper()
+	found := 0
+	for i, tag := range c.tags {
+		st := c.lines[i].State
+		if tag == noTag {
+			if st != Invalid {
+				t.Fatalf("step %d: way %d has no tag but state %v", step, i, st)
+			}
+			continue
+		}
+		if want, ok := model[tag]; !ok || st != want || c.SetIndex(tag) != i/c.ways {
+			t.Fatalf("step %d: way %d holds line %d as %v; model says resident=%v as %v in set %d",
+				step, i, tag, st, ok, want, c.SetIndex(tag))
+		}
+		found++
+	}
+	if found != len(model) {
+		t.Fatalf("step %d: tags hold %d lines, model %d", step, found, len(model))
+	}
+}
+
 // TestOccupancyRandomOps drives randomized insert/invalidate/markclean/
-// markdirty/flush sequences and checks the incremental occupancy summaries
-// against a brute-force per-set scan after every operation.
+// markdirty/reset sequences against a model of the resident lines. After
+// every operation it re-derives the tags from the model, and every 7th it
+// checks the incremental occupancy summaries against a per-set scan.
 func TestOccupancyRandomOps(t *testing.T) {
 	// 128 sets exercises mask words beyond the first; 8 sets exercises a
 	// mask smaller than one word.
@@ -61,6 +86,7 @@ func TestOccupancyRandomOps(t *testing.T) {
 		{2 << 10, 4, 64},  // 8 sets
 	} {
 		c := MustNew(geom.size, geom.ways, geom.line)
+		model := map[LineAddr]State{}
 		r := rng.New(uint64(geom.size))
 		addrSpace := uint64(c.NumSets() * c.Ways() * 3) // enough aliasing to force evictions
 		for step := 0; step < 4000; step++ {
@@ -71,20 +97,38 @@ func TestOccupancyRandomOps(t *testing.T) {
 				if r.Bool(0.5) {
 					st = Dirty
 				}
-				c.Insert(a, st)
+				_, ev := c.Insert(a, st)
+				if ev.State != Invalid {
+					if model[ev.Addr] != ev.State {
+						t.Fatalf("step %d: evicted %d as %v, model says %v", step, ev.Addr, ev.State, model[ev.Addr])
+					}
+					delete(model, ev.Addr)
+				}
+				if model[a] != Dirty {
+					model[a] = st
+				}
 			case r.Bool(0.3):
-				c.Invalidate(a)
+				if st := c.Invalidate(a); st != model[a] {
+					t.Fatalf("step %d: Invalidate(%d) = %v, model says %v", step, a, st, model[a])
+				}
+				delete(model, a)
 			case r.Bool(0.3):
 				c.MarkClean(a)
+				if _, ok := model[a]; ok {
+					model[a] = Clean
+				}
 			case r.Bool(0.5):
-				if l := c.Lookup(a); l != nil {
-					c.MarkDirty(l)
+				if c.Lookup(a) != nil {
+					c.MarkDirty(a)
+					model[a] = Dirty
 				}
 			case r.Bool(0.01):
 				c.Reset()
+				clear(model)
 			default:
 				c.Access(a)
 			}
+			checkTags(t, c, model, step)
 			if step%7 == 0 {
 				checkOccupancy(t, c, "mid-sequence")
 			}
@@ -113,7 +157,7 @@ func TestOccupancyFastPathsAgree(t *testing.T) {
 	}
 	for s := 0; s < c.NumSets(); s++ {
 		valid, dirty := 0, 0
-		for _, l := range c.set(s) {
+		for _, l := range c.lines[s*c.ways : (s+1)*c.ways] {
 			if l.State != Invalid {
 				valid++
 			}

@@ -32,15 +32,17 @@ const resetBoundaries = 24
 // a kept table keeps its slot layout; and the payload of an Invalid cache
 // way, which nothing reads (cache.Cache.Reset says why).
 var resetIgnored = map[string]string{
-	"bulk/internal/bdm.Module.spare":      "the spare pool hands out versions cleared to their just-allocated state",
-	"bulk/internal/core.Machine.keys":     "sorted-key scratch of Apply, Drop, InvalidateLines and DigestMemory, dead between calls",
-	"bulk/internal/tm.System.commitWC":    "commit-path scratch dead between quanta",
-	"bulk/internal/tm.System.spillWords":  "spill scratch dead between quanta",
-	"bulk/internal/tm.System.keyScratch":  "commit-path scratch dead between quanta",
-	"bulk/internal/tm.System.union":       "commit-path scratch dead between quanta",
-	"bulk/internal/tls.System.keyScratch": "commit-path scratch dead between quanta",
-	"bulk/internal/tls.System.pool":       "empty pooled footprints; which task draws which changes no result",
-	"bulk/internal/ckpt.System.lineKeys":  "commit-path scratch dead between quanta",
+	"bulk/internal/bdm.Module.spare":       "the spare pool hands out versions cleared to their just-allocated state",
+	"bulk/internal/bdm.Module.invalidated": "bulk-operation result list, dead between calls",
+	"bulk/internal/bdm.Module.merges":      "bulk-operation result list, dead between calls",
+	"bulk/internal/core.Machine.keys":      "sorted-key scratch of Apply, Drop, InvalidateLines and DigestMemory, dead between calls",
+	"bulk/internal/tm.System.commitWC":     "commit-path scratch dead between quanta",
+	"bulk/internal/tm.System.spillWords":   "spill scratch dead between quanta",
+	"bulk/internal/tm.System.keyScratch":   "commit-path scratch dead between quanta",
+	"bulk/internal/tm.System.union":        "commit-path scratch dead between quanta",
+	"bulk/internal/tls.System.keyScratch":  "commit-path scratch dead between quanta",
+	"bulk/internal/tls.System.pool":        "empty pooled footprints; which task draws which changes no result",
+	"bulk/internal/ckpt.System.lineKeys":   "commit-path scratch dead between quanta",
 }
 
 // resetTargets is every target the reset test runs: the sweep targets, the

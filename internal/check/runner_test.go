@@ -200,7 +200,7 @@ func TestRunnerMatchesTargetRun(t *testing.T) {
 // rebuilt instead of emptied, say — regrows its tables every schedule and
 // breaks the bound while every outcome stays the same.
 func TestRunnerAllocsPerSchedule(t *testing.T) {
-	bounds := map[string]float64{"tm-sweep": 14, "tls-sweep": 23, "ckpt-sweep": 10}
+	bounds := map[string]float64{"tm-sweep": 11, "tls-sweep": 18, "ckpt-sweep": 10}
 	schedules := [][]int{nil, {1}, {2}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 1}}
 	for _, tgt := range SweepTargets() {
 		r, err := tgt.newRunner(0)

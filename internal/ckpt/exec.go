@@ -115,9 +115,9 @@ func (s *System) applyRemoteInvalidation(p *proc, line uint64) {
 // access charges the cache/memory timing for touching a line.
 func (s *System) access(p *proc, line uint64, write bool) int {
 	par := s.opts.Params
-	if l := p.cache.Access(cache.LineAddr(line)); l != nil {
+	if p.cache.Access(cache.LineAddr(line)) != nil {
 		if write {
-			p.cache.MarkDirty(l)
+			p.cache.MarkDirty(cache.LineAddr(line))
 		}
 		return par.HitLatency
 	}
@@ -237,7 +237,7 @@ func (s *System) specOp(p *proc, op trace.Op) int {
 				return 0
 			}
 			for _, wb := range d.SafeWritebacks {
-				p.cache.MarkClean(wb.Addr)
+				p.cache.MarkClean(wb)
 				s.Bus.Record(bus.WB, bus.WritebackBytes)
 			}
 		}

@@ -53,11 +53,10 @@ func (q *quota) Tick() (bool, error) {
 	q.Mem.Write(word, mem.Word(q.Engine.Now()+1))
 	q.Bus.Record(bus.Inv, bus.InvalidationBytes)
 	line := cache.LineAddr(LineOf(word))
-	l := q.Caches[p].Access(line)
-	if l == nil {
-		l, _ = q.Caches[p].Insert(line, cache.Clean)
+	if q.Caches[p].Access(line) == nil {
+		q.Caches[p].Insert(line, cache.Clean)
 	}
-	q.Caches[p].MarkDirty(l)
+	q.Caches[p].MarkDirty(line)
 	if q.Modules != nil {
 		v, err := q.Modules[p].AllocVersion(p)
 		if err != nil {
@@ -252,8 +251,8 @@ func TestCoherence(t *testing.T) {
 	if got := q.SupplyLatency(0, line, never); got != par.MemLatency {
 		t.Errorf("no remote copy: latency %d, want memory's %d", got, par.MemLatency)
 	}
-	l, _ := q.Caches[1].Insert(la, cache.Clean)
-	q.Caches[1].MarkDirty(l)
+	q.Caches[1].Insert(la, cache.Clean)
+	q.Caches[1].MarkDirty(la)
 	if got := q.SupplyLatency(0, line, func(int) bool { return true }); got != par.MemLatency {
 		t.Errorf("speculative remote copy: latency %d, want memory's %d", got, par.MemLatency)
 	}

@@ -10,9 +10,9 @@ import (
 // This file implements the noalloc rule as a thin client of the effect
 // engine (effects.go). A function annotated `//bulklint:noalloc` (in its
 // doc comment or on the `func` line) is a hot kernel — signature
-// gather/decode/RLE, flatmap probe/insert, cache occupancy updates, commit
-// inner loops — whose zero-allocation property the performance claims of
-// PRs 2–3 depend on.
+// permute/decode/RLE, flatmap probe/insert, cache tag match and occupancy
+// updates, commit inner loops — whose zero-allocation property the
+// performance claims of PRs 2–3 depend on.
 //
 // The rule walks the kernel and everything it statically calls over the
 // module call graph and reports every effect site carrying the alloc or

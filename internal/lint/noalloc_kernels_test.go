@@ -33,11 +33,13 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/cache.Cache.DirtyInSet exported=true",
 		"bulk/internal/cache.Cache.DirtyLinesInSet exported=true",
 		"bulk/internal/cache.Cache.Insert exported=true",
+		"bulk/internal/cache.Cache.Invalidate exported=true",
 		"bulk/internal/cache.Cache.LinesInSet exported=true",
 		"bulk/internal/cache.Cache.Lookup exported=true",
 		"bulk/internal/cache.Cache.MarkClean exported=true",
 		"bulk/internal/cache.Cache.MarkDirty exported=true",
 		"bulk/internal/cache.Cache.Reset exported=true",
+		"bulk/internal/cache.Cache.find exported=false",
 		"bulk/internal/check.ReplayScheduler.Reset exported=true",
 		"bulk/internal/check.hashSchedule exported=false",
 		"bulk/internal/check.hashStep exported=false",
@@ -72,6 +74,8 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/mem.OverflowArea.Fetch exported=true",
 		"bulk/internal/mem.OverflowArea.Reset exported=true",
 		"bulk/internal/mutate.Set.Has exported=true",
+		"bulk/internal/sig.Config.fieldValue exported=false",
+		"bulk/internal/sig.Config.permute exported=false",
 		"bulk/internal/sig.DecodePlan.DecodeInto exported=true",
 		"bulk/internal/sig.RLDecodeInto exported=true",
 		"bulk/internal/sig.RLEncodeAppend exported=true",

@@ -205,43 +205,75 @@ func BenchmarkRLDecode(b *testing.B) {
 	}
 }
 
-// TestFieldValuesMatchesBitwiseReference cross-checks the gather-table
+// refFieldValues is the definitional chunk extraction: bit b of chunk Ci
+// is address bit permPos[sum(C1..Ci-1)+b], or zero past the address.
+func refFieldValues(cfg *Config, a Addr) []int {
+	ref := make([]int, len(cfg.chunks))
+	pos := 0
+	for i, ch := range cfg.chunks {
+		for b := 0; b < ch; b++ {
+			if src := cfg.permPos[pos]; src >= 0 {
+				ref[i] |= int((a>>uint(src))&1) << uint(b)
+			}
+			pos++
+		}
+	}
+	return ref
+}
+
+// checkKernel compares the byte-table kernel with refFieldValues at a: the
+// chunk values, the bits Add sets, and the bits Contains tests.
+func checkKernel(t *testing.T, cfg *Config, a Addr) {
+	t.Helper()
+	ref := refFieldValues(cfg, a)
+	p := cfg.permute(a)
+	want := cfg.NewSignature()
+	for i, v := range ref {
+		if got := cfg.fieldValue(i, a, p); got != v {
+			t.Fatalf("%v perm=%v/%d addr=%#x chunk %d: kernel %#x, reference %#x",
+				cfg.chunks, cfg.perm, cfg.addrBits, a, i, got, v)
+		}
+		bit := cfg.fields[i].off + v
+		want.bits[bit>>6] |= 1 << uint(bit&63)
+	}
+	got := cfg.NewSignature()
+	got.Add(a)
+	if !got.Equal(want) {
+		t.Fatalf("%v perm=%v/%d addr=%#x: Add set %x, reference %x",
+			cfg.chunks, cfg.perm, cfg.addrBits, a, got.bits, want.bits)
+	}
+	// Contains must test every field's bit: clearing any one fails it.
+	for i, v := range ref {
+		bit := cfg.fields[i].off + v
+		got.bits[bit>>6] &^= 1 << uint(bit&63)
+		if got.Contains(a) {
+			t.Fatalf("%v perm=%v/%d addr=%#x: Contains passes without field %d's bit",
+				cfg.chunks, cfg.perm, cfg.addrBits, a, i)
+		}
+		got.bits[bit>>6] |= 1 << uint(bit&63)
+	}
+	if !got.Contains(a) {
+		t.Fatalf("%v perm=%v/%d addr=%#x: Contains misses an added address", cfg.chunks, cfg.perm, cfg.addrBits, a)
+	}
+}
+
+// TestFieldValuesMatchesBitwiseReference cross-checks the byte-table
 // kernel against the definitional per-bit extraction, across the standard
-// configurations and a spread of random permutations (the Figure 15
-// stress case, where gather runs degenerate to single bits).
+// configurations, the default TLS and word-granularity TM layouts, and a
+// spread of random permutations (the Figure 15 stress case).
 func TestFieldValuesMatchesBitwiseReference(t *testing.T) {
 	r := rng.New(7)
 	check := func(cfg *Config) {
 		t.Helper()
-		var got [MaxChunks]uint32
-		ref := make([]uint32, len(cfg.chunks))
 		for trial := 0; trial < 200; trial++ {
-			a := Addr(r.Uint64n(1 << cfg.addrBits))
-			// Reference: walk permPos bit by bit.
-			pos := 0
-			for i, ch := range cfg.chunks {
-				var v uint32
-				for b := 0; b < ch; b++ {
-					if src := cfg.permPos[pos]; src >= 0 {
-						v |= uint32((a>>uint(src))&1) << uint(b)
-					}
-					pos++
-				}
-				ref[i] = v
-			}
-			for i, v := range cfg.fieldIndices(a, &got) {
-				if v != ref[i] {
-					t.Fatalf("%s perm=%v addr=%#x chunk %d: gather %#x, reference %#x",
-						cfg.Name(), cfg.perm, a, i, v, ref[i])
-				}
-			}
+			checkKernel(t, cfg, Addr(r.Uint64n(1<<cfg.addrBits)))
 		}
 	}
 	cfgs, err := StandardConfigs(TMPermutation, TMAddrBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range cfgs {
+	for _, cfg := range append(cfgs, DefaultTLS(), WordTM()) {
 		check(cfg)
 		// Identity permutation.
 		noPerm, err := cfg.WithPerm(nil)
@@ -264,6 +296,33 @@ func TestFieldValuesMatchesBitwiseReference(t *testing.T) {
 			check(cfg)
 		}
 	}
+}
+
+// FuzzFieldValues draws a layout (1-16 chunks of 1-24 bits), a permutation
+// prefix, an address width and an address, high bits included, and checks
+// the byte-table kernel against the definitional per-bit walk.
+func FuzzFieldValues(f *testing.F) {
+	f.Add([]byte{9, 9}, uint64(7), uint8(25), uint64(0x2ab_cdef1))
+	f.Add([]byte{10, 10, 7, 4}, uint64(0), uint8(29), ^uint64(0))
+	// Sixteen 24-bit chunks reach bit 384, past any 8-bit chunk position.
+	f.Add([]byte{23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23, 23},
+		uint64(3), uint8(61), uint64(0x5a5a_5a5a_5a5a_5a5a))
+	f.Fuzz(func(t *testing.T, layout []byte, permSeed uint64, width uint8, a uint64) {
+		if len(layout) == 0 || len(layout) > MaxChunks {
+			return
+		}
+		chunks := make([]int, len(layout))
+		for i, b := range layout {
+			chunks[i] = 1 + int(b)%24
+		}
+		addrBits := 1 + int(width)%62
+		perm := rng.New(permSeed).Perm(int(permSeed % uint64(addrBits+1)))
+		cfg, err := NewConfig("fuzz", chunks, perm, addrBits)
+		if err != nil {
+			t.Fatalf("NewConfig(%v, %v, %d): %v", chunks, perm, addrBits, err)
+		}
+		checkKernel(t, cfg, Addr(a))
+	})
 }
 
 // TestNewConfigRejectsTooManyChunks: the MaxChunks bound backing the fixed

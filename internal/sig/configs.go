@@ -112,14 +112,17 @@ func StandardConfig(name string, perm []int, addrBits int) (*Config, error) {
 	return nil, fmt.Errorf("sig: unknown standard configuration %q", name)
 }
 
-// StandardConfigs returns all 23 Table 8 configurations in order.
+// StandardConfigs returns all 23 Table 8 configurations in order. They
+// share one permutation table.
 func StandardConfigs(perm []int, addrBits int) ([]*Config, error) {
 	out := make([]*Config, 0, len(standardChunkSets))
+	var tab [][256]uint64
 	for _, sc := range standardChunkSets {
-		c, err := NewConfig(sc.name, sc.chunks, perm, addrBits)
+		c, err := newConfig(sc.name, sc.chunks, perm, addrBits, tab)
 		if err != nil {
 			return nil, fmt.Errorf("sig: building %s: %v", sc.name, err)
 		}
+		tab = c.tab
 		out = append(out, c)
 	}
 	return out, nil
@@ -135,23 +138,26 @@ func StandardConfigNames() []string {
 }
 
 // DefaultTM returns the paper's default signature for the TM experiments:
-// S14 (2 Kbit) over 26-bit line addresses with the TM permutation.
-func DefaultTM() *Config {
-	return MustConfig("S14", []int{10, 10}, TMPermutation, TMAddrBits)
-}
+// S14 (2 Kbit) over 26-bit line addresses with the TM permutation. Every
+// call returns the same immutable Config.
+func DefaultTM() *Config { return defaultTM }
 
 // DefaultTLS returns the paper's default signature for the TLS experiments:
-// S14 (2 Kbit) over 30-bit word addresses with the TLS permutation.
-func DefaultTLS() *Config {
-	return MustConfig("S14", []int{10, 10}, TLSPermutation, TLSAddrBits)
-}
+// S14 (2 Kbit) over 30-bit word addresses with the TLS permutation. Every
+// call returns the same immutable Config.
+func DefaultTLS() *Config { return defaultTLS }
 
 // WordTM returns the signature of word-granularity TM: S14 over 30-bit
 // word addresses of 16-word lines. The TM cache's 128-set index lives in
 // word-address bits 4..10, so the permutation brings those bits (plus
 // word-offset bits 0..2) into the first chunk, keeping the δ decode exact;
-// word-offset bit 3 leads the second chunk.
-func WordTM() *Config {
-	perm := []int{4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19}
-	return MustConfig("S14w", []int{10, 10}, perm, TLSAddrBits)
-}
+// word-offset bit 3 leads the second chunk. Every call returns the same
+// immutable Config.
+func WordTM() *Config { return wordTM }
+
+var (
+	defaultTM  = MustConfig("S14", []int{10, 10}, TMPermutation, TMAddrBits)
+	defaultTLS = MustConfig("S14", []int{10, 10}, TLSPermutation, TLSAddrBits)
+	wordTM     = MustConfig("S14w", []int{10, 10},
+		[]int{4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 11, 12, 13, 14, 15, 16, 17, 18, 19}, TLSAddrBits)
+)

@@ -225,7 +225,7 @@ func (p *DecodePlan) DecodeInto(s *Signature, mask SetMask) {
 	mask.Clear()
 	if p.exact {
 		fp := &p.fields[0]
-		off := p.cfg.offsets[fp.field]
+		off := p.cfg.fields[fp.field].off
 		n := 1 << p.cfg.chunks[fp.field]
 		sets := uint32(p.idx.NumSets() - 1)
 		for i := 0; i < n; {
@@ -305,10 +305,10 @@ func (p *DecodePlan) decodeCross(s *Signature, mask SetMask) {
 // Contains(line*wordsPerLine + w), bit for bit, so the mask is exact with
 // respect to membership and conservative with respect to the writes.
 //
-// For bit-selected configurations the unit costs one gather per line.
+// For bit-selected configurations the unit costs one permutation per line.
 // Every field-value bit comes from exactly one address bit, so chunk i of
 // the word address line*W | w is chunk_i(line*W) | chunk_i(w): the
-// line's gather plus a contribution that depends on w and the layout
+// line's chunk plus a contribution that depends on w and the layout
 // only. NewWordMaskPlan records which word-offset bits each chunk holds
 // and sorts the chunks into three kinds:
 //
@@ -363,7 +363,7 @@ func NewWordMaskPlan(cfg *Config, wordsPerLine int) (*WordMaskPlan, error) {
 	}
 	off := 0
 	for i, ch := range cfg.chunks {
-		held, inOrder := 0, cfg.offsets[i]%wordsPerLine == 0
+		held, inOrder := 0, cfg.fields[i].off%wordsPerLine == 0
 		for b := 0; b < ch; b++ {
 			if src := cfg.permPos[off+b]; src >= 0 && src < k {
 				p.holder[src], p.pos[src] = int8(i), uint8(b)
@@ -406,10 +406,10 @@ func (p *WordMaskPlan) Mask(s *Signature, line Addr) uint64 {
 	}
 	// base's word-offset bits are zero, so chunk_i(base) | chunk_i(w) is
 	// chunk_i(base) + chunk_i(w).
-	var vals [MaxChunks]uint32
+	perm := p.cfg.permute(base)
 	m := p.all
-	for i, v := range p.cfg.fieldIndices(base, &vals) {
-		bit := p.cfg.offsets[i] + int(v)
+	for i := range p.cfg.fields {
+		bit := p.cfg.fields[i].off + p.cfg.fieldValue(i, base, perm)
 		switch p.kind[i] {
 		case wordsNone:
 			if s.bits[bit>>6]&(1<<uint(bit&63)) == 0 {

@@ -238,9 +238,9 @@ func kernelConfigs(t *testing.T) []*Config {
 	return out
 }
 
-// TestWordMaskMatchesContains: the one-gather word-mask kernel equals the
-// per-word Contains loop bit for bit, on lines inside and outside random
-// signatures. The paper's defaults take only the window and bit-test
+// TestWordMaskMatchesContains: the one-permutation word-mask kernel equals
+// the per-word Contains loop bit for bit, on lines inside and outside
+// random signatures. The paper's defaults take only the window and bit-test
 // paths; WordTM, the layout of word-granularity TM, and the random
 // permutations run the walk path.
 func TestWordMaskMatchesContains(t *testing.T) {

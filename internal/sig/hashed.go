@@ -23,7 +23,8 @@ import (
 // by bit selection. chunks gives each field's index width as in NewConfig;
 // seed derives the hash multipliers.
 func NewHashedConfig(name string, chunks []int, addrBits int, seed uint64) (*Config, error) {
-	cfg, err := NewConfig(name, chunks, nil, addrBits)
+	// Hashed fields read no permuted address, so the table stays empty.
+	cfg, err := newConfig(name, chunks, nil, addrBits, [][256]uint64{})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,13 @@
 // can only over-approximate the original address set, never lose members,
 // so bulk operations built on signatures are inexact but always correct.
 //
+// The permutation is wiring fixed at design time, so the model keeps it as
+// a table per address byte, built once per (permutation, address width)
+// and shared by every configuration with both: the OR of one entry per
+// byte is the whole permuted address, at most 62 bits, and each chunk is
+// a shift and mask of it. Add and Contains cost four lookups for the
+// paper's 26- and 30-bit addresses, then one bit per field.
+//
 // The primitive operations of Table 1 are provided: intersection, union,
 // emptiness, membership, and the exact decode δ into a cache-set bitmask
 // (package file decode.go). Run-length encoding of signatures for commit
@@ -40,16 +47,27 @@ type Config struct {
 	perm     []int // perm[i] = original bit index that lands at position i
 	addrBits int
 
-	totalBits int          // sum of 2^Ci
-	offsets   []int        // bit offset of each Vi field within the signature
-	words     int          // number of uint64 words backing a signature
-	permPos   []int        // for consumed positions 0..sum(Ci)-1: source bit index
-	gather    [][]gatherOp // per chunk: precomputed mask/shift extraction ops
+	totalBits int     // sum of 2^Ci
+	fields    []field // where each chunk sits in the permuted address and the signature
+	words     int     // number of uint64 words backing a signature
+	permPos   []int   // for consumed positions 0..sum(Ci)-1: source bit index
+	// tab[k][v] is the permuted address bits that address byte k holding v
+	// contributes. It depends on (perm, addrBits) alone, so configurations
+	// that share both share one table.
+	tab [][256]uint64
 
 	// Hashed variant (see hashed.go): fields indexed by multiply-shift
 	// hashes of the whole address instead of bit selection.
 	hashed  bool
 	hashMul []uint64
+}
+
+// field places chunk Ci: its value is bits [shift, shift+Ci) of the
+// permuted address, and its field Vi starts at signature bit off.
+type field struct {
+	shift uint // sum(C1..Ci-1); a chunk past bit 63 reads zero
+	mask  uint64
+	off   int
 }
 
 // NewConfig builds a signature configuration.
@@ -62,12 +80,16 @@ type Config struct {
 // number of meaningful low-order address bits (26 for line addresses in the
 // paper's TM setup, 30 for word addresses in TLS).
 func NewConfig(name string, chunks []int, perm []int, addrBits int) (*Config, error) {
+	return newConfig(name, chunks, perm, addrBits, nil)
+}
+
+// newConfig is NewConfig over tab, the permutation table of (perm,
+// addrBits), building the table when tab is nil.
+func newConfig(name string, chunks []int, perm []int, addrBits int, tab [][256]uint64) (*Config, error) {
 	if len(chunks) == 0 {
 		return nil, errors.New("sig: config needs at least one chunk")
 	}
 	if len(chunks) > MaxChunks {
-		// Add/Contains gather chunk values into a fixed [MaxChunks]uint32
-		// stack array; a config with more chunks would silently truncate.
 		return nil, fmt.Errorf("sig: %d chunks exceeds the supported maximum of %d", len(chunks), MaxChunks)
 	}
 	if addrBits <= 0 || addrBits > 62 {
@@ -89,6 +111,9 @@ func NewConfig(name string, chunks []int, perm []int, addrBits int) (*Config, er
 	if err := checkPerm(perm, addrBits); err != nil {
 		return nil, err
 	}
+	if tab == nil {
+		tab = permTable(perm, addrBits)
+	}
 	cfg := &Config{
 		name:      name,
 		chunks:    append([]int(nil), chunks...),
@@ -96,12 +121,14 @@ func NewConfig(name string, chunks []int, perm []int, addrBits int) (*Config, er
 		addrBits:  addrBits,
 		totalBits: total,
 		words:     (total + 63) / 64,
+		tab:       tab,
 	}
-	cfg.offsets = make([]int, len(chunks))
-	off := 0
+	cfg.fields = make([]field, len(chunks))
+	off, shift := 0, 0
 	for i, c := range chunks {
-		cfg.offsets[i] = off
+		cfg.fields[i] = field{shift: uint(shift), mask: 1<<uint(c) - 1, off: off}
 		off += 1 << c
+		shift += c
 	}
 	cfg.permPos = make([]int, consumed)
 	for i := 0; i < consumed; i++ {
@@ -114,51 +141,33 @@ func NewConfig(name string, chunks []int, perm []int, addrBits int) (*Config, er
 			cfg.permPos[i] = -1 // beyond the address: reads as zero
 		}
 	}
-	cfg.buildGather()
 	return cfg, nil
 }
 
-// gatherOp extracts one run of address bits into a chunk value:
-// v |= (uint32(a>>src) & mask) << dst. Runs are maximal stretches of
-// destination bits whose source bits are consecutive, so an identity or
-// near-identity permutation collapses a whole chunk into one op, and even a
-// fully random permutation costs one op per bit with no branch on the
-// beyond-address case (those bits are simply omitted — they read as zero).
-type gatherOp struct {
-	src  uint8
-	dst  uint8
-	mask uint32
-}
-
-// buildGather precomputes the per-chunk gather tables fieldValues executes.
-// This is the hardware analogy made explicit: the permute-and-split network
-// of Figure 2 is wiring chosen at design time (NewConfig), so the per-access
-// work is a handful of mask/shift ops, not a per-bit loop.
-func (c *Config) buildGather() {
-	c.gather = make([][]gatherOp, len(c.chunks))
-	pos := 0
-	for i, ch := range c.chunks {
-		var ops []gatherOp
-		for b := 0; b < ch; {
-			src := c.permPos[pos+b]
-			if src < 0 {
-				b++
-				continue
-			}
-			run := 1
-			for b+run < ch && c.permPos[pos+b+run] == src+run {
-				run++
-			}
-			ops = append(ops, gatherOp{
-				src:  uint8(src),
-				dst:  uint8(b),
-				mask: uint32(1)<<uint(run) - 1,
-			})
-			b += run
-		}
-		c.gather[i] = ops
-		pos += ch
+// permTable builds the per-byte permutation table of (perm, addrBits). This
+// is the hardware analogy made explicit: the permute-and-split network of
+// Figure 2 is wiring chosen at design time, so the per-access work is one
+// lookup per address byte. Each entry is its value with the lowest set bit
+// cleared, plus that bit's permuted position: 256 ORs per byte.
+func permTable(perm []int, addrBits int) [][256]uint64 {
+	var to [64]uint // to[b] = the permuted position of address bit b
+	for b := range addrBits {
+		to[b] = uint(b)
 	}
+	for pos, b := range perm {
+		to[b] = uint(pos)
+	}
+	tab := make([][256]uint64, (addrBits+7)/8)
+	for k := range tab {
+		for v := 1; v < 256; v++ {
+			var bit uint64
+			if b := 8*k + bits.TrailingZeros(uint(v)); b < addrBits {
+				bit = 1 << to[b]
+			}
+			tab[k][v] = tab[k][v&(v-1)] | bit
+		}
+	}
+	return tab
 }
 
 // MustConfig is NewConfig that panics on error; for static tables.
@@ -235,39 +244,35 @@ func (c *Config) String() string {
 	return fmt.Sprintf("%s(%s; %d bits)", c.name, strings.Join(parts, ","), c.totalBits)
 }
 
-// MaxChunks bounds the number of chunks a configuration may have: the hot
-// paths gather chunk values into fixed-size stack arrays of this length,
-// and NewConfig rejects anything larger so they can never truncate.
+// MaxChunks bounds the number of chunks a configuration may have:
+// WordMaskPlan keeps a fixed-size per-chunk array of this length, and
+// NewConfig rejects anything larger so it can never truncate.
 const MaxChunks = 16
 
-// fieldValues computes the per-chunk one-hot bit positions for an address:
-// result[i] is the value of chunk Ci of the permuted address, i.e. the bit
-// index within field Vi that Add would set. Bit-selected configs execute
-// the precomputed gather table; hashed configs multiply-shift per field.
-func (c *Config) fieldValues(a Addr, out []uint32) {
-	if c.hashed {
-		for i := range c.chunks {
-			out[i] = c.hashFieldValue(i, a)
-		}
-		return
+// permute returns a's permuted address P: bit i of P is address bit
+// permPos[i], for every position i below addrBits. Address bits at or
+// above addrBits are ignored. It costs one table lookup per address byte,
+// four for the paper's 26- and 30-bit addresses.
+//
+//bulklint:noalloc
+func (c *Config) permute(a Addr) uint64 {
+	var p uint64
+	for k := range c.tab {
+		p |= c.tab[k][uint8(a>>(8*k))]
 	}
-	for i, ops := range c.gather {
-		var v uint32
-		for _, op := range ops {
-			v |= (uint32(a>>op.src) & op.mask) << op.dst
-		}
-		out[i] = v
-	}
+	return p
 }
 
-// fieldIndices is the one shared entry point of the Add/Contains hot path:
-// it gathers the chunk values for a into the caller's stack array and
-// returns the populated slice. vals must be a *[MaxChunks]uint32 so the
-// slice header never escapes; NewConfig guarantees len(chunks) fits.
-func (c *Config) fieldIndices(a Addr, vals *[MaxChunks]uint32) []uint32 {
-	fv := vals[:len(c.chunks)]
-	c.fieldValues(a, fv)
-	return fv
+// fieldValue returns the value of chunk Ci for address a, whose permuted
+// address is p: the bit of field Vi that Add sets. Bit-selected configs
+// shift and mask p; hashed configs multiply-shift a.
+//
+//bulklint:noalloc
+func (c *Config) fieldValue(i int, a Addr, p uint64) int {
+	if c.hashed {
+		return int(c.hashFieldValue(i, a))
+	}
+	return int(p >> c.fields[i].shift & c.fields[i].mask)
 }
 
 // Signature is a set-of-addresses encoding under a particular Config.
@@ -291,9 +296,10 @@ func (s *Signature) Config() *Config { return s.cfg }
 //
 //bulklint:noalloc
 func (s *Signature) Add(a Addr) {
-	var vals [MaxChunks]uint32
-	for i, v := range s.cfg.fieldIndices(a, &vals) {
-		bit := s.cfg.offsets[i] + int(v)
+	c := s.cfg
+	p := c.permute(a)
+	for i := range c.fields {
+		bit := c.fields[i].off + c.fieldValue(i, a, p)
 		s.bits[bit>>6] |= 1 << uint(bit&63)
 	}
 }
@@ -304,9 +310,10 @@ func (s *Signature) Add(a Addr) {
 //
 //bulklint:noalloc
 func (s *Signature) Contains(a Addr) bool {
-	var vals [MaxChunks]uint32
-	for i, v := range s.cfg.fieldIndices(a, &vals) {
-		bit := s.cfg.offsets[i] + int(v)
+	c := s.cfg
+	p := c.permute(a)
+	for i := range c.fields {
+		bit := c.fields[i].off + c.fieldValue(i, a, p)
 		if s.bits[bit>>6]&(1<<uint(bit&63)) == 0 {
 			return false
 		}
@@ -321,7 +328,7 @@ func (s *Signature) Contains(a Addr) bool {
 //bulklint:noalloc
 func (s *Signature) Empty() bool {
 	for i, ch := range s.cfg.chunks {
-		if s.fieldZero(s.cfg.offsets[i], 1<<ch) {
+		if s.fieldZero(s.cfg.fields[i].off, 1<<ch) {
 			return true
 		}
 	}
@@ -399,8 +406,8 @@ func (s *Signature) mustMatch(other *Signature) {
 
 // Compatible reports whether two configurations produce interoperable
 // signatures: identical chunk layout and bit permutation. Distinct Config
-// values with the same parameters (e.g. two calls to DefaultTM) are
-// compatible.
+// values with the same parameters (e.g. two calls to StandardConfig with
+// the same arguments) are compatible.
 func (c *Config) Compatible(other *Config) bool {
 	if c == other {
 		return true
@@ -482,7 +489,7 @@ func (s *Signature) UnionWith(other *Signature) {
 func (s *Signature) Intersects(other *Signature) bool {
 	s.mustMatch(other)
 	for i, ch := range s.cfg.chunks {
-		if s.fieldAndZero(other, s.cfg.offsets[i], 1<<ch) {
+		if s.fieldAndZero(other, s.cfg.fields[i].off, 1<<ch) {
 			return false
 		}
 	}
@@ -544,13 +551,13 @@ func (s *Signature) Bits() []uint64 { return s.bits }
 // FieldBit reports whether bit v of field i is set. Used by decode logic
 // and white-box tests.
 func (s *Signature) FieldBit(field int, v uint32) bool {
-	bit := s.cfg.offsets[field] + int(v)
+	bit := s.cfg.fields[field].off + int(v)
 	return s.bits[bit>>6]&(1<<uint(bit&63)) != 0
 }
 
 // fieldOnes appends the set-bit indices of field i to dst.
 func (s *Signature) fieldOnes(field int, dst []uint32) []uint32 {
-	off := s.cfg.offsets[field]
+	off := s.cfg.fields[field].off
 	n := 1 << s.cfg.chunks[field]
 	for i := 0; i < n; {
 		w := (off + i) >> 6

@@ -105,20 +105,18 @@ func (s *System) taskWrite(p *proc, t *task, op trace.Op) (int, bool) {
 		for _, wb := range d.SafeWritebacks {
 			// Non-speculative dirty data is already reflected in
 			// committed memory; the writeback is traffic only.
-			p.cache.MarkClean(wb.Addr)
+			p.cache.MarkClean(wb)
 			s.Bus.Record(bus.WB, bus.WritebackBytes)
 			cost += s.opts.Params.TransferCycles(bus.WritebackBytes)
 		}
 	}
 
-	l := p.cache.Access(cache.LineAddr(line))
-	if l == nil {
+	if p.cache.Access(cache.LineAddr(line)) == nil {
 		cost += s.fill(p, t, line)
-		l = p.cache.Lookup(cache.LineAddr(line))
 	} else {
 		cost += s.opts.Params.HitLatency
 	}
-	p.cache.MarkDirty(l)
+	p.cache.MarkDirty(cache.LineAddr(line))
 
 	value := t.exec.WriteValue(t.opIdx, op)
 	if t.spawned {

@@ -64,9 +64,7 @@ func RunSequential(w *workload.TLSWorkload) (int64, error) {
 			if c.Access(line) != nil {
 				cycles += int64(params.HitLatency)
 				if op.Kind != trace.Read {
-					if l := c.Lookup(line); l != nil {
-						c.MarkDirty(l)
-					}
+					c.MarkDirty(line)
 				}
 				continue
 			}

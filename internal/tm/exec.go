@@ -118,7 +118,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 		d := p.module.PrepareWrite(sec.Version, s.sigAddrOf(op.Addr))
 		if d.OK {
 			for _, wb := range d.SafeWritebacks {
-				p.cache.MarkClean(wb.Addr)
+				p.cache.MarkClean(wb)
 				s.Bus.Record(bus.WB, bus.WritebackBytes)
 				cost += s.opts.Params.TransferCycles(bus.WritebackBytes)
 			}
@@ -138,7 +138,7 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 	} else {
 		cost += s.opts.Params.HitLatency
 	}
-	p.cache.MarkDirty(l)
+	p.cache.MarkDirty(cache.LineAddr(line))
 
 	// Compute and buffer the speculative value.
 	value := p.exec.WriteValue(p.opIdx, op)
@@ -286,7 +286,7 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 	} else {
 		cost += s.opts.Params.HitLatency
 	}
-	p.cache.MarkDirty(l)
+	p.cache.MarkDirty(cache.LineAddr(line))
 	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	return cost
 }

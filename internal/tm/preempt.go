@@ -136,13 +136,12 @@ func (s *System) runInterloper(p *proc) {
 			s.Bus.Record(bus.WB, bus.WritebackBytes)
 			continue
 		}
-		l := p.cache.Lookup(cache.LineAddr(line))
-		if l == nil {
-			l = s.insertLine(p, line, cache.Clean)
+		if p.cache.Lookup(cache.LineAddr(line)) == nil {
+			s.insertLine(p, line, cache.Clean)
 			s.Bus.Record(bus.Fill, bus.FillBytes)
 		}
 		if write {
-			p.cache.MarkDirty(l)
+			p.cache.MarkDirty(cache.LineAddr(line))
 		}
 	}
 }

@@ -88,7 +88,6 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		}
 		c.Insert(cache.LineAddr(i), st)
 	}
-	dirtyLine := c.Lookup(cache.LineAddr(0))
 	lineBuf := c.LinesInSet(0, nil)
 	setMaskBuf := make([]uint64, (c.NumSets()+63)/64)
 	// A second cache for Reset, refilled after each reset.
@@ -172,7 +171,8 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 		"bulk/internal/cache.Cache.Contains":        func() { _ = c.Contains(3) },
 		"bulk/internal/cache.Cache.Access":          func() { _ = c.Access(3) },
 		"bulk/internal/cache.Cache.MarkClean":       func() { c.MarkClean(2) },
-		"bulk/internal/cache.Cache.MarkDirty":       func() { c.MarkDirty(dirtyLine) },
+		"bulk/internal/cache.Cache.MarkDirty":       func() { c.MarkDirty(0) },
+		"bulk/internal/cache.Cache.Invalidate":      func() { c.Invalidate(1); c.Insert(1, cache.Clean) },
 		"bulk/internal/cache.Cache.LinesInSet":      func() { lineBuf = c.LinesInSet(0, lineBuf[:0]) },
 		"bulk/internal/cache.Cache.DirtyInSet":      func() { _ = c.DirtyInSet(0) },
 		"bulk/internal/cache.Cache.DirtyLinesInSet": func() { lineBuf = c.DirtyLinesInSet(0, lineBuf[:0]) },

@@ -49,6 +49,9 @@ go test ./internal/lint/ -run '^$' -bench 'LintModule|InferEffects' -benchtime 1
 # benchmark: a medium-budget sweep on pooled runners, each resetting its
 # system in place before every schedule, end to end.
 go test . -run '^$' -bench 'CheckExplore/tm-sweep/(w1|w4)$' -benchtime 1x
+# The layer kernels under them: signature membership and the L1 tag match.
+go test ./internal/sig/ -run '^$' -bench '^Benchmark(Add|Contains)$' -benchtime 1x
+go test ./internal/cache/ -run '^$' -bench '^BenchmarkLookup$' -benchtime 1x
 
 echo "== lint-suite wall-time ratchet =="
 # The suite's cost must not blow up: the full BenchmarkLintModule run (all
@@ -225,12 +228,13 @@ echo "== native fuzz smoke (5s per target) =="
 # regenerate identical bytes); the checkpoint decoder bulkcheck -resume
 # feeds files to; bulkd's request decoding; and the RLE decoder commit
 # broadcasts pass through. The decoders must reject hostile input without
-# panicking.
+# panicking. Last, the signature permutation kernel against its per-bit
+# definition over drawn layouts.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
     internal/ckpt:FuzzCkptModes internal/core:FuzzFootprint \
     internal/workload:FuzzWorkloadLayout \
     internal/check:FuzzDecodeCheckpoint internal/serve:FuzzDecodeRequest \
-    internal/sig:FuzzRLDecode; do
+    internal/sig:FuzzRLDecode internal/sig:FuzzFieldValues; do
   pkg="${target%%:*}"
   fz="${target##*:}"
   go test "./$pkg/" -run '^$' -fuzz "^${fz}\$" -fuzztime 5s
