@@ -85,8 +85,9 @@ type Version struct {
 	// evicted to the overflow area.
 	Overflow bool
 
-	mask  sig.SetMask // δ(W), maintained incrementally
-	freed bool
+	mask   sig.SetMask    // δ(W), maintained incrementally
+	shadow *sig.Signature // Wsh's storage, kept while Wsh is nil
+	freed  bool
 }
 
 // Module is a per-processor Bulk Disambiguation Module.
@@ -291,11 +292,19 @@ func (m *Module) OnRead(v *Version, a sig.Addr) {
 }
 
 // StartShadow begins maintaining the Partial Overlap shadow signature for
-// v (called when v spawns its first child, Section 6.3).
+// v (called when v spawns its first child, Section 6.3). A version that
+// had a shadow before it was cleared or recycled gets the same signature
+// back, emptied.
 func (m *Module) StartShadow(v *Version) {
-	if v.Wsh == nil {
-		v.Wsh = m.cfg.Sig.NewSignature()
+	if v.Wsh != nil {
+		return
 	}
+	if v.shadow == nil {
+		v.shadow = m.cfg.Sig.NewSignature()
+	} else {
+		v.shadow.Clear()
+	}
+	v.Wsh = v.shadow
 }
 
 // WriteDecision is the Set Restriction outcome for a pending speculative

@@ -25,8 +25,9 @@
 //     own dirty lines — the invariant the Set Restriction maintains.
 //
 // The explorer walks the schedule space best-first — shortest prefixes
-// first, lexicographic within a length — with zero-alloc uint64 prefix
-// dedup and a depth/schedule budget. Each best-first wave (the prefixes
+// first, lexicographic within a length — under a depth/schedule budget.
+// Every prefix has exactly one parent, so the tree runs no schedule twice
+// and needs no dedup set. Each best-first wave (the prefixes
 // tied for minimum length) executes on a work-stealing worker pool and is
 // reduced serially in canonical order, so reports are byte-identical at
 // every worker count, and a clean budget stop emits a resumable frontier

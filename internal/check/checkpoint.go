@@ -4,20 +4,22 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Checkpoint is a resumable snapshot of an exploration taken at a clean
 // budget stop: the schedules counted so far, the outcome-fingerprint set
-// behind Distinct, the prefix-hash dedup set, and the unexplored frontier
-// in canonical order. Feeding it back through ExploreFrom with a larger
-// budget continues the sweep exactly where it stopped — the combined
-// report is identical to an uninterrupted run, because the explorer's
-// best-first order makes the executed-schedule sequence a pure function of
-// the schedule space, independent of where budget boundaries fall.
+// behind Distinct, and the unexplored frontier in canonical order. Feeding
+// it back through ExploreFrom with a larger budget continues the sweep
+// exactly where it stopped — the combined report is identical to an
+// uninterrupted run, because the explorer's best-first order makes the
+// executed-schedule sequence a pure function of the schedule space,
+// independent of where budget boundaries fall.
 //
-// The binary encoding is deterministic: sets are serialized sorted and the
-// frontier in canonical order, so the same exploration state always
-// produces the same bytes regardless of worker count or insert order.
+// The binary encoding is deterministic: the fingerprint set is serialized
+// sorted and the frontier in canonical order, so the same exploration
+// state always produces the same bytes regardless of worker count or
+// insert order.
 type Checkpoint struct {
 	// Target names the exploration target; resume requires it to match.
 	Target string
@@ -30,9 +32,10 @@ type Checkpoint struct {
 	// Fingerprints is the sorted outcome-fingerprint set (Distinct is its
 	// length).
 	Fingerprints []uint64
-	// Seen is the sorted prefix-hash dedup set.
-	Seen []uint64
-	// Frontier is every pending prefix in canonical (shortlex) order.
+	// Frontier is every pending prefix in canonical (shortlex) order. No
+	// prefix ends in the default choice or extends another: each is a
+	// subtree no schedule counted so far belongs to, and DecodeCheckpoint
+	// rejects any other frontier.
 	Frontier [][]int
 }
 
@@ -41,12 +44,12 @@ type Checkpoint struct {
 func (c *Checkpoint) Done() bool { return len(c.Frontier) == 0 }
 
 // checkpointMagic versions the binary format.
-var checkpointMagic = []byte("BLKCKPT1")
+var checkpointMagic = []byte("BLKCKPT2")
 
 // Encode serializes the checkpoint. The layout is the magic, then a
-// uvarint-framed payload (name, depth, schedules, the two sorted sets as
-// fixed 64-bit little-endian words, the frontier as uvarint-length choice
-// runs), then a 64-bit FNV-1a checksum of everything before it.
+// uvarint-framed payload (name, depth, schedules, the sorted fingerprint
+// set as fixed 64-bit little-endian words, the frontier as uvarint-length
+// choice runs), then a 64-bit FNV-1a checksum of everything before it.
 func (c *Checkpoint) Encode() []byte {
 	buf := append([]byte{}, checkpointMagic...)
 	var tmp [binary.MaxVarintLen64]byte
@@ -60,10 +63,6 @@ func (c *Checkpoint) Encode() []byte {
 	uv(uint64(len(c.Fingerprints)))
 	for _, f := range c.Fingerprints {
 		u64(f)
-	}
-	uv(uint64(len(c.Seen)))
-	for _, s := range c.Seen {
-		u64(s)
 	}
 	uv(uint64(len(c.Frontier)))
 	for _, p := range c.Frontier {
@@ -89,7 +88,10 @@ func checksum(b []byte) uint64 {
 // DecodeCheckpoint parses an Encode'd snapshot, verifying the magic and
 // checksum and bounds-checking every count against the remaining input so
 // a truncated or corrupted file fails loudly instead of resuming a
-// half-read sweep.
+// half-read sweep. It also rejects a frontier no sweep can leave: a
+// prefix ending in the default choice, entries out of strictly ascending
+// shortlex order, or one entry extending another. Each would run some
+// schedule twice and count it twice.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < len(checkpointMagic)+8 || string(data[:len(checkpointMagic)]) != string(checkpointMagic) {
 		return nil, fmt.Errorf("check: not a checkpoint file (bad magic)")
@@ -147,33 +149,42 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return fail()
 	}
 	if c.Fingerprints, ok = u64s(nf); !ok {
-		return fail()
-	}
-	ns, ok := uv()
-	if !ok {
-		return fail()
-	}
-	if c.Seen, ok = u64s(ns); !ok {
-		return fail()
+		return nil, fmt.Errorf("check: checkpoint fingerprint count %d exceeds the payload", nf)
 	}
 	np, ok := uv()
 	if !ok || np > uint64(len(r)) { // each entry consumes at least one byte
 		return fail()
 	}
 	c.Frontier = make([][]int, 0, np)
+	pending := make(map[string]bool, np) // the entries so far, as choice bytes
+	var key []byte
 	for i := uint64(0); i < np; i++ {
 		pl, ok := uv()
 		if !ok || pl > depth || pl > uint64(len(r)) {
 			return fail()
 		}
 		p := make([]int, pl)
+		key = key[:0]
 		for j := range p {
+			if pending[string(key)] {
+				return nil, fmt.Errorf("check: checkpoint frontier entry %d extends a pending prefix", i)
+			}
 			ch, ok := uv()
 			if !ok || ch > MaxDepth {
 				return fail()
 			}
 			p[j] = int(ch)
+			key = append(key, byte(ch))
 		}
+		if pl > 0 && p[pl-1] == 0 {
+			return nil, fmt.Errorf("check: checkpoint frontier entry %d ends in the default choice", i)
+		}
+		if i > 0 {
+			if q := c.Frontier[i-1]; len(q) > len(p) || len(q) == len(p) && slices.Compare(q, p) >= 0 {
+				return nil, fmt.Errorf("check: checkpoint frontier entry %d is out of shortlex order", i)
+			}
+		}
+		pending[string(key)] = true
 		c.Frontier = append(c.Frontier, p)
 	}
 	if len(r) != 0 {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,20 +72,15 @@ type Report struct {
 	Failure *Failure
 }
 
-// seenShards stripes the prefix dedup set. 64 shards keeps the expected
-// worker collision rate on a shard lock in the low percents at the worker
-// counts bulkcheck sweeps (1–16) while costing four cache lines of
-// headers.
-const seenShards = 64
-
 // Explore walks the schedule space of t in canonical best-first order: it
 // executes the default schedule, then systematically flips each recorded
 // decision to each alternative choice, extending failure-free prefixes —
 // shortest first, lexicographic within a length — until the budget is
-// exhausted or an oracle rejects an execution. Prefixes are deduplicated
-// by canonical sequence hash, so Schedules counts distinct schedules. On
-// failure the schedule is minimized (greedily reverting choices to the
-// default while the failure reproduces) before reporting.
+// exhausted or an oracle rejects an execution. Every prefix has exactly
+// one parent (see expandChildren), so no schedule runs twice and Schedules
+// counts distinct schedules. On failure the schedule is minimized
+// (greedily reverting choices to the default while the failure
+// reproduces) before reporting.
 //
 // Explore is the serial form of ExploreParallel: the explored set, the
 // report, and the failing schedule are identical at every worker count.
@@ -120,11 +116,10 @@ func ExploreFrom(t Target, muts mutate.Set, b Budget, workers int, from *Checkpo
 // explore is the shared implementation. Every schedule runs on a pooled
 // per-worker system reset to its just-built state between runs.
 // Materializing the resumable checkpoint costs real allocation (sorted
-// fingerprints, the dedup set, the whole frontier), so the non-resumable
-// entry points pass wantCP=false and skip it.
+// fingerprints, the whole frontier), so the non-resumable entry points
+// pass wantCP=false and skip it.
 func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool) (*Report, *Checkpoint, error) {
 	rep := &Report{Target: t.Name()}
-	seen := flatmap.NewSharded(seenShards)
 	var fps flatmap.Set
 	fr := newFrontier(b.Depth)
 	counted, distinct := 0, 0
@@ -141,14 +136,10 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 			fps.Add(f)
 		}
 		distinct = fps.Len()
-		for _, k := range from.Seen {
-			seen.Add(k)
-		}
 		for _, p := range from.Frontier {
 			fr.add(p)
 		}
 	} else {
-		seen.Add(hashSchedule(nil))
 		fr.add(nil)
 	}
 
@@ -162,9 +153,8 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 			n = rem
 		}
 		// Execute the wave. Workers claim wave indices from the stealing
-		// pool, write their outcome and encoded children into their own
-		// index's slot, and race only on the sharded dedup set — whose
-		// final membership is order-independent. The result and scratch
+		// pool and write their outcome and encoded children into their own
+		// index's slot; they share nothing else. The result and scratch
 		// pools persist across waves; worker ids index scratch, so pooled
 		// runners and schedulers never migrate mid-wave.
 		if cap(results) < n {
@@ -177,22 +167,29 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		}
 		par.StealForEach(n, workers, func(w, i int) {
 			sc := &scratch[w]
+			res := &results[i]
 			sc.prefix = decodeRow(rows, length, i, sc.prefix)
 			if sc.runner == nil && sc.runnerErr == nil {
 				sc.runner, sc.runnerErr = t.newRunner(muts)
 			}
 			if sc.runnerErr != nil {
-				results[i] = waveResult{out: Outcome{Err: sc.runnerErr}}
+				*res = waveResult{out: Outcome{Err: sc.runnerErr}}
 				return
 			}
-			sc.runner.RunSchedule(&results[i].out, sc.prefix, b.Depth)
-			results[i].kids = expandChildren(sc.runner.sched.Trace(), length, seen, sc)
+			sc.runner.RunSchedule(&res.out, sc.prefix, b.Depth)
+			tr := sc.runner.sched.Trace()
+			res.untaken = from != nil && !takesPrefix(tr, sc.prefix)
+			res.kids = expandChildren(res.kids[:0], tr, length, sc)
 		})
 		// Reduce in canonical order. Everything order-sensitive — the
 		// schedule count, the Distinct tally, and the first failure —
 		// happens here, serially, exactly as a serial explorer would have
 		// done it.
 		for i := 0; i < n; i++ {
+			if results[i].untaken && results[i].out.Err == nil {
+				return nil, nil, fmt.Errorf("check: resumed prefix %s names a choice its replay cannot take",
+					FormatSchedule(decodeRow(rows, length, i, nil)))
+			}
 			counted++
 			f := results[i].out.Fingerprint
 			if !fps.Has(f) {
@@ -222,68 +219,80 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 		Depth:        b.Depth,
 		Schedules:    counted,
 		Fingerprints: fps.SortedKeys(nil),
-		Seen:         seen.AppendAll(nil),
 		Frontier:     fr.appendAll(nil),
 	}
 	return rep, cp, nil
 }
 
 // waveResult is one wave execution's contribution, landed by index. The
-// outcome is inline (not a pointer) so the pooled results slice recycles
-// its storage across waves without per-schedule Outcome allocations.
+// outcome is inline (not a pointer) and the child rows are appended to the
+// slot's previous rows' storage, so the pooled results slice recycles both
+// across waves.
 type waveResult struct {
 	out  Outcome
 	kids []byte // length-prefixed child rows for frontier.addRows
+	// untaken marks a prefix whose replay did not take every choice it
+	// names (takesPrefix). Only a resumed sweep checks: its restored
+	// prefixes come from a file, every other prefix from a trace its
+	// parent's replay recorded.
+	untaken bool
 }
 
 // workerScratch is the per-worker reusable state of an exploration: the
-// decoded prefix, the rolling prefix hashes, the choice bytes of the
-// current trace, and the worker's pooled runner. Indexed by the stealing
-// pool's worker id, so no synchronization.
+// decoded prefix, the choice bytes of the current trace, and the worker's
+// pooled runner. Indexed by the stealing pool's worker id, so no
+// synchronization.
 type workerScratch struct {
 	prefix    []int
-	hashes    []uint64
 	choices   []byte
 	runner    *runner
 	runnerErr error
 }
 
-// expandChildren emits every undiscovered child of an executed prefix as
+// takesPrefix reports whether an executed trace took every choice its
+// prefix names. A choice at or past its decision's arity replays as the
+// default, and one past the run's last decision is never asked for, so
+// such a prefix replays a shorter canonical schedule than it spells.
+// expandChildren never emits one; only a restored checkpoint can hold one.
+func takesPrefix(tr []Step, prefix []int) bool {
+	if len(tr) < len(prefix) {
+		return false
+	}
+	for i, c := range prefix {
+		if tr[i].Choice != c {
+			return false
+		}
+	}
+	return true
+}
+
+// expandChildren appends every child of an executed prefix to dst as
 // length-prefixed rows: for each recorded decision past the forced prefix,
-// each alternative choice, claimed through the sharded dedup set so
-// exactly one worker enqueues any given prefix. Children are hashed with
-// the rolling zero-alloc recurrence — no strings, no per-candidate
-// allocation; only rows that win the dedup claim are materialized.
-func expandChildren(tr []Step, from int, seen *flatmap.Sharded, sc *workerScratch) []byte {
-	sc.hashes = sc.hashes[:0]
+// each alternative choice. A child is prefix ++ 0…0 ++ c with c ≥ 1 at a
+// position at or past the prefix's length, so trimDefaults of all but its
+// last choice gives back the prefix: every prefix has exactly one parent,
+// and the tree emits each one once without a dedup set.
+func expandChildren(dst []byte, tr []Step, from int, sc *workerScratch) []byte {
 	sc.choices = sc.choices[:0]
-	h := uint64(fnvOffset)
 	for _, st := range tr {
 		if st.Arity > MaxDepth+1 {
 			panic("check: decision arity exceeds one-byte choice encoding") //bulklint:invariant arity is bounded by the workload's processor count
 		}
-		sc.hashes = append(sc.hashes, h) // hash of the first j choices
 		sc.choices = append(sc.choices, byte(st.Choice))
-		h = hashStep(h, st.Choice)
 	}
-	capBytes := 0
+	size := 0
 	for i := from; i < len(tr); i++ {
-		capBytes += (tr[i].Arity - 1) * (i + 2) // row = len byte + i+1 choices
+		size += (tr[i].Arity - 1) * (i + 2) // row = len byte + i+1 choices
 	}
-	if capBytes == 0 {
-		return nil
-	}
-	kids := make([]byte, 0, capBytes)
+	dst = slices.Grow(dst, size)
 	for i := from; i < len(tr); i++ {
 		for c := 1; c < tr[i].Arity; c++ {
-			if seen.AddIfAbsent(hashStep(sc.hashes[i], c)) {
-				kids = append(kids, byte(i+1))
-				kids = append(kids, sc.choices[:i]...)
-				kids = append(kids, byte(c))
-			}
+			dst = append(dst, byte(i+1))
+			dst = append(dst, sc.choices[:i]...)
+			dst = append(dst, byte(c))
 		}
 	}
-	return kids
+	return dst
 }
 
 // Walk runs random-walk schedules: each trial deviates from the default

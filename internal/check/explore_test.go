@@ -2,6 +2,8 @@ package check
 
 import (
 	"testing"
+
+	"bulk/internal/mutate"
 )
 
 // TestUnmutatedSweepClean is the headline soundness claim: an exhaustive
@@ -28,6 +30,69 @@ func TestUnmutatedSweepClean(t *testing.T) {
 			}
 			t.Logf("%d schedules, %d distinct outcomes", rep.Schedules, rep.Distinct)
 		})
+	}
+}
+
+// TestReportsPinned pins the reports a change to the explorer must leave
+// as they are: each sweep target's schedule and distinct-outcome counts at
+// the small and medium budgets, and each catalog mutation's minimized kill
+// schedule and schedule count (bulkcheck -mutations all -v). ckpt-sweep
+// exhausts its space at the medium budget, so a prefix the explorer runs
+// twice or never changes its count. The reference explorer of the runner
+// tests shares expandChildren with the pooled one, so they agree on a
+// wrong tree; these numbers do not.
+func TestReportsPinned(t *testing.T) {
+	sweeps := []struct {
+		budget              string
+		target              string
+		schedules, distinct int
+	}{
+		{"small", "tm-sweep", 1_000, 71},
+		{"small", "tls-sweep", 1_000, 15},
+		{"small", "ckpt-sweep", 1_000, 93},
+		{"medium", "tm-sweep", 20_000, 341},
+		{"medium", "tls-sweep", 20_000, 75},
+		{"medium", "ckpt-sweep", 15_016, 293},
+	}
+	targets := map[string]Target{}
+	for _, tgt := range SweepTargets() {
+		targets[tgt.Name()] = tgt
+	}
+	for _, c := range sweeps {
+		b, _ := BudgetByName(c.budget)
+		rep := ExploreParallel(targets[c.target], 0, b, 2)
+		if rep.Schedules != c.schedules || rep.Distinct != c.distinct || rep.Failure != nil {
+			t.Errorf("%s %s: %d schedules, %d distinct, failed %v; want %d, %d, false",
+				c.budget, c.target, rep.Schedules, rep.Distinct, rep.Failure != nil, c.schedules, c.distinct)
+		}
+	}
+
+	kills := map[string]struct {
+		schedule  string
+		schedules int
+	}{
+		"drop-wr-term":                {"(default)", 1},
+		"drop-ww-term":                {"(default)", 1},
+		"skip-clean-invalidation":     {"(default)", 1},
+		"drop-read-on-hit":            {"(default)", 1},
+		"skip-word-merge":             {"1,1", 4},
+		"skip-set-restriction":        {"0,1,1", 6},
+		"skip-spilled-disambiguation": {"(default)", 1},
+		"drop-shadow-write":           {"(default)", 1},
+		"skip-squash-cascade":         {"(default)", 1},
+		"skip-stalled-restart":        {"0,0,0,1", 9},
+	}
+	for _, m := range Catalog() {
+		want := kills[m.ID.String()]
+		rep := ExploreParallel(m.Target, mutate.Of(m.ID), m.Budget, 2)
+		if rep.Failure == nil {
+			t.Errorf("%s: survived %d schedules", m.ID, rep.Schedules)
+			continue
+		}
+		if got := FormatSchedule(rep.Failure.Schedule); got != want.schedule || rep.Schedules != want.schedules {
+			t.Errorf("%s: killed at schedule %s after %d schedules, want %s after %d",
+				m.ID, got, rep.Schedules, want.schedule, want.schedules)
+		}
 	}
 }
 

@@ -6,16 +6,13 @@ import (
 	"sort"
 )
 
-// Prefix hashing. A schedule prefix is deduplicated by a 64-bit FNV-1a
-// fingerprint of its canonical (trailing-defaults-trimmed) choice
-// sequence, replacing the fmt.Sprintf string keys the first explorer
-// used: the encode path is a pure integer recurrence, so a worker hashes
-// every candidate child of an execution without allocating. Two distinct
-// prefixes that collide in 64 bits would silently merge — at the budgets
-// the checker runs (hundreds of millions of prefixes at most) the
-// expected collision count stays far below one, and because the hash is
-// seedless the merge would at least be the same on every run and worker
-// count, so determinism is never at risk, only coverage at the margin.
+// Schedule hashing. Walk remembers the canonical schedules it has run by a
+// 64-bit FNV-1a fingerprint of their (trailing-defaults-trimmed) choice
+// sequences, so a repeat draw is counted as a duplicate instead of being
+// judged again (a 64-bit collision could only miscount a new draw as a
+// repeat); the checkpoint checksum uses the same constants. The
+// systematic explorer needs no such set: every prefix has one parent, so
+// its tree never emits a prefix twice (see expandChildren).
 
 const (
 	fnvOffset = 14695981039346656037
@@ -74,7 +71,8 @@ type frontier struct {
 // each choice in one byte. Stock budgets stop at depth 18, and decision
 // arity is the number of runnable processors or branch alternatives —
 // single digits in every workload — but a silent truncation here would
-// corrupt the dedup set, so bulkcheck rejects a deeper -depth up front.
+// turn one prefix into another, which then runs twice, so bulkcheck
+// rejects a deeper -depth up front.
 const MaxDepth = 255
 
 // newFrontier builds a frontier for prefixes up to depth choices long.
@@ -189,8 +187,8 @@ func decodeRow(rows []byte, length, k int, dst []int) []int {
 }
 
 // sortRows orders the fixed-stride rows of buf lexicographically. Rows are
-// distinct (the dedup set admits each prefix once), so the order is total
-// and identical no matter which worker emitted which row.
+// distinct (every prefix has one parent, which runs once), so the order is
+// total and identical no matter which worker emitted which row.
 func sortRows(buf []byte, stride int) {
 	if len(buf) <= stride {
 		return

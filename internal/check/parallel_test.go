@@ -209,8 +209,7 @@ func TestCheckpointCodecRejectsCorruption(t *testing.T) {
 	cp := &Checkpoint{
 		Target: "tm-sweep", Depth: 12, Schedules: 321,
 		Fingerprints: []uint64{1, 99, 1 << 60},
-		Seen:         []uint64{fnvOffset, 7},
-		Frontier:     [][]int{{1}, {0, 2}, {1, 1, 3}},
+		Frontier:     [][]int{{1}, {0, 2}, {2, 1, 3}},
 	}
 	enc := cp.Encode()
 	if _, err := DecodeCheckpoint(enc); err != nil {
@@ -295,8 +294,9 @@ func TestFrontierShortlexOrder(t *testing.T) {
 	}
 }
 
-// TestHashScheduleMatchesSteps: the rolling per-step recurrence the
-// expander uses agrees with the one-shot schedule hash.
+// TestHashScheduleMatchesSteps: extending a schedule's hash by one choice
+// gives the hash of the extended schedule, and the default schedule hashes
+// to the FNV offset basis.
 func TestHashScheduleMatchesSteps(t *testing.T) {
 	s := []int{3, 0, 1, 2, 0, 0, 5}
 	h := uint64(fnvOffset)

@@ -49,9 +49,11 @@ func (t Target) Run(sched sim.Scheduler, muts mutate.Set) *Outcome {
 }
 
 // judge finishes a completed run: the runtime's oracle verdict plus the
-// digest of its observable outcome as the fingerprint.
+// digest of its observable outcome as the fingerprint. The digest
+// accumulates in the fingerprint itself: a local handed to the interface
+// call would escape, one allocation per judged schedule.
 func (o *Outcome) judge(sys system) {
-	d := core.NewDigest()
-	o.OracleErr = sys.Judge(&d)
-	o.Fingerprint = uint64(d)
+	d := (*core.Digest)(&o.Fingerprint)
+	*d = core.NewDigest()
+	o.OracleErr = sys.Judge(d)
 }

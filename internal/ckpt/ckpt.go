@@ -188,6 +188,9 @@ type System struct {
 	log   []CommitUnit
 	// res is Judge's result buffer, assembled once a run completes.
 	res Result
+	// oracle is Judge's serial replay, whose storage every judged run
+	// reuses.
+	oracle oracle
 
 	// lineKeys is the reusable sorted buffer of a stalled episode's
 	// written lines, which its commit invalidates one by one.
@@ -292,7 +295,7 @@ func (s *System) Judge(d *core.Digest) error {
 	}
 	s.DigestMemory(d)
 	d.Mix(r.Stats.Episodes, r.Stats.Rollbacks, uint64(r.Stats.Cycles))
-	return Verify(s.w, r)
+	return s.oracle.check(s.w, r)
 }
 
 // GenerateWorkload builds a deterministic workload: each processor runs

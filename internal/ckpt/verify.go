@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"bulk/internal/mem"
 	"bulk/internal/trace"
@@ -10,15 +11,45 @@ import (
 // Verify replays the commit log serially and compares the final memory —
 // the same oracle as the TM runtime: speculation (and its inexact
 // signature-based rollbacks) must never change architectural results.
+func Verify(w *Workload, r *Result) error {
+	return new(oracle).check(w, r)
+}
+
+// oracle is Verify's serial replay with storage it keeps: a System judges
+// every run through its own, so the reference memory and coverage counts
+// are emptied, not rebuilt, per run.
+type oracle struct {
+	ref   mem.Memory
+	execs []trace.Executor
+	// first[p] indexes processor p's first unit in slot, and slot[i] is
+	// that unit's first entry in count: one entry for an episode (its
+	// commits), one per op of a plain unit (the times the op was logged).
+	first, slot, count []int
+}
+
+// check is Verify on the oracle's storage. It empties the storage first,
+// so it reads nothing a previous check left.
 //
 //bulklint:purehook
-func Verify(w *Workload, r *Result) error {
-	ref := mem.NewMemory()
-	execs := make([]*trace.Executor, len(w.Procs))
-	for i := range execs {
-		execs[i] = &trace.Executor{ThreadID: i}
+func (o *oracle) check(w *Workload, r *Result) error {
+	ref := &o.ref
+	ref.Reset()
+	o.execs, o.first, o.slot = o.execs[:0], o.first[:0], o.slot[:0]
+	n := 0
+	for i, ps := range w.Procs {
+		o.execs = append(o.execs, trace.Executor{ThreadID: i})
+		o.first = append(o.first, len(o.slot))
+		for _, unit := range ps.Units {
+			o.slot = append(o.slot, n)
+			if unit.Episode != nil {
+				n++
+			} else {
+				n += len(unit.Plain)
+			}
+		}
 	}
-	seen := map[[3]int]int{}
+	o.count = slices.Grow(o.count[:0], n)[:n]
+	clear(o.count)
 
 	for _, u := range r.Log {
 		if u.Proc < 0 || u.Proc >= len(w.Procs) {
@@ -29,7 +60,8 @@ func Verify(w *Workload, r *Result) error {
 			return fmt.Errorf("ckpt: log unit with bad unit %d", u.Unit)
 		}
 		unit := units[u.Unit]
-		e := execs[u.Proc]
+		e := &o.execs[u.Proc]
+		at := o.slot[o.first[u.Proc]+u.Unit]
 		if u.Op >= 0 {
 			// A single plain write.
 			if unit.Episode != nil || u.Op >= len(unit.Plain) {
@@ -40,7 +72,7 @@ func Verify(w *Workload, r *Result) error {
 				return fmt.Errorf("ckpt: logged plain unit %+v is a read", u)
 			}
 			ref.Write(op.Addr, mem.Word(e.WriteValue(opIndexFor(u.Unit, u.Op), op)))
-			seen[[3]int{u.Proc, u.Unit, u.Op}]++
+			o.count[at+u.Op]++
 			continue
 		}
 		// A whole episode, replayed atomically: the long load first, then
@@ -49,7 +81,7 @@ func Verify(w *Workload, r *Result) error {
 		if ep == nil {
 			return fmt.Errorf("ckpt: episode unit %+v has no episode", u)
 		}
-		seen[[3]int{u.Proc, u.Unit, -1}]++
+		o.count[at]++
 		e.SetLastRead(uint64(ref.Read(ep.MissAddr)))
 		for i, op := range ep.Ops {
 			e.Step(opIndexFor(u.Unit, i), op,
@@ -61,8 +93,9 @@ func Verify(w *Workload, r *Result) error {
 	// Coverage: every episode exactly once; every plain write exactly once.
 	for pi, ps := range w.Procs {
 		for ui, unit := range ps.Units {
+			at := o.slot[o.first[pi]+ui]
 			if unit.Episode != nil {
-				if n := seen[[3]int{pi, ui, -1}]; n != 1 {
+				if n := o.count[at]; n != 1 {
 					return fmt.Errorf("ckpt: episode proc=%d unit=%d committed %d times", pi, ui, n)
 				}
 				continue
@@ -71,7 +104,7 @@ func Verify(w *Workload, r *Result) error {
 				if op.Kind == trace.Read {
 					continue
 				}
-				if n := seen[[3]int{pi, ui, oi}]; n != 1 {
+				if n := o.count[at+oi]; n != 1 {
 					return fmt.Errorf("ckpt: plain write proc=%d unit=%d op=%d logged %d times", pi, ui, oi, n)
 				}
 			}

@@ -19,12 +19,11 @@ import (
 //   - lock-guarded: the write happens while a mutex is held; the rule runs
 //     the guardedby flow walk over the closure body, so Lock/Unlock
 //     ordering is respected (a write before the Lock is still a finding).
-//   - sharded or atomic: flatmap.Sharded and typed-atomic traffic are
-//     method calls, not assignments, so they are clean by construction.
-//     Pointer-style sync/atomic calls (atomic.AddInt64(&x, 1)) are
-//     findings anywhere in the module: a location reached through them
-//     can also be read or written plainly, and only a typed atomic
-//     (atomic.Int64 and friends) rules that out.
+//   - atomic: typed-atomic traffic is method calls, not assignments, so
+//     it is clean by construction. Pointer-style sync/atomic calls
+//     (atomic.AddInt64(&x, 1)) are findings anywhere in the module: a
+//     location reached through them can also be read or written plainly,
+//     and only a typed atomic (atomic.Int64 and friends) rules that out.
 //   - closure-local: a variable declared inside the closure belongs to the
 //     worker; writes to it are invisible to siblings.
 //
@@ -48,7 +47,7 @@ var parWorkerFuncs = map[string]bool{
 func analyzerCaptureSafe() *Analyzer {
 	return &Analyzer{
 		Name: "capturesafe",
-		Doc:  "captured worker-closure write without an index, lock, shard or atomic landing; pointer-style sync/atomic call",
+		Doc:  "captured worker-closure write without an index, lock or atomic landing; pointer-style sync/atomic call",
 		Run: func(pkgs []*Package, r *Reporter) {
 			for _, pkg := range pkgs {
 				for _, f := range pkg.Files {
@@ -244,7 +243,7 @@ func (w *captureWalker) judge(st lockState, lhs ast.Expr, obj types.Object, inde
 		return
 	}
 	w.r.Report(w.pkg, lhs.Pos(), "capturesafe",
-		"captured variable %s is written in a %s without an index-landed slot, held lock, shard or atomic; concurrent workers race on it (land it in a per-index slot, guard it, or waive with //bulklint:allow capturesafe <why>)",
+		"captured variable %s is written in a %s without an index-landed slot, held lock or atomic; concurrent workers race on it (land it in a per-index slot, guard it, or waive with //bulklint:allow capturesafe <why>)",
 		v.Name(), w.where)
 }
 

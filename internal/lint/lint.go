@@ -51,7 +51,7 @@
 //   - capturesafe: a variable captured by a worker closure (par.ForEach /
 //     par.Map / par.StealForEach bodies, `go` statements) and written
 //     there must land in a slice/array index slot, under a held lock, or
-//     through shard/atomic calls; anything else is a statically detected
+//     through typed-atomic calls; anything else is a statically detected
 //     data race. Pointer-style sync/atomic calls are findings anywhere:
 //     typed atomics cannot mix atomic and plain access. Waive with
 //     `//bulklint:allow capturesafe <why>`.

@@ -64,7 +64,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/flatmap.Set.Has exported=true",
 		"bulk/internal/flatmap.Set.Reset exported=true",
 		"bulk/internal/flatmap.Set.SortedKeys exported=true",
-		"bulk/internal/flatmap.Sharded.shardOf exported=false",
 		"bulk/internal/mem.Memory.AppendSortedAddrs exported=true",
 		"bulk/internal/mem.Memory.Read exported=true",
 		"bulk/internal/mem.Memory.ReadLine exported=true",

@@ -18,8 +18,8 @@ import (
 //     interface (looked up in the package at internal/sim): each interface
 //     method's concrete body must stay inside the allowed effects;
 //   - every function annotated `//bulklint:purehook` (the replay oracles —
-//     serial-replay Verify functions, soundness probes): the annotation is
-//     a machine-checked contract, not a comment.
+//     each runtime's oracle method behind Judge and Verify, soundness
+//     probes): the annotation is a machine-checked contract, not a comment.
 //
 // Allowed: alloc (hooks may build state), panic (invariant guards), and
 // receiver/local mutation. Forbidden: io, nondet, globalwrite, lock,

@@ -99,6 +99,9 @@ type System struct {
 	stats      Stats
 	// res is Judge's result buffer, assembled once a run completes.
 	res Result
+	// oracle is Judge's sequential-reference check, whose storage every
+	// judged run reuses.
+	oracle oracle
 
 	// keyScratch is the reusable sorted-key buffer for the Lazy commit's
 	// line merge.
@@ -214,7 +217,7 @@ func (s *System) Judge(d *core.Digest) error {
 	r := s.FinishInto(&s.res)
 	s.DigestMemory(d)
 	d.Mix(r.Stats.Commits, r.Stats.Squashes, r.Stats.CascadeSquashes, uint64(r.Stats.Cycles))
-	return Verify(s.w, r)
+	return s.oracle.check(s.w, r)
 }
 
 // currentTask returns the oldest runnable task on p. blocked reports that

@@ -17,6 +17,12 @@ import (
 // equal it exactly.
 func SequentialReference(w *workload.TLSWorkload) *mem.Memory {
 	m := mem.NewMemory()
+	runSequential(w, m)
+	return m
+}
+
+// runSequential executes the task list in order into m.
+func runSequential(w *workload.TLSWorkload, m *mem.Memory) {
 	for i, tk := range w.Tasks {
 		e := &trace.Executor{ThreadID: i}
 		for oi, op := range tk.Ops {
@@ -25,20 +31,34 @@ func SequentialReference(w *workload.TLSWorkload) *mem.Memory {
 				func(a, v uint64) { m.Write(a, mem.Word(v)) })
 		}
 	}
-	return m
 }
 
 // Verify checks a TLS run against the sequential reference.
+func Verify(w *workload.TLSWorkload, r *Result) error {
+	return new(oracle).check(w, r)
+}
+
+// oracle is Verify's check with storage it keeps: a System judges every
+// run through its own, so the reference memory is emptied, not rebuilt,
+// per run.
+type oracle struct {
+	ref mem.Memory
+}
+
+// check is Verify on the oracle's storage. It empties the reference
+// first, so it reads nothing a previous check left.
 //
 //bulklint:purehook
-func Verify(w *workload.TLSWorkload, r *Result) error {
+func (o *oracle) check(w *workload.TLSWorkload, r *Result) error {
 	if r.Stats.LivelockDetected {
 		return fmt.Errorf("tls: run aborted by restart limit; nothing to verify")
 	}
 	if r.Stats.Commits != uint64(len(w.Tasks)) {
 		return fmt.Errorf("tls: %d commits for %d tasks", r.Stats.Commits, len(w.Tasks))
 	}
-	ref := SequentialReference(w)
+	ref := &o.ref
+	ref.Reset()
+	runSequential(w, ref)
 	if !ref.Equal(r.Memory) {
 		diffs := ref.Diff(r.Memory, 5)
 		return fmt.Errorf("tls: final memory differs from sequential execution at words %v "+

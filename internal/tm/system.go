@@ -73,6 +73,9 @@ type System struct {
 	log   []CommitUnit
 	// res is Judge's result buffer, assembled once a run completes.
 	res Result
+	// oracle is Judge's serial replay, whose storage every judged run
+	// reuses.
+	oracle oracle
 
 	// commitWC is the reusable broadcast signature for multi-section Bulk
 	// commits (single-section commits broadcast the section's W directly).
@@ -218,7 +221,7 @@ func (s *System) Judge(d *core.Digest) error {
 	}
 	s.DigestMemory(d)
 	d.Mix(r.Stats.Commits, r.Stats.Squashes, uint64(r.Stats.Cycles))
-	return Verify(s.w, r)
+	return s.oracle.check(s.w, r)
 }
 
 // step performs one scheduling quantum for p: begin a transaction, execute

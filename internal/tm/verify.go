@@ -2,6 +2,7 @@ package tm
 
 import (
 	"fmt"
+	"slices"
 
 	"bulk/internal/mem"
 	"bulk/internal/trace"
@@ -16,19 +17,48 @@ import (
 //
 // It also checks coverage: every transaction commits exactly once and every
 // non-transactional write appears exactly once.
+func Verify(w *workload.TMWorkload, r *Result) error {
+	return new(oracle).check(w, r)
+}
+
+// oracle is Verify's serial replay with storage it keeps: a System judges
+// every run through its own, so the reference memory and coverage counts
+// are emptied, not rebuilt, per run.
+type oracle struct {
+	ref   mem.Memory
+	execs []trace.Executor
+	// first[t] indexes thread t's first segment in slot, and slot[i] is
+	// that segment's first entry in count: one entry for a transaction
+	// (its commits), one per op otherwise (the times the op was logged).
+	first, slot, count []int
+}
+
+// check is Verify on the oracle's storage. It empties the storage first,
+// so it reads nothing a previous check left.
 //
 //bulklint:purehook
-func Verify(w *workload.TMWorkload, r *Result) error {
+func (o *oracle) check(w *workload.TMWorkload, r *Result) error {
 	if r.Stats.LivelockDetected {
 		return fmt.Errorf("tm: run aborted by livelock; nothing to verify")
 	}
-	ref := mem.NewMemory()
-	execs := make([]*trace.Executor, len(w.Threads))
-	for i := range execs {
-		execs[i] = &trace.Executor{ThreadID: i}
+	ref := &o.ref
+	ref.Reset()
+	o.execs, o.first, o.slot = o.execs[:0], o.first[:0], o.slot[:0]
+	n := 0
+	for i, th := range w.Threads {
+		o.execs = append(o.execs, trace.Executor{ThreadID: i})
+		o.first = append(o.first, len(o.slot))
+		for _, seg := range th.Segments {
+			o.slot = append(o.slot, n)
+			if seg.Txn {
+				n++
+			} else {
+				n += len(seg.Ops)
+			}
+		}
 	}
-	seenTxn := map[[2]int]int{}
-	seenOp := map[[3]int]int{}
+	o.count = slices.Grow(o.count[:0], n)[:n]
+	clear(o.count)
 
 	for _, u := range r.Log {
 		if u.Thread < 0 || u.Thread >= len(w.Threads) {
@@ -39,18 +69,19 @@ func Verify(w *workload.TMWorkload, r *Result) error {
 			return fmt.Errorf("tm: log unit has bad segment %d", u.Segment)
 		}
 		seg := segs[u.Segment]
-		e := execs[u.Thread]
+		e := &o.execs[u.Thread]
+		at := o.slot[o.first[u.Thread]+u.Segment]
 		if seg.Txn {
 			if u.OpLo != 0 || u.OpHi != len(seg.Ops) {
 				return fmt.Errorf("tm: transactional unit %v does not span its segment", u)
 			}
-			seenTxn[[2]int{u.Thread, u.Segment}]++
+			o.count[at]++
 			e.Reset() // matches beginTxn
 		} else {
 			if u.OpHi != u.OpLo+1 {
 				return fmt.Errorf("tm: non-transactional unit %v must be a single op", u)
 			}
-			seenOp[[3]int{u.Thread, u.Segment, u.OpLo}]++
+			o.count[at+u.OpLo]++
 		}
 		for i := u.OpLo; i < u.OpHi; i++ {
 			e.Step(i, seg.Ops[i],
@@ -62,8 +93,9 @@ func Verify(w *workload.TMWorkload, r *Result) error {
 	// Coverage.
 	for ti, th := range w.Threads {
 		for si, seg := range th.Segments {
+			at := o.slot[o.first[ti]+si]
 			if seg.Txn {
-				if n := seenTxn[[2]int{ti, si}]; n != 1 {
+				if n := o.count[at]; n != 1 {
 					return fmt.Errorf("tm: transaction thread=%d seg=%d committed %d times, want 1", ti, si, n)
 				}
 				continue
@@ -72,7 +104,7 @@ func Verify(w *workload.TMWorkload, r *Result) error {
 				if op.Kind == trace.Read {
 					continue
 				}
-				if n := seenOp[[3]int{ti, si, oi}]; n != 1 {
+				if n := o.count[at+oi]; n != 1 {
 					return fmt.Errorf("tm: non-txn write thread=%d seg=%d op=%d logged %d times, want 1", ti, si, oi, n)
 				}
 			}
