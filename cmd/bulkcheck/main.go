@@ -14,15 +14,14 @@
 //	bulkcheck -mode walk -seed 7             # seeded random-walk fuzzing
 //	bulkcheck -mutations all                 # prove the oracles have teeth
 //	bulkcheck -target tm-sweep -replay 0,1,2 # re-execute one schedule
-//	bulkcheck -target tm-sweep -schedules 5000 -checkpoint cp.bin
-//	bulkcheck -resume cp.bin -schedules 20000 # continue where cp.bin stopped
+//	bulkcheck -target tm-sweep -schedules 5000 # one target, own budget
 //
 // A failing run prints the minimized schedule both as a canonical choice
 // list (feed it back via -replay) and as a human-readable step list; the
 // same schedule deterministically reproduces the same failure — the
 // systematic explorer visits schedules in canonical best-first order, so
-// the report does not depend on -workers or on where a
-// checkpoint/resume boundary fell.
+// the report does not depend on -workers, and a sweep with a larger
+// -schedules budget first runs every schedule a smaller one runs.
 package main
 
 import (
@@ -38,11 +37,11 @@ import (
 
 // options holds the parsed command line.
 type options struct {
-	protocol, mode, budget, mutations, target, replay, ckptPath, resume string
-	schedules, depth, workers                                           int
-	seed                                                                uint64
-	deviate                                                             float64
-	verbose                                                             bool
+	protocol, mode, budget, mutations, target, replay string
+	schedules, depth, workers                         int
+	seed                                              uint64
+	deviate                                           float64
+	verbose                                           bool
 	// set holds the names of the flags given on the command line, so a
 	// flag a mode ignores is told apart from its default.
 	set map[string]bool
@@ -59,10 +58,8 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 2006, "random-walk seed")
 	flag.Float64Var(&o.deviate, "deviate", 0.3, "random-walk per-decision deviation probability")
 	flag.StringVar(&o.mutations, "mutations", "", "mutation audit: 'all' or comma-separated names (empty = sweep the unmutated tree); with -replay, the names to replay under")
-	flag.StringVar(&o.target, "target", "", "single target by name (required with -replay and -checkpoint)")
+	flag.StringVar(&o.target, "target", "", "single target by name (required with -replay)")
 	flag.StringVar(&o.replay, "replay", "", "replay one schedule (comma-separated choices) instead of exploring")
-	flag.StringVar(&o.ckptPath, "checkpoint", "", "write a resumable frontier checkpoint to FILE on a clean budget stop (requires -target)")
-	flag.StringVar(&o.resume, "resume", "", "resume a sweep from a checkpoint FILE (target and depth come from the checkpoint)")
 	flag.BoolVar(&o.verbose, "v", false, "print per-target exploration statistics")
 	flag.Parse()
 	o.set = map[string]bool{}
@@ -86,74 +83,11 @@ func main() {
 		runReplay(o.target, o.replay, b.Depth, muts)
 		return
 	}
-	if o.resume != "" || o.ckptPath != "" {
-		runCheckpointed(o.resume, o.ckptPath, o.target, b, o.depth, o.workers, o.verbose)
-		return
-	}
 	if o.mutations != "" {
 		runMutations(muts, o.workers, o.verbose)
 		return
 	}
 	runSweep(o, b)
-}
-
-// runCheckpointed handles the resumable single-target modes: -checkpoint
-// writes the frontier on a clean stop, -resume continues from one. Because
-// the explorer is deterministic, the combined report of a checkpointed and
-// resumed sweep is identical to one uninterrupted run with the full
-// budget.
-func runCheckpointed(resumePath, ckptPath, target string, b check.Budget, depthFlag, workers int, verbose bool) {
-	var from *check.Checkpoint
-	if resumePath != "" {
-		data, err := os.ReadFile(resumePath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if from, err = check.DecodeCheckpoint(data); err != nil {
-			fatalf("%v", err)
-		}
-		if target != "" && target != from.Target {
-			fatalf("-target %s conflicts with checkpoint target %s", target, from.Target)
-		}
-		if depthFlag > 0 && depthFlag != from.Depth {
-			fatalf("-depth %d conflicts with checkpoint depth %d (depth is fixed at checkpoint time)", depthFlag, from.Depth)
-		}
-		target = from.Target
-		b.Depth = from.Depth
-		if from.Done() {
-			fmt.Printf("ok   %s: schedule space exhausted at checkpoint (%d schedules); nothing to resume\n",
-				target, from.Schedules)
-			return
-		}
-	}
-	t, ok := targetByName(target)
-	if !ok {
-		fatalf("unknown target %q (try one of: %s)", target, targetNames())
-	}
-	rep, cp, err := check.ExploreFrom(t, 0, b, workers, from)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if rep.Failure != nil {
-		fmt.Print(serve.CheckFail(t.Name(), rep))
-		os.Exit(1)
-	}
-	if verbose {
-		fmt.Printf("ok   %s: %d schedules, %d distinct outcomes, %d pending prefixes\n",
-			t.Name(), rep.Schedules, rep.Distinct, len(cp.Frontier))
-	} else {
-		fmt.Print(serve.CheckOK(t.Name(), rep, false))
-	}
-	if ckptPath != "" {
-		if err := os.WriteFile(ckptPath, cp.Encode(), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		if cp.Done() {
-			fmt.Printf("checkpoint: %s (schedule space exhausted)\n", ckptPath)
-		} else {
-			fmt.Printf("checkpoint: %s (resume with -resume %s)\n", ckptPath, ckptPath)
-		}
-	}
 }
 
 // runSweep explores the unmutated tree and fails on any oracle rejection.
@@ -301,12 +235,6 @@ func validateFlags(o options) error {
 		return fmt.Errorf("-replay requires -target (one of: %s)", targetNames())
 	case o.replay != "" && o.mutations == "all":
 		return fmt.Errorf("-replay takes the mutation names a kill was found under, not -mutations all")
-	case o.mutations != "" && o.replay == "" && (o.ckptPath != "" || o.resume != ""):
-		return fmt.Errorf("-mutations does not combine with -checkpoint or -resume")
-	case o.ckptPath != "" && o.resume == "" && o.target == "":
-		return fmt.Errorf("-checkpoint requires -target (one of: %s)", targetNames())
-	case o.mode == "walk" && (o.ckptPath != "" || o.resume != ""):
-		return fmt.Errorf("-mode walk does not combine with -checkpoint or -resume (checkpoints hold the systematic explorer's frontier)")
 	case o.mode == "walk" && o.mutations != "":
 		return fmt.Errorf("-mode walk does not combine with -mutations (the mutation audit runs the systematic explorer)")
 	case o.mode == "walk" && o.replay != "":
@@ -352,9 +280,4 @@ func parseMutations(names string) (mutate.Set, error) {
 		muts |= mutate.Of(id)
 	}
 	return muts, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bulkcheck: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -46,18 +46,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "replay under all mutations", mut: func(o *options) {
 			o.target, o.replay, o.mutations = "tm-word-merge", "1,1", "all"
 		}, wantErr: "-mutations all"},
-		{name: "checkpoint without target", mut: func(o *options) { o.ckptPath = "cp.bin" }, wantErr: "-target"},
-		{name: "resume without target", mut: func(o *options) { o.resume, o.ckptPath = "cp.bin", "cp2.bin" }},
-		{name: "mutations with checkpoint", mut: func(o *options) {
-			o.target, o.ckptPath, o.mutations = "tm-sweep", "cp.bin", "all"
-		}, wantErr: "-checkpoint"},
-		{name: "mutations with resume", mut: func(o *options) {
-			o.resume, o.mutations = "cp.bin", "drop-wr-term"
-		}, wantErr: "-resume"},
-		{name: "walk with checkpoint", mut: func(o *options) {
-			o.mode, o.target, o.ckptPath = "walk", "tm-sweep", "cp.bin"
-		}, wantErr: "-checkpoint"},
-		{name: "walk with resume", mut: func(o *options) { o.mode, o.resume = "walk", "cp.bin" }, wantErr: "-resume"},
 		{name: "walk with mutations", mut: func(o *options) { o.mode, o.mutations = "walk", "all" }, wantErr: "-mutations"},
 		{name: "walk with replay", mut: func(o *options) {
 			o.mode, o.target, o.replay = "walk", "tm-sweep", "0,1"
@@ -116,16 +104,17 @@ func setFlags(names ...string) map[string]bool {
 // pins the CLI contract: an out-of-domain or unknown flag, or a combination
 // bulkcheck would misread, exits 2 (the flag package's usage-error code,
 // distinct from exit 1 = oracle failure) and prints the usage text.
-// -snapmem no longer exists (every sweep runs on pooled runners), so old
-// invocations must be refused, not ignored. A replay under -mutations
-// all would run the schedule unmutated and print a false ok, and so would a
-// malformed schedule read only up to its first non-digit. A -depth past
-// the one-byte prefix encoding would panic mid-sweep, and -mode walk with
-// -checkpoint, -resume or -mutations would run the systematic explorer
-// instead of the walk asked for. A flag the chosen mode ignores — -seed or
-// -deviate outside the walk, -workers on the walk or a replay, -mode walk
-// on a replay, or a target or budget flag on the mutation audit — would be
-// dropped without a word.
+// -snapmem and -checkpoint no longer exist (every sweep runs on pooled
+// runners, and no sweep writes a resumable frontier), so old invocations
+// must be refused, not ignored. A replay under -mutations all would run
+// the schedule unmutated and print a false ok, and so would a malformed
+// schedule read only up to its first non-digit. A -depth past the
+// one-byte prefix encoding would panic mid-sweep, and -mode walk with
+// -mutations would run the systematic explorer instead of the walk asked
+// for. A flag the chosen mode ignores — -seed or -deviate outside the
+// walk, -workers on the walk or a replay, -mode walk on a replay, or a
+// target or budget flag on the mutation audit — would be dropped without
+// a word.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if os.Getenv("BULKCHECK_BE_MAIN") == "1" {
 		os.Args = append([]string{"bulkcheck"}, strings.Fields(os.Getenv("BULKCHECK_ARGS"))...)
@@ -149,7 +138,6 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		"-target tm-sweep -replay 0x10",
 		"-depth 300",
 		"-mode walk -target tm-sweep -checkpoint cp.bin",
-		"-mode walk -resume cp.bin",
 		"-mode walk -mutations all",
 		"-budget small -protocol tm -seed 7 -deviate 0.9",
 		"-budget small -deviate 0.5",
@@ -166,7 +154,6 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		t.Run(args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run", "TestCLIRejectsBadFlags")
 			cmd.Env = append(os.Environ(), "BULKCHECK_BE_MAIN=1", "BULKCHECK_ARGS="+args)
-			cmd.Dir = t.TempDir() // a checkpoint written past a missed rejection lands here
 			out, err := cmd.CombinedOutput()
 			ee, ok := err.(*exec.ExitError)
 			if !ok {

@@ -279,29 +279,65 @@ func mark(caught bool) byte {
 type failure struct{ pkg, test string }
 
 // goTest runs the selected tests of the packages in dirs and returns the
-// top-level tests that failed. A failing run with no failed test (a build
-// error) is an error.
+// top-level tests that failed. A test that panics ends its package's test
+// binary, and the selected tests after it never run, so goTest reruns
+// that package with -skip naming every test that already has a verdict,
+// the one that panicked included, until the package's run ends without a
+// panic or gives no test a verdict. A failing run with no failed test (a
+// build error) is an error.
 func goTest(tree string, race bool, dirs []string, re string) ([]failure, error) {
 	// -trimpath lets both tree copies share one build cache.
 	args := []string{"test", "-json", "-trimpath", "-vet=off", "-timeout", "2m", "-run", "^(" + re + ")$"}
 	if race {
 		args = append(args, "-race")
 	}
-	cmd := exec.Command("go", append(args, dirs...)...)
-	cmd.Dir = tree
-	out, runErr := cmd.Output()
 	var failed []failure
-	for _, line := range strings.Split(string(out), "\n") {
-		var ev struct{ Action, Package, Test string }
-		if json.Unmarshal([]byte(line), &ev) == nil && ev.Action == "fail" && ev.Test != "" {
+	judged := map[string][]string{} // package -> top-level tests with a verdict
+	// run runs one go test command and returns the packages whose run
+	// ended in a panic.
+	run := func(args ...string) ([]string, error) {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = tree
+		out, runErr := cmd.Output()
+		var panicked []string
+		for _, line := range strings.Split(string(out), "\n") {
+			var ev struct{ Action, Package, Test, Output string }
+			if json.Unmarshal([]byte(line), &ev) != nil || ev.Test == "" {
+				continue
+			}
 			name, _, _ := strings.Cut(ev.Test, "/")
-			failed = append(failed, failure{ev.Package, name})
+			switch ev.Action {
+			case "output":
+				if strings.HasPrefix(ev.Output, "panic: ") && !slices.Contains(panicked, ev.Package) {
+					panicked = append(panicked, ev.Package)
+				}
+				continue
+			case "fail":
+				failed = append(failed, failure{ev.Package, name})
+			case "pass", "skip":
+			default:
+				continue
+			}
+			if name == ev.Test {
+				judged[ev.Package] = append(judged[ev.Package], name)
+			}
+		}
+		if runErr != nil && len(failed) == 0 {
+			return nil, fmt.Errorf("go test %s: %v\n%s", strings.Join(dirs, " "), runErr, out)
+		}
+		return panicked, nil
+	}
+	panicked, err := run(slices.Concat(args, dirs)...)
+	for _, pkg := range panicked {
+		for again := true; again && err == nil; {
+			seen := len(judged[pkg])
+			skip := "^(" + strings.Join(judged[pkg], "|") + ")$"
+			var p []string
+			p, err = run(slices.Concat(args, []string{"-skip", skip, pkg})...)
+			again = len(p) > 0 && len(judged[pkg]) > seen
 		}
 	}
-	if runErr != nil && len(failed) == 0 {
-		return nil, fmt.Errorf("go test %s: %v\n%s", strings.Join(dirs, " "), runErr, out)
-	}
-	return failed, nil
+	return failed, err
 }
 
 // columns returns every bulklint rule, then every other guard in order of

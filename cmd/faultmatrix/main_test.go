@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,5 +69,52 @@ func TestDominatedRules(t *testing.T) {
 	got := strings.Join(dominated(guards, cells), " ")
 	if want := "lint:shared lint:blind lint:silent"; got != want {
 		t.Fatalf("dominated = %q, want %q", got, want)
+	}
+}
+
+// TestGoTestRunsPastAPanic: a test that panics ends its package's test
+// binary, so the failing test after it never runs in that binary. goTest
+// must still give it a verdict: both tests of the throwaway module read
+// as caught, and the passing one does not.
+func TestGoTestRunsPastAPanic(t *testing.T) {
+	dir := t.TempDir()
+	for _, f := range [][2]string{
+		{"go.mod", "module panicky\n\ngo 1.24\n"},
+		{"p_test.go", `package panicky
+
+import "testing"
+
+func TestPanics(t *testing.T) {
+	t.Run("sub", func(t *testing.T) {
+		var s []int
+		_ = s[len(t.Name())]
+	})
+}
+
+func TestFails(t *testing.T) { t.Fatal("caught") }
+
+func TestPasses(t *testing.T) {}
+`},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, f[0]), []byte(f[1]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed, err := goTest(dir, false, []string{"./"}, "TestPanics|TestFails|TestPasses")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range failed {
+		if f.pkg != "panicky" {
+			t.Errorf("failure %+v in a package the module does not hold", f)
+		}
+		if !slices.Contains(got, f.test) {
+			got = append(got, f.test)
+		}
+	}
+	slices.Sort(got)
+	if want := []string{"TestFails", "TestPanics"}; !slices.Equal(got, want) {
+		t.Fatalf("caught %v, want %v", got, want)
 	}
 }

@@ -647,12 +647,3 @@ func (m *Module) ReloadVersion(sv *SpilledVersion) (*Version, error) {
 	m.recomputePreMask()
 	return v, nil
 }
-
-// DirtyWordsOf returns the conservative updated-word bitmask of v for a
-// line (fine-grain mode only); used by the runtime when spilling lines.
-func (m *Module) DirtyWordsOf(v *Version, line cache.LineAddr) uint64 {
-	if m.wordPlan == nil {
-		return ^uint64(0)
-	}
-	return m.wordPlan.Mask(v.W, sig.Addr(line))
-}

@@ -27,18 +27,19 @@
 // The explorer walks the schedule space best-first — shortest prefixes
 // first, lexicographic within a length — under a depth/schedule budget.
 // Every prefix has exactly one parent, so the tree runs no schedule twice
-// and needs no dedup set. Each best-first wave (the prefixes
-// tied for minimum length) executes on a work-stealing worker pool and is
-// reduced serially in canonical order, so reports are byte-identical at
-// every worker count, and a clean budget stop emits a resumable frontier
-// checkpoint. Each worker drives one pooled system of the target's
-// runtime through the core machine's driver contract, resetting it in
-// place to its just-built state before every schedule instead of building
-// a fresh system. A random-walk fuzzer covers depths the systematic budget
-// cannot reach. Seeded protocol mutations (internal/mutate) give
-// the checker teeth: each mutation disables one load-bearing protocol
-// decision, and the catalog in mutations.go pairs each with a directed
-// workload whose schedule space contains a killing interleaving.
+// and needs no dedup set. Each best-first wave (the prefixes tied for
+// minimum length) executes on a work-stealing worker pool and is reduced
+// serially in canonical order, so reports are byte-identical at every
+// worker count, and a sweep under a larger schedule budget first runs
+// every schedule a smaller one runs. Each worker drives one pooled system
+// of the target's runtime through the core machine's driver contract,
+// resetting it in place to its just-built state before every schedule
+// instead of building a fresh system. A random-walk fuzzer deviates
+// within the same decision depth and samples schedules the schedule
+// budget leaves unexplored. Seeded protocol mutations (internal/mutate)
+// give the checker teeth: each mutation disables one load-bearing
+// protocol decision, and the catalog in mutations.go pairs each with a
+// directed workload whose schedule space contains a killing interleaving.
 package check
 
 import (

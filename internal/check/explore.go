@@ -85,7 +85,7 @@ type Report struct {
 // Explore is the serial form of ExploreParallel: the explored set, the
 // report, and the failing schedule are identical at every worker count.
 func Explore(t Target, muts mutate.Set, b Budget) *Report {
-	rep, _, _ := explore(t, muts, b, 1, nil, false)
+	rep, _, _ := explore(t, muts, b, 1)
 	return rep
 }
 
@@ -97,51 +97,21 @@ func Explore(t Target, muts mutate.Set, b Budget) *Report {
 // byte-identical to the serial explorer's no matter the worker count or
 // steal schedule.
 func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
-	rep, _, _ := explore(t, muts, b, workers, nil, false)
+	rep, _, _ := explore(t, muts, b, workers)
 	return rep
 }
 
-// ExploreFrom is ExploreParallel with resumable state: a nil from starts a
-// fresh sweep; a Checkpoint from a previous run continues it. On a clean
-// stop (budget exhausted or space exhausted, no failure) the returned
-// Checkpoint resumes the sweep; on failure it is nil. Budget.MaxSchedules
-// is the total schedule count across the original run and every resume,
-// and the combined report of an interrupted-and-resumed sweep is
-// identical to an uninterrupted one, because best-first order makes the
-// executed sequence independent of where budget boundaries fall.
-func ExploreFrom(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint) (*Report, *Checkpoint, error) {
-	return explore(t, muts, b, workers, from, true)
-}
-
 // explore is the shared implementation. Every schedule runs on a pooled
-// per-worker system reset to its just-built state between runs.
-// Materializing the resumable checkpoint costs real allocation (sorted
-// fingerprints, the whole frontier), so the non-resumable entry points
-// pass wantCP=false and skip it.
-func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint, wantCP bool) (*Report, *Checkpoint, error) {
+// per-worker system reset to its just-built state between runs. Besides
+// the report it returns the outcome-fingerprint set behind Distinct and
+// the unexplored frontier, which the differential tests compare with the
+// reference explorer's.
+func explore(t Target, muts mutate.Set, b Budget, workers int) (*Report, *flatmap.Set, *frontier) {
 	rep := &Report{Target: t.Name()}
 	var fps flatmap.Set
 	fr := newFrontier(b.Depth)
+	fr.add(nil)
 	counted, distinct := 0, 0
-
-	if from != nil {
-		if from.Target != t.Name() {
-			return nil, nil, fmt.Errorf("check: checkpoint is for target %q, not %q", from.Target, t.Name())
-		}
-		if from.Depth != b.Depth {
-			return nil, nil, fmt.Errorf("check: checkpoint depth %d does not match budget depth %d", from.Depth, b.Depth)
-		}
-		counted = from.Schedules
-		for _, f := range from.Fingerprints {
-			fps.Add(f)
-		}
-		distinct = fps.Len()
-		for _, p := range from.Frontier {
-			fr.add(p)
-		}
-	} else {
-		fr.add(nil)
-	}
 
 	var results []waveResult
 	var scratch []workerScratch
@@ -177,19 +147,13 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 				return
 			}
 			sc.runner.RunSchedule(&res.out, sc.prefix, b.Depth)
-			tr := sc.runner.sched.Trace()
-			res.untaken = from != nil && !takesPrefix(tr, sc.prefix)
-			res.kids = expandChildren(res.kids[:0], tr, length, sc)
+			res.kids = expandChildren(res.kids[:0], sc.runner.sched.Trace(), length, sc)
 		})
 		// Reduce in canonical order. Everything order-sensitive — the
 		// schedule count, the Distinct tally, and the first failure —
 		// happens here, serially, exactly as a serial explorer would have
 		// done it.
 		for i := 0; i < n; i++ {
-			if results[i].untaken && results[i].out.Err == nil {
-				return nil, nil, fmt.Errorf("check: resumed prefix %s names a choice its replay cannot take",
-					FormatSchedule(decodeRow(rows, length, i, nil)))
-			}
 			counted++
 			f := results[i].out.Fingerprint
 			if !fps.Has(f) {
@@ -201,7 +165,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 				failing := decodeRow(rows, length, i, nil)
 				oc := results[i].out // off the pooled slice before minimize replays
 				rep.Failure = minimize(t, muts, b, failing, &oc)
-				return rep, nil, nil
+				return rep, &fps, fr
 			}
 			fr.addRows(results[i].kids)
 		}
@@ -211,17 +175,7 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 	}
 
 	rep.Schedules, rep.Distinct = counted, distinct
-	if !wantCP {
-		return rep, nil, nil
-	}
-	cp := &Checkpoint{
-		Target:       t.Name(),
-		Depth:        b.Depth,
-		Schedules:    counted,
-		Fingerprints: fps.SortedKeys(nil),
-		Frontier:     fr.appendAll(nil),
-	}
-	return rep, cp, nil
+	return rep, &fps, fr
 }
 
 // waveResult is one wave execution's contribution, landed by index. The
@@ -231,11 +185,6 @@ func explore(t Target, muts mutate.Set, b Budget, workers int, from *Checkpoint,
 type waveResult struct {
 	out  Outcome
 	kids []byte // length-prefixed child rows for frontier.addRows
-	// untaken marks a prefix whose replay did not take every choice it
-	// names (takesPrefix). Only a resumed sweep checks: its restored
-	// prefixes come from a file, every other prefix from a trace its
-	// parent's replay recorded.
-	untaken bool
 }
 
 // workerScratch is the per-worker reusable state of an exploration: the
@@ -247,23 +196,6 @@ type workerScratch struct {
 	choices   []byte
 	runner    *runner
 	runnerErr error
-}
-
-// takesPrefix reports whether an executed trace took every choice its
-// prefix names. A choice at or past its decision's arity replays as the
-// default, and one past the run's last decision is never asked for, so
-// such a prefix replays a shorter canonical schedule than it spells.
-// expandChildren never emits one; only a restored checkpoint can hold one.
-func takesPrefix(tr []Step, prefix []int) bool {
-	if len(tr) < len(prefix) {
-		return false
-	}
-	for i, c := range prefix {
-		if tr[i].Choice != c {
-			return false
-		}
-	}
-	return true
 }
 
 // expandChildren appends every child of an executed prefix to dst as

@@ -10,9 +10,8 @@ import (
 // 64-bit FNV-1a fingerprint of their (trailing-defaults-trimmed) choice
 // sequences, so a repeat draw is counted as a duplicate instead of being
 // judged again (a 64-bit collision could only miscount a new draw as a
-// repeat); the checkpoint checksum uses the same constants. The
-// systematic explorer needs no such set: every prefix has one parent, so
-// its tree never emits a prefix twice (see expandChildren).
+// repeat). The systematic explorer needs no such set: every prefix has one
+// parent, so its tree never emits a prefix twice (see expandChildren).
 
 const (
 	fnvOffset = 14695981039346656037
@@ -89,11 +88,11 @@ func newFrontier(depth int) *frontier {
 // empty reports whether no prefixes are pending.
 func (f *frontier) empty() bool { return f.total == 0 }
 
-// add enqueues one canonical prefix given as ints (checkpoint restore and
-// the initial empty prefix).
+// add enqueues one canonical prefix given as ints (the initial empty
+// prefix).
 func (f *frontier) add(p []int) {
 	if len(p) >= len(f.buckets) {
-		panic(fmt.Sprintf("check: frontier prefix of length %d exceeds depth %d", len(p), len(f.buckets)-1)) //bulklint:invariant checkpoint decoding validates entry lengths against the stored depth
+		panic(fmt.Sprintf("check: frontier prefix of length %d exceeds depth %d", len(p), len(f.buckets)-1)) //bulklint:invariant the explorer adds only the empty prefix; expandChildren rows go through addRows
 	}
 	b := f.buckets[len(p)]
 	for _, c := range p {
@@ -154,27 +153,6 @@ func (f *frontier) putBack(rows []byte, length, from, n int) {
 	f.buckets[length] = append(f.buckets[length], rows[from*length:n*length]...)
 	f.counts[length] += n - from
 	f.total += n - from
-}
-
-// appendAll decodes every pending prefix into dst in canonical (shortlex)
-// order — the serialization checkpoints commit to.
-func (f *frontier) appendAll(dst [][]int) [][]int {
-	for l := 0; l < len(f.buckets); l++ {
-		if f.counts[l] == 0 {
-			continue
-		}
-		if l == 0 {
-			for k := 0; k < f.counts[0]; k++ {
-				dst = append(dst, []int{})
-			}
-			continue
-		}
-		sortRows(f.buckets[l], l)
-		for k := 0; k < f.counts[l]; k++ {
-			dst = append(dst, decodeRow(f.buckets[l], l, k, nil))
-		}
-	}
-	return dst
 }
 
 // decodeRow expands row k of a fixed-stride buffer into ints, reusing dst.

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -105,131 +104,6 @@ func TestConcurrentExplorations(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeMatchesUninterrupted: stopping a sweep at an
-// arbitrary budget boundary, round-tripping the checkpoint through its
-// binary encoding, and resuming — even at a different worker count — must
-// reproduce the uninterrupted run's report and final checkpoint exactly.
-func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
-	tgt := SweepTargets()[0]
-	full := Budget{MaxSchedules: 1_500, Depth: 12}
-
-	whole, wholeCP, err := ExploreFrom(tgt, 0, full, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.Failure != nil {
-		t.Fatalf("unmutated target failed: %s", whole.Failure.Reason)
-	}
-	if wholeCP == nil {
-		t.Fatal("clean stop returned no checkpoint")
-	}
-
-	for _, cut := range []int{1, 137, 1_000} {
-		part, cp, err := ExploreFrom(tgt, 0, Budget{MaxSchedules: cut, Depth: full.Depth}, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if part.Schedules != cut || cp == nil {
-			t.Fatalf("cut=%d: partial run counted %d schedules, checkpoint=%v", cut, part.Schedules, cp != nil)
-		}
-		decoded, err := DecodeCheckpoint(cp.Encode())
-		if err != nil {
-			t.Fatalf("cut=%d: checkpoint does not round-trip: %v", cut, err)
-		}
-		resumed, resumedCP, err := ExploreFrom(tgt, 0, full, 1, decoded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reportsEqual(t, "resumed", resumed, whole)
-		if resumedCP == nil {
-			t.Fatalf("cut=%d: resumed clean stop returned no checkpoint", cut)
-		}
-		if !bytes.Equal(resumedCP.Encode(), wholeCP.Encode()) {
-			t.Errorf("cut=%d: resumed checkpoint bytes diverge from uninterrupted run's", cut)
-		}
-	}
-}
-
-// TestCheckpointResumeFindsSameFailure: a failure that lies beyond a
-// checkpoint boundary is found by the resumed sweep with the same
-// minimized schedule the uninterrupted explorer reports.
-func TestCheckpointResumeFindsSameFailure(t *testing.T) {
-	var m Mutation
-	var whole *Report
-	for _, cand := range Catalog() {
-		rep := Explore(cand.Target, mutate.Of(cand.ID), cand.Budget)
-		if rep.Failure == nil {
-			t.Fatalf("mutation %s survived %d schedules", cand.ID, rep.Schedules)
-		}
-		if rep.Schedules >= 2 {
-			m, whole = cand, rep
-			break
-		}
-	}
-	if whole == nil {
-		t.Skip("every catalog kill lands on the first schedule; no room for a cut")
-	}
-	cut := whole.Schedules / 2
-	_, cp, err := ExploreFrom(m.Target, mutate.Of(m.ID), Budget{MaxSchedules: cut, Depth: m.Budget.Depth}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil {
-		t.Fatal("partial run hit the failure before the cut; expected a clean stop")
-	}
-	resumed, failCP, err := ExploreFrom(m.Target, mutate.Of(m.ID), m.Budget, 4, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportsEqual(t, "resumed", resumed, whole)
-	if failCP != nil {
-		t.Error("failing stop returned a checkpoint; failures are not resumable")
-	}
-}
-
-// TestCheckpointRejectsMismatch: resuming against the wrong target or a
-// different depth is an error, not a silently wrong sweep.
-func TestCheckpointRejectsMismatch(t *testing.T) {
-	targets := SweepTargets()
-	_, cp, err := ExploreFrom(targets[0], 0, Budget{MaxSchedules: 50, Depth: 10}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ExploreFrom(targets[1], 0, Budget{MaxSchedules: 100, Depth: 10}, 1, cp); err == nil {
-		t.Error("resume accepted a checkpoint from a different target")
-	}
-	if _, _, err := ExploreFrom(targets[0], 0, Budget{MaxSchedules: 100, Depth: 12}, 1, cp); err == nil {
-		t.Error("resume accepted a checkpoint taken at a different depth")
-	}
-}
-
-// TestCheckpointCodecRejectsCorruption: the decoder fails loudly on bad
-// magic, bit flips, truncation, and trailing garbage.
-func TestCheckpointCodecRejectsCorruption(t *testing.T) {
-	cp := &Checkpoint{
-		Target: "tm-sweep", Depth: 12, Schedules: 321,
-		Fingerprints: []uint64{1, 99, 1 << 60},
-		Frontier:     [][]int{{1}, {0, 2}, {2, 1, 3}},
-	}
-	enc := cp.Encode()
-	if _, err := DecodeCheckpoint(enc); err != nil {
-		t.Fatalf("round trip failed: %v", err)
-	}
-	if _, err := DecodeCheckpoint(enc[:len(enc)-3]); err == nil {
-		t.Error("decoder accepted a truncated checkpoint")
-	}
-	for _, pos := range []int{0, len(checkpointMagic) + 1, len(enc) - 1} {
-		bad := slices.Clone(enc)
-		bad[pos] ^= 0x40
-		if _, err := DecodeCheckpoint(bad); err == nil {
-			t.Errorf("decoder accepted a bit flip at offset %d", pos)
-		}
-	}
-	if _, err := DecodeCheckpoint(append(slices.Clone(enc), 0)); err == nil {
-		t.Error("decoder accepted trailing garbage")
-	}
-}
-
 // TestWalkReportsDuplicates: with a low deviation probability most random
 // draws repeat the default schedule; Walk must report them as Duplicates
 // rather than inflating Schedules, and still bound total draws by the
@@ -261,13 +135,7 @@ func TestFrontierShortlexOrder(t *testing.T) {
 		fr.add(p)
 	}
 	want := [][]int{{1}, {2}, {3}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 1}}
-	var got [][]int
-	for !fr.empty() {
-		l, rows, n := fr.takeMin()
-		for k := 0; k < n; k++ {
-			got = append(got, slices.Clone(decodeRow(rows, l, k, nil)))
-		}
-	}
+	got := drainFrontier(fr)
 	if len(got) != len(want) {
 		t.Fatalf("drained %d prefixes, want %d", len(got), len(want))
 	}
@@ -292,6 +160,19 @@ func TestFrontierShortlexOrder(t *testing.T) {
 	if got := decodeRow(rows2, l2, 0, nil); !slices.Equal(got, []int{1, 2}) {
 		t.Errorf("first resumed prefix %v, want [1 2]", got)
 	}
+}
+
+// drainFrontier empties fr and returns its prefixes in the order the
+// explorer would take them.
+func drainFrontier(fr *frontier) [][]int {
+	var out [][]int
+	for !fr.empty() {
+		l, rows, n := fr.takeMin()
+		for k := 0; k < n; k++ {
+			out = append(out, decodeRow(rows, l, k, nil))
+		}
+	}
+	return out
 }
 
 // TestHashScheduleMatchesSteps: extending a schedule's hash by one choice

@@ -1,8 +1,8 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"bulk/internal/flatmap"
@@ -19,8 +19,9 @@ import (
 
 // replayExplore is the reference explorer: explore's best-first loop,
 // serial, with every schedule executed by Target.Run on a fresh system —
-// no pooling, no resets.
-func replayExplore(tgt Target, muts mutate.Set, b Budget) (*Report, *Checkpoint) {
+// no pooling, no resets. Like explore, it returns the report, the
+// fingerprint set and the unexplored frontier.
+func replayExplore(tgt Target, muts mutate.Set, b Budget) (*Report, *flatmap.Set, *frontier) {
 	rep := &Report{Target: tgt.Name()}
 	var fps flatmap.Set
 	fr := newFrontier(b.Depth)
@@ -40,7 +41,7 @@ func replayExplore(tgt Target, muts mutate.Set, b Budget) (*Report, *Checkpoint)
 			}
 			if out.Failed() {
 				rep.Failure = minimize(tgt, muts, b, prefix, out)
-				return rep, nil
+				return rep, &fps, fr
 			}
 			fr.addRows(expandChildren(nil, sched.Trace(), length, &sc))
 		}
@@ -48,13 +49,7 @@ func replayExplore(tgt Target, muts mutate.Set, b Budget) (*Report, *Checkpoint)
 			fr.putBack(rows, length, n, total)
 		}
 	}
-	return rep, &Checkpoint{
-		Target:       tgt.Name(),
-		Depth:        b.Depth,
-		Schedules:    rep.Schedules,
-		Fingerprints: fps.SortedKeys(nil),
-		Frontier:     fr.appendAll(nil),
-	}
+	return rep, &fps, fr
 }
 
 // runnerMatchesRun drives one pooled runner through schedules back to back
@@ -85,29 +80,29 @@ func runnerMatchesRun(t *testing.T, tgt Target, muts mutate.Set, schedules [][]i
 }
 
 // TestRunnerMatchesReplayClean: on failure-free targets the explorer
-// reproduces the reference report at every worker count, and the final
-// checkpoints are byte-identical — same fingerprint set, same frontier —
-// not merely the same counts.
+// reproduces the reference report at every worker count, and ends with
+// the same fingerprint set and the same frontier, in the same order — not
+// merely the same counts.
 func TestRunnerMatchesReplayClean(t *testing.T) {
 	b := Budget{MaxSchedules: 1_500, Depth: 12}
 	for _, tgt := range SweepTargets() {
-		want, wantCP := replayExplore(tgt, 0, b)
+		want, wantFps, wantFr := replayExplore(tgt, 0, b)
 		if want.Failure != nil {
 			t.Fatalf("%s: unmutated target failed: %s", tgt.Name(), want.Failure.Reason)
 		}
-		wantBytes := wantCP.Encode()
+		wantKeys, wantPending := wantFps.SortedKeys(nil), drainFrontier(wantFr)
+		if len(wantPending) == 0 {
+			t.Fatalf("%s: the budget exhausted the schedule space; no frontier to compare", tgt.Name())
+		}
 		for _, w := range []int{1, 2, 4, 8} {
 			label := fmt.Sprintf("%s/w=%d", tgt.Name(), w)
-			got, gotCP, err := ExploreFrom(tgt, 0, b, w, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, gotFps, gotFr := explore(tgt, 0, b, w)
 			reportsEqual(t, label, got, want)
-			if gotCP == nil {
-				t.Fatalf("%s: clean stop returned no checkpoint", label)
+			if !slices.Equal(gotFps.SortedKeys(nil), wantKeys) {
+				t.Errorf("%s: fingerprint set diverges from the reference explorer's", label)
 			}
-			if !bytes.Equal(gotCP.Encode(), wantBytes) {
-				t.Errorf("%s: checkpoint bytes diverge from the reference explorer's", label)
+			if !slices.EqualFunc(drainFrontier(gotFr), wantPending, slices.Equal) {
+				t.Errorf("%s: frontier diverges from the reference explorer's", label)
 			}
 		}
 	}
@@ -123,7 +118,7 @@ func TestRunnerMatchesReplayOnMutations(t *testing.T) {
 		m := m
 		t.Run(m.ID.String(), func(t *testing.T) {
 			muts := mutate.Of(m.ID)
-			want, _ := replayExplore(m.Target, muts, m.Budget)
+			want, _, _ := replayExplore(m.Target, muts, m.Budget)
 			if want.Failure == nil {
 				t.Fatalf("mutation survived %d schedules under the reference explorer", want.Schedules)
 			}
@@ -137,43 +132,6 @@ func TestRunnerMatchesReplayOnMutations(t *testing.T) {
 				reportsEqual(t, fmt.Sprintf("w=%d", w), ExploreParallel(m.Target, muts, m.Budget, w), want)
 			}
 		})
-	}
-}
-
-// TestRunnerCheckpointCutIdentical: interrupting a sweep at an arbitrary
-// budget boundary and resuming — on a different worker count than the
-// interrupted leg ran — reproduces the uninterrupted run exactly. Pooled
-// runner state is per-call and never leaks into the checkpoint.
-func TestRunnerCheckpointCutIdentical(t *testing.T) {
-	tgt := SweepTargets()[0]
-	full := Budget{MaxSchedules: 1_500, Depth: 12}
-	whole, wholeCP, err := ExploreFrom(tgt, 0, full, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.Failure != nil {
-		t.Fatalf("unmutated target failed: %s", whole.Failure.Reason)
-	}
-	legs := [][2]int{{4, 1}, {1, 4}}
-	for _, cut := range []int{1, 137, 1_000} {
-		for _, leg := range legs {
-			label := fmt.Sprintf("cut=%d/w=%d,%d", cut, leg[0], leg[1])
-			_, cp, err := ExploreFrom(tgt, 0, Budget{MaxSchedules: cut, Depth: full.Depth}, leg[0], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cp == nil {
-				t.Fatalf("%s: partial run returned no checkpoint", label)
-			}
-			resumed, resumedCP, err := ExploreFrom(tgt, 0, full, leg[1], cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reportsEqual(t, label, resumed, whole)
-			if resumedCP == nil || !bytes.Equal(resumedCP.Encode(), wholeCP.Encode()) {
-				t.Errorf("%s: resumed checkpoint diverges from uninterrupted run's", label)
-			}
-		}
 	}
 }
 

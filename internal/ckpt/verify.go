@@ -62,6 +62,9 @@ func (o *oracle) check(w *Workload, r *Result) error {
 		unit := units[u.Unit]
 		e := &o.execs[u.Proc]
 		at := o.slot[o.first[u.Proc]+u.Unit]
+		if u.Op < -1 {
+			return fmt.Errorf("ckpt: log unit %+v has bad op %d", u, u.Op)
+		}
 		if u.Op >= 0 {
 			// A single plain write.
 			if unit.Episode != nil || u.Op >= len(unit.Plain) {

@@ -220,12 +220,6 @@ func (c *Config) AddrBits() int { return c.addrBits }
 // "Full Size" column of Table 8.
 func (c *Config) TotalBits() int { return c.totalBits }
 
-// ConsumedBits returns how many permuted address bits the chunks consume.
-func (c *Config) ConsumedBits() int { return len(c.permPos) }
-
-// Permutation returns a copy of the explicit permutation prefix.
-func (c *Config) Permutation() []int { return append([]int(nil), c.perm...) }
-
 // WithPerm returns a copy of the configuration using a different bit
 // permutation. Used by the permutation exploration of Figure 15.
 func (c *Config) WithPerm(perm []int) (*Config, error) {
@@ -547,13 +541,6 @@ func (s *Signature) PopCount() int {
 // Bits returns the backing words (read-only view; callers must not modify).
 // The signature occupies the low TotalBits() bits.
 func (s *Signature) Bits() []uint64 { return s.bits }
-
-// FieldBit reports whether bit v of field i is set. Used by decode logic
-// and white-box tests.
-func (s *Signature) FieldBit(field int, v uint32) bool {
-	bit := s.cfg.fields[field].off + int(v)
-	return s.bits[bit>>6]&(1<<uint(bit&63)) != 0
-}
 
 // fieldOnes appends the set-bit indices of field i to dst.
 func (s *Signature) fieldOnes(field int, dst []uint32) []uint32 {

@@ -1,8 +1,7 @@
 package tm
 
 import (
-	"math/bits"
-
+	"bulk/internal/bdm"
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/core"
@@ -33,16 +32,12 @@ type preemptState struct {
 	doomed bool
 }
 
+// bdmSpill is one section's spilled version: the runtime disambiguates
+// against its saved signatures directly, as the paper describes for
+// out-of-signature conditions.
 type bdmSpill struct {
-	sv  *spilledSig
+	sv  *bdm.SpilledVersion
 	sec *section
-}
-
-// spilledSig mirrors bdm.SpilledVersion without importing its identity;
-// the runtime disambiguates against these saved signatures directly, as
-// the paper describes for out-of-signature conditions.
-type spilledSig struct {
-	R, W *sig.Signature
 }
 
 // maybePreempt pauses p's transaction if the preemption policy triggers at
@@ -80,11 +75,7 @@ func (s *System) maybePreempt(p *proc) bool {
 		p.module.SetRunning(nil)
 		if o.SpillOnPreempt {
 			for _, sec := range p.sections {
-				sv := p.module.SpillVersion(sec.Version)
-				ps.spilled = append(ps.spilled, &bdmSpill{
-					sv:  &spilledSig{R: sv.R, W: sv.W},
-					sec: sec,
-				})
+				ps.spilled = append(ps.spilled, &bdmSpill{sv: p.module.SpillVersion(sec.Version), sec: sec})
 				sec.Version = nil
 				// The version's dirty cache lines lose their BDM guard;
 				// the paper moves them to the overflow area.
@@ -213,7 +204,7 @@ func (s *System) resumePreempted(p *proc) {
 	if p.module != nil {
 		if len(ps.spilled) > 0 {
 			for _, sp := range ps.spilled {
-				v, err := p.module.AllocVersion(p.id*16 + len(p.sections))
+				v, err := p.module.ReloadVersion(sp.sv)
 				if err != nil {
 					// No slot available on reload: restart the whole
 					// transaction (rare; MaxVersions covers the nests the
@@ -221,22 +212,7 @@ func (s *System) resumePreempted(p *proc) {
 					s.restartDoomed(p)
 					return
 				}
-				v.R.CopyFrom(sp.sv.R)
-				v.W.CopyFrom(sp.sv.W)
 				sp.sec.Version = v
-				// Rebuilding δ(W) requires re-adding the exact writes at
-				// the signature's granularity; the decode is exact so the
-				// mask matches.
-				s.keyScratch = sp.sec.SortedLines(s.keyScratch[:0], core.Writes)
-				for _, l := range s.keyScratch {
-					if !s.opts.WordGranularity {
-						p.module.CommitWrite(v, sig.Addr(l))
-						continue
-					}
-					for m := sp.sec.Line(l).W; m != 0; m &= m - 1 {
-						p.module.CommitWrite(v, sig.Addr(l*core.WordsPerLine+uint64(bits.TrailingZeros16(m))))
-					}
-				}
 				// ClearVersion dropped the sticky O bit when the signatures
 				// left the BDM, and spillDirtyLines moved this section's
 				// dirty lines to the overflow area; without the bit the

@@ -81,6 +81,12 @@ func (o *oracle) check(w *workload.TMWorkload, r *Result) error {
 			if u.OpHi != u.OpLo+1 {
 				return fmt.Errorf("tm: non-transactional unit %v must be a single op", u)
 			}
+			if u.OpLo < 0 || u.OpLo >= len(seg.Ops) {
+				return fmt.Errorf("tm: non-transactional unit %v names no op of its segment", u)
+			}
+			if seg.Ops[u.OpLo].Kind == trace.Read {
+				return fmt.Errorf("tm: logged non-transactional unit %v is a read", u)
+			}
 			o.count[at+u.OpLo]++
 		}
 		for i := u.OpLo; i < u.OpHi; i++ {

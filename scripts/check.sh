@@ -112,27 +112,17 @@ if ! cmp -s "$bc_tmp/serial.out" "$bc_tmp/parallel.out"; then
 fi
 "$bc_tmp/bulkcheck" -mutations all -workers 4
 
-echo "== bulkcheck checkpoint/resume round-trip =="
-# An interrupted-and-resumed sweep (across different worker counts) must
-# report exactly what one uninterrupted sweep reports, and leave an
-# identical final checkpoint.
-"$bc_tmp/bulkcheck" -target tm-sweep -budget small -schedules 400 \
-  -checkpoint "$bc_tmp/cp.bin" > /dev/null
-# The checkpoint: trailer names the output file, so compare only the
-# report lines.
-"$bc_tmp/bulkcheck" -resume "$bc_tmp/cp.bin" -budget small -schedules 1000 \
-  -workers 8 -checkpoint "$bc_tmp/cp_resumed.bin" -v \
-  | tee /dev/stderr | grep -v '^checkpoint:' > "$bc_tmp/resumed.out"
-"$bc_tmp/bulkcheck" -target tm-sweep -budget small -schedules 1000 \
-  -checkpoint "$bc_tmp/cp_whole.bin" -v \
-  | grep -v '^checkpoint:' > "$bc_tmp/whole.out"
-if ! cmp -s "$bc_tmp/resumed.out" "$bc_tmp/whole.out"; then
-  echo "bulkcheck: resumed sweep report differs from uninterrupted sweep" >&2
-  diff "$bc_tmp/resumed.out" "$bc_tmp/whole.out" >&2 || true
-  exit 1
-fi
-if ! cmp -s "$bc_tmp/cp_resumed.bin" "$bc_tmp/cp_whole.bin"; then
-  echo "bulkcheck: resumed checkpoint bytes differ from uninterrupted sweep's" >&2
+echo "== bulkcheck single-target budget =="
+# One target under an explicit schedule budget, through the CLI's -target
+# and -schedules: the report must not depend on the worker count.
+"$bc_tmp/bulkcheck" -target tm-sweep -budget small -schedules 400 -v \
+  -workers 1 > "$bc_tmp/target_w1.out"
+"$bc_tmp/bulkcheck" -target tm-sweep -budget small -schedules 400 -v \
+  -workers 8 > "$bc_tmp/target_w8.out"
+cat "$bc_tmp/target_w1.out"
+if ! cmp -s "$bc_tmp/target_w1.out" "$bc_tmp/target_w8.out"; then
+  echo "bulkcheck: -target sweep report differs between 1 and 8 workers" >&2
+  diff "$bc_tmp/target_w1.out" "$bc_tmp/target_w8.out" >&2 || true
   exit 1
 fi
 
@@ -225,15 +215,13 @@ echo "== native fuzz smoke (5s per target) =="
 # The three runtimes and the exact footprint they share (against a
 # map-of-words model); the workload layout determinism target the daemon's
 # result cache leans on (cache keys assume identical (seed, config) inputs
-# regenerate identical bytes); the checkpoint decoder bulkcheck -resume
-# feeds files to; bulkd's request decoding; and the RLE decoder commit
-# broadcasts pass through. The decoders must reject hostile input without
-# panicking. Last, the signature permutation kernel against its per-bit
-# definition over drawn layouts.
+# regenerate identical bytes); bulkd's request decoding; and the RLE
+# decoder commit broadcasts pass through. The decoders must reject hostile
+# input without panicking. Last, the signature permutation kernel against
+# its per-bit definition over drawn layouts.
 for target in internal/tm:FuzzTMSchemes internal/tls:FuzzTLSSchemes \
     internal/ckpt:FuzzCkptModes internal/core:FuzzFootprint \
-    internal/workload:FuzzWorkloadLayout \
-    internal/check:FuzzDecodeCheckpoint internal/serve:FuzzDecodeRequest \
+    internal/workload:FuzzWorkloadLayout internal/serve:FuzzDecodeRequest \
     internal/sig:FuzzRLDecode internal/sig:FuzzFieldValues; do
   pkg="${target%%:*}"
   fz="${target##*:}"
