@@ -1,9 +1,11 @@
 // Command bulkcheck explores the schedule space of the tm, tls and ckpt
-// runtimes, judging every execution against two oracles: serializability
-// (final memory must match a conflict-free sequential reference) and
-// signature soundness (every real conflict must be caught by the signature
-// test, and bulk invalidation must never squash a line outside the
-// committer-visible write set).
+// runtimes, judging every execution against three oracles: serializability
+// (final memory must match a conflict-free sequential reference), signature
+// soundness (every real conflict must be caught by the signature test, and
+// bulk invalidation must never squash a line outside the committer-visible
+// write set), and tm's stale-line checks (no cache keeps an unmerged copy
+// of a line a commit wrote, and no miss filter skips a line its thread
+// parked in its overflow area).
 //
 // Usage:
 //

@@ -49,17 +49,12 @@ func (s State) String() string {
 // Line is one cache way's content. Callers get pointers into the cache's
 // backing array and may read fields; state changes should go through the
 // cache methods so statistics stay consistent. A way's address lives in
-// the cache's tag array, not here.
+// the cache's tag array, not here. A line carries no data: the runtimes
+// resolve every read from their write buffers and committed memory, and
+// the cache serves timing and coherence state only.
 type Line struct {
 	State State
-	// Data optionally carries the line's word values. The cache itself
-	// never interprets it. Only the TM runtime fills it, so that
-	// stale-line bugs in that protocol are observable as wrong values
-	// rather than silently hidden; TLS and checkpoint lines carry no data.
-	// Insert keeps a way's buffer for the next line placed in that way, so
-	// a user of Data overwrites all of it on every fill.
-	Data []uint64
-	lru  uint64
+	lru   uint64
 }
 
 // Evicted describes the line an insertion displaced. State is Invalid when
@@ -245,8 +240,7 @@ func (c *Cache) Access(a LineAddr) *Line {
 // Insert places address a in the cache in the given state, evicting the LRU
 // way if the set is full. The returned Evicted tells the caller what was
 // displaced (State Invalid if nothing was) — the caller owns writing back
-// dirty victims. The new line keeps the way's Data buffer with its stale
-// contents, so a fill into a used way allocates nothing.
+// dirty victims.
 //
 //bulklint:noalloc
 func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
@@ -291,7 +285,7 @@ func (c *Cache) Insert(a LineAddr, st State) (*Line, Evicted) {
 	}
 	c.clock++
 	tags[victim] = a
-	ws[victim] = Line{State: st, Data: ws[victim].Data, lru: c.clock}
+	ws[victim] = Line{State: st, lru: c.clock}
 	c.addValid(set)
 	if st == Dirty {
 		c.addDirty(set)
@@ -429,11 +423,9 @@ func (c *Cache) CountState(st State) int {
 
 // Reset returns the cache to its just-built state: every way Invalid with
 // tag noTag, zero occupancy, counters and LRU clock. It walks only the
-// occupied sets. An Invalid way's LRU stamp and Data are never read —
-// victim selection takes an Invalid way before it compares stamps, and
-// Insert rewrites the whole line but its Data buffer, which a Data user
-// overwrites in full — so they keep their payload, and a way keeps its
-// Data buffer for the next fill.
+// occupied sets. An Invalid way's LRU stamp is never read — victim
+// selection takes an Invalid way before it compares stamps, and Insert
+// rewrites the whole line — so it keeps its stale value.
 //
 //bulklint:noalloc
 func (c *Cache) Reset() {

@@ -11,7 +11,7 @@
 // schedule is a short list of integers that deterministically reproduces
 // the failure.
 //
-// Two oracles judge every execution:
+// Three oracles judge every execution:
 //
 //   - Serializability: each runtime's own Verify replays the committed
 //     units serially in logged commit order and compares final memory
@@ -23,6 +23,11 @@
 //     soundness bug. Squash hygiene (sim.HygieneEvent) additionally
 //     checks that bulk invalidation only destroys the squashed thread's
 //     own dirty lines — the invariant the Set Restriction maintains.
+//   - Stale lines: cache lines carry no values, so a missed invalidation
+//     cannot corrupt memory for Verify to see. tm reports it where it
+//     happens (sim.StaleEvent): a receiver that still holds, unmerged, a
+//     line a commit wrote, and a transactional miss whose overflow filter
+//     skips a line the thread parked in its own overflow area.
 //
 // The explorer walks the schedule space best-first — shortest prefixes
 // first, lexicographic within a length — under a depth/schedule budget.
@@ -55,8 +60,8 @@ type Outcome struct {
 	// OracleErr is a serializability-oracle failure: the runtime's Verify
 	// rejected the execution.
 	OracleErr error
-	// Soundness lists signature-soundness and squash-hygiene violations
-	// observed by the probe during the run.
+	// Soundness lists signature-soundness, squash-hygiene and stale-line
+	// violations observed by the probe during the run.
 	Soundness []string
 	// Fingerprint summarizes the observable outcome (commit log, final
 	// memory, headline stats); distinct fingerprints measure how much
@@ -83,8 +88,9 @@ func (o *Outcome) Failure() string {
 	}
 }
 
-// soundnessProbe builds a sim.Probe that records soundness and hygiene
-// violations into viol.
+// soundnessProbe builds a sim.Probe that records soundness, hygiene and
+// stale-line violations into viol. Setting Stale arms tm's stale-copy and
+// overflow-filter checks.
 //
 //bulklint:purehook
 func soundnessProbe(viol *[]string) *sim.Probe {
@@ -103,5 +109,6 @@ func soundnessProbe(viol *[]string) *sim.Probe {
 					ev.Owner, ev.Line))
 			}
 		},
+		Stale: func(ev sim.StaleEvent) { *viol = append(*viol, ev.String()) },
 	}
 }

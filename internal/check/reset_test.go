@@ -37,7 +37,6 @@ var resetIgnored = map[string]string{
 	"bulk/internal/bdm.Module.merges":      "bulk-operation result list, dead between calls",
 	"bulk/internal/core.Machine.keys":      "sorted-key scratch of Apply, Drop, InvalidateLines and DigestMemory, dead between calls",
 	"bulk/internal/tm.System.commitWC":     "commit-path scratch dead between quanta",
-	"bulk/internal/tm.System.spillWords":   "spill scratch dead between quanta",
 	"bulk/internal/tm.System.keyScratch":   "commit-path scratch dead between quanta",
 	"bulk/internal/tm.System.union":        "commit-path scratch dead between quanta",
 	"bulk/internal/tm.System.oracle":       "oracle storage; each check empties it before reading it",

@@ -33,9 +33,8 @@ import (
 )
 
 // WordsPerLine is the number of 4-byte words in a 64-byte cache line: the
-// line size of committed memory's line index, so a fill reads a line with
-// one mem.Memory.ReadLine.
-const WordsPerLine = mem.WordsPerLine
+// span of a footprint's word masks. Word a lives in line a/WordsPerLine.
+const WordsPerLine = 16
 
 // wordBits is log2(WordsPerLine): the word-offset bits a word-granularity
 // signature skips to reach the cache set index.

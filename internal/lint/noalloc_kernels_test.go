@@ -66,7 +66,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/flatmap.Set.SortedKeys exported=true",
 		"bulk/internal/mem.Memory.AppendSortedAddrs exported=true",
 		"bulk/internal/mem.Memory.Read exported=true",
-		"bulk/internal/mem.Memory.ReadLine exported=true",
 		"bulk/internal/mem.Memory.Reset exported=true",
 		"bulk/internal/mem.Memory.Write exported=true",
 		"bulk/internal/mem.OverflowArea.DisambiguationScan exported=true",
@@ -98,7 +97,6 @@ func TestNoallocKernelSetPinned(t *testing.T) {
 		"bulk/internal/sim.Engine.Reset exported=true",
 		"bulk/internal/tls.System.mergeLine exported=false",
 		"bulk/internal/tm.System.mergeLine exported=false",
-		"bulk/internal/tm.proc.bufLookup exported=false",
 		"bulk/internal/tm.proc.masks exported=false",
 	}
 	if len(got) != len(want) {

@@ -230,8 +230,8 @@ func checkKernel(t *testing.T, cfg *Config, a Addr) {
 	want := cfg.NewSignature()
 	for i, v := range ref {
 		if got := cfg.fieldValue(i, a, p); got != v {
-			t.Fatalf("%v perm=%v/%d addr=%#x chunk %d: kernel %#x, reference %#x",
-				cfg.chunks, cfg.perm, cfg.addrBits, a, i, got, v)
+			t.Fatalf("%v permPos=%v/%d addr=%#x chunk %d: kernel %#x, reference %#x",
+				cfg.chunks, cfg.permPos, cfg.addrBits, a, i, got, v)
 		}
 		bit := cfg.fields[i].off + v
 		want.bits[bit>>6] |= 1 << uint(bit&63)
@@ -239,21 +239,21 @@ func checkKernel(t *testing.T, cfg *Config, a Addr) {
 	got := cfg.NewSignature()
 	got.Add(a)
 	if !got.Equal(want) {
-		t.Fatalf("%v perm=%v/%d addr=%#x: Add set %x, reference %x",
-			cfg.chunks, cfg.perm, cfg.addrBits, a, got.bits, want.bits)
+		t.Fatalf("%v permPos=%v/%d addr=%#x: Add set %x, reference %x",
+			cfg.chunks, cfg.permPos, cfg.addrBits, a, got.bits, want.bits)
 	}
 	// Contains must test every field's bit: clearing any one fails it.
 	for i, v := range ref {
 		bit := cfg.fields[i].off + v
 		got.bits[bit>>6] &^= 1 << uint(bit&63)
 		if got.Contains(a) {
-			t.Fatalf("%v perm=%v/%d addr=%#x: Contains passes without field %d's bit",
-				cfg.chunks, cfg.perm, cfg.addrBits, a, i)
+			t.Fatalf("%v permPos=%v/%d addr=%#x: Contains passes without field %d's bit",
+				cfg.chunks, cfg.permPos, cfg.addrBits, a, i)
 		}
 		got.bits[bit>>6] |= 1 << uint(bit&63)
 	}
 	if !got.Contains(a) {
-		t.Fatalf("%v perm=%v/%d addr=%#x: Contains misses an added address", cfg.chunks, cfg.perm, cfg.addrBits, a)
+		t.Fatalf("%v permPos=%v/%d addr=%#x: Contains misses an added address", cfg.chunks, cfg.permPos, cfg.addrBits, a)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestDecodeExactWithPaperPermutations(t *testing.T) {
 			plan.DecodeInto(s, got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s %v/%d %v, %d addrs: DecodeInto %v, set indices %v",
-					tc.name, tc.cfg.perm, tc.cfg.AddrBits(), tc.idx, n, got.Sets(nil), want.Sets(nil))
+					tc.name, tc.cfg.permPos, tc.cfg.AddrBits(), tc.idx, n, got.Sets(nil), want.Sets(nil))
 			}
 		}
 	}
@@ -285,7 +285,7 @@ func TestWordMaskMatchesContains(t *testing.T) {
 					}
 					if got := p.Mask(s, line); got != want {
 						t.Fatalf("%s %v/%d, %d words, %d lines: Mask(%#x) = %#x, per-word Contains %#x",
-							cfg.Name(), cfg.perm, cfg.AddrBits(), wpl, n, line, got, want)
+							cfg.Name(), cfg.permPos, cfg.AddrBits(), wpl, n, line, got, want)
 					}
 				}
 				for _, line := range lines[:8] {

@@ -44,7 +44,6 @@ type Addr uint64
 type Config struct {
 	name     string
 	chunks   []int
-	perm     []int // perm[i] = original bit index that lands at position i
 	addrBits int
 
 	totalBits int     // sum of 2^Ci
@@ -117,7 +116,6 @@ func newConfig(name string, chunks []int, perm []int, addrBits int, tab [][256]u
 	cfg := &Config{
 		name:      name,
 		chunks:    append([]int(nil), chunks...),
-		perm:      append([]int(nil), perm...),
 		addrBits:  addrBits,
 		totalBits: total,
 		words:     (total + 63) / 64,

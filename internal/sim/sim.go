@@ -11,6 +11,8 @@
 // system, and relative scheme orderings survive this simplification.
 package sim
 
+import "fmt"
+
 // Params are the timing parameters. Cycles throughout.
 type Params struct {
 	// HitLatency is an L1 hit (Table 5: OC 1, RT 2 for TLS).
@@ -170,12 +172,47 @@ type HygieneEvent struct {
 	InWriteSet bool
 }
 
+// StaleKind tells which data-free check reported a StaleEvent.
+type StaleKind int
+
+const (
+	// StaleCopy: after a commit's invalidation, a receiver's L1 still
+	// holds a line the committer wrote that the commit did not merge.
+	StaleCopy StaleKind = iota
+	// OverflowSkipped: a transactional miss's overflow filter skipped a
+	// line the thread's own overflow area holds for a live section, so
+	// the refill lacks the thread's data.
+	OverflowSkipped
+)
+
+// StaleEvent reports a cache line whose data its holder must not use.
+// Lines carry no values, so this is where a missed invalidation or a lost
+// overflow bit shows. Every event is a violation.
+type StaleEvent struct {
+	Kind      StaleKind
+	Cycle     int64
+	Committer int // the committing processor; StaleCopy only
+	Holder    int
+	Line      uint64
+}
+
+func (ev StaleEvent) String() string {
+	if ev.Kind == OverflowSkipped {
+		return fmt.Sprintf("cycle %d: processor %d's overflow filter skipped line %#x, which its overflow area holds for a live section",
+			ev.Cycle, ev.Holder, ev.Line)
+	}
+	return fmt.Sprintf("cycle %d: processor %d holds a stale copy of line %#x after processor %d's commit",
+		ev.Cycle, ev.Holder, ev.Line, ev.Committer)
+}
+
 // Probe receives protocol-decision events from a runtime. A nil *Probe is
 // valid and drops everything; the runtimes call the Emit methods
-// unconditionally.
+// unconditionally. Stale is the exception: its checks cost work, so a
+// runtime runs them, and calls Stale directly, only when it is set.
 type Probe struct {
 	Conflict func(ConflictEvent)
 	Hygiene  func(HygieneEvent)
+	Stale    func(StaleEvent)
 }
 
 // EmitConflict forwards a conflict decision to the probe, if any.

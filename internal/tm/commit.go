@@ -1,6 +1,9 @@
 package tm
 
 import (
+	"slices"
+
+	"bulk/internal/bdm"
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/core"
@@ -67,7 +70,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	busDone := s.Engine.AcquireBus(par.CommitArbitration + par.TransferCycles(packetBytes))
 
 	// Apply the speculative values to committed memory, section order
-	// (outer first) so inner overwrites win, matching bufLookup.
+	// (outer first) so inner overwrites win, as a read finds them.
 	for _, sec := range p.sections {
 		s.Apply(&sec.Footprint)
 	}
@@ -93,7 +96,8 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 	s.stats.ReadSetLines += uint64(u.Lines(core.Reads))
 	s.stats.WriteSetLines += uint64(u.Lines(core.Writes))
 
-	// Receivers: disambiguate, then invalidate stale copies.
+	// Receivers: disambiguate, then invalidate stale copies. keyScratch
+	// keeps the written lines through the loop for the stale-copy check.
 	for _, q := range s.procs {
 		if q == p {
 			continue
@@ -107,7 +111,7 @@ func (s *System) commit(p *proc, seg *workload.TMSegment) {
 				s.disambiguateAtCommit(p, q, wc, u)
 			}
 		}
-		s.invalidateCommitted(q, wc, u)
+		s.invalidateCommitted(p, q, wc, u)
 	}
 
 	// Release the committer's speculative state. Committed dirty lines
@@ -194,9 +198,10 @@ func (s *System) disambiguateAtCommit(p, q *proc, wc *sig.Signature, u *core.Foo
 	}
 }
 
-// invalidateCommitted removes the receiver's stale copies of the lines
-// the committer's footprint u wrote.
-func (s *System) invalidateCommitted(q *proc, wc *sig.Signature, u *core.Footprint) {
+// invalidateCommitted removes the receiver q's stale copies of the lines
+// the committer p's footprint u wrote.
+func (s *System) invalidateCommitted(p, q *proc, wc *sig.Signature, u *core.Footprint) {
+	var merges []bdm.MergeLine
 	switch s.opts.Scheme {
 	case Eager, Lazy:
 		// Eager acquired ownership at write time, but a later miss by q is
@@ -206,10 +211,8 @@ func (s *System) invalidateCommitted(q *proc, wc *sig.Signature, u *core.Footpri
 		// coherence action knocks those out too.
 		s.InvalidateLines(q.id, u)
 	case Bulk:
-		if q.module == nil {
-			return
-		}
-		invalidated, merges := q.module.CommitInvalidate(wc)
+		var invalidated []cache.LineAddr
+		invalidated, merges = q.module.CommitInvalidate(wc)
 		for _, l := range invalidated {
 			if u.Line(uint64(l)).W == 0 {
 				s.stats.FalseInvalidations++
@@ -222,27 +225,37 @@ func (s *System) invalidateCommitted(q *proc, wc *sig.Signature, u *core.Footpri
 			s.mergeLine(q, uint64(m.Addr))
 		}
 	}
+	if pr := s.opts.Probe; pr != nil && pr.Stale != nil {
+		s.checkStaleCopies(pr, p, q, merges)
+	}
 }
 
-// mergeLine refreshes a locally-dirty, partially-remote-updated line: each
-// word takes the local transaction's buffered value if it wrote it, else
-// the just-committed memory value. The line stays dirty in q's cache.
+// checkStaleCopies reports each line the committer p wrote (keyScratch)
+// that q's L1 still holds after the commit's invalidation and that the
+// commit did not merge: its data predates the commit. Plain writes need no
+// such check, since they invalidate every other copy.
+func (s *System) checkStaleCopies(pr *sim.Probe, p, q *proc, merges []bdm.MergeLine) {
+	for _, l := range s.keyScratch {
+		merged := slices.ContainsFunc(merges, func(m bdm.MergeLine) bool { return uint64(m.Addr) == l })
+		if q.cache.Contains(cache.LineAddr(l)) && !merged {
+			pr.Stale(sim.StaleEvent{Kind: sim.StaleCopy, Cycle: s.Engine.Now(), Committer: p.id, Holder: q.id, Line: l})
+		}
+	}
+}
+
+// mergeLine implements the line merge of Figure 6: the committed version of
+// the line is fetched and the local speculative words are overlaid; the
+// merged line stays dirty in q's cache. TM lines carry no data (q's words
+// stay in its write buffers), so the merge is the fetch's traffic and the
+// merge count.
 //
 //bulklint:noalloc
 func (s *System) mergeLine(q *proc, line uint64) {
-	cl := q.cache.Lookup(cache.LineAddr(line))
-	if cl == nil {
+	if !q.cache.Contains(cache.LineAddr(line)) {
 		return
 	}
 	s.stats.Merges++
 	s.Bus.Record(bus.Fill, bus.FillBytes) // committed line fetched
-	s.Mem.ReadLine(line, cl.Data)
-	base := line * core.WordsPerLine
-	for w := 0; w < core.WordsPerLine; w++ {
-		if v, ok := q.bufLookup(base + uint64(w)); ok {
-			cl.Data[w] = v
-		}
-	}
 }
 
 // squash aborts q's transaction back to section fromSection. dep is the

@@ -59,25 +59,23 @@ func (s *System) specRead(p *proc, op trace.Op) (int, bool) {
 	}
 
 	// The innermost section records the read and returns its own buffered
-	// value in one probe; the outer sections' buffers come next.
+	// value in one probe; the outer sections' buffers come next, then
+	// committed memory. The cache serves timing only.
 	sec := p.top()
 	value, buffered := sec.Read(op.Addr)
 	for i := len(p.sections) - 2; !buffered && i >= 0; i-- {
 		value, buffered = p.sections[i].Value(op.Addr)
 	}
-	cost := 0
+	cost := s.opts.Params.HitLatency
 	hit := true
-	if buffered {
-		// Store-buffer hit: the value is p's own speculative write.
-		cost = s.opts.Params.HitLatency
-	} else if l := p.cache.Access(cache.LineAddr(line)); l != nil {
-		value = l.Data[int(op.Addr)%core.WordsPerLine]
-		cost = s.opts.Params.HitLatency
-	} else {
-		hit = false
-		var l *cache.Line
-		l, cost = s.fill(p, line, true)
-		value = l.Data[int(op.Addr)%core.WordsPerLine]
+	if !buffered {
+		// A store-buffer hit is p's own speculative write; otherwise the
+		// read goes to the cache.
+		if p.cache.Access(cache.LineAddr(line)) == nil {
+			hit = false
+			cost = s.fill(p, line, true)
+		}
+		value = uint64(s.Mem.Read(op.Addr))
 	}
 
 	if p.module != nil && !(hit && s.opts.Mutate.Has(mutate.DropReadOnHit)) {
@@ -129,21 +127,10 @@ func (s *System) specWrite(p *proc, op trace.Op) (int, bool) {
 		// sharing the set is safe — proceed.
 	}
 
-	// Ensure the line is cached dirty with current data.
-	l := p.cache.Access(cache.LineAddr(line))
-	if l == nil {
-		var fc int
-		l, fc = s.fill(p, line, true) // write-allocate fetch
-		cost += fc
-	} else {
-		cost += s.opts.Params.HitLatency
-	}
+	// Ensure the line is cached dirty, then buffer the speculative value.
+	cost += s.access(p, line, true)
 	p.cache.MarkDirty(cache.LineAddr(line))
-
-	// Compute and buffer the speculative value.
-	value := p.exec.WriteValue(p.opIdx, op)
-	sec.Write(op.Addr, value)
-	l.Data[int(op.Addr)%core.WordsPerLine] = value
+	sec.Write(op.Addr, p.exec.WriteValue(p.opIdx, op))
 	if p.module != nil {
 		p.module.CommitWrite(sec.Version, s.sigAddrOf(op.Addr))
 	}
@@ -181,18 +168,8 @@ func olderTxn(a, b *proc) bool {
 // ---- non-transactional accesses ----
 
 func (s *System) plainRead(p *proc, op trace.Op) int {
-	line := core.LineOf(op.Addr)
-	cost := 0
-	var value uint64
-	if l := p.cache.Access(cache.LineAddr(line)); l != nil {
-		value = l.Data[int(op.Addr)%core.WordsPerLine]
-		cost = s.opts.Params.HitLatency
-	} else {
-		var l *cache.Line
-		l, cost = s.fill(p, line, false)
-		value = l.Data[int(op.Addr)%core.WordsPerLine]
-	}
-	p.exec.SetLastRead(value)
+	cost := s.access(p, core.LineOf(op.Addr), false)
+	p.exec.SetLastRead(uint64(s.Mem.Read(op.Addr)))
 	return cost
 }
 
@@ -278,16 +255,8 @@ func (s *System) plainWrite(p *proc, seg *workload.TMSegment, op trace.Op) int {
 	}
 
 	// Update p's own cache copy.
-	l := p.cache.Access(cache.LineAddr(line))
-	if l == nil {
-		var fc int
-		l, fc = s.fill(p, line, false)
-		cost += fc
-	} else {
-		cost += s.opts.Params.HitLatency
-	}
+	cost += s.access(p, line, false)
 	p.cache.MarkDirty(cache.LineAddr(line))
-	l.Data[int(op.Addr)%core.WordsPerLine] = value
 	return cost
 }
 
@@ -314,27 +283,34 @@ func (s *System) rollbackSection(q *proc, violating int) int {
 
 // ---- fills and evictions ----
 
-// fill brings a line into p's cache. spec marks a miss by a transactional
-// access (enables the overflow-area path). Returns the line and the access
-// latency; bandwidth is charged here.
-func (s *System) fill(p *proc, line uint64, spec bool) (*cache.Line, int) {
-	par := s.opts.Params
+// access is the cache side of an access to line by p: a hit's latency, or
+// a fill's. spec marks a transactional access, as for fill.
+func (s *System) access(p *proc, line uint64, spec bool) int {
+	if p.cache.Access(cache.LineAddr(line)) == nil {
+		return s.fill(p, line, spec)
+	}
+	return s.opts.Params.HitLatency
+}
 
+// fill brings a line into p's cache. spec marks a miss by a transactional
+// access (enables the overflow-area path). Returns the access latency;
+// bandwidth is charged here.
+func (s *System) fill(p *proc, line uint64, spec bool) int {
 	// Overflow-area path: the thread may have evicted this very line.
 	if spec && p.inTxn() {
 		if s.overflowLookup(p, line) {
-			if mask, words, ok := p.over.Fetch(line); ok {
+			if p.over.Fetch(line) {
 				s.Bus.Record(bus.UB, bus.FillBytes)
-				l := s.insertLine(p, line, cache.Dirty)
-				for w := range words {
-					if mask&(1<<uint(w)) != 0 {
-						l.Data[w] = uint64(words[w])
-					}
-				}
-				return l, par.MemLatency
+				s.insertLine(p, line, cache.Dirty)
+				return s.opts.Params.MemLatency
 			}
 			// Filter false positive (aliasing): fall through to memory.
 			s.Bus.Record(bus.UB, bus.AddrBytes+bus.HeaderBytes)
+		} else if pr := s.opts.Probe; pr != nil && pr.Stale != nil &&
+			p.over.Contains(line) && p.masks(line).W != 0 {
+			// The filter skipped a line p parked for a live section: the
+			// refill below lacks p's data.
+			pr.Stale(sim.StaleEvent{Kind: sim.OverflowSkipped, Cycle: s.Engine.Now(), Holder: p.id, Line: line})
 		}
 	}
 
@@ -342,8 +318,8 @@ func (s *System) fill(p *proc, line uint64, spec bool) (*cache.Line, int) {
 	// dirty copy is speculative.
 	latency := s.SupplyLatency(p.id, line, func(q int) bool { return s.isSpecDirty(s.procs[q], line) })
 	s.Bus.Record(bus.Fill, bus.FillBytes)
-	l := s.insertLine(p, line, cache.Clean)
-	return l, latency
+	s.insertLine(p, line, cache.Clean)
+	return latency
 }
 
 // isSpecDirty reports whether q's dirty copy of line is speculative. Bulk
@@ -359,43 +335,18 @@ func (s *System) isSpecDirty(q *proc, line uint64) bool {
 	return q.masks(line).W != 0
 }
 
-// insertLine inserts a line with a committed-memory data snapshot and
-// handles the eviction it may cause. The way's data buffer is reused, so
-// each way allocates once per run.
-func (s *System) insertLine(p *proc, line uint64, st cache.State) *cache.Line {
-	l, ev := p.cache.Insert(cache.LineAddr(line), st)
-	if l.Data == nil {
-		l.Data = make([]uint64, core.WordsPerLine)
-	}
-	s.Mem.ReadLine(line, l.Data)
-	if ev.State == cache.Dirty {
+// insertLine inserts a line and handles the eviction it may cause.
+func (s *System) insertLine(p *proc, line uint64, st cache.State) {
+	if _, ev := p.cache.Insert(cache.LineAddr(line), st); ev.State == cache.Dirty {
 		s.handleDirtyEviction(p, uint64(ev.Addr))
 	}
-	return l
-}
-
-// gatherSpill collects p's buffered values for a line into the reusable
-// spill buffer, returning the validity mask and the buffer. The buffer is
-// only valid until the next call; Spill copies it.
-func (s *System) gatherSpill(p *proc, line uint64) (uint64, []mem.Word) {
-	words := s.spillWords[:]
-	var mask uint64
-	base := line * core.WordsPerLine
-	for w := 0; w < core.WordsPerLine; w++ {
-		if v, ok := p.bufLookup(base + uint64(w)); ok {
-			words[w] = mem.Word(v)
-			mask |= 1 << uint(w)
-		}
-	}
-	return mask, words
 }
 
 // handleDirtyEviction routes an evicted dirty line: speculative lines go
 // to the overflow area (Section 6.2.2); non-speculative lines write back.
 func (s *System) handleDirtyEviction(p *proc, line uint64) {
 	if p.inTxn() && p.masks(line).W != 0 {
-		mask, words := s.gatherSpill(p, line)
-		p.over.Spill(line, mask, words)
+		p.over.Spill(line)
 		if p.module != nil {
 			for _, sec := range p.sections {
 				if sec.Line(line).W != 0 {

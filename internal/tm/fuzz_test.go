@@ -6,6 +6,7 @@ import (
 
 	"bulk/internal/rng"
 	"bulk/internal/sig"
+	"bulk/internal/sim"
 	"bulk/internal/trace"
 	"bulk/internal/workload"
 )
@@ -63,6 +64,28 @@ func randomWorkload(seed uint64) *workload.TMWorkload {
 	return w
 }
 
+// armed returns o with a probe that fails t on the first soundness,
+// hygiene, stale-copy or overflow-filter event, naming it after what. Cache
+// lines carry no values, so a stale copy no longer corrupts memory for
+// Verify to see: these events are where such faults show. (tm cannot import
+// internal/check, whose probe records the same events.)
+func armed(t testing.TB, o Options, what string) Options {
+	o.Probe = &sim.Probe{
+		Conflict: func(ev sim.ConflictEvent) {
+			if ev.ExactHit && !ev.SigHit {
+				t.Fatalf("%s: %s path missed a real conflict (committer %d, receiver %d)", what, ev.Path, ev.Committer, ev.Receiver)
+			}
+		},
+		Hygiene: func(ev sim.HygieneEvent) {
+			if !ev.InWriteSet {
+				t.Fatalf("%s: squash of %d bulk-invalidated line %#x outside its write set", what, ev.Owner, ev.Line)
+			}
+		},
+		Stale: func(ev sim.StaleEvent) { t.Fatalf("%s: %v", what, ev) },
+	}
+	return o
+}
+
 // TestFuzzAllSchemesSerializable runs random workloads under every scheme
 // and checks the serializability oracle. The random address mix produces
 // heavy aliasing under Bulk, real livelock pressure under Eager, and lots
@@ -71,7 +94,7 @@ func TestFuzzAllSchemesSerializable(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		w := randomWorkload(seed)
 		for _, sc := range []Scheme{Eager, Lazy, Bulk} {
-			opts := NewOptions(sc)
+			opts := armed(t, NewOptions(sc), fmt.Sprintf("seed %d %v", seed, sc))
 			r, err := Run(w, opts)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, sc, err)
@@ -96,7 +119,7 @@ func TestFuzzBulkTinySignatures(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 12; seed++ {
 		w := randomWorkload(seed)
-		opts := NewOptions(Bulk)
+		opts := armed(t, NewOptions(Bulk), fmt.Sprintf("seed %d", seed))
 		opts.SigConfig = tiny
 		opts.RestartLimit = 10000
 		r, err := Run(w, opts)
@@ -110,7 +133,8 @@ func TestFuzzBulkTinySignatures(t *testing.T) {
 }
 
 // FuzzTMSchemes is the native fuzz entry: any seed must generate a
-// workload that runs serializably under every scheme.
+// workload that runs serializably, with no stale copy, under every scheme.
+// Corpus seeds 896 and 1015 pin the Eager stale-copy bug of DESIGN §12.4.
 func FuzzTMSchemes(f *testing.F) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		f.Add(seed)
@@ -118,7 +142,7 @@ func FuzzTMSchemes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		w := randomWorkload(seed)
 		for _, sc := range []Scheme{Eager, Lazy, Bulk} {
-			opts := NewOptions(sc)
+			opts := armed(t, NewOptions(sc), fmt.Sprintf("seed %d %v", seed, sc))
 			opts.RestartLimit = 10000
 			r, err := Run(w, opts)
 			if err != nil {
@@ -136,7 +160,7 @@ func FuzzTMSchemes(f *testing.F) {
 func TestFuzzPartialRollback(t *testing.T) {
 	for seed := uint64(100); seed <= 118; seed++ {
 		w := randomWorkload(seed)
-		opts := NewOptions(Bulk)
+		opts := armed(t, NewOptions(Bulk), fmt.Sprintf("seed %d", seed))
 		opts.PartialRollback = true
 		r, err := Run(w, opts)
 		if err != nil {
@@ -157,7 +181,7 @@ func TestFuzzSmallCachesOverflow(t *testing.T) {
 	p.Threads = 4
 	w := workload.GenerateTM(p, 999)
 	for _, sc := range []Scheme{Eager, Lazy, Bulk} {
-		opts := NewOptions(sc)
+		opts := armed(t, NewOptions(sc), sc.String())
 		opts.CacheBytes = 4 << 10 // 64 lines
 		r, err := Run(w, opts)
 		if err != nil {

@@ -98,8 +98,7 @@ func (s *System) spillDirtyLines(p *proc, sec *section) {
 		if cl == nil || cl.State != cache.Dirty {
 			continue
 		}
-		mask, words := s.gatherSpill(p, line)
-		p.over.Spill(line, mask, words)
+		p.over.Spill(line)
 		p.cache.Invalidate(cache.LineAddr(line))
 		s.Bus.Record(bus.UB, bus.WritebackBytes)
 	}

@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"fmt"
 	"testing"
 
 	"bulk/internal/sim"
@@ -34,7 +35,7 @@ func TestPreemptAtEveryBoundary(t *testing.T) {
 	for _, spill := range []bool{false, true} {
 		for at := 0; at < 8; at++ {
 			sched := &sim.ForcePreempt{FireAt: at}
-			opts := NewOptions(Bulk)
+			opts := armed(t, NewOptions(Bulk), fmt.Sprintf("spill=%v boundary %d", spill, at))
 			opts.PreemptEvery = 1 << 20 // policy never fires; only injections do
 			opts.PreemptPause = 700
 			opts.SpillOnPreempt = spill
@@ -63,7 +64,7 @@ func TestPreemptAtEveryBoundary(t *testing.T) {
 // signatures and doom the paused transaction, which restarts at resume.
 func TestPreemptSpilledTransactionDoomed(t *testing.T) {
 	w := preemptWorkload()
-	opts := NewOptions(Bulk)
+	opts := armed(t, NewOptions(Bulk), "spill")
 	opts.PreemptEvery = 2 // fires at the second op boundary (~t=90)
 	opts.PreemptPause = 800
 	opts.SpillOnPreempt = true
@@ -106,7 +107,7 @@ func TestPreemptWithSaturatedOverflowBit(t *testing.T) {
 			{Kind: trace.Write, Addr: 0x5000 * 16, Think: 200},
 		}}}},
 	}}
-	opts := NewOptions(Bulk)
+	opts := armed(t, NewOptions(Bulk), "direct-mapped")
 	opts.CacheBytes = 4 << 10
 	opts.CacheWays = 1
 	opts.PreemptEvery = 6 // after the writes, amid the refetching reads
@@ -135,7 +136,7 @@ func TestPreemptFuzzAsserted(t *testing.T) {
 	for seed := uint64(300); seed <= 315; seed++ {
 		w := randomWorkload(seed)
 		for _, spill := range []bool{false, true} {
-			opts := NewOptions(Bulk)
+			opts := armed(t, NewOptions(Bulk), fmt.Sprintf("seed %d spill=%v", seed, spill))
 			opts.PreemptEvery = 3
 			opts.PreemptPause = 250
 			opts.SpillOnPreempt = spill

@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"fmt"
 	"testing"
 
 	"bulk/internal/workload"
@@ -17,7 +18,7 @@ func preemptOpts(sc Scheme, every int, spill bool) Options {
 func TestPreemptionCorrectAllSchemes(t *testing.T) {
 	w := workload.GenerateTM(smallProfile("cb"), 77)
 	for _, sc := range []Scheme{Eager, Lazy, Bulk} {
-		r := runAndVerify(t, w, preemptOpts(sc, 20, false))
+		r := runAndVerify(t, w, armed(t, preemptOpts(sc, 20, false), sc.String()))
 		if r.Stats.Preemptions == 0 {
 			t.Errorf("%v: expected preemptions with PreemptEvery=20", sc)
 		}
@@ -29,7 +30,7 @@ func TestPreemptionCorrectAllSchemes(t *testing.T) {
 
 func TestPreemptionWithSpillCorrect(t *testing.T) {
 	w := workload.GenerateTM(smallProfile("cb"), 78)
-	r := runAndVerify(t, w, preemptOpts(Bulk, 25, true))
+	r := runAndVerify(t, w, armed(t, preemptOpts(Bulk, 25, true), "spill"))
 	if r.Stats.Preemptions == 0 {
 		t.Fatal("expected preemptions")
 	}
@@ -43,7 +44,7 @@ func TestPreemptionSetRestrictionWriteThrough(t *testing.T) {
 	// Without spilling, the preempted version guards its cache sets; the
 	// interloper's writes into those sets must be forced to write through.
 	w := workload.GenerateTM(smallProfile("lu"), 79)
-	r := runAndVerify(t, w, preemptOpts(Bulk, 15, false))
+	r := runAndVerify(t, w, armed(t, preemptOpts(Bulk, 15, false), "no spill"))
 	if r.Stats.InterloperWriteThroughs == 0 {
 		t.Error("expected Set Restriction write-throughs from the interloper")
 	}
@@ -57,7 +58,7 @@ func TestPreemptedTransactionStillDisambiguated(t *testing.T) {
 	// verified indirectly: correctness holds and squashes occur.
 	p := smallProfile("sjbb2k")
 	w := workload.GenerateTM(p, 80)
-	o := preemptOpts(Bulk, 10, false)
+	o := armed(t, preemptOpts(Bulk, 10, false), "no spill")
 	o.PreemptPause = 2000
 	r := runAndVerify(t, w, o)
 	if r.Stats.Squashes == 0 {
@@ -71,7 +72,7 @@ func TestSpilledTransactionDoomedByRemoteCommit(t *testing.T) {
 	p := smallProfile("sjbb2k")
 	p.TxnsPerThread = 10
 	w := workload.GenerateTM(p, 81)
-	o := preemptOpts(Bulk, 8, true)
+	o := armed(t, preemptOpts(Bulk, 8, true), "spill")
 	o.PreemptPause = 3000
 	r := runAndVerify(t, w, o)
 	if r.Stats.DoomedOnResume == 0 {
@@ -90,7 +91,7 @@ func TestFuzzPreemption(t *testing.T) {
 	for seed := uint64(300); seed <= 312; seed++ {
 		w := randomWorkload(seed)
 		for _, spill := range []bool{false, true} {
-			o := preemptOpts(Bulk, 5, spill)
+			o := armed(t, preemptOpts(Bulk, 5, spill), fmt.Sprintf("seed %d spill=%v", seed, spill))
 			o.PreemptPause = 100 + int(seed%7)*100
 			o.RestartLimit = 10000
 			r, err := Run(w, o)
@@ -111,7 +112,7 @@ func TestFuzzPreemptionExactSchemes(t *testing.T) {
 	for seed := uint64(400); seed <= 412; seed++ {
 		w := randomWorkload(seed)
 		for _, sc := range []Scheme{Eager, Lazy} {
-			o := preemptOpts(sc, 4, false)
+			o := armed(t, preemptOpts(sc, 4, false), fmt.Sprintf("seed %d %v", seed, sc))
 			o.PreemptPause = 150 + int(seed%5)*150
 			o.RestartLimit = 10000
 			r, err := Run(w, o)

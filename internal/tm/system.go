@@ -81,11 +81,8 @@ type System struct {
 	// commits (single-section commits broadcast the section's W directly).
 	commitWC *sig.Signature
 
-	// spillWords is the reusable word buffer for overflow-area spills
-	// (accesses are serialized, so one buffer serves every proc).
-	spillWords [core.WordsPerLine]mem.Word
 	// keyScratch is the reusable sorted-key buffer for the commit's clean
-	// downgrade and the preemption spill.
+	// downgrade and stale-copy check, and the preemption spill.
 	keyScratch []uint64
 	// union is a nested committer's sections merged into one footprint
 	// for the duration of its commit.
@@ -367,16 +364,4 @@ func (p *proc) masks(line uint64) (m core.Masks) {
 		m.W |= sm.W
 	}
 	return m
-}
-
-// bufLookup searches the section write buffers innermost-first.
-//
-//bulklint:noalloc
-func (p *proc) bufLookup(word uint64) (uint64, bool) {
-	for i := len(p.sections) - 1; i >= 0; i-- {
-		if v, ok := p.sections[i].Value(word); ok {
-			return v, true
-		}
-	}
-	return 0, false
 }

@@ -10,10 +10,15 @@
 // false-positive accounting), a speculative write buffer, and an overflow
 // area. A shared bus serializes commits and accounts bandwidth by message
 // type (Figure 13), with commit packets tracked separately (Figure 14).
+// A read takes its value from the open sections' write buffers, innermost
+// first, then committed memory; the cache carries no data and serves
+// timing only, as in tls.
 //
 // Correctness is checked end to end: the run logs its commit order, and
 // Verify replays the committed units serially in that order — the final
-// memory images must match (conflict serializability in commit order).
+// memory images must match (conflict serializability in commit order). A
+// stale cache line reaches no value, so a probe with Stale set arms the
+// checks that report one where it happens (sim.StaleEvent).
 package tm
 
 import (

@@ -116,7 +116,10 @@ func TestWordGranularityRequiresBulk(t *testing.T) {
 }
 
 // TestFuzzWordGranularity: random workloads under word-granularity Bulk,
-// including with preemption.
+// including with preemption. It stays on Verify alone, as the other
+// TestWordGranularity* tests do: at word granularity a commit leaves
+// non-speculative dirty lines stale, so the stale-copy check fires on seeds
+// Verify passes (ROADMAP item 1).
 func TestFuzzWordGranularity(t *testing.T) {
 	for seed := uint64(500); seed <= 512; seed++ {
 		w := randomWorkload(seed)

@@ -100,10 +100,9 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 	// Memory and overflow area.
 	m := mem.NewMemory()
 	m.Write(100, 7)
-	lineWords := make([]uint64, mem.WordsPerLine)
 	addrBuf := m.AppendSortedAddrs(nil)
 	ov := mem.NewOverflowArea()
-	ov.Spill(5, 0xF, []mem.Word{1, 2, 3, 4})
+	ov.Spill(5)
 	ov2 := mem.NewOverflowArea()
 
 	// An engine, a BDM whose version is allocated before each reset, and
@@ -188,10 +187,9 @@ func kernelHarnesses(t *testing.T) map[string]func() {
 
 		"bulk/internal/mem.Memory.Read":                     func() { _ = m.Read(100) },
 		"bulk/internal/mem.Memory.Write":                    func() { m.Write(100, 7) },
-		"bulk/internal/mem.Memory.ReadLine":                 func() { m.ReadLine(100/mem.WordsPerLine, lineWords) },
 		"bulk/internal/mem.Memory.Reset":                    func() { m.Reset(); m.Write(100, 7) },
 		"bulk/internal/mem.Memory.AppendSortedAddrs":        func() { addrBuf = m.AppendSortedAddrs(addrBuf[:0]) },
-		"bulk/internal/mem.OverflowArea.Fetch":              func() { _, _, _ = ov.Fetch(5) },
+		"bulk/internal/mem.OverflowArea.Fetch":              func() { _ = ov.Fetch(5) },
 		"bulk/internal/mem.OverflowArea.DisambiguationScan": func() { _ = ov.DisambiguationScan(5) },
 		"bulk/internal/mem.OverflowArea.Reset":              func() { ov2.Reset() },
 
