@@ -5,7 +5,8 @@
 // generation, several schemes, verification, and aggregation together —
 // these isolate the simulation core's hot paths (cache walks, signature
 // expansion, commit broadcast, write-buffer and memory-image accesses), so
-// optimizations to the core show up undiluted. They are developer tools
+// optimizations to the core show up undiluted. BenchmarkGenerate times the
+// layer under them: building the inputs. They are developer tools
 // with no committed record: scripts/check.sh runs each once as a smoke
 // test, and the repository's performance numbers come from cmd/bulkbench.
 package bulk_test
@@ -19,17 +20,34 @@ import (
 	"bulk/internal/workload"
 )
 
-// coreTMWorkload is a fixed, mid-sized TM workload: the "lu" profile has
-// the largest read footprint of Table 7, so commits broadcast substantial
-// write signatures and receivers do real expansion work.
-func coreTMWorkload(b *testing.B) *workload.TMWorkload {
-	b.Helper()
+// luProfile is a fixed, mid-sized TM profile: "lu" has the largest read
+// footprint of Table 7, so commits broadcast substantial write signatures
+// and receivers do real expansion work.
+func luProfile(tb testing.TB) workload.TMProfile {
+	tb.Helper()
 	p, ok := workload.TMProfileByName("lu")
 	if !ok {
-		b.Fatal("TM profile lu not found")
+		tb.Fatal("TM profile lu not found")
 	}
 	p.TxnsPerThread = 12
-	return workload.GenerateTM(p, 1)
+	return p
+}
+
+// craftyProfile is a fixed TLS profile: "crafty" carries the largest
+// per-task read footprint of Table 6.
+func craftyProfile(tb testing.TB) workload.TLSProfile {
+	tb.Helper()
+	p, ok := workload.TLSProfileByName("crafty")
+	if !ok {
+		tb.Fatal("TLS profile crafty not found")
+	}
+	p.Tasks = 120
+	return p
+}
+
+// coreTMWorkload is the lu workload the TM run benchmarks simulate.
+func coreTMWorkload(b *testing.B) *workload.TMWorkload {
+	return workload.GenerateTM(luProfile(b), 1)
 }
 
 // BenchmarkTMRun times one complete Bulk TM simulation.
@@ -59,15 +77,9 @@ func BenchmarkTMRunWord(b *testing.B) {
 	}
 }
 
-// BenchmarkTLSRun times one complete Bulk TLS simulation: "crafty" carries
-// the largest per-task read footprint of Table 6.
+// BenchmarkTLSRun times one complete Bulk TLS simulation of crafty.
 func BenchmarkTLSRun(b *testing.B) {
-	p, ok := workload.TLSProfileByName("crafty")
-	if !ok {
-		b.Fatal("TLS profile crafty not found")
-	}
-	p.Tasks = 120
-	w := workload.GenerateTLS(p, 1)
+	w := workload.GenerateTLS(craftyProfile(b), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,4 +100,26 @@ func BenchmarkCkptRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGenerate times the workload generators on the inputs the
+// benchmarks above run: one generated workload per iteration. Run it with
+// -benchmem; the allocation bound in noalloc_test.go pins its allocations.
+func BenchmarkGenerate(b *testing.B) {
+	lu, crafty := luProfile(b), craftyProfile(b)
+	b.Run("tm-lu", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			workload.GenerateTM(lu, uint64(i))
+		}
+	})
+	b.Run("tls-crafty", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			workload.GenerateTLS(crafty, uint64(i))
+		}
+	})
+	b.Run("ckpt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ckpt.GenerateWorkload(8, 10, 0.92, uint64(i))
+		}
+	})
 }

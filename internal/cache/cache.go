@@ -400,27 +400,6 @@ func (c *Cache) AndDirtySets(m []uint64) {
 	}
 }
 
-// Walk calls fn with the address and content of every valid line. fn must
-// not insert or invalidate.
-func (c *Cache) Walk(fn func(LineAddr, *Line)) {
-	for i, t := range c.tags {
-		if t != noTag {
-			fn(t, &c.lines[i])
-		}
-	}
-}
-
-// CountState returns how many lines are in the given state.
-func (c *Cache) CountState(st State) int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].State == st {
-			n++
-		}
-	}
-	return n
-}
-
 // Reset returns the cache to its just-built state: every way Invalid with
 // tag noTag, zero occupancy, counters and LRU clock. It walks only the
 // occupied sets. An Invalid way's LRU stamp is never read — victim

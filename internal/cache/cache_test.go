@@ -142,6 +142,15 @@ func TestLinesInSetAndDirtyQueries(t *testing.T) {
 	if len(dirty) != 1 || dirty[0] != 4 {
 		t.Fatalf("DirtyLinesInSet wrong: %+v", dirty)
 	}
+	c.Reset()
+	for set := 0; set < c.NumSets(); set++ {
+		if lines := c.LinesInSet(set, nil); len(lines) != 0 || c.DirtyInSet(set) {
+			t.Fatalf("set %d holds %v after Reset", set, lines)
+		}
+	}
+	if c.Contains(0) || c.Contains(4) || c.Contains(1) {
+		t.Fatal("Reset must invalidate every line")
+	}
 }
 
 func TestMarkClean(t *testing.T) {
@@ -152,30 +161,6 @@ func TestMarkClean(t *testing.T) {
 		t.Fatal("MarkClean failed")
 	}
 	c.MarkClean(1234) // absent: no-op, no panic
-}
-
-func TestWalkAndCountState(t *testing.T) {
-	c := MustNew(1024, 2, 64)
-	c.Insert(1, Clean)
-	c.Insert(2, Dirty)
-	c.Insert(3, Dirty)
-	if got := c.CountState(Dirty); got != 2 {
-		t.Fatalf("CountState(Dirty)=%d, want 2", got)
-	}
-	n := 0
-	c.Walk(func(a LineAddr, l *Line) {
-		if c.Lookup(a) != l {
-			t.Fatalf("Walk passed line %d with another way's content", a)
-		}
-		n++
-	})
-	if n != 3 {
-		t.Fatalf("Walk visited %d lines, want 3", n)
-	}
-	c.Reset()
-	if c.CountState(Clean)+c.CountState(Dirty) != 0 {
-		t.Fatal("Reset must invalidate everything")
-	}
 }
 
 func TestAccessStats(t *testing.T) {

@@ -304,14 +304,15 @@ func (s *System) Judge(d *core.Digest) error {
 // traffic that conflicts (and, under Bulk, aliases) with the episodes.
 func GenerateWorkload(procs, episodesPerProc int, predictRate float64, seed uint64) *Workload {
 	root := rng.New(seed)
-	w := &Workload{Name: fmt.Sprintf("ckpt-%d", seed)}
+	w := &Workload{Name: fmt.Sprintf("ckpt-%d", seed), Procs: make([]ProcStream, 0, procs)}
 	for pi := 0; pi < procs; pi++ {
 		r := root.Fork()
-		var units []Unit
-		for e := 0; e < episodesPerProc; e++ {
+		units := make([]Unit, 0, 2*episodesPerProc)
+		eps := make([]Episode, episodesPerProc)
+		for e := range eps {
 			// Plain segment: mostly private work, some shared writes.
-			var plain []trace.Op
 			n := 6 + r.Intn(10)
+			plain := make([]trace.Op, 0, n)
 			for i := 0; i < n; i++ {
 				addr := privWord(pi, r)
 				if r.Bool(0.25) {
@@ -328,11 +329,11 @@ func GenerateWorkload(procs, episodesPerProc int, predictRate float64, seed uint
 			// Checkpointed episode: a long load of a shared word, then
 			// speculative work that reads shared data (conflict-prone)
 			// and writes private results derived from the loaded value.
-			ep := &Episode{
-				MissAddr:  sharedWord(r),
-				PredictOK: r.Bool(predictRate),
-			}
+			ep := &eps[e]
+			ep.MissAddr = sharedWord(r)
+			ep.PredictOK = r.Bool(predictRate)
 			en := 8 + r.Intn(12)
+			ep.Ops = make([]trace.Op, 0, en)
 			for i := 0; i < en; i++ {
 				var op trace.Op
 				switch {

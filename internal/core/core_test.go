@@ -49,7 +49,7 @@ func (q *quota) Tick() (bool, error) {
 		return true, nil
 	}
 	q.left[p]--
-	word := uint64(p)<<12 | uint64(q.left[p])*5
+	word := q.word(p, q.left[p])
 	q.Mem.Write(word, mem.Word(q.Engine.Now()+1))
 	q.Bus.Record(bus.Inv, bus.InvalidationBytes)
 	line := cache.LineAddr(LineOf(word))
@@ -68,6 +68,9 @@ func (q *quota) Tick() (bool, error) {
 	q.Engine.Advance(p, 1+p)
 	return true, nil
 }
+
+// word is the word processor p writes in its quantum k.
+func (q *quota) word(p, k int) uint64 { return uint64(p)<<12 | uint64(k)*5 }
 
 func (q *quota) Collect(res *Totals, t Totals) { *res, q.totals, q.collected = t, t, q.collected+1 }
 
@@ -108,8 +111,13 @@ func TestResetRerunsIdentically(t *testing.T) {
 				t.Fatalf("bdm=%v: reset after %d quanta left memory, clock or bus counters", bulk, pause)
 			}
 			for p, c := range q.Caches {
-				if c.CountState(cache.Clean)+c.CountState(cache.Dirty) != 0 || c.Stats() != (cache.Stats{}) {
-					t.Fatalf("bdm=%v: reset after %d quanta left processor %d's cache occupied", bulk, pause, p)
+				for k := 0; k < q.quotas[p]; k++ {
+					if line := cache.LineAddr(LineOf(q.word(p, k))); c.Contains(line) {
+						t.Fatalf("bdm=%v: reset after %d quanta left line %#x in processor %d's cache", bulk, pause, line, p)
+					}
+				}
+				if c.Stats() != (cache.Stats{}) {
+					t.Fatalf("bdm=%v: reset after %d quanta left processor %d's cache counters", bulk, pause, p)
 				}
 			}
 			for p, md := range q.Modules {

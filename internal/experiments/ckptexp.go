@@ -39,10 +39,12 @@ func Checkpoint(c Config) (*CheckpointResult, error) {
 		episodes = c.TMTxns * 2
 	}
 	sigNames := []string{"S1", "S4", "S14", "S19"}
-	// Six independent simulations (stall, exact, four signature sizes).
-	// Every task regenerates the workload from the seed — GenerateWorkload
-	// is pure — so the runs fan out; speedups over the stall baseline are
-	// computed after the barrier, once the baseline's cycle count is known.
+	// Six independent simulations (stall, exact, four signature sizes) of
+	// one workload, generated once: ckpt.Run and ckpt.Verify only read it,
+	// so the runs share it and fan out. Speedups over the stall baseline
+	// are computed after the barrier, once the baseline's cycle count is
+	// known.
+	w := ckpt.GenerateWorkload(8, episodes, 0.92, c.Seed)
 	type ckptOut struct {
 		cycles         int64
 		rollbacks      uint64
@@ -51,7 +53,6 @@ func Checkpoint(c Config) (*CheckpointResult, error) {
 	}
 	runs := make([]ckptOut, 2+len(sigNames))
 	err := par.ForEach(len(runs), func(i int) error {
-		w := ckpt.GenerateWorkload(8, episodes, 0.92, c.Seed)
 		var o ckpt.Options
 		name := ""
 		switch i {

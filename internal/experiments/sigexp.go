@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"bulk/internal/flatmap"
 	"bulk/internal/par"
 	"bulk/internal/rng"
 	"bulk/internal/sig"
@@ -15,16 +16,16 @@ import (
 // addrSampler draws line addresses with the TM workloads' structure: a
 // shared hot region plus per-thread private heaps, so the bit-distribution
 // seen by the signatures matches what the simulator produces. Its scratch
-// state (dedup map, set slices) is reused across samples, so the sampling
+// state (dedup set, set slices) is reused across samples, so the sampling
 // loop allocates nothing after warm-up.
 type addrSampler struct {
 	r          *rng.Rand
-	seen       map[sig.Addr]bool
+	seen       flatmap.Set
 	wc, rd, wr []sig.Addr
 }
 
 func newAddrSampler(seed uint64) *addrSampler {
-	return &addrSampler{r: rng.New(seed), seen: make(map[sig.Addr]bool, 128)}
+	return &addrSampler{r: rng.New(seed)}
 }
 
 func (s *addrSampler) line(tid int) sig.Addr {
@@ -40,12 +41,12 @@ func (s *addrSampler) line(tid int) sig.Addr {
 // of the Figure 15 methodology). The returned slices are owned by the
 // sampler and overwritten by the next call.
 func (s *addrSampler) sampleSets(nW, nR, nW2 int) (wc, rd, wr []sig.Addr) {
-	clear(s.seen)
+	s.seen.Reset()
 	draw := func(tid, n int, dst []sig.Addr) []sig.Addr {
 		for len(dst) < n {
 			a := s.line(tid)
-			if !s.seen[a] {
-				s.seen[a] = true
+			if !s.seen.Has(uint64(a)) {
+				s.seen.Add(uint64(a))
 				dst = append(dst, a)
 			}
 		}
@@ -112,28 +113,28 @@ func Table8(c Config) (*Table8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	const trials = 200
+	const trials, setLines = 200, 22
 	// All 23 configurations consume one shared sampler stream, so the write
 	// sets are pre-drawn serially in the exact order the sequential loop
 	// used — the printed averages are unchanged — and only the encode work
-	// (signature build + RLE size) fans out per configuration.
-	sets := make([][][]sig.Addr, len(cfgs))
+	// (signature build + RLE size) fans out per configuration. The sets
+	// lie back to back in one array: configuration i's trial t is the
+	// setLines addresses at (i*trials+t)*setLines.
+	sets := make([]sig.Addr, 0, len(cfgs)*trials*setLines)
 	s := newAddrSampler(c.Seed)
-	for i := range cfgs {
-		sets[i] = make([][]sig.Addr, trials)
-		for t := 0; t < trials; t++ {
-			wset, _, _ := s.sampleSets(22, 0, 0)
-			sets[i][t] = append([]sig.Addr(nil), wset...)
-		}
+	for range len(cfgs) * trials {
+		wset, _, _ := s.sampleSets(setLines, 0, 0)
+		sets = append(sets, wset...)
 	}
 	res := &Table8Result{Rows: make([]Table8Row, len(cfgs))}
 	err = par.ForEach(len(cfgs), func(i int) error {
 		cfg := cfgs[i]
 		w := cfg.NewSignature()
 		total := 0
-		for _, wset := range sets[i] {
+		mine := sets[i*trials*setLines : (i+1)*trials*setLines]
+		for t := 0; t < trials; t++ {
 			w.Clear()
-			for _, a := range wset {
+			for _, a := range mine[t*setLines : (t+1)*setLines] {
 				w.Add(a)
 			}
 			total += sig.RLEncodedBits(w)

@@ -36,12 +36,12 @@ type WordTMResult struct {
 // read-modify-writes its own slot in a set of shared counter lines, with
 // slotsPerLine threads sharing each line.
 func wordTMWorkload(slotsPerLine, txns int, seed uint64) *workload.TMWorkload {
-	w := &workload.TMWorkload{Name: fmt.Sprintf("packed-%d", slotsPerLine)}
 	const threads = 8
-	for t := 0; t < threads; t++ {
-		var segs []workload.TMSegment
-		for i := 0; i < txns; i++ {
-			var ops []trace.Op
+	w := &workload.TMWorkload{Name: fmt.Sprintf("packed-%d", slotsPerLine), Threads: make([]workload.TMThread, threads)}
+	for t := range w.Threads {
+		segs := make([]workload.TMSegment, txns)
+		for i := range segs {
+			ops := make([]trace.Op, 0, 2*3+6) // three counter RMWs, six private reads
 			for c := 0; c < 3; c++ {
 				lineIdx := uint64((t/slotsPerLine)*3 + c)
 				slot := uint64(t % slotsPerLine)
@@ -58,9 +58,9 @@ func wordTMWorkload(slotsPerLine, txns int, seed uint64) *workload.TMWorkload {
 					Think: 3,
 				})
 			}
-			segs = append(segs, workload.TMSegment{Txn: true, Ops: ops, Sections: []int{0}})
+			segs[i] = workload.TMSegment{Txn: true, Ops: ops, Sections: []int{0}}
 		}
-		w.Threads = append(w.Threads, workload.TMThread{Segments: segs})
+		w.Threads[t].Segments = segs
 	}
 	return w
 }

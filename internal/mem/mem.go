@@ -148,9 +148,6 @@ func NewOverflowArea() *OverflowArea {
 // Empty reports whether the area holds no lines.
 func (o *OverflowArea) Empty() bool { return o.lines.Len() == 0 }
 
-// Len returns the number of overflowed lines.
-func (o *OverflowArea) Len() int { return o.lines.Len() }
-
 // Stats returns a copy of the access counters.
 func (o *OverflowArea) Stats() OverflowStats { return o.stats }
 

@@ -72,18 +72,31 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a value in [0, n) using Lemire's multiply-shift rejection
-// method to avoid modulo bias. It panics if n == 0.
+// Uint64n returns a value in [0, n), uniformly. It panics if n == 0.
+//
+// It is threshold rejection: a draw v below (2^64 - n) mod n, the short
+// remainder that would bias v mod n, is rejected, and v mod n is
+// returned otherwise. Two shortcuts return exactly that loop's values
+// from the same stream, one division per draw at most:
+//
+//   - The threshold is below n, so a draw v >= n is accepted without
+//     computing it. A draw v < n that passes is its own remainder.
+//   - For a power of two the threshold is 0 and v mod n is v & (n-1),
+//     so no draw is rejected and none divides.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with zero n") //bulklint:invariant an empty range has no uniform value to return
 	}
-	// For simulator purposes a simple threshold rejection is plenty.
-	threshold := -n % n // (2^64 - n) % n
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
 	for {
 		v := r.Uint64()
-		if v >= threshold {
+		if v >= n {
 			return v % n
+		}
+		if v >= -n%n { // -n % n is (2^64 - n) % n
+			return v
 		}
 	}
 }

@@ -164,6 +164,60 @@ func TestUint64nThreshold(t *testing.T) {
 	r.Uint64n(0)
 }
 
+// refUint64n is the plain threshold-rejection loop Uint64n's doc
+// describes: two divisions per draw, no shortcut.
+func refUint64n(r *Rand, n uint64) uint64 {
+	threshold := -n % n // (2^64 - n) % n
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return v % n
+		}
+	}
+}
+
+// TestUint64nMatchesThresholdLoop pins Uint64n's shortcuts as exact: draw
+// by draw over many seeds, it returns the reference loop's values and
+// leaves the stream where the loop leaves it. The last two n are where a
+// draw below n is common, so the threshold is computed and can reject.
+func TestUint64nMatchesThresholdLoop(t *testing.T) {
+	var ns []uint64
+	for n := uint64(1); n <= 4096; n++ {
+		ns = append(ns, n)
+	}
+	for k := 12; k < 64; k++ {
+		ns = append(ns, 1<<k)
+	}
+	ns = append(ns, 1<<63+1, ^uint64(0))
+	rejected := 0
+	for _, n := range ns {
+		seeds := uint64(4)
+		if n > 4096 {
+			seeds = 256
+		}
+		for seed := uint64(0); seed < seeds; seed++ {
+			got, want := New(seed), New(seed)
+			for i := 0; i < 16; i++ {
+				once := *want
+				once.Uint64()
+				g, w := got.Uint64n(n), refUint64n(want, n)
+				if g != w {
+					t.Fatalf("Uint64n(%d) seed %d draw %d = %d, threshold loop %d", n, seed, i, g, w)
+				}
+				if once != *want {
+					rejected++ // the loop drew more than once
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("Uint64n(%d) seed %d: stream position differs from the threshold loop", n, seed)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no draw was rejected: the test does not reach the rejection branch")
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bulk/internal/flatmap"
 	"bulk/internal/rng"
 	"bulk/internal/trace"
 )
@@ -130,9 +131,14 @@ func GenerateTLS(p TLSProfile, seed uint64) *TLSWorkload {
 		return uint16(t)
 	}
 
-	// Writes of the previous task, split at its spawn point, in emission
-	// (run-contiguous) order.
-	var prevPre, prevPost []uint64
+	// Scratch that every task of this call reuses: the task's write
+	// targets, its read dedup set, and the writes of the previous task
+	// split at its spawn point, in emission (run-contiguous) order. A
+	// task's live-ins and true dependences are prefixes of prevPre and
+	// prevPost, emitted before the task overwrites them with its own
+	// writes.
+	var writeTargets, prevPre, prevPost []uint64
+	var seenRead flatmap.Set
 
 	for ti := 0; ti < p.Tasks; ti++ {
 		nR := r.NormalishInt(p.ReadWords, p.ReadWords/4, 1)
@@ -141,7 +147,7 @@ func GenerateTLS(p TLSProfile, seed uint64) *TLSWorkload {
 		// Write targets: contiguous runs at heap-scattered bases. Run
 		// bases are salted with the task index so different tasks write
 		// different objects (rare overlaps are harmless true WAW).
-		writeTargets := make([]uint64, 0, nW)
+		writeTargets = writeTargets[:0]
 		for run := 0; len(writeTargets) < nW; run++ {
 			base := tlsOutBase + Scatter(ti*977+run, tlsHeapWords)
 			for o := 0; o < tlsRunLen && len(writeTargets) < nW; o++ {
@@ -153,28 +159,16 @@ func GenerateTLS(p TLSProfile, seed uint64) *TLSWorkload {
 		// possibly a true dependence on its post-spawn writes, then
 		// ordinary reads. Live-ins are a contiguous prefix — the child
 		// consumes the start of the parent's output buffer.
-		var liveIns []uint64
+		var liveIns, trueDeps []uint64
 		if r.Bool(p.LiveInProb) {
-			for i := 0; i < p.LiveIns && i < len(prevPre); i++ {
-				liveIns = append(liveIns, prevPre[i])
-			}
+			liveIns = prevPre[:min(max(p.LiveIns, 0), len(prevPre))]
 		}
-		var trueDeps []uint64
 		if len(prevPost) > 0 && r.Bool(p.TrueDepProb) {
-			n := p.TrueDepWords
-			if n < 1 {
-				n = 1
-			}
-			for i := 0; i < n && i < len(prevPost); i++ {
-				trueDeps = append(trueDeps, prevPost[i])
-			}
+			trueDeps = prevPost[:min(max(p.TrueDepWords, 1), len(prevPost))]
 		}
-		ordinary := nR - len(liveIns) - len(trueDeps)
-		if ordinary < 0 {
-			ordinary = 0
-		}
+		ordinary := max(nR-len(liveIns)-len(trueDeps), 0)
 
-		var ops []trace.Op
+		ops := make([]trace.Op, 0, len(liveIns)+len(trueDeps)+ordinary+nW)
 		emitRead := func(a uint64) {
 			ops = append(ops, trace.Op{Kind: trace.Read, Addr: a, Think: think()})
 		}
@@ -187,28 +181,27 @@ func GenerateTLS(p TLSProfile, seed uint64) *TLSWorkload {
 		}
 		// Ordinary reads also come in contiguous bursts: global read-only
 		// objects at scattered bases, or data adjacent to the task's own
-		// write runs. Bursts skip already-read words so the distinct read
-		// footprint matches the Table 6 calibration.
-		var burst []uint64
-		seenRead := map[uint64]bool{}
+		// write runs. A burst is its next address and the count left.
+		// Bursts skip already-read words so the distinct read footprint
+		// matches the Table 6 calibration.
+		var burst uint64
+		burstLeft := 0
+		seenRead.Reset()
 		ordinaryRead := func() uint64 {
 			for {
-				if len(burst) == 0 {
-					var base uint64
+				if burstLeft == 0 {
 					if r.Bool(p.GlobalReadFrac) {
-						base = Scatter(r.Intn(tlsGlobalWords), tlsHeapWords)
+						burst = Scatter(r.Intn(tlsGlobalWords), tlsHeapWords)
 					} else {
-						base = writeTargets[r.Intn(len(writeTargets))] + uint64(r.Intn(2*tlsRunLen))
+						burst = writeTargets[r.Intn(len(writeTargets))] + uint64(r.Intn(2*tlsRunLen))
 					}
-					n := 2 + r.Intn(2*tlsRunLen-2)
-					for o := 0; o < n; o++ {
-						burst = append(burst, base+uint64(o))
-					}
+					burstLeft = 2 + r.Intn(2*tlsRunLen-2)
 				}
-				a := burst[0]
-				burst = burst[1:]
-				if !seenRead[a] {
-					seenRead[a] = true
+				a := burst
+				burst++
+				burstLeft--
+				if !seenRead.Has(a) {
+					seenRead.Add(a)
 					return a
 				}
 			}
@@ -248,18 +241,17 @@ func GenerateTLS(p TLSProfile, seed uint64) *TLSWorkload {
 		}
 
 		// Record this task's pre/post-spawn writes for its child.
-		var pre, post []uint64
+		prevPre, prevPost = prevPre[:0], prevPost[:0]
 		for i, op := range ops {
 			if op.Kind == trace.Read {
 				continue
 			}
 			if i <= spawnAt {
-				pre = append(pre, op.Addr)
+				prevPre = append(prevPre, op.Addr)
 			} else {
-				post = append(post, op.Addr)
+				prevPost = append(prevPost, op.Addr)
 			}
 		}
-		prevPre, prevPost = pre, post
 
 		w.Tasks = append(w.Tasks, TLSTask{Ops: ops, SpawnIndex: spawnAt})
 	}

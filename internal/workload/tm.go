@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bulk/internal/det"
 	"bulk/internal/rng"
 	"bulk/internal/trace"
 )
@@ -152,6 +151,9 @@ type tmGen struct {
 	r   *rng.Rand
 	// recent private lines for working-set reuse
 	recent []uint64
+	// readLines and writeLines are the transaction's distinct lines,
+	// scratch that every transaction of the thread reuses.
+	readLines, writeLines []uint64
 }
 
 // TMPrivateHeapLine packs a thread-private heap line: bits 0..8 and 10..16
@@ -212,27 +214,26 @@ func (g *tmGen) transaction() TMSegment {
 	nW := g.r.NormalishInt(p.WriteLines, p.WriteLines/4, 1)
 
 	// Choose the distinct lines.
-	readLines := make([]uint64, 0, nR)
-	writeLines := make([]uint64, 0, nW)
+	g.readLines, g.writeLines = g.readLines[:0], g.writeLines[:0]
 	for i := 0; i < nR; i++ {
 		if i < p.SharedReads {
-			readLines = append(readLines, g.sharedLine())
+			g.readLines = append(g.readLines, g.sharedLine())
 		} else {
-			readLines = append(readLines, g.privateLine())
+			g.readLines = append(g.readLines, g.privateLine())
 		}
 	}
 	for i := 0; i < nW; i++ {
 		if i < p.SharedWrites {
-			writeLines = append(writeLines, g.sharedLine())
+			g.writeLines = append(g.writeLines, g.sharedLine())
 		} else {
-			writeLines = append(writeLines, g.privateLine())
+			g.writeLines = append(g.writeLines, g.privateLine())
 		}
 	}
 
 	// Emit ops: reads weighted toward the front (transactions read their
 	// inputs, compute, write results), writes toward the back, lightly
 	// shuffled.
-	var ops []trace.Op
+	ops := make([]trace.Op, 0, 2*p.HotRMW+nR+nW)
 	emitRead := func(line uint64) {
 		ops = append(ops, trace.Op{Kind: trace.Read, Addr: g.wordIn(line), Think: g.think()})
 	}
@@ -253,30 +254,38 @@ func (g *tmGen) transaction() TMSegment {
 	}
 
 	ri, wi := 0, 0
-	for ri < len(readLines) || wi < len(writeLines) {
+	for ri < nR || wi < nW {
 		// Probability of issuing a read next, proportional to remaining.
-		remR := len(readLines) - ri
-		remW := len(writeLines) - wi
+		remR := nR - ri
+		remW := nW - wi
 		if remW == 0 || (remR > 0 && g.r.Intn(remR+remW) < remR) {
-			emitRead(readLines[ri])
+			emitRead(g.readLines[ri])
 			ri++
 		} else {
-			emitWrite(writeLines[wi])
+			emitWrite(g.writeLines[wi])
 			wi++
 		}
 	}
+	return TMSegment{Txn: true, Ops: ops, Sections: g.sections(len(ops))}
+}
 
-	seg := TMSegment{Txn: true, Ops: ops, Sections: []int{0}}
-	if p.NestProb > 0 && g.r.Bool(p.NestProb) && len(ops) >= 9 {
-		// Split into 2–3 nested sections at random interior boundaries.
-		n := 2 + g.r.Intn(2)
-		bounds := map[int]bool{}
-		for len(bounds) < n-1 {
-			bounds[1+g.r.Intn(len(ops)-1)] = true
-		}
-		seg.Sections = append(seg.Sections, det.SortedKeys(bounds)...)
+// sections returns a transaction's section starts: []int{0} for a flat
+// transaction, or with probability NestProb a closed nest of 2–3 sections
+// split at distinct random interior boundaries, in ascending order.
+func (g *tmGen) sections(nOps int) []int {
+	if g.p.NestProb <= 0 || !g.r.Bool(g.p.NestProb) || nOps < 9 {
+		return []int{0}
 	}
-	return seg
+	n := 2 + g.r.Intn(2)
+	b := 1 + g.r.Intn(nOps-1)
+	if n == 2 {
+		return []int{0, b}
+	}
+	c := b
+	for c == b {
+		c = 1 + g.r.Intn(nOps-1)
+	}
+	return []int{0, min(b, c), max(b, c)}
 }
 
 // nonTxn builds the non-transactional stretch between transactions.
@@ -286,7 +295,7 @@ func (g *tmGen) transaction() TMSegment {
 func (g *tmGen) nonTxn() TMSegment {
 	p := g.p
 	n := g.r.NormalishInt(p.NonTxnOps, p.NonTxnOps/3, 0)
-	var ops []trace.Op
+	ops := make([]trace.Op, 0, n)
 	for i := 0; i < n; i++ {
 		var line uint64
 		if g.r.Bool(p.NonTxnSharedFrac) {
@@ -315,7 +324,7 @@ func GenerateTM(p TMProfile, seed uint64) *TMWorkload {
 	w := &TMWorkload{Name: p.Name, Threads: make([]TMThread, p.Threads)}
 	for t := 0; t < p.Threads; t++ {
 		g := &tmGen{p: p, tid: t, r: root.Fork()}
-		var segs []TMSegment
+		segs := make([]TMSegment, 0, 2*p.TxnsPerThread)
 		for i := 0; i < p.TxnsPerThread; i++ {
 			if p.NonTxnOps > 0 {
 				segs = append(segs, g.nonTxn())

@@ -13,6 +13,7 @@ import (
 	"bulk/internal/bus"
 	"bulk/internal/cache"
 	"bulk/internal/check"
+	"bulk/internal/ckpt"
 	"bulk/internal/core"
 	"bulk/internal/flatmap"
 	"bulk/internal/lint"
@@ -248,6 +249,34 @@ func TestNoallocKernelsAllocFree(t *testing.T) {
 	for key := range harness {
 		if !covered[key] {
 			t.Errorf("harness entry %s matches no exported //bulklint:noalloc kernel", key)
+		}
+	}
+}
+
+// TestGenerateAllocBound bounds the workload generators' allocations. A
+// generated task, transaction, non-transactional stretch or ckpt unit
+// costs at most two (its ops and, for a transaction, its section
+// starts), and each thread or processor at most 32 for its forked stream
+// and its scratch, which every unit of the thread reuses. A generator
+// that allocates per access (a per-task dedup map, a slice regrown by
+// append) breaks the bound long before it changes a generated byte.
+func TestGenerateAllocBound(t *testing.T) {
+	lu, crafty := luProfile(t), craftyProfile(t)
+	const procs, episodes = 8, 10
+	cases := []struct {
+		name           string
+		units, streams int
+		gen            func()
+	}{
+		{"tm-lu", 2 * lu.Threads * lu.TxnsPerThread, lu.Threads, func() { workload.GenerateTM(lu, 1) }},
+		{"tls-crafty", crafty.Tasks, 1, func() { workload.GenerateTLS(crafty, 1) }},
+		{"ckpt", 2 * procs * episodes, procs, func() { ckpt.GenerateWorkload(procs, episodes, 0.92, 1) }},
+	}
+	for _, c := range cases {
+		limit := 2*c.units + 32*c.streams
+		if allocs := testing.AllocsPerRun(5, c.gen); allocs > float64(limit) {
+			t.Errorf("%s: %.0f allocations per generated workload, want at most %d (2 per unit over %d units, 32 per stream over %d)",
+				c.name, allocs, limit, c.units, c.streams)
 		}
 	}
 }

@@ -42,6 +42,8 @@ echo "== bench harness smoke (-benchtime=1x) =="
 # benchmarks stay runnable. They are developer tools with no committed
 # record; the benchmark of record is cmd/bulkbench.
 go test . -run '^$' -bench 'TMRun|TLSRun|CkptRun' -benchtime 1x
+# The generation layer under them: the inputs those runs take.
+go test . -run '^$' -bench '^BenchmarkGenerate$' -benchmem -benchtime 1x
 # The lint-suite benchmarks, which the wall-time ratchet below reads
 # against bench/baseline/lint.txt, must keep running too.
 go test ./internal/lint/ -run '^$' -bench 'LintModule|InferEffects' -benchtime 1x
