@@ -4,7 +4,7 @@
 // binding constraint on how deep the model checker can look into a
 // protocol's schedule space, so it is a first-class performance metric
 // next to the core run benchmarks. The w1 case is the serial explorer;
-// w2/w4/w8 exercise the work-stealing pool (their reports are asserted
+// w2/w4/w8 exercise the worker pool (their reports are asserted
 // identical in internal/check's tests, so here only throughput differs).
 // They are developer tools with no committed record: scripts/check.sh runs
 // the tm-sweep w1 and w4 cases once as a smoke test, and cmd/bulkbench's

@@ -53,7 +53,7 @@ func main() {
 		os.Exit(1)
 	}
 	mask := plan.Decode(wB)
-	fmt.Printf("δ(W_B) selects cache sets %v (exact: %v)\n\n", mask.Sets(nil), plan.Exact())
+	fmt.Printf("δ(W_B) selects cache sets %v\n\n", mask.Sets(nil))
 
 	// Commit = broadcast the RLE-compressed write signature, then clear.
 	packet := sig.RLEncode(wB)

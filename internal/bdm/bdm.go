@@ -41,34 +41,11 @@ type Config struct {
 	Mutate mutate.Set
 }
 
-// Stats counts BDM events for Tables 6 and 7.
+// Stats counts BDM events for Table 7.
 type Stats struct {
 	// SafeWritebacks: non-speculative dirty lines written back to keep
 	// the Set Restriction when a speculative write claimed their set.
 	SafeWritebacks uint64
-	// SetConflicts: speculative writes that hit a set already owning
-	// dirty lines of another speculative version ((0,1) case of Section
-	// 4.5) — resolved by the runtime squashing the most speculative.
-	SetConflicts uint64
-	// Disambiguations: bulk disambiguation operations performed.
-	Disambiguations uint64
-	// CommitInvalidations: lines invalidated on behalf of a remote
-	// committer's write signature.
-	CommitInvalidations uint64
-	// SquashInvalidations: lines invalidated while discarding a squashed
-	// version's state.
-	SquashInvalidations uint64
-	// Merges: lines merged word-wise between a committer and a surviving
-	// local writer (Section 4.4).
-	Merges uint64
-	// OverflowFiltered: cache misses that the O-bit + membership filter
-	// proved could skip the overflow area.
-	OverflowFiltered uint64
-	// OverflowChecked: cache misses that had to consult the overflow area.
-	OverflowChecked uint64
-	// ExpansionSetsVisited / ExpansionLinesRead: signature-expansion work.
-	ExpansionSetsVisited uint64
-	ExpansionLinesRead   uint64
 }
 
 // Version is one speculative context: an R and W signature pair plus the
@@ -115,8 +92,8 @@ type Module struct {
 
 // New builds a module attached to a cache. The signature configuration must
 // decode the cache-set index exactly (single-chunk projection); otherwise
-// the Set Restriction argument of Section 4.3 does not hold and the module
-// refuses to operate.
+// the Set Restriction argument of Section 4.3 does not hold, no decode plan
+// can be built, and the module refuses to operate.
 func New(cfg Config, c *cache.Cache) (*Module, error) {
 	if cfg.MaxVersions < 1 {
 		return nil, errors.New("bdm: MaxVersions must be >= 1")
@@ -128,10 +105,6 @@ func New(cfg Config, c *cache.Cache) (*Module, error) {
 	plan, err := sig.NewDecodePlan(cfg.Sig, cfg.Index)
 	if err != nil {
 		return nil, fmt.Errorf("bdm: building decode plan: %w", err)
-	}
-	if !plan.Exact() {
-		return nil, errors.New("bdm: signature configuration does not decode cache sets exactly; " +
-			"bulk invalidation would be unsafe (Section 4.3)")
 	}
 	m := &Module{
 		cfg:         cfg,
@@ -395,7 +368,6 @@ func (m *Module) VersionOwningSet(set int) *Version {
 // incoming write signature against version v: squash iff
 // wc ∩ R_v ≠ ∅ or wc ∩ W_v ≠ ∅.
 func (m *Module) Disambiguate(v *Version, wc *sig.Signature) bool {
-	m.stats.Disambiguations++
 	if m.cfg.Mutate.Has(mutate.DropWRTerm) {
 		return wc.Intersects(v.W)
 	}
@@ -409,7 +381,6 @@ func (m *Module) Disambiguate(v *Version, wc *sig.Signature) bool {
 // against v (the membership path of Section 4.2): squash iff a ∈ R_v or
 // a ∈ W_v.
 func (m *Module) DisambiguateAddr(v *Version, a sig.Addr) bool {
-	m.stats.Disambiguations++
 	if m.cfg.Mutate.Has(mutate.DropWRTerm) {
 		return v.W.Contains(a)
 	}
@@ -443,14 +414,12 @@ func (m *Module) expand(s *sig.Signature, dirtyOnly bool, fn func(cache.LineAddr
 	}
 	m.scratchSets = m.scratchMask.Sets(m.scratchSets[:0])
 	for _, set := range m.scratchSets {
-		m.stats.ExpansionSetsVisited++
 		if dirtyOnly {
 			m.scratchLines = m.cache.DirtyLinesInSet(set, m.scratchLines[:0])
 		} else {
 			m.scratchLines = m.cache.LinesInSet(set, m.scratchLines[:0])
 		}
 		for _, a := range m.scratchLines {
-			m.stats.ExpansionLinesRead++
 			if m.lineInSignature(s, a) {
 				fn(a)
 			}
@@ -484,7 +453,6 @@ func (m *Module) SquashInvalidate(v *Version, invalidateReads bool) (invalidated
 	// The walk reads only dirty lines.
 	m.expand(v.W, true, func(a cache.LineAddr) {
 		m.cache.Invalidate(a)
-		m.stats.SquashInvalidations++
 		m.invalidated = append(m.invalidated, a)
 	})
 	if invalidateReads {
@@ -495,7 +463,6 @@ func (m *Module) SquashInvalidate(v *Version, invalidateReads bool) (invalidated
 		m.expand(v.R, false, func(a cache.LineAddr) {
 			if m.cache.Lookup(a).State == cache.Clean {
 				m.cache.Invalidate(a)
-				m.stats.SquashInvalidations++
 				m.invalidated = append(m.invalidated, a)
 			}
 		})
@@ -547,7 +514,6 @@ func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAd
 				return
 			}
 			m.cache.Invalidate(a)
-			m.stats.CommitInvalidations++
 			m.invalidated = append(m.invalidated, a)
 		case cache.Dirty:
 			set := m.cache.SetIndex(a)
@@ -567,7 +533,6 @@ func (m *Module) CommitInvalidate(wc *sig.Signature) (invalidated []cache.LineAd
 			if m.cfg.Mutate.Has(mutate.SkipWordMerge) {
 				return
 			}
-			m.stats.Merges++
 			m.merges = append(m.merges, MergeLine{
 				Addr:       a,
 				LocalWords: m.wordPlan.Mask(owner.W, sig.Addr(a)),
@@ -603,16 +568,7 @@ func (m *Module) NoteOverflow(v *Version) { v.Overflow = true }
 // consulted only if the O bit is set and a ∈ W_v. The membership test uses
 // the line's word addresses in fine-grain mode.
 func (m *Module) NeedsOverflowLookup(v *Version, line cache.LineAddr) bool {
-	if !v.Overflow {
-		m.stats.OverflowFiltered++
-		return false
-	}
-	if m.lineInSignature(v.W, line) {
-		m.stats.OverflowChecked++
-		return true
-	}
-	m.stats.OverflowFiltered++
-	return false
+	return v.Overflow && m.lineInSignature(v.W, line)
 }
 
 // SpilledVersion is a version whose signatures were moved to memory when

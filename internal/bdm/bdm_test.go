@@ -427,10 +427,6 @@ func TestOverflowFilter(t *testing.T) {
 	if m.NeedsOverflowLookup(v, 9999) {
 		t.Fatal("address not in W: membership filter must skip the lookup")
 	}
-	st := m.Stats()
-	if st.OverflowChecked != 1 || st.OverflowFiltered != 2 {
-		t.Fatalf("overflow filter stats wrong: %+v", st)
-	}
 }
 
 func TestSpillAndReload(t *testing.T) {

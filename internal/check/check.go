@@ -33,15 +33,15 @@
 // first, lexicographic within a length — under a depth/schedule budget.
 // Every prefix has exactly one parent, so the tree runs no schedule twice
 // and needs no dedup set. Each best-first wave (the prefixes tied for
-// minimum length) executes on a work-stealing worker pool and is reduced
-// serially in canonical order, so reports are byte-identical at every
-// worker count, and a sweep under a larger schedule budget first runs
-// every schedule a smaller one runs. Each worker drives one pooled system
-// of the target's runtime through the core machine's driver contract,
-// resetting it in place to its just-built state before every schedule
-// instead of building a fresh system. A random-walk fuzzer deviates
-// within the same decision depth and samples schedules the schedule
-// budget leaves unexplored. Seeded protocol mutations (internal/mutate)
+// minimum length) executes on par.Each, whose workers claim one schedule
+// at a time from a shared counter, and is reduced serially in canonical
+// order, so reports are byte-identical at every worker count, and a sweep
+// under a larger schedule budget first runs every schedule a smaller one
+// runs. Each worker drives one pooled system of the target's runtime
+// through the core machine's driver contract, resetting it in place to its
+// just-built state before every schedule instead of building a fresh
+// system. A random-walk fuzzer deviates within the same decision depth
+// and samples schedules the schedule budget leaves unexplored. Seeded protocol mutations (internal/mutate)
 // give the checker teeth: each mutation disables one load-bearing
 // protocol decision, and the catalog in mutations.go pairs each with a
 // directed workload whose schedule space contains a killing interleaving.

@@ -65,14 +65,15 @@ type Report struct {
 	// Duplicates counts redundant re-executions of already-seen canonical
 	// schedules. Exploration never repeats a schedule, so it is always 0
 	// there; random walks report their repeat draws here instead of
-	// inflating Schedules, which keeps Walk and Explore reports
+	// inflating Schedules, which keeps Walk and ExploreParallel reports
 	// comparable measures of distinct work.
 	Duplicates int
 	// Failure is the first (minimized) failing schedule, nil if none.
 	Failure *Failure
 }
 
-// Explore walks the schedule space of t in canonical best-first order: it
+// ExploreParallel walks the schedule space of t in canonical best-first
+// order across workers goroutines (workers <= 0 means GOMAXPROCS): it
 // executes the default schedule, then systematically flips each recorded
 // decision to each alternative choice, extending failure-free prefixes —
 // shortest first, lexicographic within a length — until the budget is
@@ -82,20 +83,12 @@ type Report struct {
 // (greedily reverting choices to the default while the failure
 // reproduces) before reporting.
 //
-// Explore is the serial form of ExploreParallel: the explored set, the
-// report, and the failing schedule are identical at every worker count.
-func Explore(t Target, muts mutate.Set, b Budget) *Report {
-	rep, _, _ := explore(t, muts, b, 1)
-	return rep
-}
-
-// ExploreParallel is Explore across workers goroutines (workers <= 0 means
-// GOMAXPROCS). Each best-first wave — the prefixes tied for minimum
-// length, in lexicographic order — is executed on a work-stealing pool of
-// per-worker deques with steal-half balancing; results land by wave index
-// and are reduced serially in canonical order, so the report is
-// byte-identical to the serial explorer's no matter the worker count or
-// steal schedule.
+// Each best-first wave — the prefixes tied for minimum length, in
+// lexicographic order — runs on par.Each, whose workers claim wave indices
+// one at a time; results land by wave index and are reduced serially in
+// canonical order, so the explored set, the report and the failing
+// schedule are byte-identical at every worker count and claim order. With
+// one worker the waves run inline on the caller's goroutine.
 func ExploreParallel(t Target, muts mutate.Set, b Budget, workers int) *Report {
 	rep, _, _ := explore(t, muts, b, workers)
 	return rep
@@ -122,9 +115,9 @@ func explore(t Target, muts mutate.Set, b Budget, workers int) (*Report, *flatma
 		if rem := b.MaxSchedules - counted; n > rem {
 			n = rem
 		}
-		// Execute the wave. Workers claim wave indices from the stealing
-		// pool and write their outcome and encoded children into their own
-		// index's slot; they share nothing else. The result and scratch
+		// Execute the wave. Workers claim wave indices from the pool and
+		// write their outcome and encoded children into their own index's
+		// slot; they share nothing else. The result and scratch
 		// pools persist across waves; worker ids index scratch, so pooled
 		// runners and schedulers never migrate mid-wave.
 		if cap(results) < n {
@@ -132,10 +125,10 @@ func explore(t Target, muts mutate.Set, b Budget, workers int) (*Report, *flatma
 		} else {
 			results = results[:n]
 		}
-		for nw := par.StealWorkers(workers, n); len(scratch) < nw; {
+		for nw := par.Workers(workers, n); len(scratch) < nw; {
 			scratch = append(scratch, workerScratch{})
 		}
-		par.StealForEach(n, workers, func(w, i int) {
+		par.Each(n, workers, func(w, i int) {
 			sc := &scratch[w]
 			res := &results[i]
 			sc.prefix = decodeRow(rows, length, i, sc.prefix)
@@ -189,8 +182,7 @@ type waveResult struct {
 
 // workerScratch is the per-worker reusable state of an exploration: the
 // decoded prefix, the choice bytes of the current trace, and the worker's
-// pooled runner. Indexed by the stealing pool's worker id, so no
-// synchronization.
+// pooled runner. Indexed by the pool's worker id, so no synchronization.
 type workerScratch struct {
 	prefix    []int
 	choices   []byte
@@ -233,7 +225,7 @@ func expandChildren(dst []byte, tr []Step, from int, sc *workerScratch) []byte {
 // Duplicates and not re-judged (replays are deterministic, so a repeat
 // draw can expose nothing new); MaxSchedules bounds total draws, so
 // Schedules reports the distinct schedules actually explored. Failures
-// minimize and replay exactly like Explore's.
+// minimize and replay exactly like ExploreParallel's.
 func Walk(t Target, muts mutate.Set, b Budget, seed uint64, deviate float64) *Report {
 	rep := &Report{Target: t.Name()}
 	var fps, seen flatmap.Set

@@ -17,7 +17,7 @@ func TestUnmutatedSweepClean(t *testing.T) {
 	for _, tgt := range SweepTargets() {
 		tgt := tgt
 		t.Run(tgt.Name(), func(t *testing.T) {
-			rep := Explore(tgt, 0, Budget{MaxSchedules: 12_000, Depth: 14})
+			rep := ExploreParallel(tgt, 0, Budget{MaxSchedules: 12_000, Depth: 14}, 1)
 			if rep.Failure != nil {
 				t.Fatalf("oracle rejected schedule %s: %s",
 					FormatSchedule(rep.Failure.Schedule), rep.Failure.Reason)
@@ -103,7 +103,7 @@ func TestDirectedTargetsCleanUnmutated(t *testing.T) {
 	for _, m := range Catalog() {
 		m := m
 		t.Run(m.Target.Name(), func(t *testing.T) {
-			rep := Explore(m.Target, 0, Budget{MaxSchedules: 1_000, Depth: m.Budget.Depth})
+			rep := ExploreParallel(m.Target, 0, Budget{MaxSchedules: 1_000, Depth: m.Budget.Depth}, 1)
 			if rep.Failure != nil {
 				t.Fatalf("unmutated %s fails schedule %s: %s", m.Target.Name(),
 					FormatSchedule(rep.Failure.Schedule), rep.Failure.Reason)

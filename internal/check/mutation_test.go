@@ -15,12 +15,12 @@ func TestMutationsKilled(t *testing.T) {
 	for _, m := range Catalog() {
 		m := m
 		t.Run(m.ID.String(), func(t *testing.T) {
-			clean := Explore(m.Target, 0, Budget{MaxSchedules: 500, Depth: m.Budget.Depth})
+			clean := ExploreParallel(m.Target, 0, Budget{MaxSchedules: 500, Depth: m.Budget.Depth}, 1)
 			if clean.Failure != nil {
 				t.Fatalf("unmutated target failed: %s (schedule %s)",
 					clean.Failure.Reason, FormatSchedule(clean.Failure.Schedule))
 			}
-			rep := Explore(m.Target, mutate.Of(m.ID), m.Budget)
+			rep := ExploreParallel(m.Target, mutate.Of(m.ID), m.Budget, 1)
 			if rep.Failure == nil {
 				t.Fatalf("mutation survived %d schedules", rep.Schedules)
 			}

@@ -12,8 +12,9 @@ type Mutation struct {
 }
 
 // Catalog returns every seeded mutation with its directed kill target.
-// Each entry is a claim the tests enforce: Explore(Target, Of(ID), Budget)
-// finds an oracle violation, while the unmutated target explores clean.
+// Each entry is a claim the tests enforce: ExploreParallel(Target,
+// Of(ID), Budget, w) finds an oracle violation at every worker count w,
+// while the unmutated target explores clean.
 func Catalog() []Mutation {
 	b := Budget{MaxSchedules: 4_000, Depth: 12}
 	deep := Budget{MaxSchedules: 8_000, Depth: 16}

@@ -46,7 +46,7 @@ func reportsEqual(t *testing.T, label string, got, want *Report) {
 func TestParallelMatchesSerialClean(t *testing.T) {
 	b := Budget{MaxSchedules: 2_000, Depth: 12}
 	for _, tgt := range SweepTargets() {
-		serial := Explore(tgt, 0, b)
+		serial := ExploreParallel(tgt, 0, b, 1)
 		if serial.Failure != nil {
 			t.Fatalf("%s: unmutated target failed: %s", tgt.Name(), serial.Failure.Reason)
 		}
@@ -64,7 +64,7 @@ func TestParallelMatchesSerialOnMutations(t *testing.T) {
 	for _, m := range Catalog() {
 		m := m
 		t.Run(m.ID.String(), func(t *testing.T) {
-			serial := Explore(m.Target, mutate.Of(m.ID), m.Budget)
+			serial := ExploreParallel(m.Target, mutate.Of(m.ID), m.Budget, 1)
 			if serial.Failure == nil {
 				t.Fatalf("mutation survived %d schedules", serial.Schedules)
 			}
@@ -85,7 +85,7 @@ func TestParallelMatchesSerialOnMutations(t *testing.T) {
 func TestConcurrentExplorations(t *testing.T) {
 	tgt := SweepTargets()[0]
 	b := Budget{MaxSchedules: 50, Depth: 6}
-	want := Explore(tgt, 0, b)
+	want := ExploreParallel(tgt, 0, b, 1)
 	var got [2]*Report
 	var done sync.WaitGroup
 	release := make(chan struct{})

@@ -112,7 +112,11 @@ func TestRunnerMatchesReplayClean(t *testing.T) {
 // explorer finds the same first failure — same minimized schedule, same
 // reason, after the same number of schedules — as the reference, and a
 // pooled runner judges the killing schedule, and each of its prefixes,
-// exactly as a fresh Target.Run does.
+// exactly as a fresh Target.Run does, also when they run again after the
+// kill. The explorer's reports cannot show a runner that carries a
+// failing schedule's state into the next one: each worker claims wave
+// indices in increasing order, so the carried failure lands only on
+// later indices, which the serial reduce never reads.
 func TestRunnerMatchesReplayOnMutations(t *testing.T) {
 	for _, m := range Catalog() {
 		m := m
@@ -127,6 +131,7 @@ func TestRunnerMatchesReplayOnMutations(t *testing.T) {
 			for k := 0; k <= len(kill); k++ {
 				schedules = append(schedules, kill[:k])
 			}
+			schedules = append(schedules, schedules...)
 			runnerMatchesRun(t, m.Target, muts, schedules, m.Budget.Depth)
 			for _, w := range []int{1, 4} {
 				reportsEqual(t, fmt.Sprintf("w=%d", w), ExploreParallel(m.Target, muts, m.Budget, w), want)

@@ -53,7 +53,7 @@ func TestDisjointWordWritesNeverSquash(t *testing.T) {
 		}
 		return noSquashTM{sys.(*tm.System), &merges}, nil
 	}}
-	rep := Explore(tgt, 0, Budget{MaxSchedules: 50_000, Depth: 6})
+	rep := ExploreParallel(tgt, 0, Budget{MaxSchedules: 50_000, Depth: 6}, 1)
 	if rep.Failure != nil {
 		t.Fatalf("schedule %s: %s", FormatSchedule(rep.Failure.Schedule), rep.Failure.Reason)
 	}

@@ -112,7 +112,6 @@ type Totals struct {
 	Cycles         int64
 	Bandwidth      bus.Bandwidth
 	SafeWritebacks uint64
-	SetConflicts   uint64
 }
 
 // BDM asks Init for a Bulk Disambiguation Module per processor.
@@ -243,9 +242,7 @@ func (m *Machine[R]) Finish() *R { return m.FinishInto(new(R)) }
 func (m *Machine[R]) FinishInto(res *R) *R {
 	t := Totals{Cycles: m.Engine.Now(), Bandwidth: m.Bus}
 	for _, md := range m.Modules {
-		st := md.Stats()
-		t.SafeWritebacks += st.SafeWritebacks
-		t.SetConflicts += st.SetConflicts
+		t.SafeWritebacks += md.Stats().SafeWritebacks
 	}
 	m.cfg.Meter.Merge(&m.Bus)
 	if cm := m.cfg.CacheMeter; cm != nil {

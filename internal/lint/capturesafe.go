@@ -8,11 +8,10 @@ import (
 
 // This file implements the capturesafe rule: a closure-capture escape
 // analysis for worker closures — the function literals handed to
-// par.ForEach / par.Map / par.StealForEach and the bodies of `go`
-// statements. Those bodies run concurrently with their siblings, so a
-// write to a variable captured from the enclosing frame is a data race on
-// the exploration hot path unless it lands in one of the sanctioned
-// patterns:
+// par.Each / par.ForEach and the bodies of `go` statements. Those bodies
+// run concurrently with their siblings, so a write to a variable captured
+// from the enclosing frame is a data race on the exploration hot path
+// unless it lands in one of the sanctioned patterns:
 //
 //   - index-landed: the write goes through a slice or array index
 //     (out[i] = ..., results[i].field = ...) — each worker owns its slot.
@@ -39,9 +38,8 @@ import (
 // parWorkerFuncs are the internal/par entry points whose closure arguments
 // run on pool workers.
 var parWorkerFuncs = map[string]bool{
-	"ForEach":      true,
-	"Map":          true,
-	"StealForEach": true,
+	"Each":    true,
+	"ForEach": true,
 }
 
 func analyzerCaptureSafe() *Analyzer {

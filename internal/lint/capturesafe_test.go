@@ -15,17 +15,16 @@ func ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-func StealForEach(n, w int, fn func(worker, i int)) {
+func Each(n, w int, fn func(worker, i int)) {
 	for i := 0; i < n; i++ {
 		fn(0, i)
 	}
 }
 `
 
-// TestCaptureSafeUnguardedStealWrite is the PR's negative mutation fixture
-// #3: an unguarded captured write in a StealForEach body — exactly one
-// finding at the write line.
-func TestCaptureSafeUnguardedStealWrite(t *testing.T) {
+// TestCaptureSafeUnguardedEachWrite: an unguarded captured write in a
+// par.Each body — exactly one finding at the write line.
+func TestCaptureSafeUnguardedEachWrite(t *testing.T) {
 	findings := lintFixture(t, map[string]string{
 		"internal/par/par.go": parFixture,
 		"internal/scratch/s.go": `package scratch
@@ -34,7 +33,7 @@ import "bulk/internal/par"
 
 func Sum(xs []int) int {
 	total := 0
-	par.StealForEach(len(xs), 4, func(w, i int) {
+	par.Each(len(xs), 4, func(w, i int) {
 		total += xs[i]
 	})
 	return total
@@ -89,7 +88,7 @@ import (
 func Tally(xs []int) int {
 	var mu sync.Mutex
 	total := 0
-	par.StealForEach(len(xs), 4, func(w, i int) {
+	par.Each(len(xs), 4, func(w, i int) {
 		mu.Lock()
 		total += xs[i]
 		mu.Unlock()
@@ -115,7 +114,7 @@ import (
 func Tally(xs []int) int {
 	var mu sync.Mutex
 	total := 0
-	par.StealForEach(len(xs), 4, func(w, i int) {
+	par.Each(len(xs), 4, func(w, i int) {
 		total += xs[i]
 		mu.Lock()
 		mu.Unlock()

@@ -48,11 +48,11 @@
 //   - layerdep:   the package-layer DAG declared in
 //     internal/lint/layers.txt is enforced against actual imports; an
 //     intra-module import must target a strictly lower layer.
-//   - capturesafe: a variable captured by a worker closure (par.ForEach /
-//     par.Map / par.StealForEach bodies, `go` statements) and written
-//     there must land in a slice/array index slot, under a held lock, or
-//     through typed-atomic calls; anything else is a statically detected
-//     data race. Pointer-style sync/atomic calls are findings anywhere:
+//   - capturesafe: a variable captured by a worker closure (par.Each /
+//     par.ForEach bodies, `go` statements) and written there must land
+//     in a slice/array index slot, under a held lock, or through
+//     typed-atomic calls; anything else is a statically detected data
+//     race. Pointer-style sync/atomic calls are findings anywhere:
 //     typed atomics cannot mix atomic and plain access. Waive with
 //     `//bulklint:allow capturesafe <why>`.
 //   - stalewaiver: every //bulklint: directive must earn its keep — a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bulk/internal/rng"
@@ -68,45 +69,104 @@ func TestForEachRunsAllDespiteError(t *testing.T) {
 	}
 }
 
-func TestMapLandsByIndex(t *testing.T) {
-	out, err := Map(100, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
+func TestWorkersBounds(t *testing.T) {
+	for _, tc := range []struct{ w, n, want int }{
+		{0, 0, 1}, {0, 1, 1}, {3, 8, 3}, {1, 100, 1},
+		{0, 1 << 20, runtime.GOMAXPROCS(0)},
+	} {
+		if got := Workers(tc.w, tc.n); got != tc.want {
+			t.Errorf("Workers(%d, %d) = %d, want %d", tc.w, tc.n, got, tc.want)
 		}
 	}
 }
 
-func TestWorkersBounds(t *testing.T) {
-	if w := Workers(0); w != 1 {
-		t.Errorf("Workers(0) = %d, want 1", w)
+// TestStealWorkers holds Workers to the cases the former work-stealing
+// pool's worker count was checked against: Each sizes itself by the same
+// rule, so a non-positive request means GOMAXPROCS, a request above n is
+// cut to n, and an empty index space still gets one worker.
+func TestStealWorkers(t *testing.T) {
+	if got, want := Workers(0, 100), min(runtime.GOMAXPROCS(0), 100); got != want {
+		t.Errorf("Workers(0, 100) = %d, want %d (GOMAXPROCS capped at n)", got, want)
 	}
-	if w := Workers(1); w != 1 {
-		t.Errorf("Workers(1) = %d, want 1", w)
+	if got := Workers(8, 3); got != 3 {
+		t.Errorf("Workers(8, 3) = %d, want 3", got)
 	}
-	if w := Workers(1 << 20); w > runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers spawned %d > GOMAXPROCS", w)
+	if got := Workers(-1, 0); got != 1 {
+		t.Errorf("Workers(-1, 0) = %d, want 1", got)
 	}
 }
 
-// TestMapDeterministicWithDerivedStreams is the engine's determinism
+// TestEachCoversEveryIndex: every index in [0, n) is claimed exactly once,
+// across worker counts above, at, and below n.
+func TestEachCoversEveryIndex(t *testing.T) {
+	for _, tc := range []struct{ n, w int }{
+		{0, 4}, {1, 4}, {7, 1}, {7, 3}, {7, 7}, {64, 4}, {1000, 8}, {5, 16},
+	} {
+		claims := make([]atomic.Int32, tc.n)
+		Each(tc.n, tc.w, func(_, i int) {
+			claims[i].Add(1)
+		})
+		for i := range claims {
+			if got := claims[i].Load(); got != 1 {
+				t.Errorf("n=%d w=%d: index %d claimed %d times, want 1", tc.n, tc.w, i, got)
+			}
+		}
+	}
+}
+
+// TestEachWorkerIDs: the worker id passed to fn is always below
+// Workers(w, n), with more workers asked for than there are indices and
+// with one, so per-worker scratch arrays indexed by it are safe.
+func TestEachWorkerIDs(t *testing.T) {
+	for _, tc := range []struct{ n, w int }{{500, 6}, {3, 8}, {50, 1}} {
+		nw := Workers(tc.w, tc.n)
+		var bad atomic.Int32
+		Each(tc.n, tc.w, func(worker, _ int) {
+			if worker < 0 || worker >= nw {
+				bad.Add(1)
+			}
+		})
+		if bad.Load() != 0 {
+			t.Errorf("n=%d w=%d: %d calls saw a worker id outside [0, %d)", tc.n, tc.w, bad.Load(), nw)
+		}
+	}
+}
+
+// TestEachBlockedIndexDoesNotHang: a worker stalled inside fn must not
+// strand the indices after it. Index 0 blocks until every other index has
+// run, so the pool completes only if the other workers claim all of them.
+func TestEachBlockedIndexDoesNotHang(t *testing.T) {
+	const n, w = 256, 4
+	var done atomic.Int32
+	rest := make(chan struct{})
+	Each(n, w, func(_, i int) {
+		if i == 0 {
+			<-rest // stall until the other n-1 indices have all run
+			return
+		}
+		if done.Add(1) == n-1 {
+			close(rest)
+		}
+	})
+	if done.Load() != n-1 {
+		t.Fatalf("pool returned with %d of %d non-stalled indices run", done.Load(), n-1)
+	}
+}
+
+// TestForEachDeterministicWithDerivedStreams is the engine's determinism
 // contract in miniature: trials that derive their randomness from
 // (seed, index) — never from a shared generator — produce the same result
 // vector on every run, concurrent or not.
-func TestMapDeterministicWithDerivedStreams(t *testing.T) {
+func TestForEachDeterministicWithDerivedStreams(t *testing.T) {
 	run := func() []uint64 {
-		out, err := Map(64, func(i int) (uint64, error) {
+		out := make([]uint64, 64)
+		if err := ForEach(len(out), func(i int) error {
 			r := rng.New(2006 ^ uint64(i)*0x9e3779b97f4a7c15)
-			sum := uint64(0)
 			for k := 0; k < 100; k++ {
-				sum += r.Uint64()
+				out[i] += r.Uint64()
 			}
-			return sum, nil
-		})
-		if err != nil {
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return out

@@ -352,9 +352,9 @@ func (s *Server) executeCells(ctx context.Context, j *Job) ([]byte, error) {
 }
 
 // executeCell resolves one cell through cache → coalescer → fresh run.
-// The fresh-run path recovers panics into a panicError: cells execute on
-// par.ForEach worker goroutines, where runJob's own recover cannot reach,
-// and an unrecovered panic there would kill the daemon.
+// The fresh-run path recovers panics into a panicError: cells may execute
+// on par.ForEach worker goroutines, where runJob's own recover cannot
+// reach, and an unrecovered panic there would kill the daemon.
 func (s *Server) executeCell(ctx context.Context, c cell) (res cellResult, cached, coalesced bool, err error) {
 	if res, ok := s.cache.get(c.key); ok {
 		s.metrics.counters.add(func(v *countersView) { v.CellsCached++ })

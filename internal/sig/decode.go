@@ -116,32 +116,24 @@ func (c *Config) permutedPos(src int) int {
 type DecodePlan struct {
 	cfg *Config
 	idx IndexSpec
-	// For each signature field that contributes index bits: which bits of
-	// the field value map to which bits of the set index.
-	fields []fieldProjection
-	exact  bool
-	// run is set when the plan is exact and its index bits are chunk bits
-	// [lo, lo+Bits) in order, as under both paper permutations: δ then
-	// maps field value v to set (v>>lo) & (sets-1).
+	// field is the one signature field that holds every index bit, and
+	// index bit b is bit chunkBits[b] of its value.
+	field     int
+	chunkBits []int
+	// run is set when the index bits are chunk bits [lo, lo+Bits) in
+	// order, as under both paper permutations: δ then maps field value v
+	// to set (v>>lo) & (sets-1).
 	run bool
 	lo  uint
 }
 
-type fieldProjection struct {
-	field int
-	// pairs of (bit position within chunk value, bit position within set index)
-	chunkBits []int
-	indexBits []int
-}
-
-// NewDecodePlan validates that every index bit is consumed by some chunk and
-// records the projection. Exact reports whether δ yields exactly the set
-// indices of the encoded addresses: true when all index bits land in a
-// single chunk (each added address contributes exactly one bit per field, so
-// the projection of one field is exact); when index bits are spread over
-// multiple chunks the decode is a cross-product over-approximation, which
-// the paper's Set Restriction correctness argument disallows — the BDM
-// refuses such configurations for bulk invalidation.
+// NewDecodePlan validates that every index bit is consumed by one and the
+// same chunk and records the projection. Each added address sets exactly
+// one bit per field, so projecting that one field's values gives exactly
+// the set indices of the encoded addresses. Index bits spread over several
+// chunks could only be decoded as a cross-product over-approximation,
+// which the Set Restriction correctness argument of Section 4.3 does not
+// allow, so such a spec is refused.
 func NewDecodePlan(cfg *Config, idx IndexSpec) (*DecodePlan, error) {
 	if idx.Bits <= 0 || idx.Bits > 30 {
 		return nil, fmt.Errorf("sig: index spec has invalid width %d", idx.Bits)
@@ -152,10 +144,8 @@ func NewDecodePlan(cfg *Config, idx IndexSpec) (*DecodePlan, error) {
 		// the architectural reason Bulk selects bits instead of hashing.
 		return nil, fmt.Errorf("sig: hashed configuration %s cannot decode cache sets", cfg.Name())
 	}
-	p := &DecodePlan{cfg: cfg, idx: idx}
-	byField := map[int]*fieldProjection{}
-	order := []int{}
-	for b := 0; b < idx.Bits; b++ {
+	p := &DecodePlan{cfg: cfg, idx: idx, chunkBits: make([]int, idx.Bits)}
+	for b := range p.chunkBits {
 		src := idx.LowBit + b
 		pos := cfg.permutedPos(src)
 		if pos < 0 {
@@ -163,32 +153,21 @@ func NewDecodePlan(cfg *Config, idx IndexSpec) (*DecodePlan, error) {
 				b, src, cfg.Name())
 		}
 		chunk, bitInChunk := cfg.chunkOf(pos)
-		fp := byField[chunk]
-		if fp == nil {
-			fp = &fieldProjection{field: chunk}
-			byField[chunk] = fp
-			order = append(order, chunk)
+		if b == 0 {
+			p.field = chunk
+		} else if chunk != p.field {
+			return nil, fmt.Errorf("sig: index bits [%d, %d) span chunks %d and %d of %s; "+
+				"δ would not decode cache sets exactly, so bulk invalidation would be unsafe (Section 4.3)",
+				idx.LowBit, idx.LowBit+idx.Bits, p.field, chunk, cfg.Name())
 		}
-		fp.chunkBits = append(fp.chunkBits, bitInChunk)
-		fp.indexBits = append(fp.indexBits, b)
+		p.chunkBits[b] = bitInChunk
 	}
-	for _, f := range order {
-		p.fields = append(p.fields, *byField[f])
-	}
-	p.exact = len(p.fields) == 1
-	if p.exact {
-		cb := p.fields[0].chunkBits
-		p.run, p.lo = true, uint(cb[0])
-		for j, b := range cb {
-			p.run = p.run && b == cb[0]+j
-		}
+	p.run, p.lo = true, uint(p.chunkBits[0])
+	for j, b := range p.chunkBits {
+		p.run = p.run && b == p.chunkBits[0]+j
 	}
 	return p, nil
 }
-
-// Exact reports whether this plan's decode is exact (index bits within one
-// chunk) rather than a conservative cross-product.
-func (p *DecodePlan) Exact() bool { return p.exact }
 
 // Index returns the spec the plan was built for.
 func (p *DecodePlan) Index() IndexSpec { return p.idx }
@@ -199,10 +178,10 @@ func (p *DecodePlan) SetIndexOf(a Addr) int {
 }
 
 // Decode is the δ operation: it projects the signature onto the cache-set
-// index space and returns the resulting set bitmask. When Exact() is true
-// the mask contains exactly the set indices of the addresses that were
-// added (aliasing within a set does not matter: the set index bits of an
-// added address are preserved verbatim by the one-hot chunk encoding).
+// index space and returns the resulting set bitmask: exactly the set
+// indices of the addresses that were added (aliasing within a set does not
+// matter: the set index bits of an added address are preserved verbatim
+// by the one-hot chunk encoding).
 func (p *DecodePlan) Decode(s *Signature) SetMask {
 	mask := NewSetMask(p.idx.NumSets())
 	p.DecodeInto(s, mask)
@@ -210,12 +189,10 @@ func (p *DecodePlan) Decode(s *Signature) SetMask {
 }
 
 // DecodeInto is Decode writing into an existing mask (which is cleared).
-// Exact plans — the only kind the BDM accepts — run an allocation-free
-// fast path: every one bit of the single contributing field scatters
-// directly into the mask (SetMask.Set is idempotent, so no dedup pass is
-// needed). A run plan maps each bit with one shift and mask; other exact
-// plans move the index bits one at a time. Inexact multi-field plans take
-// the allocating cross-product path in decodeCross.
+// Every one bit of the plan's field scatters directly into the mask
+// (SetMask.Set is idempotent, so no dedup pass is needed). A run plan maps
+// each bit with one shift and mask; other plans move the index bits one at
+// a time.
 //
 //bulklint:noalloc
 func (p *DecodePlan) DecodeInto(s *Signature, mask SetMask) {
@@ -223,80 +200,38 @@ func (p *DecodePlan) DecodeInto(s *Signature, mask SetMask) {
 		panic("sig: decode plan applied to signature with different configuration") //bulklint:invariant plans are built per-config at system setup
 	}
 	mask.Clear()
-	if p.exact {
-		fp := &p.fields[0]
-		off := p.cfg.fields[fp.field].off
-		n := 1 << p.cfg.chunks[fp.field]
-		sets := uint32(p.idx.NumSets() - 1)
-		for i := 0; i < n; {
-			w := (off + i) >> 6
-			shift := uint((off + i) & 63)
-			take := 64 - int(shift)
-			if take > n-i {
-				take = n - i
-			}
-			var m uint64
-			if take == 64 {
-				m = ^uint64(0)
-			} else {
-				m = ((1 << uint(take)) - 1) << shift
-			}
-			word := s.bits[w] & m
-			for word != 0 {
-				v := uint32(i + bits.TrailingZeros64(word) - int(shift))
-				word &= word - 1
-				if p.run {
-					mask.Set(int(v >> p.lo & sets))
-					continue
-				}
-				var pat uint32
-				for j, cb := range fp.chunkBits {
-					pat |= ((v >> uint(cb)) & 1) << uint(fp.indexBits[j])
-				}
-				mask.Set(int(pat))
-			}
-			i += take
+	off := p.cfg.fields[p.field].off
+	n := 1 << p.cfg.chunks[p.field]
+	sets := uint32(p.idx.NumSets() - 1)
+	for i := 0; i < n; {
+		w := (off + i) >> 6
+		shift := uint((off + i) & 63)
+		take := 64 - int(shift)
+		if take > n-i {
+			take = n - i
 		}
-		return
-	}
-	p.decodeCross(s, mask) //bulklint:allow noalloc inexact plans are rejected by the BDM; only offline tools take this path
-}
-
-// decodeCross is the inexact multi-field decode: per contributing field,
-// compute the set of partial index patterns present, then cross-combine.
-func (p *DecodePlan) decodeCross(s *Signature, mask SetMask) {
-	var scratch []uint32
-	partials := make([][]uint32, len(p.fields))
-	for i, fp := range p.fields {
-		scratch = s.fieldOnes(fp.field, scratch[:0])
-		if len(scratch) == 0 {
-			return // field empty => signature empty => no sets
+		var m uint64
+		if take == 64 {
+			m = ^uint64(0)
+		} else {
+			m = ((1 << uint(take)) - 1) << shift
 		}
-		seen := map[uint32]bool{}
-		var pats []uint32
-		for _, v := range scratch {
+		word := s.bits[w] & m
+		for word != 0 {
+			v := uint32(i + bits.TrailingZeros64(word) - int(shift))
+			word &= word - 1
+			if p.run {
+				mask.Set(int(v >> p.lo & sets))
+				continue
+			}
 			var pat uint32
-			for j, cb := range fp.chunkBits {
-				pat |= ((v >> uint(cb)) & 1) << uint(fp.indexBits[j])
+			for b, cb := range p.chunkBits {
+				pat |= ((v >> uint(cb)) & 1) << uint(b)
 			}
-			if !seen[pat] {
-				seen[pat] = true
-				pats = append(pats, pat)
-			}
+			mask.Set(int(pat))
 		}
-		partials[i] = pats
+		i += take
 	}
-	var combine func(i int, acc uint32)
-	combine = func(i int, acc uint32) {
-		if i == len(partials) {
-			mask.Set(int(acc))
-			return
-		}
-		for _, pat := range partials[i] {
-			combine(i+1, acc|pat)
-		}
-	}
-	combine(0, 0)
 }
 
 // WordMaskPlan is the Updated Word Bitmask unit of Section 4.4 (Figure 6):

@@ -50,16 +50,13 @@ func TestDecodeSaturatedSignature(t *testing.T) {
 
 // TestDecodeMembershipAgreement: over a small, fully-enumerable address
 // space, Decode and Contains must agree — every member address lands in a
-// marked set (δ never under-approximates membership), and for an exact
-// plan every marked set is witnessed by some member address.
+// marked set (δ never under-approximates membership), and, δ being exact,
+// every marked set is witnessed by some member address.
 func TestDecodeMembershipAgreement(t *testing.T) {
 	cfg := MustConfig("walk", []int{4, 4}, nil, 8)
 	plan, err := NewDecodePlan(cfg, IndexSpec{LowBit: 0, Bits: 4})
 	if err != nil {
 		t.Fatalf("NewDecodePlan: %v", err)
-	}
-	if !plan.Exact() {
-		t.Fatal("index bits within one chunk must give an exact decode")
 	}
 
 	// Adversarial patterns: a dense cluster (stresses aliasing within one
@@ -92,7 +89,7 @@ func TestDecodeMembershipAgreement(t *testing.T) {
 				t.Errorf("%s: member address %d in unmarked set %d", name, a, plan.SetIndexOf(a))
 			}
 		}
-		// Exact plan: each marked set must have a member witness.
+		// Exact δ: each marked set must have a member witness.
 		witness := map[int]bool{}
 		for a := Addr(0); a < 1<<8; a++ {
 			if s.Contains(a) {

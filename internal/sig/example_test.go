@@ -38,10 +38,8 @@ func ExampleDecodePlan() {
 	w.Add(5)   // set 5
 	w.Add(133) // 133 mod 128 = set 5 as well
 	w.Add(70)  // set 70
-	fmt.Println("exact:", plan.Exact())
 	fmt.Println("sets:", plan.Decode(w).Sets(nil))
 	// Output:
-	// exact: true
 	// sets: [5 70]
 }
 

@@ -200,7 +200,6 @@ func (s *System) Collect(res *Result, t core.Totals) {
 	st.Cycles = t.Cycles
 	st.Bandwidth = t.Bandwidth
 	st.SafeWritebacks += t.SafeWritebacks
-	st.SetConflicts += t.SetConflicts
 	for _, p := range s.procs {
 		os := p.over.Stats()
 		st.OverflowAccesses += os.Spills + os.Fetches + os.DisambiguationAccesses + os.Deallocs

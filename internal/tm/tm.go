@@ -120,10 +120,9 @@ type Stats struct {
 	// footprints (to report the Table 7 set sizes as measured).
 	ReadSetLines  uint64
 	WriteSetLines uint64
-	// SafeWritebacks and SetConflicts come from the Set Restriction
-	// (Bulk only; Table 7 "Safe WB/Tr").
+	// SafeWritebacks come from the Set Restriction (Bulk only; Table 7
+	// "Safe WB/Tr").
 	SafeWritebacks uint64
-	SetConflicts   uint64
 	// OverflowAccesses counts all overflow-area traffic events (spills,
 	// fetches, disambiguation scans, deallocations) — the quantity whose
 	// Bulk/Lazy ratio Table 7 reports.

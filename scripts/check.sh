@@ -31,6 +31,19 @@ echo "== go test -race =="
 # race stage exercises the fan-out worker pool on every run.
 go test -race ./...
 
+echo "== par race repeat (-count=10) =="
+# The explorer's waves and every ForEach caller share the one claim loop
+# in internal/par, so its race tests run ten times over, not once.
+go test -race -count=10 ./internal/par/
+
+echo "== examples =="
+# The README lists the example programs as entry points; each must run
+# to completion and exit 0.
+for ex in examples/*/; do
+  echo "-- $ex"
+  go run "./$ex" > /dev/null
+done
+
 echo "== fault-injection matrix =="
 # Plant every fault in cmd/faultmatrix/matrix.txt into a scratch copy of
 # the tree and run every guard against it: each bulklint rule and each
@@ -100,7 +113,7 @@ check_cover serve 85
 
 echo "== bulkcheck smoke =="
 # A small exhaustive sweep of every protocol must stay oracle-clean — and
-# produce the identical report on a work-stealing worker pool — and every
+# produce the identical report on a multi-worker pool — and every
 # seeded protocol mutation must still be killed, serially and in parallel.
 bc_tmp="$(mktemp -d)"
 trap 'rm -rf "$bc_tmp"' EXIT
